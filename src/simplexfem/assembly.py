@@ -96,18 +96,31 @@ class DofMap:
 
 
 class Constraint(NamedTuple):
-    """One scalar Lagrange-multiplier row acting on the primal and/or dual
-    unknown."""
+    """One scalar gauge condition c . (x, y) = rhs on the primal x and/or
+    dual y unknown, with ``k`` the null vector of [[A, B^T], [B, 0]] that
+    the condition fixes.
+
+    ``k`` spans the whole unknown (primal then dual).  The solver pins the
+    DOF where |k| is largest and re-gauges along ``k`` afterwards, so ``k``
+    must satisfy A k_x + B^T k_y = 0 and B k_x = 0 and have c . k != 0.
+    """
 
     primal: Optional[np.ndarray]
     dual: Optional[np.ndarray]
+    k: np.ndarray
     rhs: float = 0.0
 
 
 @dataclass
 class SaddleSystem:
-    """Symmetric block system [[A, B^T], [B, 0]] plus scalar constraint
-    rows, with right-hand sides ``f`` (primal) and ``g`` (dual)."""
+    """Symmetric block system [[A, B^T], [B, 0]] with right-hand sides
+    ``f`` (primal) and ``g`` (dual), plus scalar constraints that each fix
+    one null direction (the gauge) of the block matrix.
+
+    Its meaning is the bordered system with one Lagrange multiplier per
+    constraint; ``linsolve.solve_saddle`` solves it without factorising the
+    bordered matrix.
+    """
 
     A: sp.csr_matrix
     f: np.ndarray
@@ -123,6 +136,8 @@ class SaddleSystem:
             raise ValueError("B and g must be supplied together")
         if self.B is not None and (self.B.shape[1] != n or self.B.shape[0] != len(self.g)):
             raise ValueError("inconsistent dual block dimensions")
+        if any(len(c.k) != n + self.n_dual for c in self.constraints):
+            raise ValueError("constraint null vector must span primal and dual")
 
     @property
     def n_primal(self):
@@ -278,7 +293,7 @@ def assemble_mixed_poisson(mesh, f, quad_degree=DEFAULT_LOAD_DEGREE):
 
 def assemble_stokes(mesh, f, family="ECR", quad_degree=DEFAULT_LOAD_DEGREE):
     """Nonconforming Stokes: velocity in n components of CR/ECR, piecewise
-    constant pressure with a zero-mean multiplier row."""
+    constant pressure with zero mean, gauging the constant pressure."""
     n = mesh.dim
     vel = DofMap.build(mesh, family, dirichlet=True, ncomp=n)
     prs = DofMap.build(mesh, "P0")
@@ -301,14 +316,16 @@ def assemble_stokes(mesh, f, family="ECR", quad_degree=DEFAULT_LOAD_DEGREE):
     for p in parts[1:]:
         B = B + p
     b = _rhs(mesh, vel, f, quad_degree)
+    const_pressure = np.concatenate([np.zeros(vel.n_total), np.ones(prs.n_total)])
     system = SaddleSystem(A=A, f=b, B=B, g=np.zeros(prs.n_total),
-                          constraints=[Constraint(None, mesh.cell_measures.copy(), 0.0)])
+                          constraints=[Constraint(None, mesh.cell_measures.copy(),
+                                                  const_pressure)])
     return system, vel, prs
 
 
 def assemble_pseudostress(mesh, f, quad_degree=DEFAULT_LOAD_DEGREE):
     """Pseudostress Stokes: tensor RT0 rows against (P0)^n, deviatoric form,
-    with the global trace-mean constraint as one multiplier row."""
+    with the global trace-mean constraint gauging the constant tensor I."""
     n = mesh.dim
     sig = DofMap.build(mesh, "RT0", ncomp=n)     # component r = tensor row r
     upo = DofMap.build(mesh, "P0", ncomp=n)
@@ -346,8 +363,11 @@ def assemble_pseudostress(mesh, f, quad_degree=DEFAULT_LOAD_DEGREE):
     fv = load_values(mesh, f, load_rule, ncomp=n)
     g = -integrate_cellwise(mesh, fv, load_rule).T.ravel()
 
+    # the constant tensor I: tensor row r has flux nu_F[r] |F| through facet F
+    identity = (mesh.facet_normals * mesh.facet_measures[:, None]).T.ravel()
+    const_identity = np.concatenate([identity, np.zeros(upo.n_total)])
     system = SaddleSystem(A=A, f=np.zeros(sig.n_total), B=B, g=g,
-                          constraints=[Constraint(trace, None, 0.0)])
+                          constraints=[Constraint(trace, None, const_identity)])
     return system, sig, upo
 
 
@@ -379,8 +399,8 @@ def check_neumann_compatibility(mesh, f, g_avg, quad_degree=DEFAULT_LOAD_DEGREE,
 
 
 def assemble_neumann_primal(mesh, f, g, family="ECR", quad_degree=DEFAULT_LOAD_DEGREE):
-    """Pure-Neumann primal problem on the zero-mean subspace (one multiplier
-    row); the flux enters through facet averages, exactly for piecewise
+    """Pure-Neumann primal problem on the zero-mean subspace (gauging the
+    constant); the flux enters through facet averages, exactly for piecewise
     constant g."""
     g_avg = facet_averages_of(mesh, g)
     check_neumann_compatibility(mesh, f, g_avg, quad_degree)
@@ -394,13 +414,14 @@ def assemble_neumann_primal(mesh, f, g, family="ECR", quad_degree=DEFAULT_LOAD_D
     avg_row = elements.cell_average_row(family, mesh.dim)
     np.add.at(mean, dm.cell_dofs.ravel(),
               np.outer(mesh.cell_measures, avg_row).ravel())
-    system = SaddleSystem(A=A, f=b, constraints=[Constraint(mean, None, 0.0)])
+    system = SaddleSystem(A=A, f=b,
+                          constraints=[Constraint(mean, None, np.ones(dm.n_total))])
     return system, dm
 
 
 def assemble_neumann_mixed(mesh, f, g, quad_degree=DEFAULT_LOAD_DEGREE):
     """Mixed Neumann problem: boundary fluxes are essential (facet averages
-    of g), the test space drops them, and u carries a zero-mean multiplier.
+    of g), the test space drops them, and u has zero mean, gauging u = 1.
 
     Returns (system, rt map, p0 map, interior facet ids, boundary flux
     coefficient vector over all facets)."""
@@ -411,12 +432,8 @@ def assemble_neumann_mixed(mesh, f, g, quad_degree=DEFAULT_LOAD_DEGREE):
 
     bnd = mesh.boundary_facet_indices()
     interior = mesh.interior_facet_indices()
-    bc_sign = np.zeros(mesh.n_facets)
-    cells0 = mesh.facet_cells[bnd, 0]
-    local = np.argmax(mesh.cell_facets[cells0] == bnd[:, None], axis=1)
-    bc_sign[bnd] = mesh.cell_facet_signs[cells0, local]
     sigma_bc = np.zeros(mesh.n_facets)
-    sigma_bc[bnd] = bc_sign[bnd] * g_avg[bnd] * mesh.facet_measures[bnd]
+    sigma_bc[bnd] = mesh.boundary_facet_signs() * g_avg[bnd] * mesh.facet_measures[bnd]
 
     A_ii = A[interior][:, interior].tocsr()
     A_ib = A[interior][:, bnd].tocsr()
@@ -424,8 +441,9 @@ def assemble_neumann_mixed(mesh, f, g, quad_degree=DEFAULT_LOAD_DEGREE):
     B_b = B[:, bnd].tocsr()
     f_red = -A_ib @ sigma_bc[bnd]
     g_red = g_vec - B_b @ sigma_bc[bnd]
+    const_u = np.concatenate([np.zeros(len(interior)), np.ones(p0.n_total)])
     system = SaddleSystem(A=A_ii, f=f_red, B=B_i, g=g_red,
-                          constraints=[Constraint(None, mesh.cell_measures.copy(), 0.0)])
+                          constraints=[Constraint(None, mesh.cell_measures.copy(), const_u)])
     return system, rt, p0, interior, sigma_bc
 
 

@@ -19,14 +19,7 @@ from . import analysis, condense, equivalence, mesh as meshmod, problems
 from .assembly import DataError
 from .linsolve import SolverError
 from .mesh import MeshError
-
-IDENTITY_TOLS = {
-    "poisson": 1e-9,
-    "stokes": 1e-8,
-    "marini": 1e-9,
-    "cgs": 1e-9,
-    "eigen": 1e-8,
-}
+from .quadrature import integrate_cellwise, rule_for_degree
 
 
 class ConfigError(ValueError):
@@ -94,8 +87,8 @@ def _out(args, name):
 
 
 def _meta(args, **extra):
-    meta = {"tol_poisson": IDENTITY_TOLS["poisson"],
-            "tol_stokes": IDENTITY_TOLS["stokes"],
+    meta = {"tol_poisson": equivalence.IDENTITY_TOL,
+            "tol_stokes": equivalence.STOKES_TOL,
             "seed": args.seed}
     if getattr(args, "tol", None) is not None:
         meta["tol_override"] = args.tol
@@ -125,8 +118,8 @@ def cmd_poisson(args):
             failures.append(f"condensed/monolithic disagreement {agree:.3e}")
     else:
         u = problems.solve_poisson(mesh, f, family)
-    norm = analysis.l2_norm_of_values(
-        mesh, u.values(_rule(mesh).points), _rule(mesh))
+    rule = rule_for_degree(mesh.dim, 4)
+    norm = analysis.l2_norm_of_values(mesh, u.values(rule.points), rule)
     print(f"{family} Poisson solve: {u.dofmap.n_total} dofs, ||u_h|| = {norm:.8e}")
     if args.rhs == "sine":
         fix = problems.sine_solution(args.dim)
@@ -140,19 +133,13 @@ def cmd_poisson(args):
     return 1 if failures else 0
 
 
-def _rule(mesh):
-    from .quadrature import rule_for_degree
-    return rule_for_degree(mesh.dim, 4)
-
-
 def cmd_stokes(args):
     mesh = _coarse_mesh(args)
     for _ in range(args.levels):
         mesh = meshmod.refine_uniform(mesh)
     f = _parse_rhs(args.rhs, args.dim, ncomp=args.dim)
     vel, pressure = problems.solve_stokes(mesh, f)
-    rule = _rule(mesh)
-    from .quadrature import integrate_cellwise
+    rule = rule_for_degree(mesh.dim, 4)
     div = vel.divergence(rule.points)
     proj_div = integrate_cellwise(mesh, div, rule) / mesh.cell_measures
     p_mean = float((pressure.coeffs * mesh.cell_measures).sum())
@@ -201,9 +188,11 @@ def cmd_equiv(args):
     meshes = meshmod.mesh_hierarchy(coarse, args.levels)[1:]
     reports = []
     ncomp = args.dim if args.problem in ("stokes", "cgs") else 1
-    tol = args.tol if args.tol is not None else IDENTITY_TOLS[args.problem]
-    if tol <= 0:
+    if args.tol is not None and args.tol <= 0:
         raise ConfigError("--tol must be positive")
+    # without --tol each check applies its own default tolerance
+    tol = {} if args.tol is None else {"tol": args.tol}
+    tol_field = {} if args.tol is None else {"tol_field": args.tol}
     for lvl, mesh in enumerate(meshes, start=1):
         if args.rhs == "random":
             loads = _random_pc_loads(mesh, args.n_loads, args.seed + lvl, ncomp)
@@ -213,19 +202,19 @@ def cmd_equiv(args):
         for f in loads:
             if args.problem == "poisson":
                 reports.append(equivalence.check_poisson_identity(
-                    mesh, f, level=lvl, tol=tol))
+                    mesh, f, level=lvl, **tol))
             elif args.problem == "stokes":
                 reports.append(equivalence.check_stokes_identity(
-                    mesh, f, level=lvl, tol=tol))
+                    mesh, f, level=lvl, **tol))
             elif args.problem == "marini":
                 reports.append(equivalence.check_marini_identity(
-                    mesh, f, level=lvl, tol=tol))
+                    mesh, f, level=lvl, **tol))
             elif args.problem == "cgs":
                 reports.append(equivalence.check_cgs_identity(
-                    mesh, f, level=lvl, tol=tol))
+                    mesh, f, level=lvl, **tol))
             elif args.problem == "eigen":
                 reports.append(equivalence.check_eigen_equivalence(
-                    mesh, k=args.k, level=lvl, tol_field=tol))
+                    mesh, k=args.k, level=lvl, **tol_field))
                 break  # load-independent
             else:
                 raise ConfigError(f"unknown equivalence problem {args.problem!r}")

@@ -20,6 +20,7 @@ from .quadrature import (cell_weights, integrate_cellwise, physical_points,
                          rule_for_degree)
 
 IDENTITY_TOL = 1e-9
+STOKES_TOL = 1e-8
 JUMP_TOL = 1e-10
 DIV_TOL = 1e-11
 
@@ -291,7 +292,7 @@ def _trace_mean_shift(mesh, tensor_vals, rule):
     return tensor_vals - c * np.eye(n), c
 
 
-def check_stokes_identity(mesh, f_pc, level=-1, tol=1e-8, config=None):
+def check_stokes_identity(mesh, f_pc, level=-1, tol=STOKES_TOL, config=None):
     """Certify the pseudostress identity sigma_RT = grad_NC u_ECR + p id
     (after trace-mean gauge) and, weakly, u_RT = Pi0 u_ECR + L u_ECR tested
     against every RT tensor basis function."""

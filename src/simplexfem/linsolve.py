@@ -1,11 +1,20 @@
 """Direct sparse solvers and generalized symmetric eigensolvers at desk scale.
 
 Linear systems go through a sparse LU factorization with one step of
-iterative refinement and a verified residual.  Eigenproblems A x = lam M x
-(A SPD, M symmetric PSD) use a dense Cholesky-congruence solve below
-``dense_cutoff`` rows and ARPACK shift-invert above it; PSD mass matrices are
-handled by working on A^-1 M, whose nonzero eigenvalues are the reciprocals
-of the finite pencil eigenvalues.
+iterative refinement and a verified residual.
+
+Saddle systems carry constraints that each fix a gauge, a null vector k of
+the block matrix.  They are solved by pinning, never by factorising the
+bordered matrix: the multiplier follows in closed form from k, the DOF where
+|k| is largest is removed before factorising, and the solution is re-gauged
+along k afterwards.  No dense constraint row reaches SuperLU, whose fill it
+would multiply.  The residual of the full bordered system is the gate.
+
+Eigenproblems A x = lam M x (A SPD, M symmetric PSD) use a dense
+Cholesky-congruence solve below ``dense_cutoff`` rows and ARPACK
+shift-invert above it; PSD mass matrices are handled by working on A^-1 M,
+whose nonzero eigenvalues are the reciprocals of the finite pencil
+eigenvalues.
 """
 
 from __future__ import annotations
@@ -31,7 +40,6 @@ class SolverConfig:
     tolerance: float = 1e-12
     max_iterations: int = 2000
     shift: float = 0.0
-    n_eigenpairs: int = 1
     dense_cutoff: int = 2000
     seed: int = 0
 
@@ -68,57 +76,82 @@ def solve_spd(A, b, config=None):
     return x
 
 
-def saddle_matrix(system):
-    """The full bordered symmetric indefinite matrix of a SaddleSystem."""
-    ncon = len(system.constraints)
-    np_, nd = system.n_primal, system.n_dual
-    rows = [[system.A, None if system.B is None else system.B.T],
-            [system.B, None]]
+def _block_matrix(system):
+    """[[A, B^T], [B, 0]], or A alone when there is no dual block."""
     if system.B is None:
-        rows = [[system.A]]
-    if ncon:
-        cp = np.zeros((ncon, np_))
-        cd = np.zeros((ncon, nd))
-        for i, con in enumerate(system.constraints):
-            if con.primal is not None:
-                cp[i] = con.primal
-            if con.dual is not None:
-                cd[i] = con.dual
-        cp = sp.csr_matrix(cp)
-        cd = sp.csr_matrix(cd)
-        if system.B is None:
-            rows = [[system.A, cp.T], [cp, None]]
-        else:
-            rows = [[system.A, system.B.T, cp.T],
-                    [system.B, None, cd.T],
-                    [cp, cd, None]]
-    return sp.bmat(rows, format="csc")
+        return sp.csc_matrix(system.A)
+    return sp.bmat([[system.A, system.B.T], [system.B, None]], format="csc")
+
+
+def _constraint_columns(system):
+    """Constraint rows c_i and their null vectors k_i as the columns of two
+    (n_primal + n_dual, n_constraints) arrays."""
+    np_ = system.n_primal
+    C = np.zeros((np_ + system.n_dual, len(system.constraints)))
+    N = np.zeros_like(C)
+    for i, con in enumerate(system.constraints):
+        if con.primal is not None:
+            C[:np_, i] = con.primal
+        if con.dual is not None:
+            C[np_:, i] = con.dual
+        N[:, i] = con.k
+    return C, N
+
+
+def saddle_matrix(system):
+    """The full bordered symmetric indefinite matrix of a SaddleSystem: the
+    block matrix with one multiplier row and column per constraint."""
+    K = _block_matrix(system)
+    if not system.constraints:
+        return K
+    C = sp.csc_matrix(_constraint_columns(system)[0])
+    return sp.bmat([[K, C], [C.T, None]], format="csc")
 
 
 def solve_saddle(system, config=None):
-    """Solve a SaddleSystem; returns (primal, dual, multipliers)."""
+    """Solve a SaddleSystem; returns (primal, dual, multipliers).
+
+    The bordered matrix is never factorised.  With K the block matrix, F its
+    right-hand side and (c_i, k_i) the constraints:
+
+    1. the multipliers follow from k_i^T K = 0: (k^T c) mult = k^T F;
+    2. K z = F - c mult is solved with the DOF at argmax |k_i| removed, so
+       the factorised matrix is K less one row and column per constraint;
+    3. the removed DOFs are set to 0 and z is re-gauged along k so that
+       c^T z = rhs;
+    4. the residual of the full bordered system is gated at
+       ``config.tolerance``.
+
+    A declared k that is not a null vector of K breaks the dropped row or
+    the re-gauge, and the gate raises SolverError.  K must have no null
+    vector besides the declared ones: the pinned matrix is then singular,
+    which SuperLU reports only when the breakdown is exact.
+    """
     config = config or DEFAULT
-    K = saddle_matrix(system)
-    parts = [system.f]
-    if system.g is not None:
-        parts.append(system.g)
-    if system.constraints:
-        parts.append(np.array([c.rhs for c in system.constraints], dtype=float))
-    rhs = np.concatenate(parts)
-    norm_rhs = np.linalg.norm(rhs)
-    np_, nd, ncon = system.n_primal, system.n_dual, len(system.constraints)
+    np_, nd = system.n_primal, system.n_dual
+    F = system.f if system.g is None else np.concatenate([system.f, system.g])
+    rhs_c = np.array([c.rhs for c in system.constraints], dtype=float)
+    norm_rhs = np.linalg.norm(np.concatenate([F, rhs_c]))
+    C, N = _constraint_columns(system)
     if norm_rhs == 0.0:
-        z = np.zeros(K.shape[0])
+        z, mult = np.zeros(np_ + nd), np.zeros(len(rhs_c))
     else:
-        z = _lu_solve_refined(K, rhs)
-        residual = np.linalg.norm(K @ z - rhs) / norm_rhs
+        K = _block_matrix(system)
+        try:
+            mult = np.linalg.solve(N.T @ C, N.T @ F)
+            pinned = np.ones(np_ + nd, dtype=bool)
+            pinned[np.argmax(np.abs(N), axis=0)] = False
+            z = np.zeros(np_ + nd)
+            z[pinned] = _lu_solve_refined(K[pinned][:, pinned], (F - C @ mult)[pinned])
+            z -= N @ np.linalg.solve(C.T @ N, C.T @ z - rhs_c)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"constraint row orthogonal to its null vector: {exc}") from exc
+        bordered = np.concatenate([K @ z + C @ mult - F, C.T @ z - rhs_c])
+        residual = np.linalg.norm(bordered) / norm_rhs
         if not np.isfinite(residual) or residual > config.tolerance:
             raise SolverError(f"saddle solve residual {residual:.3e} exceeds "
                               f"tolerance {config.tolerance:.1e}", residual)
-    x = z[:np_]
-    y = z[np_:np_ + nd] if nd else np.zeros(0)
-    mult = z[np_ + nd:np_ + nd + ncon]
-    return x, y, mult
+    return z[:np_], z[np_:], mult
 
 
 def _eig_dense(A, M, k, config):

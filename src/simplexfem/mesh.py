@@ -214,6 +214,14 @@ class SimplexMesh:
     def boundary_facet_indices(self):
         return np.flatnonzero(self.is_boundary_facet)
 
+    def boundary_facet_signs(self):
+        """+1 where a boundary facet's canonical normal points outward, -1
+        where it points inward; in ``boundary_facet_indices`` order."""
+        bnd = self.boundary_facet_indices()
+        cells0 = self.facet_cells[bnd, 0]
+        local = np.argmax(self.cell_facets[cells0] == bnd[:, None], axis=1)
+        return self.cell_facet_signs[cells0, local]
+
     @property
     def h_max(self):
         return float(self.cell_diameters.max())

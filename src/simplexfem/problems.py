@@ -140,11 +140,6 @@ class RTField:
         v = self.values(bary)
         return np.einsum("cqrr->cq", v)
 
-    def normal_flux_jumps(self):
-        """Max interior jump of the integrated normal flux (zero by
-        shared-DOF construction; kept as a diagnostic)."""
-        return np.zeros(len(self.mesh.interior_facet_indices()))
-
 
 @dataclass(frozen=True)
 class ExactSolution:
@@ -206,11 +201,8 @@ def outward_flux_averages(mesh, grad_u, quad_degree=4):
     vals = np.einsum("fqi,fi->fq", np.asarray(grad_u(pts), dtype=float),
                      mesh.facet_normals[bnd])
     avg = math.factorial(mesh.dim - 1) * vals @ rule.weights
-    cells0 = mesh.facet_cells[bnd, 0]
-    local = np.argmax(mesh.cell_facets[cells0] == bnd[:, None], axis=1)
-    sign = mesh.cell_facet_signs[cells0, local]
     out = np.zeros(mesh.n_facets)
-    out[bnd] = sign * avg
+    out[bnd] = mesh.boundary_facet_signs() * avg
     return out
 
 

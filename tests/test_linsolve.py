@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as sla
 
 from simplexfem import assembly, linsolve
 from simplexfem.linsolve import SolverConfig, SolverError, eig_smallest, solve_saddle, solve_spd
 from simplexfem.mesh import SimplexMesh, build_box_mesh, refine_uniform
+from simplexfem.problems import outward_flux_averages, quadratic_neumann_solution
 
 
 def test_config_validation():
@@ -61,6 +63,97 @@ def test_saddle_constraint_row():
     system, vel, prs = assembly.assemble_stokes(mesh, (1.0, 0.0))
     x, y, mult = solve_saddle(system)
     assert abs((y * mesh.cell_measures).sum()) < 1e-12
+
+
+def _gauged_system(name, dim):
+    """A small system of each assembler that carries a gauge constraint."""
+    mesh = refine_uniform(build_box_mesh(dim, 1))
+    if dim == 2:
+        mesh = refine_uniform(mesh)
+    problem, _, family = name.partition("-")
+    rng = np.random.default_rng(5)
+    load = rng.uniform(-1.0, 1.0, (mesh.n_cells, dim))
+    if problem == "stokes":
+        return assembly.assemble_stokes(mesh, load, family)[0]
+    if problem == "pseudostress":
+        return assembly.assemble_pseudostress(mesh, load)[0]
+    fix = quadratic_neumann_solution(dim)
+    g = outward_flux_averages(mesh, fix.grad)
+    if family == "mixed":
+        return assembly.assemble_neumann_mixed(mesh, fix.f, g)[0]
+    return assembly.assemble_neumann_primal(mesh, fix.f, g, family)[0]
+
+
+GAUGED = [(name, dim) for name in ("stokes-ECR", "stokes-CR", "pseudostress",
+                                   "neumann-ECR", "neumann-CR", "neumann-mixed")
+          for dim in (2, 3)]
+
+
+def _bordered_oracle(system):
+    """Factorise the bordered matrix with its dense multiplier rows."""
+    K = linsolve.saddle_matrix(system)
+    parts = [system.f] + ([system.g] if system.g is not None else [])
+    rhs = np.concatenate(parts + [[c.rhs for c in system.constraints]])
+    lu = sla.splu(K)
+    z = lu.solve(rhs)
+    z = z + lu.solve(rhs - K @ z)
+    np_, nd = system.n_primal, system.n_dual
+    return z[:np_], z[np_:np_ + nd], z[np_ + nd:]
+
+
+def _perturbed(system):
+    """Incompatible data and a nonzero gauge value, so that the multiplier
+    and the re-gauge shift are both nonzero."""
+    rng = np.random.default_rng(9)
+    g = None if system.g is None else system.g + rng.uniform(-1, 1, len(system.g))
+    return assembly.SaddleSystem(
+        A=system.A, f=system.f + rng.uniform(-1, 1, len(system.f)), B=system.B, g=g,
+        constraints=[c._replace(rhs=0.25) for c in system.constraints])
+
+
+@pytest.mark.parametrize("perturb", [False, True])
+@pytest.mark.parametrize("name,dim", GAUGED)
+def test_pinned_solve_matches_bordered_oracle(name, dim, perturb):
+    system = _gauged_system(name, dim)
+    if perturb:
+        system = _perturbed(system)
+    got = solve_saddle(system)
+    want = _bordered_oracle(system)
+    con = system.constraints[0]
+    c = np.concatenate([np.zeros(system.n_primal) if con.primal is None else con.primal,
+                        np.zeros(system.n_dual) if con.dual is None else con.dual])
+    F = np.concatenate([system.f] + ([system.g] if system.g is not None else []))
+    mult_scale = np.linalg.norm(F) / np.linalg.norm(c)
+    for a, b, scale in zip(got, want, (0.0, 0.0, mult_scale)):
+        assert a.shape == b.shape
+        assert np.linalg.norm(a - b) <= 1e-12 * max(np.linalg.norm(b), scale)
+    if perturb:
+        assert abs(want[2][0]) > 1e-3 * mult_scale
+
+
+@pytest.mark.parametrize("name,dim", GAUGED)
+def test_declared_gauge_is_a_null_vector(name, dim):
+    system = _gauged_system(name, dim)
+    k = system.constraints[0].k
+    A, B = system.A, system.B
+    bound = 1e-12 * sp.linalg.norm(A) * np.linalg.norm(k)
+    if B is None:
+        assert np.linalg.norm(A @ k) <= bound
+    else:
+        kx, ky = k[:system.n_primal], k[system.n_primal:]
+        assert np.linalg.norm(A @ kx + B.T @ ky) <= bound
+        assert np.linalg.norm(B @ kx) <= bound
+
+
+@pytest.mark.parametrize("name,dim", [("stokes-ECR", 2), ("pseudostress", 3)])
+@pytest.mark.parametrize("where", ["primal", "dual"])
+def test_wrong_gauge_vector_fails(name, dim, where):
+    system = _gauged_system(name, dim)
+    k = np.zeros(system.n_primal + system.n_dual)
+    k[0 if where == "primal" else system.n_primal] = 1.0
+    system.constraints = [system.constraints[0]._replace(k=k)]
+    with pytest.raises(SolverError):
+        solve_saddle(system)
 
 
 def test_eig_identity_pencil():
