@@ -14,7 +14,7 @@ from .assembly import (Constraint, DataError, DofMap, SaddleSystem,
                        assemble_neumann_mixed, assemble_neumann_primal,
                        assemble_poisson, assemble_pseudostress, assemble_stokes)
 from .condense import CondensedSolution, solve_bubble_local, solve_ecr_condensed
-from .elements import LocalMatrices, cr_eval, ecr_eval, local_matrices, rt0_eval
+from .elements import cr_eval, ecr_eval, rt0_eval
 from .equivalence import (IdentityReport, check_cgs_identity,
                           check_eigen_equivalence, check_marini_identity,
                           check_poisson_identity, check_stokes_identity,

@@ -187,25 +187,18 @@ def scatter_vector(dofmap, local):
 
 # -- local matrices / loads --------------------------------------------------
 
-def stiffness_local(mesh, family, rule=None):
-    rule = rule or rule_for_degree(mesh.dim, MATRIX_DEGREE)
+def stiffness_local(mesh, family):
     if family == "ECR":
-        _, grads = elements.ecr_eval_mesh(mesh, rule.points)
-        return np.einsum("cqan,cqbn,cq->cab", grads, grads, cell_weights(mesh, rule))
+        return elements.ecr_stiffness(mesh)
     if family == "CR":
-        _, grads = elements.cr_eval_mesh(mesh, rule.points)
-        return np.einsum("can,cbn,c->cab", grads, grads, mesh.cell_measures)
+        return elements.cr_stiffness(mesh)
     raise ValueError(f"no stiffness for family {family!r}")
 
-def mass_local(mesh, family, rule=None):
-    rule = rule or rule_for_degree(mesh.dim, MATRIX_DEGREE)
-    w = cell_weights(mesh, rule)
+def mass_local(mesh, family):
     if family == "ECR":
-        vals, _ = elements.ecr_eval_mesh(mesh, rule.points)
-        return np.einsum("cqa,cqb,cq->cab", vals, vals, w)
+        return elements.ecr_mass(mesh)
     if family == "CR":
-        vals, _ = elements.cr_eval_mesh(mesh, rule.points)
-        return np.einsum("qa,qb,cq->cab", vals, vals, w)
+        return elements.cr_mass(mesh)
     if family == "P0":
         return mesh.cell_measures[:, None, None].copy()
     raise ValueError(f"no mass for family {family!r}")
@@ -274,17 +267,19 @@ def assemble_poisson(mesh, f, family="ECR", quad_degree=DEFAULT_LOAD_DEGREE):
     return A, b, dm
 
 
+def _rt0_divergence(mesh):
+    """RT0 x P0 divergence block (cells x facets): int_K div(psi_i) = s_i."""
+    return scatter_matrix(np.arange(mesh.n_cells)[:, None], mesh.cell_facets,
+                          mesh.cell_facet_signs[:, None, :].astype(float),
+                          (mesh.n_cells, mesh.n_facets))
+
+
 def assemble_mixed_poisson(mesh, f, quad_degree=DEFAULT_LOAD_DEGREE):
     """RT0 x P0 mixed Poisson; natural u = 0, no essential conditions."""
     rt = DofMap.build(mesh, "RT0")
     p0 = DofMap.build(mesh, "P0")
-    rule = rule_for_degree(mesh.dim, MATRIX_DEGREE)
-    vals, _ = elements.rt0_eval_mesh(mesh, rule.points)
-    local = np.einsum("cqin,cqjn,cq->cij", vals, vals, cell_weights(mesh, rule))
-    A = scatter_symmetric(rt, local)
-    B = scatter_matrix(p0.cell_dofs, rt.cell_dofs,
-                       mesh.cell_facet_signs[:, None, :].astype(float),
-                       (p0.n_total, rt.n_total))
+    A = scatter_symmetric(rt, elements.rt0_mass(mesh))
+    B = _rt0_divergence(mesh)
     load_rule = rule_for_degree(mesh.dim, quad_degree)
     g = -integrate_cellwise(mesh, load_values(mesh, f, load_rule), load_rule)
     system = SaddleSystem(A=A, f=np.zeros(rt.n_total), B=B, g=g)
@@ -299,22 +294,13 @@ def assemble_stokes(mesh, f, family="ECR", quad_degree=DEFAULT_LOAD_DEGREE):
     prs = DofMap.build(mesh, "P0")
     A = scatter_symmetric(vel, stiffness_local(mesh, family))
 
-    rule = rule_for_degree(mesh.dim, MATRIX_DEGREE)
-    w = cell_weights(mesh, rule)
-    if family == "ECR":
-        _, grads = elements.ecr_eval_mesh(mesh, rule.points)
-        d = np.einsum("cqan,cq->can", grads, w)
-    else:
-        _, cgrads = elements.cr_eval_mesh(mesh, rule.points)
-        d = cgrads * mesh.cell_measures[:, None, None]
-    parts = []
-    for comp in range(n):
-        cols = np.where(vel.cell_dofs >= 0, vel.cell_dofs + comp * vel.n_scalar, -1)
-        parts.append(scatter_matrix(prs.cell_dofs, cols, d[:, None, :, comp],
-                                    (prs.n_total, vel.n_total)))
-    B = parts[0]
-    for p in parts[1:]:
-        B = B + p
+    # the ECR bubble's gradient integrates to zero: only the facet columns,
+    # component-major
+    facet_dofs = vel.cell_dofs[:, : n + 1]
+    cols = np.hstack([np.where(facet_dofs >= 0, facet_dofs + comp * vel.n_scalar, -1)
+                      for comp in range(n)])
+    d = np.swapaxes(elements.gradient_integrals(mesh), 1, 2).reshape(mesh.n_cells, 1, -1)
+    B = scatter_matrix(prs.cell_dofs, cols, d, (prs.n_total, vel.n_total))
     b = _rhs(mesh, vel, f, quad_degree)
     const_pressure = np.concatenate([np.zeros(vel.n_total), np.ones(prs.n_total)])
     system = SaddleSystem(A=A, f=b, B=B, g=np.zeros(prs.n_total),
@@ -329,35 +315,16 @@ def assemble_pseudostress(mesh, f, quad_degree=DEFAULT_LOAD_DEGREE):
     n = mesh.dim
     sig = DofMap.build(mesh, "RT0", ncomp=n)     # component r = tensor row r
     upo = DofMap.build(mesh, "P0", ncomp=n)
-    rule = rule_for_degree(mesh.dim, MATRIX_DEGREE)
-    w = cell_weights(mesh, rule)
-    vals, _ = elements.rt0_eval_mesh(mesh, rule.points)
-    rt_mass = np.einsum("cqin,cqjn,cq->cij", vals, vals, w)
-    rt_outer = np.einsum("cqir,cqjs,cq->cijrs", vals, vals, w)
-    rt_moment = np.einsum("cqin,cq->cin", vals, w)
-
     nl = n + 1
-    local = (np.einsum("rs,cij->crisj", np.eye(n), rt_mass)
-             - np.einsum("cijrs->crisj", rt_outer) / n)
+    local = (np.einsum("rs,cij->crisj", np.eye(n), elements.rt0_mass(mesh))
+             - np.einsum("cijrs->crisj", elements.rt0_outer(mesh)) / n)
     local = local.reshape(mesh.n_cells, n * nl, n * nl)
     tensor_dofs = (sig.cell_dofs[:, None, :] + np.arange(n)[None, :, None] * sig.n_scalar)
     tensor_dofs = tensor_dofs.reshape(mesh.n_cells, n * nl)
     A = scatter_matrix(tensor_dofs, tensor_dofs, local, (sig.n_total, sig.n_total))
 
-    signs = mesh.cell_facet_signs.astype(float)
-    parts = []
-    for r in range(n):
-        rows = upo.cell_dofs + r * upo.n_scalar
-        cols = sig.cell_dofs + r * sig.n_scalar
-        parts.append(scatter_matrix(rows, cols, signs[:, None, :],
-                                    (upo.n_total, sig.n_total)))
-    B = parts[0]
-    for p in parts[1:]:
-        B = B + p
-
-    trace = np.zeros(sig.n_total)
-    for r in range(n):
-        np.add.at(trace, sig.cell_dofs + r * sig.n_scalar, rt_moment[:, :, r])
+    B = sp.block_diag([_rt0_divergence(mesh)] * n, format="csr")
+    trace = scatter_vector(sig, elements.rt0_moment(mesh))
 
     load_rule = rule_for_degree(mesh.dim, quad_degree)
     fv = load_values(mesh, f, load_rule, ncomp=n)

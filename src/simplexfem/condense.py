@@ -23,28 +23,27 @@ def bubble_coefficients(mesh, f, quad_degree=assembly.DEFAULT_LOAD_DEGREE):
     """Per-cell bubble coefficients (f, phi_K)_K / ||grad phi_K||_K^2 for a
     general load (exact for piecewise-constant loads)."""
     rule = rule_for_degree(mesh.dim, quad_degree)
-    vals, _ = elements.ecr_eval_mesh(mesh, rule.points)
+    bubble, _ = elements.bubble_eval_mesh(mesh, rule.points)
     fv = assembly.load_values(mesh, f, rule)
-    moments = np.einsum("cq,cq,cq->c", vals[:, :, -1], fv, cell_weights(mesh, rule))
+    moments = np.einsum("cq,cq,cq->c", bubble, fv, cell_weights(mesh, rule))
     energy = elements.bubble_energy(mesh.dim, mesh.cell_measures, mesh.cell_H)
     return moments / energy
 
 
-def split_basis_stiffness(mesh, rule=None):
+def split_basis_stiffness(mesh):
     """ECR stiffness assembled in the split basis (CR hat functions plus
     bubbles), Dirichlet facets eliminated.  The bubble/CR coupling blocks of
-    this matrix vanish identically; the bubble block is diagonal."""
-    rule = rule or rule_for_degree(mesh.dim, 4)
+    this matrix vanish identically; the bubble block is diagonal.  Both are
+    integrated by a degree-4 rule, an independent check of the closed forms."""
+    rule = rule_for_degree(mesh.dim, 4)
     dm = assembly.DofMap.build(mesh, "ECR", dirichlet=True)
     n = mesh.dim
     w = cell_weights(mesh, rule)
     _, cr_grads = elements.cr_eval_mesh(mesh, rule.points)
-    _, ecr_grads = elements.ecr_eval_mesh(mesh, rule.points)
-    bubble_grads = ecr_grads[:, :, -1, :]
+    _, bubble_grads = elements.bubble_eval_mesh(mesh, rule.points)
 
     local = np.zeros((mesh.n_cells, n + 2, n + 2))
-    local[:, : n + 1, : n + 1] = np.einsum("can,cbn,c->cab", cr_grads, cr_grads,
-                                           mesh.cell_measures)
+    local[:, : n + 1, : n + 1] = elements.cr_stiffness(mesh)
     cross = np.einsum("can,cqn,cq->ca", cr_grads, bubble_grads, w)
     local[:, : n + 1, n + 1] = cross
     local[:, n + 1, : n + 1] = cross

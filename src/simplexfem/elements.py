@@ -1,6 +1,10 @@
 """Basis evaluation and local matrices for the CR, enriched-CR (ECR), RT0 and
 P0 element families on n-simplices.
 
+Each basis formula is written once, for the batch (``*_eval_mesh``) and the
+per-cell (``*_eval``) evaluators.  Each local matrix is one batch function,
+in closed form except the ECR mass (quartic; a degree-4 rule).
+
 Degrees of freedom are *average*-normalized throughout:
 
 * CR: facet averages; local basis ``1 - n*lambda_j`` dual to them.
@@ -18,16 +22,15 @@ Degrees of freedom are *average*-normalized throughout:
 * P0: cell averages.
 
 All evaluation is exact closed-form arithmetic; no reference-to-physical
-Piola map is involved.
+Piola map is involved.  The RT0 arrays use RT0 geometry only (vertices,
+signs, second moments), never an ECR quantity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .quadrature import cell_weights, physical_points
+from .quadrature import cell_weights, physical_points, rule_for_degree
 
 FAMILIES = ("CR", "ECR", "RT0", "P0")
 
@@ -58,6 +61,42 @@ def cell_average_row(family, dim):
     raise ValueError(f"no cell-average row for family {family!r}")
 
 
+# -- basis formulas on arrays broadcasting over leading (cell, point) axes:
+# barycentric coordinates lam (..., n+1), their gradients (..., n+1, n) and
+# offsets dx = x - mid(K) (..., n)
+
+def _bubble(n, dx, H):
+    """phi_K and its gradient at offsets ``dx``; ``H`` broadcasts against
+    dx[..., 0]."""
+    c = np.asarray(bubble_strength(n, H))
+    return (n + 2) / 2.0 - 0.5 * c * (dx ** 2).sum(axis=-1), -c[..., None] * dx
+
+
+def _ecr_values(n, lam, bubble):
+    """Facet functions 1 - n lam_j - phi_K/(n+1), then phi_K: (..., n+2)."""
+    bubble = bubble[..., None]
+    return np.concatenate([1.0 - n * lam - bubble / (n + 1), bubble], axis=-1)
+
+
+def _ecr_gradients(n, grad_lam, bubble_grad):
+    """Gradients of the ECR basis: (..., n+2, n)."""
+    bubble_grad = bubble_grad[..., None, :]
+    return np.concatenate([-n * grad_lam - bubble_grad / (n + 1), bubble_grad],
+                          axis=-2)
+
+
+def _cr(n, lam, grad_lam):
+    """CR values 1 - n lam_j and gradients -n grad(lam_j)."""
+    return 1.0 - n * lam, -n * grad_lam
+
+
+def _rt0(x, vertices, signs, measure):
+    """RT0 values s_i (x - a_i) / (n|K|) (..., n+1, n) and divergences
+    s_i / |K| (..., n+1); ``measure`` broadcasts against ``signs``."""
+    divs = signs / measure
+    return (divs / x.shape[-1])[..., None] * (x[..., None, :] - vertices), divs
+
+
 # -- batch evaluation over all cells of a mesh ------------------------------
 
 def cr_eval_mesh(mesh, bary):
@@ -66,98 +105,58 @@ def cr_eval_mesh(mesh, bary):
     Returns (values (Q, n+1), gradients (nc, n+1, n)); values are
     cell-independent, gradients constant per cell.
     """
-    n = mesh.dim
-    values = 1.0 - n * np.asarray(bary)
-    grads = -n * mesh.barycentric_gradients
-    return values, grads
+    return _cr(mesh.dim, np.asarray(bary), mesh.barycentric_gradients)
+
+
+def bubble_eval_mesh(mesh, bary):
+    """Bubble phi_K on every cell: values (nc, Q), gradients (nc, Q, n)."""
+    dx = physical_points(mesh, bary) - mesh.cell_centroids[:, None, :]
+    return _bubble(mesh.dim, dx, mesh.cell_H[:, None])
 
 
 def ecr_eval_mesh(mesh, bary):
     """ECR basis on every cell: values (nc, Q, n+2), gradients
     (nc, Q, n+2, n); the bubble is slot n+1."""
     n = mesh.dim
-    bary = np.asarray(bary)
-    nc, q = mesh.n_cells, bary.shape[0]
-    x = physical_points(mesh, bary)
-    dx = x - mesh.cell_centroids[:, None, :]
-    c = bubble_strength(n, mesh.cell_H)[:, None]
-
-    bubble = (n + 2) / 2.0 - 0.5 * c * (dx ** 2).sum(axis=2)
-    bubble_grad = -c[:, :, None] * dx
-
-    values = np.empty((nc, q, n + 2))
-    values[:, :, : n + 1] = (1.0 - n * bary)[None, :, :] - bubble[:, :, None] / (n + 1)
-    values[:, :, n + 1] = bubble
-
-    grads = np.empty((nc, q, n + 2, n))
-    grads[:, :, : n + 1, :] = (-n * mesh.barycentric_gradients[:, None, :, :]
-                               - bubble_grad[:, :, None, :] / (n + 1))
-    grads[:, :, n + 1, :] = bubble_grad
-    return values, grads
+    bubble, bubble_grad = bubble_eval_mesh(mesh, bary)
+    return (_ecr_values(n, np.asarray(bary), bubble),
+            _ecr_gradients(n, mesh.barycentric_gradients[:, None], bubble_grad))
 
 
 def rt0_eval_mesh(mesh, bary):
     """RT0 basis on every cell: values (nc, Q, n+1, n) and constant
     divergences (nc, n+1) = s_i / |K|."""
-    n = mesh.dim
-    x = physical_points(mesh, bary)
-    opp = mesh.vertices[mesh.cells]                     # (nc, n+1, n)
-    signs = mesh.cell_facet_signs
-    scale = signs / (n * mesh.cell_measures[:, None])   # (nc, n+1)
-    values = scale[:, None, :, None] * (x[:, :, None, :] - opp[:, None, :, :])
-    divs = signs / mesh.cell_measures[:, None]
-    return values, divs
+    values, divs = _rt0(physical_points(mesh, bary),
+                        mesh.vertices[mesh.cells][:, None],
+                        mesh.cell_facet_signs[:, None],
+                        mesh.cell_measures[:, None, None])
+    return values, divs[:, 0]
 
 
 # -- per-cell evaluation (CellGeometry API) ----------------------------------
+#
+# ``points`` may be a single point (n,) or an array (..., n).  The formulas
+# are polynomials on all of R^n; no containment check is made.
 
 def _barycentric_at(geom, points):
-    lam = np.empty(points.shape[:-1] + (geom.dim + 1,))
-    rel = points - geom.centroid
-    lam[...] = 1.0 / (geom.dim + 1) + rel @ geom.barycentric_gradients.T
-    return lam
+    return 1.0 / (geom.dim + 1) + (points - geom.centroid) @ geom.barycentric_gradients.T
 
 
 def ecr_eval(geom, points):
-    """ECR basis values/gradients at physical points of one cell.
-
-    ``points`` may be a single point (n,) or an array (..., n).  The formulas
-    are polynomials on all of R^n; no containment check is made.
-    """
+    """ECR basis values/gradients at physical points of one cell."""
     points = np.asarray(points, dtype=float)
-    single = points.ndim == 1
-    pts = points[None, :] if single else points
     n = geom.dim
-    lam = _barycentric_at(geom, pts)
-    dx = pts - geom.centroid
-    c = bubble_strength(n, geom.H)
-    bubble = (n + 2) / 2.0 - 0.5 * c * (dx ** 2).sum(axis=-1)
-    bubble_grad = -c * dx
-
-    values = np.empty(pts.shape[:-1] + (n + 2,))
-    values[..., : n + 1] = 1.0 - n * lam - bubble[..., None] / (n + 1)
-    values[..., n + 1] = bubble
-    grads = np.empty(pts.shape[:-1] + (n + 2, n))
-    grads[..., : n + 1, :] = -n * geom.barycentric_gradients - bubble_grad[..., None, :] / (n + 1)
-    grads[..., n + 1, :] = bubble_grad
-    if single:
-        return values[0], grads[0]
-    return values, grads
+    bubble, bubble_grad = _bubble(n, points - geom.centroid, geom.H)
+    return (_ecr_values(n, _barycentric_at(geom, points), bubble),
+            _ecr_gradients(n, geom.barycentric_gradients, bubble_grad))
 
 
 def cr_eval(geom, points):
     """CR basis values/gradients at physical points of one cell."""
     points = np.asarray(points, dtype=float)
-    single = points.ndim == 1
-    pts = points[None, :] if single else points
-    n = geom.dim
-    lam = _barycentric_at(geom, pts)
-    values = 1.0 - n * lam
-    grads = np.broadcast_to(-n * geom.barycentric_gradients,
-                            pts.shape[:-1] + (n + 1, n)).copy()
-    if single:
-        return values[0], grads[0]
-    return values, grads
+    values, grads = _cr(geom.dim, _barycentric_at(geom, points),
+                        geom.barycentric_gradients)
+    return values, np.broadcast_to(grads, values.shape + (geom.dim,)).copy()
 
 
 def rt0_eval(geom, orientation_signs, points):
@@ -165,81 +164,78 @@ def rt0_eval(geom, orientation_signs, points):
 
     ``orientation_signs`` is the cell's row of ``mesh.cell_facet_signs``.
     """
-    points = np.asarray(points, dtype=float)
-    single = points.ndim == 1
-    pts = points[None, :] if single else points
-    n = geom.dim
-    signs = np.asarray(orientation_signs, dtype=float)
-    scale = signs / (n * geom.measure)
-    values = scale[:, None] * (pts[..., None, :] - geom.vertices)
-    divs = signs / geom.measure
-    if single:
-        return values[0], divs
-    return values, divs
+    return _rt0(np.asarray(points, dtype=float), geom.vertices,
+                np.asarray(orientation_signs, dtype=float), geom.measure)
 
 
-# -- local matrices ----------------------------------------------------------
+# -- local matrices, every array with a leading cell axis --------------------
 
-@dataclass(frozen=True)
-class LocalMatrices:
-    """Per-cell element matrices; every array carries a leading cell axis.
+def cr_stiffness(mesh):
+    """int_K grad phi_a . grad phi_b = n^2 |K| grad lam_a . grad lam_b:
+    (nc, n+1, n+1)."""
+    grads = mesh.barycentric_gradients
+    return (mesh.dim ** 2 * mesh.cell_measures[:, None, None]
+            * np.einsum("can,cbn->cab", grads, grads))
 
-    ``rt_div`` holds the integrals of div(psi_i) (= the orientation signs),
-    ``rt_moment`` the vector moments int_K psi_i dx, and ``rt_outer`` the
-    integrals int_K psi_i psi_j^T dx needed for the deviatoric Stokes form.
+
+def ecr_stiffness(mesh):
+    """ECR stiffness (nc, n+2, n+2) from the CR one and the bubble energy E.
+
+    The bubble gradient integrates to zero on K, so it is orthogonal to
+    every P1 gradient: the facet block is K_CR + E/(n+1)^2, the
+    facet-bubble entries are -E/(n+1) and the bubble entry is E.  The last
+    two are built as minus the row sums, which keeps the constants in the
+    kernel to rounding, as the pure-Neumann gauge needs.
     """
-
-    dim: int
-    ecr_stiffness: np.ndarray   # (nc, n+2, n+2)
-    ecr_mass: np.ndarray        # (nc, n+2, n+2)
-    cr_stiffness: np.ndarray    # (nc, n+1, n+1)
-    cr_mass: np.ndarray         # (nc, n+1, n+1)
-    rt_mass: np.ndarray         # (nc, n+1, n+1)
-    rt_div: np.ndarray          # (nc, n+1)
-    rt_moment: np.ndarray       # (nc, n+1, n)
-    rt_outer: np.ndarray        # (nc, n+1, n+1, n, n)
+    n = mesh.dim
+    energy = bubble_energy(n, mesh.cell_measures, mesh.cell_H)[:, None, None]
+    facet = cr_stiffness(mesh) + energy / (n + 1) ** 2
+    coupling = -facet.sum(axis=2, keepdims=True)
+    return np.block([[facet, coupling],
+                     [np.swapaxes(coupling, 1, 2), -coupling.sum(axis=1, keepdims=True)]])
 
 
-def local_matrices_mesh(mesh, rule):
-    """Local matrices for all cells; ``rule`` must be exact to degree >= 4
-    (the ECR mass integrand is quartic)."""
-    if rule.exact_degree < 4:
-        raise ValueError("local matrices need a rule of exactness >= 4")
-    w = cell_weights(mesh, rule)
-
-    ecr_vals, ecr_grads = ecr_eval_mesh(mesh, rule.points)
-    ecr_stiff = np.einsum("cqan,cqbn,cq->cab", ecr_grads, ecr_grads, w)
-    ecr_mass = np.einsum("cqa,cqb,cq->cab", ecr_vals, ecr_vals, w)
-
-    cr_vals, cr_grads = cr_eval_mesh(mesh, rule.points)
-    cr_stiff = np.einsum("can,cbn,c->cab", cr_grads, cr_grads, mesh.cell_measures)
-    cr_mass = np.einsum("qa,qb,cq->cab", cr_vals, cr_vals, w)
-
-    rt_vals, _ = rt0_eval_mesh(mesh, rule.points)
-    rt_mass = np.einsum("cqin,cqjn,cq->cij", rt_vals, rt_vals, w)
-    rt_outer = np.einsum("cqir,cqjs,cq->cijrs", rt_vals, rt_vals, w)
-    rt_moment = np.einsum("cqin,cq->cin", rt_vals, w)
-    rt_div = mesh.cell_facet_signs.astype(float)
-
-    return LocalMatrices(mesh.dim, ecr_stiff, ecr_mass, cr_stiff, cr_mass,
-                         rt_mass, rt_div, rt_moment, rt_outer)
+def cr_mass(mesh):
+    """int_K phi_a phi_b = |K| (2 - n + n^2 delta_ab) / ((n+1)(n+2)):
+    (nc, n+1, n+1), exactly diagonal in 2D."""
+    n = mesh.dim
+    ref = (2 - n + n ** 2 * np.eye(n + 1)) / ((n + 1) * (n + 2))
+    return mesh.cell_measures[:, None, None] * ref
 
 
-def local_matrices(geom, orientation_signs, rule):
-    """Local matrices of a single cell (leading cell axis of length 1
-    squeezed away)."""
-    from .mesh import SimplexMesh  # local import to avoid a cycle
+def ecr_mass(mesh):
+    """int_K phi_a phi_b for ECR (nc, n+2, n+2): phi_K^2 is the only quartic
+    integrand, so a degree-4 rule over the basis values is exact."""
+    rule = rule_for_degree(mesh.dim, 4)
+    bubble, _ = bubble_eval_mesh(mesh, rule.points)
+    vals = _ecr_values(mesh.dim, rule.points, bubble)
+    return np.einsum("cqa,cqb,cq->cab", vals, vals, cell_weights(mesh, rule))
 
-    mesh = SimplexMesh(geom.dim, geom.vertices, np.arange(geom.dim + 1)[None, :])
-    lm = local_matrices_mesh(mesh, rule)
-    # the throwaway single-cell mesh has its own orientation signs; rescale
-    # the RT arrays to the caller's convention
-    ratio = (np.asarray(orientation_signs, dtype=float) * lm.rt_div[0])
-    return LocalMatrices(
-        geom.dim,
-        lm.ecr_stiffness[0], lm.ecr_mass[0], lm.cr_stiffness[0], lm.cr_mass[0],
-        lm.rt_mass[0] * np.outer(ratio, ratio),
-        np.asarray(orientation_signs, dtype=float),
-        lm.rt_moment[0] * ratio[:, None],
-        lm.rt_outer[0] * np.einsum("i,j->ij", ratio, ratio)[:, :, None, None],
-    )
+
+def rt0_moment(mesh):
+    """int_K psi_i = s_i (mid K - a_i) / n: (nc, n+1, n)."""
+    offsets = mesh.cell_centroids[:, None, :] - mesh.vertices[mesh.cells]
+    return mesh.cell_facet_signs[:, :, None] * offsets / mesh.dim
+
+
+def rt0_outer(mesh):
+    """int_K psi_i psi_j^T = s_i s_j / (n^2 |K|^2) (|K| d_i d_j^T + S):
+    (nc, n+1, n+1, n, n), with d_i = mid K - a_i and S the centred second
+    moment ``cell_second_moments``."""
+    meas = mesh.cell_measures
+    u = rt0_moment(mesh) / meas[:, None, None]                # s_i d_i / (n|K|)
+    scale = mesh.cell_facet_signs / (mesh.dim * meas[:, None])
+    return (meas[:, None, None, None, None] * np.einsum("cir,cjs->cijrs", u, u)
+            + np.einsum("ci,cj->cij", scale, scale)[:, :, :, None, None]
+            * mesh.cell_second_moments[:, None, None])
+
+
+def rt0_mass(mesh):
+    """int_K psi_i . psi_j, the trace of ``rt0_outer``: (nc, n+1, n+1)."""
+    return np.einsum("cijrr->cij", rt0_outer(mesh))
+
+
+def gradient_integrals(mesh):
+    """int_K grad phi_a = -n |K| grad lam_a for the n+1 facet functions of
+    CR and of ECR: (nc, n+1, n).  The ECR bubble's integral is zero."""
+    return -mesh.dim * mesh.barycentric_gradients * mesh.cell_measures[:, None, None]

@@ -116,43 +116,48 @@ def project_p0(source, mesh, quad_degree=8):
 
 def broken_gradient_parts(u):
     """Cellwise representation grad u|_K = g_K + r_K (x - mid K) of a broken
-    ECR/CR gradient: returns (g (nc, n), r (nc,))."""
+    ECR/CR gradient: returns (g (nc, n), r (nc,)) for a scalar field and
+    (g (nc, ncomp, n), r (nc, ncomp)) for an ncomp-component one."""
     dm = u.dofmap
     mesh = u.mesh
     n = mesh.dim
-    local = dm.gather(u.coeffs)[:, :, 0]
+    local = dm.gather(u.coeffs)                       # (nc, n+1[+1], ncomp)
     cr_part = local[:, : n + 1]
-    g = -n * np.einsum("ca,can->cn", cr_part, mesh.barycentric_gradients)
+    g = -n * np.einsum("car,can->crn", cr_part, mesh.barycentric_gradients)
     if dm.family == "ECR":
         strength = elements.bubble_strength(n, mesh.cell_H)
-        r = -(local[:, n + 1] - cr_part.sum(axis=1) / (n + 1)) * strength
+        r = -(local[:, n + 1] - cr_part.sum(axis=1) / (n + 1)) * strength[:, None]
     else:
-        r = np.zeros(mesh.n_cells)
+        r = np.zeros((mesh.n_cells, u.ncomp))
+    if u.ncomp == 1:
+        return g[:, 0], r[:, 0]
     return g, r
 
 
-def _one_sided_fluxes(mesh, g, r):
-    """Canonical-normal fluxes of g_K + r_K (x - mid K) through each facet of
-    each cell: (nc, n+1)."""
+def _normal_traces(mesh, g, r):
+    """Canonical-normal traces of g_K + r_K (x - mid K) on each facet of each
+    cell (constant per facet): (nc, n+1) for g (nc, n), r (nc,), and
+    (nc, n+1, ncomp) for g (nc, ncomp, n), r (nc, ncomp)."""
     normals = mesh.facet_normals[mesh.cell_facets]        # (nc, n+1, n)
     centers = mesh.facet_centroids[mesh.cell_facets]
-    measures = mesh.facet_measures[mesh.cell_facets]
-    normal_part = (np.einsum("cn,ckn->ck", g, normals)
-                   + r[:, None] * np.einsum("ckn,ckn->ck",
-                                            centers - mesh.cell_centroids[:, None, :],
-                                            normals))
-    return measures * normal_part, normal_part
+    radial = np.einsum("ckn,ckn->ck", centers - mesh.cell_centroids[:, None, :],
+                       normals)
+    return (np.einsum("c...n,ckn->ck...", g, normals)
+            + np.einsum("ck,c...->ck...", radial, r))
+
+
+def _max_interior_jump(mesh, traces):
+    """Largest jump of per-(cell, local facet) traces across interior facets."""
+    interior = mesh.interior_facet_indices()
+    plus, minus = _facet_side_views(mesh, traces, interior)
+    return float(np.abs(plus - minus).max()) if len(interior) else 0.0
 
 
 def normal_jump_of_gradient(u):
     """Max interior jump of the (constant-per-facet) normal trace of the
     broken gradient, plus the sup norm of the gradient for scaling."""
     mesh = u.mesh
-    g, r = broken_gradient_parts(u)
-    _, traces = _one_sided_fluxes(mesh, g, r)
-    interior = mesh.interior_facet_indices()
-    plus, minus = _facet_side_views(mesh, traces, interior)
-    max_jump = float(np.abs(plus - minus).max()) if len(interior) else 0.0
+    max_jump = _max_interior_jump(mesh, _normal_traces(mesh, *broken_gradient_parts(u)))
     rule = rule_for_degree(mesh.dim, 4)
     vals = u.gradients(rule.points)
     sup = float(np.abs(vals).max())
@@ -180,8 +185,8 @@ def ecr_gradient_as_rt(u, jump_tol=JUMP_TOL):
     mesh = u.mesh
     if u.dofmap.family != "ECR" or u.ncomp != 1:
         raise ValueError("ecr_gradient_as_rt expects a scalar ECR field")
-    g, r = broken_gradient_parts(u)
-    fluxes, traces = _one_sided_fluxes(mesh, g, r)
+    fluxes = (mesh.facet_measures[mesh.cell_facets]
+              * _normal_traces(mesh, *broken_gradient_parts(u)))
     max_jump, sup = normal_jump_of_gradient(u)
     if max_jump > jump_tol * max(sup, 1e-300):
         raise DataError(f"normal jump {max_jump:.3e} exceeds {jump_tol:.1e} x "
@@ -199,24 +204,10 @@ def stokes_tensor_normal_jump(vel, pressure):
     """Max interior jump of the row-wise normal traces of
     grad_NC u + p id (constant per facet), plus the tensor sup norm."""
     mesh = vel.mesh
-    n = mesh.dim
-    local = vel.dofmap.gather(vel.coeffs)            # (nc, n+2, n)
-    cr_part = local[:, : n + 1, :]
-    g = -n * np.einsum("car,can->crn", cr_part, mesh.barycentric_gradients)
-    strength = elements.bubble_strength(n, mesh.cell_H)
-    r = -(local[:, n + 1, :] - cr_part.sum(axis=1) / (n + 1)) * strength[:, None]
-
     normals = mesh.facet_normals[mesh.cell_facets]   # (nc, n+1, n)
-    centers = mesh.facet_centroids[mesh.cell_facets]
-    radial = np.einsum("ckn,ckn->ck", centers - mesh.cell_centroids[:, None, :],
-                       normals)
-    p = pressure.coeffs
-    traces = (np.einsum("crn,ckn->ckr", g, normals)
-              + r[:, None, :] * radial[:, :, None]
-              + p[:, None, None] * normals)
-    interior = mesh.interior_facet_indices()
-    plus, minus = _facet_side_views(mesh, traces, interior)
-    max_jump = float(np.abs(plus - minus).max()) if len(interior) else 0.0
+    traces = (_normal_traces(mesh, *broken_gradient_parts(vel))
+              + pressure.coeffs[:, None, None] * normals)
+    max_jump = _max_interior_jump(mesh, traces)
     rule = rule_for_degree(mesh.dim, 4)
     sup = float(np.abs(_pseudostress_from_primal(vel, pressure, rule)).max())
     return max_jump, sup

@@ -173,6 +173,21 @@ def test_stokes_zero_load():
     assert np.all(vel.coeffs == 0) and np.all(p.coeffs == 0)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_ecr_stokes_divergence_has_no_bubble_columns(dim):
+    # int_K grad(phi_K) = 0: the bubble columns of B hold no entry, and the
+    # facet columns equal the CR divergence block
+    mesh = refine_uniform(build_box_mesh(dim, 1))
+    ecr, vel, _ = assembly.assemble_stokes(mesh, np.ones(dim), "ECR")
+    cr, cr_vel, _ = assembly.assemble_stokes(mesh, np.ones(dim), "CR")
+    shifts = np.arange(dim)[:, None] * vel.n_scalar
+    bubble_cols = (vel.cell_dofs[:, dim + 1][None, :] + shifts).ravel()
+    assert ecr.B[:, bubble_cols].nnz == 0
+    n_facet = cr_vel.n_scalar
+    facet_cols = (np.arange(n_facet)[None, :] + shifts).ravel()
+    assert (ecr.B[:, facet_cols] != cr.B).nnz == 0
+
+
 def test_pseudostress_constraints():
     from simplexfem.problems import solve_stokes_mixed
     from simplexfem.quadrature import integrate

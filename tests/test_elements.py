@@ -208,23 +208,95 @@ def test_bubble_normal_derivative_constant_per_facet(dim):
 
 # -- local matrices -------------------------------------------------------------
 
+def disjoint_random_cells(dim, count, seed):
+    """Mesh of ``count`` disjoint random cells, each well away from
+    degenerate and with canonical facet normals pointing both out and in."""
+    rng = np.random.default_rng(seed)
+    cells = []
+    while len(cells) < count:
+        verts = rng.standard_normal((dim + 1, dim))
+        m = SimplexMesh(dim, verts, [list(range(dim + 1))])
+        if (m.cell_measures[0] > 0.05 * m.cell_diameters[0] ** dim
+                and len(set(m.cell_facet_signs[0].tolist())) == 2):
+            cells.append(verts)
+    conn = np.arange(count * (dim + 1)).reshape(count, dim + 1)
+    return SimplexMesh(dim, np.vstack(cells), conn)
+
+
+def quadrature_oracle(m):
+    """The local matrices integrated from the batch evaluators by a rule
+    exact to degree 6: every integrand is at most quartic, and the rule is
+    not the degree-4 one that ``elements.ecr_mass`` itself uses."""
+    n = m.dim
+    rule = rule_for_degree(n, 6)
+    w = cell_weights(m, rule)
+    cr_vals, cr_grads = elements.cr_eval_mesh(m, rule.points)
+    ecr_vals, ecr_grads = elements.ecr_eval_mesh(m, rule.points)
+    rt_vals, _ = elements.rt0_eval_mesh(m, rule.points)
+    return {
+        "cr_stiffness": np.einsum("can,cbn,cq->cab", cr_grads, cr_grads, w),
+        "ecr_stiffness": np.einsum("cqan,cqbn,cq->cab", ecr_grads, ecr_grads, w),
+        "cr_mass": np.einsum("qa,qb,cq->cab", cr_vals, cr_vals, w),
+        "ecr_mass": np.einsum("cqa,cqb,cq->cab", ecr_vals, ecr_vals, w),
+        "rt0_mass": np.einsum("cqin,cqjn,cq->cij", rt_vals, rt_vals, w),
+        "rt0_outer": np.einsum("cqir,cqjs,cq->cijrs", rt_vals, rt_vals, w),
+        "rt0_moment": np.einsum("cqin,cq->cin", rt_vals, w),
+        "gradient_integrals": np.einsum("cqan,cq->can", ecr_grads[:, :, : n + 1], w),
+    }
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kind", ["random_cells", "box"])
+def test_local_matrices_match_quadrature_oracle(dim, kind):
+    if kind == "box":
+        m = refine_uniform(build_box_mesh(dim, 2 if dim == 2 else 1))
+    else:
+        m = disjoint_random_cells(dim, 12, seed=dim)
+    for name, expected in quadrature_oracle(m).items():
+        actual = getattr(elements, name)(m)
+        assert actual.shape == expected.shape, name
+        diff = np.abs(actual - expected).reshape(m.n_cells, -1).max(axis=1)
+        scale = np.abs(expected).reshape(m.n_cells, -1).max(axis=1)
+        assert np.all(diff <= 1e-13 * scale), (name, (diff / scale).max())
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_per_cell_evaluators_match_batch(dim):
+    m = disjoint_random_cells(dim, 3, seed=10 + dim)
+    bary = random_points(dim, 6, seed=dim)
+    x = physical_points(m, bary)
+    batch = {"ecr": elements.ecr_eval_mesh(m, bary),
+             "cr": elements.cr_eval_mesh(m, bary),
+             "rt0": elements.rt0_eval_mesh(m, bary)}
+    for c in range(m.n_cells):
+        g = cell_geometry(m, c)
+        vals, grads = elements.ecr_eval(g, x[c])
+        assert np.allclose(vals, batch["ecr"][0][c], rtol=0, atol=1e-13)
+        assert np.allclose(grads, batch["ecr"][1][c], rtol=0, atol=1e-12)
+        vals, grads = elements.cr_eval(g, x[c])
+        assert np.allclose(vals, batch["cr"][0], rtol=0, atol=1e-13)
+        assert np.allclose(grads, batch["cr"][1][c], rtol=0, atol=1e-13)
+        vecs, divs = elements.rt0_eval(g, m.cell_facet_signs[c], x[c])
+        assert np.allclose(vecs, batch["rt0"][0][c], rtol=0, atol=1e-13)
+        assert np.array_equal(divs, batch["rt0"][1][c])
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_local_matrices_symmetry_and_blocks(dim):
     m = refine_uniform(build_box_mesh(dim, 1))
-    rule = rule_for_degree(dim, 4)
-    lm = elements.local_matrices_mesh(m, rule)
-    for name in ("ecr_stiffness", "ecr_mass", "cr_stiffness", "cr_mass", "rt_mass"):
-        arr = getattr(lm, name)
+    for name in ("ecr_stiffness", "ecr_mass", "cr_stiffness", "cr_mass", "rt0_mass"):
+        arr = getattr(elements, name)(m)
         assert np.abs(arr - np.swapaxes(arr, 1, 2)).max() == 0.0, name
+    ecr_stiffness = elements.ecr_stiffness(m)
     # ECR facet block = CR stiffness + bubble energy / (n+1)^2
     energy = elements.bubble_energy(dim, m.cell_measures, m.cell_H)
     shift = energy / (dim + 1) ** 2
-    diff = lm.ecr_stiffness[:, : dim + 1, : dim + 1] - lm.cr_stiffness
+    diff = ecr_stiffness[:, : dim + 1, : dim + 1] - elements.cr_stiffness(m)
     assert np.abs(diff - shift[:, None, None]).max() < 1e-11
     # bubble column: -energy / (n+1)
-    col = lm.ecr_stiffness[:, : dim + 1, dim + 1]
+    col = ecr_stiffness[:, : dim + 1, dim + 1]
     assert np.abs(col + energy[:, None] / (dim + 1)).max() < 1e-11
-    assert np.allclose(lm.ecr_stiffness[:, dim + 1, dim + 1], energy, rtol=1e-13)
+    assert np.allclose(ecr_stiffness[:, dim + 1, dim + 1], energy, rtol=1e-13)
 
 
 def test_rt_mass_spd_on_random_cells():
@@ -234,28 +306,15 @@ def test_rt_mass_spd_on_random_cells():
         while abs(np.linalg.det(verts[1:] - verts[0])) < 0.2:
             verts = rng.standard_normal((3, 2))
         m = SimplexMesh(2, verts, [[0, 1, 2]])
-        lm = elements.local_matrices_mesh(m, rule_for_degree(2, 4))
-        eigvals = np.linalg.eigvalsh(lm.rt_mass[0])
+        eigvals = np.linalg.eigvalsh(elements.rt0_mass(m)[0])
         assert eigvals.min() > 0
-
-
-def test_single_cell_local_matrices_wrapper():
-    m = refine_uniform(build_box_mesh(2, 1))
-    rule = rule_for_degree(2, 4)
-    batch = elements.local_matrices_mesh(m, rule)
-    g = cell_geometry(m, 3)
-    single = elements.local_matrices(g, m.cell_facet_signs[3], rule)
-    assert np.allclose(single.ecr_stiffness, batch.ecr_stiffness[3], atol=1e-13)
-    assert np.allclose(single.rt_mass, batch.rt_mass[3], atol=1e-14)
-    assert np.array_equal(single.rt_div, batch.rt_div[3])
-    assert np.allclose(single.rt_moment, batch.rt_moment[3], atol=1e-15)
 
 
 def test_stiffness_psd_with_constant_kernel():
     m = refine_uniform(build_box_mesh(2, 1))
-    lm = elements.local_matrices_mesh(m, rule_for_degree(2, 4))
+    stiffness = elements.ecr_stiffness(m)
     for c in range(m.n_cells):
-        w = np.linalg.eigvalsh(lm.ecr_stiffness[c])
+        w = np.linalg.eigvalsh(stiffness[c])
         assert w[0] > -1e-12
         assert abs(w[0]) < 1e-12          # constants
         assert w[1] > 1e-10
