@@ -10,11 +10,11 @@ bordered matrix: the multiplier follows in closed form from k, the DOF where
 along k afterwards.  No dense constraint row reaches SuperLU, whose fill it
 would multiply.  The residual of the full bordered system is the gate.
 
-Eigenproblems A x = lam M x (A SPD, M symmetric PSD) use a dense
-Cholesky-congruence solve below ``dense_cutoff`` rows and ARPACK
-shift-invert above it; PSD mass matrices are handled by working on A^-1 M,
-whose nonzero eigenvalues are the reciprocals of the finite pencil
-eigenvalues.
+Eigenproblems A x = lam M x (A symmetric nonsingular, SPD or a negated
+saddle matrix; M symmetric PSD with an SPD block on its nonzero rows J) work
+on A^-1 M, whose nonzero eigenvalues are the reciprocals of the |J| finite
+pencil eigenvalues: ARPACK shift-invert above ``dense_cutoff`` rows, and a
+dense congruence on J below it or when ARPACK cannot deliver the pairs.
 """
 
 from __future__ import annotations
@@ -51,11 +51,15 @@ class SolverConfig:
 DEFAULT = SolverConfig()
 
 
-def _lu_solve_refined(K, rhs):
+def _splu(K):
     try:
-        lu = sla.splu(K.tocsc())
+        return sla.splu(K.tocsc())
     except RuntimeError as exc:
         raise SolverError(f"factorization breakdown: {exc}") from exc
+
+
+def _lu_solve_refined(K, rhs):
+    lu = _splu(K)
     x = lu.solve(rhs)
     x = x + lu.solve(rhs - K @ x)
     return x
@@ -154,40 +158,50 @@ def solve_saddle(system, config=None):
     return z[:np_], z[np_:], mult
 
 
-def _eig_dense(A, M, k, config):
-    A_d = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
-    M_d = M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
+_EXTRA_PAIRS = 3                # pairs ARPACK computes beyond the k returned
+
+
+def _eig_dense(A, M, J, k):
+    """Congruence on the nonzero rows J of M: with M_JJ = L L^T and
+    T = L^T (A^-1)_JJ L, the finite eigenvalues are 1/mu for the eigenvalues
+    mu of T, with x = A^-1[:, J] L y / mu.
+
+    M_JJ is factorised in a bandwidth-reducing order, so that L is banded,
+    kept sparse, and free of the subnormal tail a mass matrix's factor has
+    in its natural order."""
+    # imported here: csgraph stays out of processes that never come here
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    M_JJ = M[J][:, J]
+    order = reverse_cuthill_mckee(M_JJ, symmetric_mode=True)
     try:
-        L = dla.cholesky(A_d, lower=True)
+        L = dla.cholesky(M_JJ[order][:, order].toarray(), lower=True)
     except dla.LinAlgError as exc:
-        raise SolverError(f"stiffness matrix not SPD: {exc}") from exc
-    Y = dla.solve_triangular(L, M_d, lower=True)
-    C = dla.solve_triangular(L, Y.T, lower=True).T
-    C = 0.5 * (C + C.T)
-    mu, vecs = dla.eigh(C)
-    cut = max(mu.max(), 0.0) * 1e-8
-    finite = np.flatnonzero(mu > cut)
-    if k > len(finite):
-        raise SolverError(f"requested {k} eigenpairs but only {len(finite)} "
-                          "finite eigenvalues exist")
-    sel = finite[::-1][:k]                     # largest mu = smallest lambda
-    lams = 1.0 / mu[sel]
-    X = np.empty((A_d.shape[0], k))
-    for j, idx in enumerate(sel):
-        x = dla.solve_triangular(L, vecs[:, idx], lower=True, trans="T")
-        X[:, j] = x / np.sqrt(mu[idx])
-    return lams, X
+        raise SolverError(f"mass matrix block on its nonzero rows not SPD: {exc}") from exc
+    L = sp.csr_matrix(L)[np.argsort(order)]
+    R = np.zeros((A.shape[0], len(J)), order="F")
+    R[J] = L.toarray()
+    W = _splu(A).solve(R)
+    T = L.T @ W[J]
+    mu, Y = dla.eigh(0.5 * (T + T.T), subset_by_index=[len(J) - k, len(J) - 1])
+    mu, Y = mu[::-1], Y[:, ::-1]               # largest mu = smallest lambda
+    if mu[-1] <= 0.0:
+        raise SolverError("pencil has a non-positive eigenvalue")
+    return 1.0 / mu, (W @ Y) / mu
 
 
-def _eig_sparse(A, M, k, config):
+def _eig_sparse(A, M, k, n_pairs, ncv, config):
+    """ARPACK shift-invert for n_pairs pairs, of which the k smallest are
+    kept: asking for more than k keeps a degenerate cluster cut at k from
+    stalling the convergence of its wanted half."""
     rng = np.random.default_rng(config.seed)
     v0 = rng.standard_normal(A.shape[0])
     try:
-        lams, X = sla.eigsh(A, k=k, M=M, sigma=config.shift, which="LM",
-                            v0=v0, maxiter=config.max_iterations)
-    except sla.ArpackNoConvergence as exc:
-        raise SolverError(f"eigensolver did not converge: {exc}") from exc
-    order = np.argsort(lams)
+        lams, X = sla.eigsh(A, k=n_pairs, M=M, sigma=config.shift, which="LM",
+                            v0=v0, ncv=ncv, maxiter=config.max_iterations)
+    except RuntimeError as exc:        # ARPACK failure or a singular factor
+        raise SolverError(f"eigensolver failed: {exc}") from exc
+    order = np.argsort(lams)[:k]
     return lams[order], X[:, order]
 
 
@@ -195,7 +209,12 @@ def eig_smallest(A, M, k, config=None):
     """k smallest finite eigenvalues of A x = lam M x, ascending, with
     M-orthonormal eigenvectors.
 
-    A must be SPD and M symmetric positive semi-definite.
+    A must be symmetric and nonsingular, M symmetric positive semi-definite
+    with an SPD block on its nonzero rows J, and the finite eigenvalues
+    positive: an SPD A, or a negated saddle matrix -[[A, B^T], [B, 0]]
+    against a mass on the dual block.  There are |J| finite eigenvalues.
+    Above ``dense_cutoff`` rows ARPACK shift-invert is used whenever it can
+    deliver the pairs; otherwise a dense congruence on J.
     """
     config = config or DEFAULT
     k = int(k)
@@ -203,10 +222,18 @@ def eig_smallest(A, M, k, config=None):
         raise ValueError("k must be >= 1")
     A = sp.csr_matrix(A)
     M = sp.csr_matrix(M)
-    if A.shape[0] <= config.dense_cutoff:
-        lams, X = _eig_dense(A, M, k, config)
+    J = np.flatnonzero(abs(M) @ np.ones(M.shape[1]))
+    if k > len(J):
+        raise SolverError(f"requested {k} eigenpairs but only {len(J)} "
+                          "finite eigenvalues exist")
+    # Lanczos breaks down once its basis spans range(A^-1 M), of dimension
+    # |J|, and converges poorly with fewer than 2 n_pairs + 1 vectors
+    n_pairs = k + _EXTRA_PAIRS
+    ncv = min(max(2 * n_pairs + 1, 20), len(J) - 1)
+    if A.shape[0] > config.dense_cutoff and ncv > 2 * n_pairs:
+        lams, X = _eig_sparse(A, M, k, n_pairs, ncv, config)
     else:
-        lams, X = _eig_sparse(A, M, k, config)
+        lams, X = _eig_dense(A, M, J, k)
     # verify: M-orthonormality and eigen residuals
     G = X.T @ (M @ X)
     if np.abs(G - np.eye(k)).max() > 1e-10:

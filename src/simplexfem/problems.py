@@ -8,7 +8,6 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as sla
 
 from . import assembly, elements, linsolve
 from .quadrature import rule_for_degree
@@ -273,52 +272,26 @@ class EigenPair:
     u: Optional[BrokenField] = None        # RT-mixed piecewise constant
 
 
-def _cell_schur_eigh(S, measures, k):
-    import scipy.linalg as dla
-
-    if k > S.shape[0]:
-        raise linsolve.SolverError(f"requested {k} eigenpairs but the reduced "
-                                   f"problem has dimension {S.shape[0]}")
-    S = 0.5 * (S + S.T)
-    lams, V = dla.eigh(S, np.diag(measures))
-    return lams[:k], V[:, :k]
-
-
 def solve_eigen(mesh, family="ECR", k=1, config=None):
     """k smallest Dirichlet-Laplacian eigenpairs.
 
-    Families: "ECR"/"CR" (primal, full mass, ||u|| = 1), "RT-mixed" (saddle
-    eigenproblem reduced to its cell Schur complement, ||u_RT|| = 1) and
-    "RT-equiv" (ECR stiffness against the projected mass, ||Pi0 phi|| = 1).
-    Both reduced problems are generalized eigenproblems of cell-block size
-    against diag(|K|), solved densely.
+    Families: "ECR"/"CR" (primal, full mass, ||u|| = 1), "RT-mixed" (the
+    saddle pencil -[[A, B^T], [B, 0]] (sigma, u) = lam diag(0, |K|) (sigma, u),
+    ||u_RT|| = 1) and "RT-equiv" (ECR stiffness against the projected mass,
+    ||Pi0 phi|| = 1).  Both RT pencils have one finite eigenvalue per cell.
     """
     config = config or linsolve.DEFAULT
-    if family in ("ECR", "CR"):
-        A, M, dm = assembly.assemble_eigen(mesh, family, "full")
+    if family in ("ECR", "CR", "RT-equiv"):
+        fam, mass = ("ECR", "projected") if family == "RT-equiv" else (family, "full")
+        A, M, dm = assembly.assemble_eigen(mesh, fam, mass)
         lams, X = linsolve.eig_smallest(A, M, k, config)
         return [EigenPair(lam=float(l), primal=BrokenField(dm, x))
                 for l, x in zip(lams, X.T)]
-    if family == "RT-equiv":
-        # A phi = lam M_proj phi; the facet block is condensed out exactly
-        A, _, dm = assembly.assemble_eigen(mesh, "ECR", "projected")
-        n_f = dm.n_scalar - mesh.n_cells
-        F = A[:n_f][:, :n_f]
-        C = A[:n_f][:, n_f:]
-        D = A[n_f:][:, n_f:]
-        X = sla.splu(sp.csc_matrix(F)).solve(C.toarray())
-        lams, Vc = _cell_schur_eigh(D.toarray() - C.T @ X, mesh.cell_measures, k)
-        Vf = -X @ Vc
-        return [EigenPair(lam=float(lams[j]),
-                          primal=BrokenField(dm, np.concatenate([Vf[:, j], Vc[:, j]])))
-                for j in range(k)]
     if family == "RT-mixed":
-        # eliminate the flux: (B A^-1 B^T) u = lam diag(|K|) u
         system, rt, p0 = assembly.assemble_mixed_poisson(mesh, 0.0)
-        X = sla.splu(sp.csc_matrix(system.A)).solve(system.B.T.toarray())
-        lams, Vc = _cell_schur_eigh(system.B @ X, mesh.cell_measures, k)
-        Vf = -X @ Vc
-        return [EigenPair(lam=float(lams[j]), sigma=RTField(rt, Vf[:, j]),
-                          u=BrokenField(p0, Vc[:, j]))
-                for j in range(k)]
+        M = sp.diags(np.concatenate([np.zeros(rt.n_total), mesh.cell_measures]))
+        lams, X = linsolve.eig_smallest(-linsolve.saddle_matrix(system), M, k, config)
+        return [EigenPair(lam=float(l), sigma=RTField(rt, x[:rt.n_total]),
+                          u=BrokenField(p0, x[rt.n_total:]))
+                for l, x in zip(lams, X.T)]
     raise ValueError(f"unknown eigen family {family!r}")

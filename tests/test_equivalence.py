@@ -7,6 +7,7 @@ from simplexfem.equivalence import (check_cgs_identity, check_eigen_equivalence,
                                     check_marini_identity, check_poisson_identity,
                                     check_stokes_identity, ecr_gradient_as_rt,
                                     eigen_error_comparison, project_p0)
+from simplexfem.linsolve import SolverConfig
 from simplexfem.mesh import SimplexMesh, build_box_mesh, mesh_hierarchy, refine_uniform
 from simplexfem.problems import BrokenField, sine_solution, solve_poisson
 from simplexfem.quadrature import physical_points, rule_for_degree
@@ -267,6 +268,17 @@ def test_eigen_equivalence_levels():
         for key, val in rep.relative.items():
             if key.startswith(("u_identity", "sigma_identity")):
                 assert val <= 1e-8
+
+
+@pytest.mark.parametrize("lvl", [2, 3])
+def test_eigen_equivalence_on_the_sparse_path(lvl):
+    rep = check_eigen_equivalence(level(2, lvl), k=3, config=SolverConfig(dense_cutoff=1))
+    assert rep.passed
+    assert rep.relative["eigenvalues"] <= 1e-10
+    assert any(key.startswith("sigma_identity") for key in rep.relative)
+    for key, val in rep.relative.items():
+        if key.startswith(("u_identity", "sigma_identity")):
+            assert val <= 1e-8
 
 
 def test_eigen_equivalence_small_mesh_dimension():

@@ -5,7 +5,7 @@ import scipy.sparse.linalg as sla
 
 from simplexfem import assembly, linsolve
 from simplexfem.linsolve import SolverConfig, SolverError, eig_smallest, solve_saddle, solve_spd
-from simplexfem.mesh import SimplexMesh, build_box_mesh, refine_uniform
+from simplexfem.mesh import SimplexMesh, build_box_mesh, mesh_hierarchy, refine_uniform
 from simplexfem.problems import outward_flux_averages, quadratic_neumann_solution
 
 
@@ -210,3 +210,54 @@ def test_sparse_path_matches_dense_path():
     dense = eig_smallest(A, M, 2, SolverConfig(dense_cutoff=10 ** 6))[0]
     sparse = eig_smallest(A, M, 2, SolverConfig(dense_cutoff=1))[0]
     assert np.abs(dense - sparse).max() < 1e-9 * dense.max()
+
+
+def test_sparse_path_keeps_a_cut_degenerate_cluster_accurate():
+    # k = 2 cuts the pair lam2 = lam3 of CR on 2D L2; with 1e-17 of rounding
+    # in the mass off-diagonals ARPACK returned a 3e-9 residual for k pairs
+    A, M, _ = assembly.assemble_eigen(mesh_hierarchy(build_box_mesh(2, 1), 2)[-1], "CR")
+    coo = M.tocoo()
+    off = coo.row != coo.col
+    noise = 1e-17 * np.random.default_rng(0).standard_normal(off.sum())
+    N = sp.coo_matrix((noise, (coo.row[off], coo.col[off])), shape=M.shape)
+    M = (M + N + N.T).tocsr()
+    lams, X = eig_smallest(A, M, 2, SolverConfig(seed=1, dense_cutoff=1))
+    assert lams[0] < lams[1]
+    for lam, x in zip(lams, X.T):
+        assert np.linalg.norm(A @ x - lam * (M @ x)) <= 1e-12 * np.linalg.norm(A @ x)
+
+
+def _rt_mixed_pencil(mesh):
+    system, rt, _ = assembly.assemble_mixed_poisson(mesh, 0.0)
+    M = sp.diags(np.concatenate([np.zeros(rt.n_total), mesh.cell_measures]))
+    return -linsolve.saddle_matrix(system), M
+
+
+def _ecr_projected_pencil(mesh):
+    A, M, _ = assembly.assemble_eigen(mesh, "ECR", "projected")
+    return A, M
+
+
+@pytest.mark.parametrize("pencil", [_rt_mixed_pencil, _ecr_projected_pencil])
+@pytest.mark.parametrize("levels", [0, 1])
+@pytest.mark.parametrize("cutoff", [1, 10 ** 6])
+def test_finite_eigenvalue_count_is_the_number_of_cells(pencil, levels, cutoff):
+    # one finite eigenvalue per cell on either path, and SolverError, never a
+    # scipy error, one beyond
+    mesh = mesh_hierarchy(build_box_mesh(2, 1), levels)[-1]
+    A, M = pencil(mesh)
+    config = SolverConfig(dense_cutoff=cutoff)
+    lams, X = eig_smallest(A, M, mesh.n_cells, config)
+    assert len(lams) == mesh.n_cells and np.all(np.diff(lams) >= 0)
+    with pytest.raises(SolverError):
+        eig_smallest(A, M, mesh.n_cells + 1, config)
+
+
+@pytest.mark.parametrize("cutoff", [1, 10 ** 6])
+def test_saddle_pencil_vectors_are_m_orthonormal_eigenvectors(cutoff):
+    A, M = _rt_mixed_pencil(mesh_hierarchy(build_box_mesh(2, 1), 2)[-1])
+    lams, X = eig_smallest(A, M, 4, SolverConfig(dense_cutoff=cutoff))
+    assert np.all(lams > 0)
+    assert np.abs(X.T @ (M @ X) - np.eye(4)).max() <= 1e-12
+    for lam, x in zip(lams, X.T):
+        assert np.linalg.norm(A @ x - lam * (M @ x)) <= 1e-12 * np.linalg.norm(A @ x)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg as dla
+import scipy.sparse.linalg as sla
 
-from simplexfem import analysis, assembly, problems
+from simplexfem import analysis, assembly, linsolve, problems
 from simplexfem.mesh import build_box_mesh, mesh_hierarchy, refine_uniform
 from simplexfem.problems import (quadratic_neumann_solution, sine_solution,
                                  solve_eigen, solve_neumann, solve_poisson,
@@ -158,3 +160,64 @@ def test_facet_averages_match_coefficients():
     fa = u.facet_averages()
     assert fa.shape == (mesh.n_facets,)
     assert np.all(fa[mesh.boundary_facet_indices()] == 0.0)
+
+
+def _schur_oracle(mesh, family):
+    """The RT pencils reduced densely to their cell blocks: B A^-1 B^T for
+    RT-mixed and D - C^T F^-1 C for RT-equiv, each against diag(|K|) by dense
+    eigh.  Returns all eigenvalues and, per eigenvector, the cell block and
+    the eliminated block (sigma, or the ECR facet coefficients)."""
+    if family == "RT-mixed":
+        system, _, _ = assembly.assemble_mixed_poisson(mesh, 0.0)
+        X = sla.splu(system.A.tocsc()).solve(system.B.T.toarray())
+        S = system.B @ X
+    else:
+        A, _, dm = assembly.assemble_eigen(mesh, "ECR", "projected")
+        n_f = dm.n_scalar - mesh.n_cells
+        C = A[:n_f][:, n_f:]
+        X = sla.splu(A[:n_f][:, :n_f].tocsc()).solve(C.toarray())
+        S = A[n_f:][:, n_f:].toarray() - C.T @ X
+    lams, V = dla.eigh(0.5 * (S + S.T), np.diag(mesh.cell_measures))
+    return lams, V, -X @ V
+
+
+def _sign_to(a, b):
+    """The sign that makes a agree with b at b's entry of largest magnitude."""
+    i = int(np.argmax(np.abs(b)))
+    return 1.0 if a[i] * b[i] >= 0 else -1.0
+
+
+@pytest.mark.parametrize("family", ["RT-mixed", "RT-equiv"])
+@pytest.mark.parametrize("dim, levels", [(2, 1), (2, 2), (2, 3), (3, 1)])
+def test_rt_eigenpairs_match_dense_schur_oracle(family, dim, levels):
+    mesh = mesh_hierarchy(build_box_mesh(dim, 1), levels)[-1]
+    k = 5
+    pairs = solve_eigen(mesh, family, k)
+    lams, V, W = _schur_oracle(mesh, family)
+    got = np.array([p.lam for p in pairs])
+    assert np.abs(got - lams[:k]).max() <= 1e-12 * lams[k - 1]
+    gaps = np.diff(lams[:k + 1]) / lams[1:k + 1]
+    for j, pair in enumerate(pairs):
+        if (j > 0 and gaps[j - 1] <= 1e-6) or gaps[j] <= 1e-6:
+            continue
+        if family == "RT-mixed":
+            cell, other = pair.u.coeffs, pair.sigma.coeffs
+        else:
+            n_f = pair.primal.coeffs.size - mesh.n_cells
+            cell, other = pair.primal.coeffs[n_f:], pair.primal.coeffs[:n_f]
+        sign = _sign_to(cell, V[:, j])
+        assert np.abs(sign * cell - V[:, j]).max() <= 1e-10 * np.abs(V[:, j]).max()
+        assert np.abs(sign * other - W[:, j]).max() <= 1e-10 * np.abs(W[:, j]).max()
+
+
+@pytest.mark.parametrize("family", ["RT-mixed", "RT-equiv"])
+def test_rt_eigen_dense_and_sparse_paths_agree(family):
+    mesh = mesh_hierarchy(build_box_mesh(2, 1), 3)[-1]
+    dense = solve_eigen(mesh, family, 3, linsolve.SolverConfig(dense_cutoff=10 ** 6))
+    sparse = solve_eigen(mesh, family, 3, linsolve.SolverConfig(dense_cutoff=1))
+    lam_d = np.array([p.lam for p in dense])
+    assert np.abs(lam_d - [p.lam for p in sparse]).max() <= 1e-12 * lam_d.max()
+    # lam_1 is simple: its eigenvector agrees up to sign
+    field = (lambda p: p.u.coeffs) if family == "RT-mixed" else (lambda p: p.primal.coeffs)
+    a, b = field(dense[0]), field(sparse[0])
+    assert np.abs(_sign_to(b, a) * b - a).max() <= 1e-10 * np.abs(a).max()
