@@ -3,20 +3,19 @@
 In the split basis (CR hat functions plus bubbles) the stiffness decouples
 exactly: the bubble block is diagonal and the coupling block vanishes, so
 the global solve reduces to a plain CR solve plus one closed-form bubble
-coefficient per cell.  The recombined solution matches the monolithic one
-coefficient by coefficient.
+coefficient per cell.  ``solve_poisson(..., "ECR")`` solves that way; it
+matches the monolithic ECR system coefficient by coefficient.
 """
 
 import numpy as np
 
 import simplexfem as sf
-from simplexfem import condense
 
 mesh = sf.build_box_mesh(2, 1)
 for _ in range(3):
     mesh = sf.refine_uniform(mesh)
 
-S, dm = condense.split_basis_stiffness(mesh)
+S, dm = sf.assembly.split_basis_stiffness(mesh)
 n_facet = dm.n_scalar - mesh.n_cells
 coupling = S[:n_facet, n_facet:]
 print(f"split-basis stiffness: {S.shape[0]} dofs "
@@ -29,18 +28,21 @@ print(f"bubble block off-diagonal max  = "
 
 print()
 print("f = 1: per-cell bubble amplitude b_K = (f, phi_K)_K / |grad phi_K|_K^2")
-b = condense.bubble_coefficients(mesh, 1.0)
+b = sf.bubble_coefficients(mesh, 1.0)
 print(f"min/max bubble amplitude: {b.min():.6e} / {b.max():.6e} "
       "(congruent right triangles with legs 1/8: all equal (1/8)^2/36, the "
       "scaled reference-triangle value 1/36)")
 
-sol = condense.solve_ecr_condensed(mesh, 1.0)
-mono = sf.solve_poisson(mesh, 1.0, "ECR")
-print(f"condensed vs monolithic, coefficient max-norm: "
-      f"{np.abs(sol.ecr_field.coeffs - mono.coeffs).max():.2e}")
+
+def monolithic(mesh):
+    return sf.solve_spd(*sf.assemble_poisson(mesh, 1.0, "ECR")[:2])
+
+
+sol = sf.solve_poisson(mesh, 1.0, "ECR")
+print(f"CR + bubbles vs monolithic ECR, coefficient max-norm: "
+      f"{np.abs(sol.coeffs - monolithic(mesh)).max():.2e}")
 
 mesh3 = sf.refine_uniform(sf.build_box_mesh(3, 1))
-sol3 = condense.solve_ecr_condensed(mesh3, 1.0)
-mono3 = sf.solve_poisson(mesh3, 1.0, "ECR")
+sol3 = sf.solve_poisson(mesh3, 1.0, "ECR")
 print(f"same agreement on a refined unit cube: "
-      f"{np.abs(sol3.ecr_field.coeffs - mono3.coeffs).max():.2e}")
+      f"{np.abs(sol3.coeffs - monolithic(mesh3)).max():.2e}")

@@ -13,21 +13,18 @@ from .assembly import (Constraint, DataError, DofMap, SaddleSystem,
                        assemble_eigen, assemble_mixed_poisson,
                        assemble_neumann_mixed, assemble_neumann_primal,
                        assemble_poisson, assemble_pseudostress, assemble_stokes)
-from .condense import CondensedSolution, solve_bubble_local, solve_ecr_condensed
-from .elements import cr_eval, ecr_eval, rt0_eval
 from .equivalence import (IdentityReport, check_cgs_identity,
                           check_eigen_equivalence, check_marini_identity,
                           check_poisson_identity, check_stokes_identity,
                           ecr_gradient_as_rt, eigen_error_comparison,
                           neumann_counterexample_report, project_p0)
 from .linsolve import SolverConfig, SolverError, eig_smallest, solve_saddle, solve_spd
-from .mesh import (CellGeometry, FacetGeometry, MeshError, SimplexMesh,
-                   build_box_mesh, cell_geometry, facet_geometry,
-                   mesh_hierarchy, read_mesh, refine_uniform, write_mesh)
+from .mesh import (MeshError, SimplexMesh, build_box_mesh, mesh_hierarchy,
+                   read_mesh, refine_uniform, write_mesh)
 from .problems import (BrokenField, EigenPair, ExactSolution, RTField,
-                       quadratic_neumann_solution, sine_solution, solve_eigen,
-                       solve_neumann, solve_poisson, solve_poisson_mixed,
-                       solve_stokes, solve_stokes_mixed)
+                       bubble_coefficients, quadratic_neumann_solution,
+                       sine_solution, solve_eigen, solve_neumann, solve_poisson,
+                       solve_poisson_mixed, solve_stokes, solve_stokes_mixed)
 from .quadrature import QuadratureRule, facet_rule_for_degree, rule_for_degree
 
 __version__ = "0.1.0"

@@ -206,7 +206,8 @@ def mass_local(mesh, family):
 
 def load_values(mesh, f, rule, ncomp=1):
     """Sample a load on the quadrature grid: callable, per-cell array,
-    constant, or (for vector loads) a length-ncomp constant tuple."""
+    constant, (for vector loads) a length-ncomp constant tuple, or values
+    already sampled on the points of ``rule``, shape (nc, Q[, ncomp])."""
     nc, q = mesh.n_cells, rule.n_points
     shape = (nc, q) if ncomp == 1 else (nc, q, ncomp)
     if callable(f):
@@ -215,6 +216,8 @@ def load_values(mesh, f, rule, ncomp=1):
             raise DataError(f"load callable returned shape {vals.shape}, expected {shape}")
         return vals
     arr = np.asarray(f, dtype=float)
+    if arr.shape == shape:
+        return arr
     if arr.ndim == 0:
         if ncomp != 1:
             raise DataError("vector load needs ncomp values")
@@ -260,11 +263,34 @@ def _rhs(mesh, dofmap, f, quad_degree):
 
 def assemble_poisson(mesh, f, family="ECR", quad_degree=DEFAULT_LOAD_DEGREE):
     """Primal Poisson with homogeneous Dirichlet data: SPD stiffness, load
-    vector, DOF map."""
+    vector, DOF map.  The `problems` solvers assemble CR only; the
+    monolithic ECR system is the oracle for their CR + bubbles solve."""
     dm = DofMap.build(mesh, family, dirichlet=True)
     A = scatter_symmetric(dm, stiffness_local(mesh, family))
     b = _rhs(mesh, dm, f, quad_degree)
     return A, b, dm
+
+
+def split_basis_stiffness(mesh):
+    """ECR stiffness assembled in the split basis (CR hat functions plus
+    bubbles), Dirichlet facets eliminated.  The bubble/CR coupling blocks of
+    this matrix vanish identically; the bubble block is diagonal.  Both are
+    integrated by a degree-4 rule, an independent check of the closed forms
+    and of the ECR = CR + bubbles solve in ``problems``."""
+    rule = rule_for_degree(mesh.dim, MATRIX_DEGREE)
+    dm = DofMap.build(mesh, "ECR", dirichlet=True)
+    n = mesh.dim
+    w = cell_weights(mesh, rule)
+    _, cr_grads = elements.cr_eval_mesh(mesh, rule.points)
+    _, bubble_grads = elements.bubble_eval_mesh(mesh, rule.points)
+
+    local = np.zeros((mesh.n_cells, n + 2, n + 2))
+    local[:, : n + 1, : n + 1] = elements.cr_stiffness(mesh)
+    cross = np.einsum("can,cqn,cq->ca", cr_grads, bubble_grads, w)
+    local[:, : n + 1, n + 1] = cross
+    local[:, n + 1, : n + 1] = cross
+    local[:, n + 1, n + 1] = np.einsum("cqn,cqn,cq->c", bubble_grads, bubble_grads, w)
+    return scatter_symmetric(dm, local), dm
 
 
 def _rt0_divergence(mesh):
@@ -288,7 +314,8 @@ def assemble_mixed_poisson(mesh, f, quad_degree=DEFAULT_LOAD_DEGREE):
 
 def assemble_stokes(mesh, f, family="ECR", quad_degree=DEFAULT_LOAD_DEGREE):
     """Nonconforming Stokes: velocity in n components of CR/ECR, piecewise
-    constant pressure with zero mean, gauging the constant pressure."""
+    constant pressure with zero mean, gauging the constant pressure.  As
+    for Poisson, the ECR system is a test oracle only."""
     n = mesh.dim
     vel = DofMap.build(mesh, family, dirichlet=True, ncomp=n)
     prs = DofMap.build(mesh, "P0")
@@ -368,7 +395,7 @@ def check_neumann_compatibility(mesh, f, g_avg, quad_degree=DEFAULT_LOAD_DEGREE,
 def assemble_neumann_primal(mesh, f, g, family="ECR", quad_degree=DEFAULT_LOAD_DEGREE):
     """Pure-Neumann primal problem on the zero-mean subspace (gauging the
     constant); the flux enters through facet averages, exactly for piecewise
-    constant g."""
+    constant g.  As for Poisson, the ECR system is a test oracle only."""
     g_avg = facet_averages_of(mesh, g)
     check_neumann_compatibility(mesh, f, g_avg, quad_degree)
     dm = DofMap.build(mesh, family, dirichlet=False)

@@ -1,8 +1,8 @@
 """Basis evaluation and local matrices for the CR, enriched-CR (ECR), RT0 and
 P0 element families on n-simplices.
 
-Each basis formula is written once, for the batch (``*_eval_mesh``) and the
-per-cell (``*_eval``) evaluators.  Each local matrix is one batch function,
+Each basis formula is written once, as a private function that the batch
+evaluators (``*_eval_mesh``) call.  Each local matrix is one batch function,
 in closed form except the ECR mass (quartic; a degree-4 rule).
 
 Degrees of freedom are *average*-normalized throughout:
@@ -131,41 +131,6 @@ def rt0_eval_mesh(mesh, bary):
                         mesh.cell_facet_signs[:, None],
                         mesh.cell_measures[:, None, None])
     return values, divs[:, 0]
-
-
-# -- per-cell evaluation (CellGeometry API) ----------------------------------
-#
-# ``points`` may be a single point (n,) or an array (..., n).  The formulas
-# are polynomials on all of R^n; no containment check is made.
-
-def _barycentric_at(geom, points):
-    return 1.0 / (geom.dim + 1) + (points - geom.centroid) @ geom.barycentric_gradients.T
-
-
-def ecr_eval(geom, points):
-    """ECR basis values/gradients at physical points of one cell."""
-    points = np.asarray(points, dtype=float)
-    n = geom.dim
-    bubble, bubble_grad = _bubble(n, points - geom.centroid, geom.H)
-    return (_ecr_values(n, _barycentric_at(geom, points), bubble),
-            _ecr_gradients(n, geom.barycentric_gradients, bubble_grad))
-
-
-def cr_eval(geom, points):
-    """CR basis values/gradients at physical points of one cell."""
-    points = np.asarray(points, dtype=float)
-    values, grads = _cr(geom.dim, _barycentric_at(geom, points),
-                        geom.barycentric_gradients)
-    return values, np.broadcast_to(grads, values.shape + (geom.dim,)).copy()
-
-
-def rt0_eval(geom, orientation_signs, points):
-    """RT0 basis vectors and divergences at physical points of one cell.
-
-    ``orientation_signs`` is the cell's row of ``mesh.cell_facet_signs``.
-    """
-    return _rt0(np.asarray(points, dtype=float), geom.vertices,
-                np.asarray(orientation_signs, dtype=float), geom.measure)
 
 
 # -- local matrices, every array with a leading cell axis --------------------

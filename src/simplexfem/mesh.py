@@ -10,7 +10,6 @@ of the cell.  Meshes are immutable after construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,35 +20,26 @@ class MeshError(ValueError):
     """Raised for malformed mesh input or broken mesh invariants."""
 
 
-@dataclass(frozen=True)
-class CellGeometry:
-    """Geometry of one simplex: measure, centroid, H = sum of squared edge
-    lengths, barycentric gradients and the centered second-moment matrix."""
-
-    dim: int
-    vertices: np.ndarray          # (n+1, n), cell vertex order
-    measure: float
-    centroid: np.ndarray          # (n,)
-    H: float
-    barycentric_gradients: np.ndarray   # (n+1, n)
-    second_moment: np.ndarray     # (n, n), integral of (x-mid)(x-mid)^T
-
-
-@dataclass(frozen=True)
-class FacetGeometry:
-    """Geometry of one facet: (n-1)-measure, centroid and canonical unit
-    normal."""
-
-    dim: int
-    vertices: np.ndarray          # (n, n), sorted-index order
-    measure: float
-    centroid: np.ndarray
-    unit_normal: np.ndarray
-
-
 def _lock(a):
     a.flags.writeable = False
     return a
+
+
+def _unique_rows(rows, base):
+    """``np.unique(rows, axis=0, return_inverse=True)`` for integer rows
+    with entries in [0, base): each row becomes one int64 key whose order is
+    the rows' lexicographic order, so the result is the same."""
+    width = rows.shape[1]
+    if base ** width >= 2 ** 63:
+        raise MeshError(f"{base} vertices overflow the int64 row keys")
+    key = np.zeros(len(rows), dtype=np.int64)
+    for j in range(width):
+        key = key * base + rows[:, j]
+    keys, inverse = np.unique(key, return_inverse=True)
+    out = np.empty((len(keys), width), dtype=np.int64)
+    for j in reversed(range(width)):
+        keys, out[:, j] = np.divmod(keys, base)
+    return out, inverse
 
 
 class SimplexMesh:
@@ -100,9 +90,11 @@ class SimplexMesh:
     @staticmethod
     def _orient_and_check(vertices, cells):
         n = vertices.shape[1]
-        for row in cells:
-            if len(set(row.tolist())) != n + 1:
-                raise MeshError(f"degenerate cell (repeated vertex index): {row.tolist()}")
+        ordered = np.sort(cells, axis=1)
+        repeated = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+        if len(repeated):
+            raise MeshError("degenerate cell (repeated vertex index): "
+                            f"{cells[repeated[0]].tolist()}")
         x = vertices[cells]                       # (nc, n+1, n)
         edges = x[:, 1:, :] - x[:, :1, :]         # (nc, n, n)
         vol = np.linalg.det(edges) / math.factorial(n)
@@ -123,7 +115,7 @@ class SimplexMesh:
         keep = np.array([[j for j in range(n + 1) if j != i] for i in range(n + 1)])
         local = cells[:, keep]                    # (nc, n+1, n)
         local = np.sort(local, axis=2).reshape(nc * (n + 1), n)
-        facets, inverse = np.unique(local, axis=0, return_inverse=True)
+        facets, inverse = _unique_rows(local, len(self.vertices))
         self.facets = _lock(facets)
         self.cell_facets = _lock(inverse.reshape(nc, n + 1).astype(np.int64))
 
@@ -243,36 +235,6 @@ class SimplexMesh:
         return SimplexMesh(self.dim, self.vertices + np.asarray(vec, dtype=float), self.cells)
 
 
-def cell_geometry(mesh, cell_index):
-    """Exact per-cell geometry; raises on an out-of-range index."""
-    i = int(cell_index)
-    if not 0 <= i < mesh.n_cells:
-        raise MeshError(f"cell index {i} out of range")
-    return CellGeometry(
-        dim=mesh.dim,
-        vertices=mesh.vertices[mesh.cells[i]],
-        measure=float(mesh.cell_measures[i]),
-        centroid=mesh.cell_centroids[i],
-        H=float(mesh.cell_H[i]),
-        barycentric_gradients=mesh.barycentric_gradients[i],
-        second_moment=mesh.cell_second_moments[i],
-    )
-
-
-def facet_geometry(mesh, facet_index):
-    """Exact per-facet geometry; raises on an out-of-range index."""
-    i = int(facet_index)
-    if not 0 <= i < mesh.n_facets:
-        raise MeshError(f"facet index {i} out of range")
-    return FacetGeometry(
-        dim=mesh.dim,
-        vertices=mesh.vertices[mesh.facets[i]],
-        measure=float(mesh.facet_measures[i]),
-        centroid=mesh.facet_centroids[i],
-        unit_normal=mesh.facet_normals[i],
-    )
-
-
 # -- generation ------------------------------------------------------------
 
 def build_box_mesh(dim, subdivisions, variant="diagonal"):
@@ -354,53 +316,53 @@ def build_box_mesh(dim, subdivisions, variant="diagonal"):
     return SimplexMesh(3, verts, np.array(cells))
 
 
+# Children of one cell, as indices into its vertices followed by its edge
+# midpoints in ``_EDGES`` order.  2D: v0 v1 v2 m01 m02 m12.
+_EDGES = {2: [(0, 1), (0, 2), (1, 2)],
+          3: [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]}
+_CHILDREN_2D = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2], [3, 5, 4]])
+# 3D: v0 v1 v2 v3 m01 m02 m03 m12 m13 m23.  Four corner tetrahedra, then the
+# octahedron cut along one of three diagonals (p, q): the tetrahedra
+# (p, q, a, b) for consecutive midpoints a, b of the ring around it.
+_CORNERS_3D = np.array([[0, 4, 5, 6], [4, 1, 7, 8], [5, 7, 2, 9], [6, 8, 9, 3]])
+_DIAGONALS_3D = np.array([[4, 9], [5, 8], [6, 7]])          # m01-m23, m02-m13, m03-m12
+_OCTAHEDRA_3D = np.array([[[p, q, a, b] for a, b in zip(ring, np.roll(ring, -1))]
+                          for (p, q), ring in zip(_DIAGONALS_3D,
+                                                  [[5, 6, 8, 7], [4, 6, 9, 7], [4, 5, 9, 8]])])
+
+
 def refine_uniform(mesh):
     """One sweep of uniform (red) refinement.
 
     2D: each triangle becomes 4 similar triangles.  3D: octasection into 8
     tetrahedra; the interior octahedron is cut along its shortest diagonal
     (lexicographic midpoint-index tie-break), which keeps the children
-    shape-regular across levels.
+    shape-regular across levels.  The children of cell c are rows
+    2^n c .. 2^n (c + 1) - 1.
     """
     n = mesh.dim
     cells = mesh.cells
-    if n == 2:
-        pair_cols = [(0, 1), (0, 2), (1, 2)]
-    else:
-        pair_cols = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    pairs = np.sort(np.stack([cells[:, list(p)] for p in pair_cols], axis=1), axis=2)
-    flat = pairs.reshape(-1, 2)
-    edges, inverse = np.unique(flat, axis=0, return_inverse=True)
-    mid_ids = inverse.reshape(len(cells), len(pair_cols)) + mesh.n_vertices
+    nc = len(cells)
+    pairs = np.sort(cells[:, _EDGES[n]], axis=2)             # (nc, n_edges, 2)
+    edges, inverse = _unique_rows(pairs.reshape(-1, 2), mesh.n_vertices)
+    mid_ids = inverse.reshape(nc, -1) + mesh.n_vertices
     midpoints = mesh.vertices[edges].mean(axis=1)
     verts = np.vstack([mesh.vertices, midpoints])
+    local = np.hstack([cells, mid_ids])
 
-    children = []
     if n == 2:
-        for c in range(len(cells)):
-            v0, v1, v2 = cells[c]
-            m01, m02, m12 = mid_ids[c]
-            children.extend([(v0, m01, m02), (m01, v1, m12),
-                             (m02, m12, v2), (m01, m12, m02)])
-    else:
-        for c in range(len(cells)):
-            v = cells[c]
-            m01, m02, m03, m12, m13, m23 = mid_ids[c]
-            children.extend([(v[0], m01, m02, m03), (m01, v[1], m12, m13),
-                             (m02, m12, v[2], m23), (m03, m13, m23, v[3])])
-            candidates = [(m01, m23, (m02, m03, m13, m12)),
-                          (m02, m13, (m01, m03, m23, m12)),
-                          (m03, m12, (m01, m02, m23, m13))]
-            best = None
-            for p, q, ring in candidates:
-                length = float(np.linalg.norm(verts[p] - verts[q]))
-                key = (length, min(p, q), max(p, q))
-                if best is None or key < best[0]:
-                    best = (key, p, q, ring)
-            _, p, q, ring = best
-            for a, b in zip(ring, ring[1:] + ring[:1]):
-                children.append((p, q, a, b))
-    return SimplexMesh(n, verts, np.array(children))
+        return SimplexMesh(2, verts, local[:, _CHILDREN_2D].reshape(-1, 3))
+    ends = local[:, _DIAGONALS_3D]                           # (nc, 3, 2)
+    d = verts[ends[:, :, 0]] - verts[ends[:, :, 1]]
+    # |d| as np.linalg.norm forms it for one vector, sqrt(d.dot(d)); a
+    # stacked matmul of vector pairs calls the same dot.  Where diagonals tie
+    # up to rounding, the rounding picks one, and sqrt((d * d).sum()) would
+    # pick another on a few percent of such cells.
+    length = np.sqrt((d[:, :, None, :] @ d[:, :, :, None])[:, :, 0, 0])
+    best = np.lexsort((ends.max(axis=2), ends.min(axis=2), length))[:, 0]
+    octahedron = local[np.arange(nc)[:, None, None], _OCTAHEDRA_3D[best]]
+    children = np.concatenate([local[:, _CORNERS_3D], octahedron], axis=1)
+    return SimplexMesh(3, verts, children.reshape(-1, 4))
 
 
 def mesh_hierarchy(coarse, levels):

@@ -10,7 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import assembly, elements, linsolve
-from .quadrature import rule_for_degree
+from .quadrature import cell_weights, rule_for_degree
 
 
 # -- discrete fields ---------------------------------------------------------
@@ -206,13 +206,58 @@ def outward_flux_averages(mesh, grad_u, quad_degree=4):
 
 
 # -- drivers -----------------------------------------------------------------
+#
+# ECR = CR + cell bubbles, and the split is exact for every primal problem:
+# a bubble's gradient integrates to zero on its cell, so it is
+# stiffness-orthogonal to CR and has no column in the Stokes divergence, and
+# its facet averages (where Neumann data enter) vanish.  An ECR solution is
+# therefore the CR solution of the same load plus one closed-form bubble
+# coefficient per cell (Arnold & Brezzi, M2AN 19, 1985); no ECR system is
+# factorised.  The monolithic ECR assembly is kept as a test oracle only.
+
+def bubble_coefficients(mesh, f, quad_degree=assembly.DEFAULT_LOAD_DEGREE, ncomp=1):
+    """Per-cell bubble coefficients (f, phi_K)_K / ||grad phi_K||_K^2 of a
+    load: (nc,) or (nc, ncomp)."""
+    rule = rule_for_degree(mesh.dim, quad_degree)
+    bubble, _ = elements.bubble_eval_mesh(mesh, rule.points)
+    fv = assembly.load_values(mesh, f, rule, ncomp)
+    moments = np.einsum("cq,cq...->c...", bubble * cell_weights(mesh, rule), fv)
+    energy = elements.bubble_energy(mesh.dim, mesh.cell_measures, mesh.cell_H)
+    return moments / (energy if ncomp == 1 else energy[:, None])
+
+
+def _cr_load(mesh, f, family, quad_degree, ncomp=1):
+    """The load for the CR system and, for ECR, the bubble coefficients,
+    both from one sample of f (None for CR)."""
+    if family == "CR":
+        return f, None
+    if family != "ECR":
+        raise ValueError(f"primal problems support families CR and ECR, not {family!r}")
+    fv = assembly.load_values(mesh, f, rule_for_degree(mesh.dim, quad_degree), ncomp)
+    return fv, bubble_coefficients(mesh, fv, quad_degree, ncomp)
+
+
+def _with_bubbles(cr, bubbles):
+    """The ECR field CR + bubbles, per component: its facet averages are the
+    CR coefficients, its cell averages the bubble coefficient plus the mean
+    of the cell's CR facet coefficients.  The CR field itself for CR
+    (``bubbles`` None)."""
+    if bubbles is None:
+        return cr
+    mesh, ncomp = cr.mesh, cr.ncomp
+    dm = assembly.DofMap.build(mesh, "ECR", cr.dofmap.dirichlet, ncomp)
+    cells = bubbles.reshape(mesh.n_cells, ncomp) + cr.dofmap.gather(cr.coeffs).mean(axis=1)
+    coeffs = np.hstack([cr.coeffs.reshape(ncomp, -1), cells.T])
+    return BrokenField(dm, coeffs.ravel())
+
 
 def solve_poisson(mesh, f, family="ECR", quad_degree=assembly.DEFAULT_LOAD_DEGREE,
                   config=None):
-    """Homogeneous-Dirichlet Poisson by the CR or ECR method."""
-    A, b, dm = assembly.assemble_poisson(mesh, f, family, quad_degree)
-    x = linsolve.solve_spd(A, b, config)
-    return BrokenField(dm, x)
+    """Homogeneous-Dirichlet Poisson by the CR or ECR method; ECR is the CR
+    solve plus closed-form bubbles."""
+    load, bubbles = _cr_load(mesh, f, family, quad_degree)
+    A, b, dm = assembly.assemble_poisson(mesh, load, "CR", quad_degree)
+    return _with_bubbles(BrokenField(dm, linsolve.solve_spd(A, b, config)), bubbles)
 
 
 def solve_poisson_mixed(mesh, f, quad_degree=assembly.DEFAULT_LOAD_DEGREE,
@@ -225,10 +270,13 @@ def solve_poisson_mixed(mesh, f, quad_degree=assembly.DEFAULT_LOAD_DEGREE,
 
 def solve_stokes(mesh, f, family="ECR", quad_degree=assembly.DEFAULT_LOAD_DEGREE,
                  config=None):
-    """Stokes by the (CR/ECR)^n x P0 pair: (velocity, zero-mean pressure)."""
-    system, vel, prs = assembly.assemble_stokes(mesh, f, family, quad_degree)
+    """Stokes by the (CR/ECR)^n x P0 pair: (velocity, zero-mean pressure).
+    ECR is the CR solve plus closed-form bubbles in each velocity component,
+    with the CR pressure."""
+    load, bubbles = _cr_load(mesh, f, family, quad_degree, mesh.dim)
+    system, vel, prs = assembly.assemble_stokes(mesh, load, "CR", quad_degree)
     x, y, _ = linsolve.solve_saddle(system, config)
-    return BrokenField(vel, x), BrokenField(prs, y)
+    return _with_bubbles(BrokenField(vel, x), bubbles), BrokenField(prs, y)
 
 
 def solve_stokes_mixed(mesh, f, quad_degree=assembly.DEFAULT_LOAD_DEGREE,
@@ -245,13 +293,18 @@ def solve_neumann(mesh, f, g, form="ecr", quad_degree=assembly.DEFAULT_LOAD_DEGR
     """Pure-Neumann Poisson problem.
 
     ``form`` selects primal ECR/CR (returns the zero-mean BrokenField) or the
-    mixed RT0 method (returns (flux field, zero-mean displacement)).
+    mixed RT0 method (returns (flux field, zero-mean displacement)).  ECR is
+    the zero-mean CR solve plus closed-form bubbles, shifted by a constant
+    back to zero mean.
     """
     if form in ("ecr", "cr"):
-        system, dm = assembly.assemble_neumann_primal(mesh, f, g, form.upper(),
-                                                      quad_degree)
+        load, bubbles = _cr_load(mesh, f, form.upper(), quad_degree)
+        system, dm = assembly.assemble_neumann_primal(mesh, load, g, "CR", quad_degree)
         x, _, _ = linsolve.solve_saddle(system, config)
-        return BrokenField(dm, x)
+        u = _with_bubbles(BrokenField(dm, x), bubbles)
+        if bubbles is not None:
+            u.coeffs -= mesh.cell_measures @ u.cell_averages() / mesh.cell_measures.sum()
+        return u
     if form == "mixed":
         system, rt, p0, interior, sigma_bc = assembly.assemble_neumann_mixed(
             mesh, f, g, quad_degree)

@@ -9,6 +9,8 @@ from simplexfem.problems import (BrokenField, outward_flux_averages,
                                  quadratic_neumann_solution)
 from simplexfem.quadrature import facet_rule_for_degree, rule_for_degree
 
+from percell import cell_geometry, ecr_eval, rt0_eval
+
 
 def two_triangles():
     return build_box_mesh(2, 1)
@@ -106,9 +108,8 @@ def test_random_ecr_field_has_zero_facet_jumps(dim):
         for f in interior[:: max(1, len(interior) // 10)]:
             k0, k1 = mesh.facet_cells[f]
             pts = np.einsum("qk,ki->qi", frule.points, mesh.vertices[mesh.facets[f]])
-            from simplexfem.mesh import cell_geometry
-            vals0, _ = elements.ecr_eval(cell_geometry(mesh, k0), pts)
-            vals1, _ = elements.ecr_eval(cell_geometry(mesh, k1), pts)
+            vals0, _ = ecr_eval(cell_geometry(mesh, k0), pts)
+            vals1, _ = ecr_eval(cell_geometry(mesh, k1), pts)
             loc0 = dm.gather(v.coeffs)[k0, :, 0]
             loc1 = dm.gather(v.coeffs)[k1, :, 0]
             jump = fac * ((vals0 @ loc0 - vals1 @ loc1) * frule.weights).sum()
@@ -129,10 +130,8 @@ def test_rt_fields_have_continuous_normal_flux():
         pts_bary = np.array([[1 / 3, 1 / 3, 1 / 3]])
         # evaluate normal traces at the facet midpoint from both sides
         mid = mesh.facet_centroids[f]
-        from simplexfem.mesh import cell_geometry
-
-        vals0, _ = elements.rt0_eval(cell_geometry(mesh, k0), mesh.cell_facet_signs[k0], mid)
-        vals1, _ = elements.rt0_eval(cell_geometry(mesh, k1), mesh.cell_facet_signs[k1], mid)
+        vals0, _ = rt0_eval(cell_geometry(mesh, k0), mesh.cell_facet_signs[k0], mid)
+        vals1, _ = rt0_eval(cell_geometry(mesh, k1), mesh.cell_facet_signs[k1], mid)
         local0 = coeffs[rt.cell_dofs[k0]]
         local1 = coeffs[rt.cell_dofs[k1]]
         nu = mesh.facet_normals[f]

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from simplexfem import elements
-from simplexfem.mesh import SimplexMesh, build_box_mesh, cell_geometry, refine_uniform
+from simplexfem.mesh import SimplexMesh, build_box_mesh, refine_uniform
 from simplexfem.quadrature import (cell_weights, facet_rule_for_degree,
                                    physical_points, rule_for_degree)
+
+from percell import cell_geometry, cr_eval, ecr_eval, rt0_eval
 
 
 def reference_triangle():
@@ -34,7 +36,7 @@ def test_bubble_value_at_centroid():
     for dim in (2, 3):
         m = build_box_mesh(dim, 1)
         g = cell_geometry(m, 0)
-        vals, _ = elements.ecr_eval(g, g.centroid)
+        vals, _ = ecr_eval(g, g.centroid)
         assert vals[-1] == pytest.approx((dim + 2) / 2, abs=1e-14)
 
 
@@ -43,7 +45,7 @@ def test_bubble_closed_form_on_reference_triangle():
     g = cell_geometry(m, 0)
     rng = np.random.default_rng(1)
     pts = rng.uniform(0, 0.5, size=(20, 2))
-    vals, grads = elements.ecr_eval(g, pts)
+    vals, grads = ecr_eval(g, pts)
     rho2 = ((pts - 1 / 3) ** 2).sum(axis=1)
     assert np.allclose(vals[:, -1], 2 - 9 * rho2, atol=1e-14)
     assert np.allclose(grads[:, -1, :], -18 * (pts - 1 / 3), atol=1e-13)
@@ -87,10 +89,10 @@ def test_cr_value_one_at_own_facet_centroid():
     for local in range(3):
         fi = m.cell_facets[0, local]
         centroid = m.facet_centroids[fi]
-        vals, grads = elements.cr_eval(g, centroid)
+        vals, grads = cr_eval(g, centroid)
         assert vals[local] == pytest.approx(1.0, abs=1e-14)
         # gradients are constant per cell
-        vals2, grads2 = elements.cr_eval(g, centroid + 0.1)
+        vals2, grads2 = cr_eval(g, centroid + 0.1)
         assert np.allclose(grads, grads2, atol=1e-15)
 
 
@@ -113,12 +115,12 @@ def test_dof_duality_facet_and_cell_averages(dim):
         for local in range(dim + 1):
             fi = m.cell_facets[c, local]
             pts = facet_points(m, fi, frule)
-            vals, _ = elements.ecr_eval(g, pts)
+            vals, _ = ecr_eval(g, pts)
             avg = facet_average(m, fi, vals, frule)
             target = np.zeros(dim + 2)
             target[local] = 1.0
             assert np.abs(avg - target).max() < 1e-12
-            cr_vals, _ = elements.cr_eval(g, pts)
+            cr_vals, _ = cr_eval(g, pts)
             cr_avg = facet_average(m, fi, cr_vals, frule)
             cr_target = np.zeros(dim + 1)
             cr_target[local] = 1.0
@@ -135,7 +137,7 @@ def test_dof_duality_rt_fluxes(dim):
         for local in range(dim + 1):
             fi = m.cell_facets[c, local]
             pts = facet_points(m, fi, frule)
-            vecs, _ = elements.rt0_eval(g, signs, pts)
+            vecs, _ = rt0_eval(g, signs, pts)
             normal = m.facet_normals[fi]
             fluxes = facet_average(m, fi, vecs @ normal, frule) * m.facet_measures[fi]
             target = np.zeros(dim + 1)
@@ -171,7 +173,7 @@ def test_rt_basis_vanishes_at_opposite_vertex():
     signs = m.cell_facet_signs[0]
     for local in range(3):
         vertex = g.vertices[local]
-        vecs, _ = elements.rt0_eval(g, signs, vertex)
+        vecs, _ = rt0_eval(g, signs, vertex)
         assert np.abs(vecs[local]).max() < 1e-15
 
 
@@ -201,7 +203,7 @@ def test_bubble_normal_derivative_constant_per_facet(dim):
         for local in range(dim + 1):
             fi = m.cell_facets[c, local]
             pts = facet_points(m, fi, frule)[:5]
-            _, grads = elements.ecr_eval(g, pts)
+            _, grads = ecr_eval(g, pts)
             nd = grads[:, -1, :] @ m.facet_normals[fi]
             assert np.abs(nd - nd[0]).max() < 1e-12
 
@@ -270,13 +272,13 @@ def test_per_cell_evaluators_match_batch(dim):
              "rt0": elements.rt0_eval_mesh(m, bary)}
     for c in range(m.n_cells):
         g = cell_geometry(m, c)
-        vals, grads = elements.ecr_eval(g, x[c])
+        vals, grads = ecr_eval(g, x[c])
         assert np.allclose(vals, batch["ecr"][0][c], rtol=0, atol=1e-13)
         assert np.allclose(grads, batch["ecr"][1][c], rtol=0, atol=1e-12)
-        vals, grads = elements.cr_eval(g, x[c])
+        vals, grads = cr_eval(g, x[c])
         assert np.allclose(vals, batch["cr"][0], rtol=0, atol=1e-13)
         assert np.allclose(grads, batch["cr"][1][c], rtol=0, atol=1e-13)
-        vecs, divs = elements.rt0_eval(g, m.cell_facet_signs[c], x[c])
+        vecs, divs = rt0_eval(g, m.cell_facet_signs[c], x[c])
         assert np.allclose(vecs, batch["rt0"][0][c], rtol=0, atol=1e-13)
         assert np.array_equal(divs, batch["rt0"][1][c])
 

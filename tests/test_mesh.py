@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from simplexfem.mesh import (MeshError, SimplexMesh, build_box_mesh,
-                             cell_geometry, facet_geometry, mesh_hierarchy,
-                             read_mesh, refine_uniform, write_mesh)
+                             mesh_hierarchy, read_mesh, refine_uniform,
+                             write_mesh)
+
+from percell import cell_geometry, facet_geometry
 
 
 def test_box_mesh_2d_diagonal_counts():
@@ -172,3 +174,105 @@ def test_3d_refinement_shape_regularity():
         quality.append((radii / m.cell_diameters).min())
         m = refine_uniform(m)
     assert min(quality) > 0.9 * max(quality)
+
+
+# -- vectorised construction against the row-loop version ---------------------
+
+def refine_loop(mesh):
+    """Uniform refinement written one cell at a time, with row-wise
+    ``np.unique`` on the edges: the oracle for ``refine_uniform``."""
+    n = mesh.dim
+    cells = mesh.cells
+    if n == 2:
+        pair_cols = [(0, 1), (0, 2), (1, 2)]
+    else:
+        pair_cols = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    pairs = np.sort(np.stack([cells[:, list(p)] for p in pair_cols], axis=1), axis=2)
+    edges, inverse = np.unique(pairs.reshape(-1, 2), axis=0, return_inverse=True)
+    mid_ids = inverse.reshape(len(cells), len(pair_cols)) + mesh.n_vertices
+    verts = np.vstack([mesh.vertices, mesh.vertices[edges].mean(axis=1)])
+    children = []
+    for c in range(len(cells)):
+        v = cells[c]
+        if n == 2:
+            m01, m02, m12 = mid_ids[c]
+            children.extend([(v[0], m01, m02), (m01, v[1], m12),
+                             (m02, m12, v[2]), (m01, m12, m02)])
+            continue
+        m01, m02, m03, m12, m13, m23 = mid_ids[c]
+        children.extend([(v[0], m01, m02, m03), (m01, v[1], m12, m13),
+                         (m02, m12, v[2], m23), (m03, m13, m23, v[3])])
+        candidates = [(m01, m23, (m02, m03, m13, m12)),
+                      (m02, m13, (m01, m03, m23, m12)),
+                      (m03, m12, (m01, m02, m23, m13))]
+        best = None
+        for p, q, ring in candidates:
+            key = (float(np.linalg.norm(verts[p] - verts[q])), min(p, q), max(p, q))
+            if best is None or key < best[0]:
+                best = (key, p, q, ring)
+        _, p, q, ring = best
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            children.append((p, q, a, b))
+    return verts, np.array(children)
+
+
+def assert_same_mesh(m, verts, cells):
+    assert np.array_equal(m.vertices, verts)
+    assert np.array_equal(m.cells, SimplexMesh(m.dim, verts, cells).cells)
+    n = m.dim
+    keep = np.array([[j for j in range(n + 1) if j != i] for i in range(n + 1)])
+    local = np.sort(m.cells[:, keep], axis=2).reshape(-1, n)
+    facets, inverse = np.unique(local, axis=0, return_inverse=True)
+    assert np.array_equal(m.facets, facets)
+    assert np.array_equal(m.cell_facets, inverse.reshape(m.cells.shape))
+
+
+@pytest.mark.parametrize("dim,variant,levels", [(2, "diagonal", 5), (2, "crisscross", 5),
+                                                 (3, "diagonal", 3)])
+def test_refinement_is_bitwise_the_row_loop(dim, variant, levels):
+    m = build_box_mesh(dim, 1, variant)
+    for _ in range(levels):
+        verts, cells = refine_loop(m)
+        m = refine_uniform(m)
+        assert_same_mesh(m, verts, cells)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_refinement_of_a_perturbed_mesh_is_bitwise_the_row_loop(dim):
+    # distinct diagonal lengths: the 3D choice is decided by length alone
+    m = build_box_mesh(dim, 2)
+    rng = np.random.default_rng(dim)
+    m = SimplexMesh(dim, m.vertices + rng.uniform(-0.05, 0.05, m.vertices.shape), m.cells)
+    for _ in range(2):
+        verts, cells = refine_loop(m)
+        m = refine_uniform(m)
+        assert_same_mesh(m, verts, cells)
+
+
+def near_tie_tetrahedra(count, seed):
+    """Disjoint tetrahedra whose three octahedron diagonals (after one
+    refinement) are the component rotations of one vector, so their lengths
+    tie up to rounding, and the rounding of the length expression decides
+    which diagonal is cut."""
+    rng = np.random.default_rng(seed)
+    verts = []
+    for i in range(count):
+        p = rng.uniform(0.5, 2.0, 3)
+        q, r = np.roll(p, 1), np.roll(p, 2)
+        verts.append(np.array([p + q, p - r, q - r, np.zeros(3)]) + 10.0 * i)
+    return SimplexMesh(3, np.vstack(verts), np.arange(4 * count).reshape(count, 4))
+
+
+def test_near_tie_diagonals_are_chosen_as_the_row_loop_does():
+    # sqrt((d * d).sum()) picks another diagonal than the loop's
+    # np.linalg.norm on a few percent of these cells
+    m = near_tie_tetrahedra(300, seed=0)
+    verts, cells = refine_loop(m)
+    assert_same_mesh(refine_uniform(m), verts, cells)
+
+
+def test_repeated_vertex_reports_the_first_bad_cell():
+    cells = [[0, 1, 2], [1, 1, 3], [2, 3, 3]]
+    verts = [[0, 0], [1, 0], [0, 1], [1, 1]]
+    with pytest.raises(MeshError, match=r"repeated vertex index\): \[1, 1, 3\]"):
+        SimplexMesh(2, verts, cells)
