@@ -6,6 +6,13 @@ superconvergence diagnostic.
 
 All checks require piecewise-constant loads (cellwise arrays or scalars);
 callables must be projected first, see ``require_piecewise_constant``.
+
+Every field an identity compares has the RT0 shape c_K + r_K (x - mid K) on
+each cell: ``BrokenField.gradient_parts`` and ``RTField.affine_parts`` give
+(c, r) in closed form, each side from its own element.  So no check needs
+quadrature: L2 norms are exact closed forms (``_affine_l2``) and the
+``pointwise`` residuals and jump-gate scales are exact sups, taken at the
+vertices (``_vertex_sup``).
 """
 
 from __future__ import annotations
@@ -16,8 +23,7 @@ import numpy as np
 
 from . import analysis, assembly, elements, problems
 from .assembly import DataError
-from .quadrature import (cell_weights, integrate_cellwise, physical_points,
-                         rule_for_degree)
+from .quadrature import cell_weights, physical_points, rule_for_degree
 
 IDENTITY_TOL = 1e-9
 STOKES_TOL = 1e-8
@@ -114,26 +120,6 @@ def project_p0(source, mesh, quad_degree=8):
     return problems.BrokenField(p0, np.asarray(avg))
 
 
-def broken_gradient_parts(u):
-    """Cellwise representation grad u|_K = g_K + r_K (x - mid K) of a broken
-    ECR/CR gradient: returns (g (nc, n), r (nc,)) for a scalar field and
-    (g (nc, ncomp, n), r (nc, ncomp)) for an ncomp-component one."""
-    dm = u.dofmap
-    mesh = u.mesh
-    n = mesh.dim
-    local = dm.gather(u.coeffs)                       # (nc, n+1[+1], ncomp)
-    cr_part = local[:, : n + 1]
-    g = -n * np.einsum("car,can->crn", cr_part, mesh.barycentric_gradients)
-    if dm.family == "ECR":
-        strength = elements.bubble_strength(n, mesh.cell_H)
-        r = -(local[:, n + 1] - cr_part.sum(axis=1) / (n + 1)) * strength[:, None]
-    else:
-        r = np.zeros((mesh.n_cells, u.ncomp))
-    if u.ncomp == 1:
-        return g[:, 0], r[:, 0]
-    return g, r
-
-
 def _normal_traces(mesh, g, r):
     """Canonical-normal traces of g_K + r_K (x - mid K) on each facet of each
     cell (constant per facet): (nc, n+1) for g (nc, n), r (nc,), and
@@ -153,15 +139,38 @@ def _max_interior_jump(mesh, traces):
     return float(np.abs(plus - minus).max()) if len(interior) else 0.0
 
 
+def _affine_l2(mesh, c, r):
+    """Exact L2 norm of the cellwise affine field c_K + r_K (x - mid K), a
+    vector field (c (nc, n), r (nc,)) or tensor rows (c (nc, ncomp, n),
+    r (nc, ncomp)).  x - mid K integrates to zero on K, so the square norm
+    on K is |K| |c_K|^2 + |r_K|^2 tr S_K, S_K the centred second moment."""
+    nc = mesh.n_cells
+    trace_s = np.einsum("cii->c", mesh.cell_second_moments)
+    sq = (mesh.cell_measures @ (c ** 2).reshape(nc, -1).sum(axis=1)
+          + trace_s @ (r ** 2).reshape(nc, -1).sum(axis=1))
+    return float(np.sqrt(sq))
+
+
+def _vertex_sup(mesh, c, r):
+    """Exact largest |entry| of the cellwise affine field c_K + r_K (x - mid K)
+    (shapes as in ``_affine_l2``): every entry is affine on K, so its sup
+    over K is taken at a vertex."""
+    dx = mesh.vertices[mesh.cells] - mesh.cell_centroids[:, None]   # (nc, n+1, n)
+    return float(np.abs(c[:, None] + np.einsum("c...,ckn->ck...n", r, dx)).max())
+
+
+def _compare(mesh, a, b, norm):
+    """(norm(a - b), norm(a), norm(b)) for two cellwise affine fields given
+    by their (c, r) parts; ``norm`` is ``_affine_l2`` or ``_vertex_sup``."""
+    return norm(mesh, a[0] - b[0], a[1] - b[1]), norm(mesh, *a), norm(mesh, *b)
+
+
 def normal_jump_of_gradient(u):
     """Max interior jump of the (constant-per-facet) normal trace of the
-    broken gradient, plus the sup norm of the gradient for scaling."""
+    broken gradient, plus the exact sup norm of the gradient for scaling."""
     mesh = u.mesh
-    max_jump = _max_interior_jump(mesh, _normal_traces(mesh, *broken_gradient_parts(u)))
-    rule = rule_for_degree(mesh.dim, 4)
-    vals = u.gradients(rule.points)
-    sup = float(np.abs(vals).max())
-    return max_jump, sup
+    g, r = u.gradient_parts()
+    return _max_interior_jump(mesh, _normal_traces(mesh, g, r)), _vertex_sup(mesh, g, r)
 
 
 def _facet_side_views(mesh, per_cell_facet, facet_ids):
@@ -185,13 +194,14 @@ def ecr_gradient_as_rt(u, jump_tol=JUMP_TOL):
     mesh = u.mesh
     if u.dofmap.family != "ECR" or u.ncomp != 1:
         raise ValueError("ecr_gradient_as_rt expects a scalar ECR field")
-    fluxes = (mesh.facet_measures[mesh.cell_facets]
-              * _normal_traces(mesh, *broken_gradient_parts(u)))
-    max_jump, sup = normal_jump_of_gradient(u)
+    g, r = u.gradient_parts()
+    traces = _normal_traces(mesh, g, r)
+    max_jump, sup = _max_interior_jump(mesh, traces), _vertex_sup(mesh, g, r)
     if max_jump > jump_tol * max(sup, 1e-300):
         raise DataError(f"normal jump {max_jump:.3e} exceeds {jump_tol:.1e} x "
                         f"sup|grad| = {jump_tol * sup:.3e}; not an "
                         "equivalence-mode solution")
+    fluxes = mesh.facet_measures[mesh.cell_facets] * traces
     coeffs = np.zeros(mesh.n_facets)
     counts = np.zeros(mesh.n_facets)
     np.add.at(coeffs, mesh.cell_facets.ravel(), fluxes.ravel())
@@ -200,24 +210,26 @@ def ecr_gradient_as_rt(u, jump_tol=JUMP_TOL):
     return problems.RTField(rt, coeffs / counts)
 
 
+def _pseudostress(g, r, pressure):
+    """(c, r) parts of the tensor (g + r (x - mid K)) + p id."""
+    return g + pressure.coeffs[:, None, None] * np.eye(g.shape[-1]), r
+
+
+def _trace_mean_gauge(mesh, parts):
+    """Shift a tensor field by the constant s id with int tr(T - s id) = 0,
+    where int tr T = sum_K |K| tr c_K; returns (shifted parts, s)."""
+    c, r = parts
+    n = mesh.dim
+    s = float(mesh.cell_measures @ np.einsum("crr->c", c)) / (n * mesh.cell_measures.sum())
+    return (c - s * np.eye(n), r), s
+
+
 def stokes_tensor_normal_jump(vel, pressure):
     """Max interior jump of the row-wise normal traces of
-    grad_NC u + p id (constant per facet), plus the tensor sup norm."""
+    grad_NC u + p id (constant per facet), plus the exact tensor sup norm."""
     mesh = vel.mesh
-    normals = mesh.facet_normals[mesh.cell_facets]   # (nc, n+1, n)
-    traces = (_normal_traces(mesh, *broken_gradient_parts(vel))
-              + pressure.coeffs[:, None, None] * normals)
-    max_jump = _max_interior_jump(mesh, traces)
-    rule = rule_for_degree(mesh.dim, 4)
-    sup = float(np.abs(_pseudostress_from_primal(vel, pressure, rule)).max())
-    return max_jump, sup
-
-
-def _l2_diff(mesh, a_vals, b_vals, rule):
-    na = analysis.l2_norm_of_values(mesh, a_vals, rule)
-    nb = analysis.l2_norm_of_values(mesh, b_vals, rule)
-    d = analysis.l2_norm_of_values(mesh, a_vals - b_vals, rule)
-    return d, na, nb
+    g, r = _pseudostress(*vel.gradient_parts(), pressure)
+    return _max_interior_jump(mesh, _normal_traces(mesh, g, r)), _vertex_sup(mesh, g, r)
 
 
 def _p0_l2_diff(mesh, a, b):
@@ -241,8 +253,8 @@ def check_poisson_identity(mesh, f_pc, level=-1, tol=IDENTITY_TOL, config=None):
     sigma, u_rt = problems.solve_poisson_mixed(mesh, f, config=config)
 
     report = IdentityReport("poisson", level=level, tolerance=tol)
-    rule = rule_for_degree(mesh.dim, 4)
-    d, na, nb = _l2_diff(mesh, sigma.values(rule.points), u.gradients(rule.points), rule)
+    grad = u.gradient_parts()
+    d, na, nb = _compare(mesh, sigma.affine_parts(), grad, _affine_l2)
     report.record("sigma_vs_grad", d, na, nb)
     report.extra["sigma_norm"] = na
     d, na, nb = _p0_l2_diff(mesh, u_rt.coeffs, u.cell_averages())
@@ -254,34 +266,13 @@ def check_poisson_identity(mesh, f_pc, level=-1, tol=IDENTITY_TOL, config=None):
     report.extra["grad_sup_norm"] = sup
     report.extra["jump_pass"] = bool(max_jump <= JUMP_TOL * max(sup, 1e-300))
 
-    _, r = broken_gradient_parts(u)
-    div_err = float(np.abs(mesh.dim * r + f).max())
+    div_err = float(np.abs(mesh.dim * grad[1] + f).max())
     report.extra["div_plus_f_max"] = div_err
     report.extra["div_pass"] = bool(div_err <= DIV_TOL * max(1.0, np.abs(f).max()))
     return report.finalize()
 
 
 # -- Stokes ------------------------------------------------------------------
-
-def _pseudostress_from_primal(vel, pressure, rule):
-    """Tensor values grad_NC u + p id at quadrature points."""
-    mesh = vel.mesh
-    n = mesh.dim
-    tens = vel.gradients(rule.points).copy()        # (nc, Q, n, n)
-    pvals = pressure.values(rule.points)
-    tens += pvals[:, :, None, None] * np.eye(n)
-    return tens
-
-
-def _trace_mean_shift(mesh, tensor_vals, rule):
-    """Shift constant c with int tr(T - c id) = 0; returns (shifted, c)."""
-    n = mesh.dim
-    tr = np.einsum("cqrr->cq", tensor_vals)
-    total = float(np.einsum("cq,cq->", cell_weights(mesh, rule), tr))
-    volume = float(mesh.cell_measures.sum())
-    c = total / (n * volume)
-    return tensor_vals - c * np.eye(n), c
-
 
 def check_stokes_identity(mesh, f_pc, level=-1, tol=STOKES_TOL, config=None):
     """Certify the pseudostress identity sigma_RT = grad_NC u_ECR + p id
@@ -293,20 +284,23 @@ def check_stokes_identity(mesh, f_pc, level=-1, tol=STOKES_TOL, config=None):
     sigma, u_rt = problems.solve_stokes_mixed(mesh, f, config=config)
 
     report = IdentityReport("stokes", level=level, tolerance=tol)
-    rule = rule_for_degree(mesh.dim, 4)
-    primal_tens, shift_p = _trace_mean_shift(mesh, _pseudostress_from_primal(vel, pressure, rule), rule)
-    mixed_tens, shift_m = _trace_mean_shift(mesh, sigma.values(rule.points), rule)
-    d, na, nb = _l2_diff(mesh, mixed_tens, primal_tens, rule)
+    g, rad = vel.gradient_parts()
+    primal, shift_p = _trace_mean_gauge(mesh, _pseudostress(g, rad, pressure))
+    mixed, shift_m = _trace_mean_gauge(mesh, sigma.affine_parts())
+    d, na, nb = _compare(mesh, mixed, primal, _affine_l2)
     report.record("tensor_identity", d, na, nb)
     report.extra["sigma_norm"] = na
     report.extra["gauge_shift_primal"] = shift_p
     report.extra["gauge_shift_mixed"] = shift_m
 
-    # weak relation: (u_RT - Pi0 u_ECR, div tau) = (div_NC u_ECR, tr tau / n)
-    w = cell_weights(mesh, rule)
-    rt_vals, _ = elements.rt0_eval_mesh(mesh, rule.points)
-    div_vals = vel.divergence(rule.points)
-    contrib = np.einsum("cq,cqin,cq->cin", div_vals, rt_vals, w) / n
+    # weak relation: (u_RT - Pi0 u_ECR, div tau) = (div_NC u_ECR, tr tau / n).
+    # On K, div_NC u = delta + rho . (x - mid K) with delta = tr g, rho = rad,
+    # and psi_i = int_K psi_i / |K| + s_i (x - mid K) / (n|K|), so
+    # int_K div_NC u psi_i = delta int_K psi_i + s_i S_K rho / (n|K|).
+    delta = np.einsum("crr->c", g)
+    radial = mesh.cell_facet_signs / (n * mesh.cell_measures[:, None])
+    contrib = (delta[:, None, None] * elements.rt0_moment(mesh)
+               + np.einsum("ci,cmk,ck->cim", radial, mesh.cell_second_moments, rad)) / n
     lhs_cell = u_rt.coeffs.reshape(n, mesh.n_cells).T - vel.cell_averages()
     t_weak = np.zeros((n, mesh.n_facets))
     t_div = np.zeros((n, mesh.n_facets))
@@ -318,13 +312,12 @@ def check_stokes_identity(mesh, f_pc, level=-1, tol=STOKES_TOL, config=None):
     weak_resid = float(np.abs(t_div - t_weak).max())
     report.record("weak_l_relation", weak_resid, scale, scale)
 
-    proj_div = integrate_cellwise(mesh, div_vals, rule) / mesh.cell_measures
-    report.extra["projected_divergence_max"] = float(np.abs(proj_div).max())
+    report.extra["projected_divergence_max"] = float(np.abs(delta).max())
 
     max_jump, sup = stokes_tensor_normal_jump(vel, pressure)
     report.max_normal_jump = max_jump
     report.extra["tensor_sup_norm"] = sup
-    report.extra["jump_pass"] = bool(max_jump <= 1e-10 * max(sup, 1e-300))
+    report.extra["jump_pass"] = bool(max_jump <= JUMP_TOL * max(sup, 1e-300))
     return report.finalize()
 
 
@@ -338,18 +331,13 @@ def check_marini_identity(mesh, f_pc, level=-1, tol=IDENTITY_TOL, config=None):
     u_cr = problems.solve_poisson(mesh, f, "CR", config=config)
     sigma, _ = problems.solve_poisson_mixed(mesh, f, config=config)
 
-    rule = rule_for_degree(2, 4)
-    x = physical_points(mesh, rule.points)
-    radial = x - mesh.cell_centroids[:, None, :]
-    predicted = u_cr.gradients(rule.points) - 0.5 * f[:, None, None] * radial
-    actual = sigma.values(rule.points)
+    g, r = u_cr.gradient_parts()
+    predicted = (g, r - 0.5 * f)
+    actual = sigma.affine_parts()
 
     report = IdentityReport("marini", level=level, tolerance=tol)
-    d, na, nb = _l2_diff(mesh, actual, predicted, rule)
-    report.record("l2", d, na, nb)
-    sup_a = float(np.abs(actual).max())
-    sup_b = float(np.abs(predicted).max())
-    report.record("pointwise", float(np.abs(actual - predicted).max()), sup_a, sup_b)
+    report.record("l2", *_compare(mesh, actual, predicted, _affine_l2))
+    report.record("pointwise", *_compare(mesh, actual, predicted, _vertex_sup))
     return report.finalize()
 
 
@@ -374,20 +362,13 @@ def check_cgs_identity(mesh, f_pc, level=-1, tol=IDENTITY_TOL, config=None):
     vel, pressure = problems.solve_stokes(mesh, f, "CR", config=config)
     sigma, u_rt = problems.solve_stokes_mixed(mesh, f, config=config)
 
-    rule = rule_for_degree(2, 4)
-    x = physical_points(mesh, rule.points)
-    radial = x - mesh.cell_centroids[:, None, :]
-    tens = vel.gradients(rule.points).copy()
-    tens -= 0.5 * np.einsum("cr,cqs->cqrs", f, radial)
-    tens += pressure.values(rule.points)[:, :, None, None] * np.eye(2)
-    tens, shift_p = _trace_mean_shift(mesh, tens, rule)
-    actual, shift_m = _trace_mean_shift(mesh, sigma.values(rule.points), rule)
+    g, r = vel.gradient_parts()
+    tens, shift_p = _trace_mean_gauge(mesh, _pseudostress(g, r - 0.5 * f, pressure))
+    actual, shift_m = _trace_mean_gauge(mesh, sigma.affine_parts())
 
     report = IdentityReport("cgs", level=level, tolerance=tol)
-    d, na, nb = _l2_diff(mesh, actual, tens, rule)
-    report.record("tensor_l2", d, na, nb)
-    report.record("tensor_pointwise", float(np.abs(actual - tens).max()),
-                  float(np.abs(actual).max()), float(np.abs(tens).max()))
+    report.record("tensor_l2", *_compare(mesh, actual, tens, _affine_l2))
+    report.record("tensor_pointwise", *_compare(mesh, actual, tens, _vertex_sup))
     report.extra["gauge_shift_primal"] = shift_p
     report.extra["gauge_shift_mixed"] = shift_m
 
@@ -424,7 +405,6 @@ def check_eigen_equivalence(mesh, k=3, level=-1, tol_lambda=1e-10,
     report.extra["lambda_tolerance"] = tol_lambda
     lam_pass = lam_err <= tol_lambda * max(np.abs(lam_m).max(), 1e-300)
 
-    rule = rule_for_degree(mesh.dim, 4)
     gaps = np.abs(np.diff(lam_m)) / np.abs(lam_m[:-1]) if k > 1 else np.array([])
     for j in range(k):
         simple = ((j == 0 or gaps[j - 1] > 1e-6)
@@ -441,8 +421,8 @@ def check_eigen_equivalence(mesh, k=3, level=-1, tol_lambda=1e-10,
         s_e = _align_sign(proj, anchor)
         d, na, nb = _p0_l2_diff(mesh, s_m * u_rt, s_e * proj)
         report.record(f"u_identity_{j}", d, na, nb)
-        d, na, nb = _l2_diff(mesh, s_m * mixed[j].sigma.values(rule.points),
-                             s_e * phi.gradients(rule.points), rule)
+        d, na, nb = _compare(mesh, [s_m * a for a in mixed[j].sigma.affine_parts()],
+                             [s_e * a for a in phi.gradient_parts()], _affine_l2)
         report.record(f"sigma_identity_{j}", d, na, nb)
     report.finalize()
     report.passed = bool(report.passed and lam_pass)

@@ -38,8 +38,6 @@ class SolverError(RuntimeError):
 @dataclass(frozen=True)
 class SolverConfig:
     tolerance: float = 1e-12
-    max_iterations: int = 2000
-    shift: float = 0.0
     dense_cutoff: int = 2000
     seed: int = 0
 
@@ -159,6 +157,8 @@ def solve_saddle(system, config=None):
 
 
 _EXTRA_PAIRS = 3                # pairs ARPACK computes beyond the k returned
+_EIG_SHIFT = 0.0                # shift-invert target: the smallest eigenvalues
+_EIG_MAXITER = 2000             # ARPACK restart limit
 
 
 def _eig_dense(A, M, J, k):
@@ -197,8 +197,8 @@ def _eig_sparse(A, M, k, n_pairs, ncv, config):
     rng = np.random.default_rng(config.seed)
     v0 = rng.standard_normal(A.shape[0])
     try:
-        lams, X = sla.eigsh(A, k=n_pairs, M=M, sigma=config.shift, which="LM",
-                            v0=v0, ncv=ncv, maxiter=config.max_iterations)
+        lams, X = sla.eigsh(A, k=n_pairs, M=M, sigma=_EIG_SHIFT, which="LM",
+                            v0=v0, ncv=ncv, maxiter=_EIG_MAXITER)
     except RuntimeError as exc:        # ARPACK failure or a singular factor
         raise SolverError(f"eigensolver failed: {exc}") from exc
     order = np.argsort(lams)[:k]

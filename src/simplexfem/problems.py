@@ -10,7 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import assembly, elements, linsolve
-from .quadrature import cell_weights, rule_for_degree
+from .quadrature import cell_weights, physical_points, rule_for_degree
 
 
 # -- discrete fields ---------------------------------------------------------
@@ -39,45 +39,43 @@ class BrokenField:
         mesh = self.mesh
         fam = self.dofmap.family
         if fam == "ECR":
-            return elements.ecr_eval_mesh(mesh, bary)
+            return elements.ecr_eval_mesh(mesh, bary)[0]
         if fam == "CR":
-            vals, grads = elements.cr_eval_mesh(mesh, bary)
-            vals = np.broadcast_to(vals[None], (mesh.n_cells,) + vals.shape)
-            grads = np.broadcast_to(grads[:, None, :, :],
-                                    (mesh.n_cells, len(bary)) + grads.shape[1:])
-            return vals, grads
+            vals, _ = elements.cr_eval_mesh(mesh, bary)
+            return np.broadcast_to(vals[None], (mesh.n_cells,) + vals.shape)
         if fam == "P0":
-            nc, q = mesh.n_cells, len(bary)
-            return (np.ones((nc, q, 1)), np.zeros((nc, q, 1, mesh.dim)))
+            return np.ones((mesh.n_cells, len(bary), 1))
         raise ValueError(f"BrokenField does not support family {fam!r}")
 
     def values(self, bary):
         """(nc, Q) for scalar fields, (nc, Q, ncomp) for vector fields."""
-        vals, _ = self._basis(np.asarray(bary))
         local = self.dofmap.gather(self.coeffs)
-        out = np.einsum("cqa,car->cqr", vals, local)
+        out = np.einsum("cqa,car->cqr", self._basis(np.asarray(bary)), local)
         return out[:, :, 0] if self.ncomp == 1 else out
+
+    def gradient_parts(self):
+        """Cellwise representation grad u|_K = g_K + r_K (x - mid K) of the
+        broken gradient of a CR/ECR field: (g (nc, n), r (nc,)) for a scalar
+        field and (g (nc, ncomp, n), r (nc, ncomp)) for an ncomp-component
+        one; r = 0 for CR."""
+        mesh, n, fam = self.mesh, self.mesh.dim, self.dofmap.family
+        if fam not in ("CR", "ECR"):
+            raise ValueError(f"gradient parts need a CR or ECR field, not {fam!r}")
+        local = self.dofmap.gather(self.coeffs)            # (nc, n+1[+1], ncomp)
+        cr_part = local[:, : n + 1]
+        g = -n * np.einsum("car,can->crn", cr_part, mesh.barycentric_gradients)
+        if fam == "ECR":
+            strength = elements.bubble_strength(n, mesh.cell_H)
+            r = -(local[:, n + 1] - cr_part.sum(axis=1) / (n + 1)) * strength[:, None]
+        else:
+            r = np.zeros((mesh.n_cells, self.ncomp))
+        return (g[:, 0], r[:, 0]) if self.ncomp == 1 else (g, r)
 
     def gradients(self, bary):
         """(nc, Q, n) for scalar fields, (nc, Q, ncomp, n) for vector."""
-        bary = np.asarray(bary)
-        if self.dofmap.family == "CR":
-            _, grads = elements.cr_eval_mesh(self.mesh, bary)
-            local = self.dofmap.gather(self.coeffs)
-            out = np.einsum("can,car->crn", grads, local)
-            out = np.broadcast_to(out[:, None], (out.shape[0], len(bary)) + out.shape[1:])
-        else:
-            _, grads = self._basis(bary)
-            local = self.dofmap.gather(self.coeffs)
-            out = np.einsum("cqan,car->cqrn", grads, local)
-        return out[:, :, 0, :] if self.ncomp == 1 else out
-
-    def divergence(self, bary):
-        """Broken divergence of a vector field: (nc, Q)."""
-        if self.ncomp != self.mesh.dim:
-            raise ValueError("divergence needs an n-component field")
-        g = self.gradients(bary)
-        return np.einsum("cqrr->cq", g)
+        g, r = self.gradient_parts()
+        dx = physical_points(self.mesh, np.asarray(bary)) - self.mesh.cell_centroids[:, None]
+        return g[:, None] + np.einsum("c...,cqn->cq...n", r, dx)
 
     def cell_averages(self):
         """Exact cellwise averages: (nc,) or (nc, ncomp)."""
@@ -128,16 +126,16 @@ class RTField:
         out = np.einsum("ci,cir->cr", signs, local) / self.mesh.cell_measures[:, None]
         return out[:, 0] if self.ncomp == 1 else out
 
-    def cell_radial_coefficients(self):
-        """Radial part r_K with field = const + r_K (x - anything): div/n."""
-        return self.cell_divergence() / self.mesh.dim
-
-    def trace_values(self, bary):
-        """Pointwise trace of a tensor field: (nc, Q)."""
-        if self.ncomp != self.mesh.dim:
-            raise ValueError("trace needs a tensor field")
-        v = self.values(bary)
-        return np.einsum("cqrr->cq", v)
+    def affine_parts(self):
+        """Cellwise representation field|_K = c_K + r_K (x - mid K) from RT0
+        geometry only: c_K = sum_i x_i int_K psi_i / |K| and r_K = div / n.
+        (c (nc, n), r (nc,)) for a vector field, (c (nc, ncomp, n),
+        r (nc, ncomp)) rows for a tensor field."""
+        local = self.dofmap.gather(self.coeffs)        # (nc, n+1, ncomp)
+        c = (np.einsum("cir,cin->crn", local, elements.rt0_moment(self.mesh))
+             / self.mesh.cell_measures[:, None, None])
+        r = self.cell_divergence() / self.mesh.dim
+        return (c[:, 0], r) if self.ncomp == 1 else (c, r)
 
 
 @dataclass(frozen=True)
@@ -188,20 +186,14 @@ def quadratic_neumann_solution(dim):
     return ExactSolution(f"quadratic{dim}d", u, grad, f)
 
 
-def outward_flux_averages(mesh, grad_u, quad_degree=4):
+def outward_flux_averages(mesh, grad_u):
     """Facet averages of grad_u . nu_out on boundary facets, zero elsewhere;
     signs follow the canonical facet orientation bookkeeping."""
-    from .quadrature import facet_rule_for_degree
-    import math
-
-    rule = facet_rule_for_degree(mesh.dim, quad_degree)
+    avg = assembly.facet_averages_of(mesh, lambda x: np.einsum(
+        "fqi,fi->fq", np.asarray(grad_u(x), dtype=float), mesh.facet_normals))
     bnd = mesh.boundary_facet_indices()
-    pts = np.einsum("qk,fki->fqi", rule.points, mesh.vertices[mesh.facets[bnd]])
-    vals = np.einsum("fqi,fi->fq", np.asarray(grad_u(pts), dtype=float),
-                     mesh.facet_normals[bnd])
-    avg = math.factorial(mesh.dim - 1) * vals @ rule.weights
     out = np.zeros(mesh.n_facets)
-    out[bnd] = mesh.boundary_facet_signs() * avg
+    out[bnd] = mesh.boundary_facet_signs() * avg[bnd]
     return out
 
 

@@ -157,7 +157,7 @@ def test_stokes_residuals():
     mesh = refine_uniform(two_triangles())
     vel, p = solve_stokes(mesh, (1.0, 0.0))
     rule = rule_for_degree(2, 4)
-    div = vel.divergence(rule.points)
+    div = np.einsum("cqrr->cq", vel.gradients(rule.points))
     proj = integrate_cellwise(mesh, div, rule) / mesh.cell_measures
     q = proj - (proj * mesh.cell_measures).sum()   # zero-mean test residual
     assert np.abs(proj - proj.mean()).max() < 1e-10
@@ -197,7 +197,7 @@ def test_pseudostress_constraints():
     div = sigma.cell_divergence()              # (nc, 2)
     assert np.abs(div + np.array(f)).max() < 1e-10
     rule = rule_for_degree(2, 2)
-    tr = integrate(mesh, sigma.trace_values(rule.points), rule)
+    tr = integrate(mesh, np.einsum("cqrr->cq", sigma.values(rule.points)), rule)
     assert abs(tr) < 1e-10
 
 

@@ -185,9 +185,11 @@ def test_rt_side_never_touches_cr_or_ecr(monkeypatch):
         mesh = level(dim, 1)
         fix = problems.quadratic_neumann_solution(dim)
         g = problems.outward_flux_averages(mesh, fix.grad)
-        problems.solve_poisson_mixed(mesh, 1.0)
-        problems.solve_stokes_mixed(mesh, np.ones(dim))
-        solve_neumann(mesh, fix.f, g, form="mixed")
-        problems.solve_eigen(mesh, "RT-mixed", k=2)
+        sigmas = [problems.solve_poisson_mixed(mesh, 1.0)[0],
+                  problems.solve_stokes_mixed(mesh, np.ones(dim))[0],
+                  solve_neumann(mesh, fix.f, g, form="mixed")[0],
+                  problems.solve_eigen(mesh, "RT-mixed", k=2)[0].sigma]
+        for sigma in sigmas:
+            sigma.affine_parts()
     with pytest.raises(AssertionError):
         solve_poisson(level(2, 1), 1.0, "ECR")

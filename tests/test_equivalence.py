@@ -1,16 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from simplexfem import analysis, assembly, equivalence, problems
+from simplexfem import analysis, assembly, elements, equivalence, problems
 from simplexfem.assembly import DataError, DofMap
-from simplexfem.equivalence import (check_cgs_identity, check_eigen_equivalence,
-                                    check_marini_identity, check_poisson_identity,
-                                    check_stokes_identity, ecr_gradient_as_rt,
-                                    eigen_error_comparison, project_p0)
+from simplexfem.equivalence import (IDENTITY_TOL, STOKES_TOL, check_cgs_identity,
+                                    check_eigen_equivalence, check_marini_identity,
+                                    check_poisson_identity, check_stokes_identity,
+                                    ecr_gradient_as_rt, eigen_error_comparison,
+                                    project_p0)
 from simplexfem.linsolve import SolverConfig
 from simplexfem.mesh import SimplexMesh, build_box_mesh, mesh_hierarchy, refine_uniform
-from simplexfem.problems import BrokenField, sine_solution, solve_poisson
-from simplexfem.quadrature import physical_points, rule_for_degree
+from simplexfem.problems import BrokenField, RTField, sine_solution, solve_poisson
+from simplexfem.quadrature import integrate, physical_points, rule_for_degree
 
 
 def level(dim, n):
@@ -18,6 +21,208 @@ def level(dim, n):
     for _ in range(n):
         m = refine_uniform(m)
     return m
+
+
+def jiggled(dim, seed=0, n=1):
+    """The n-times refined box mesh with every vertex moved a little, so
+    that cells differ in shape and measure."""
+    base = level(dim, n)
+    rng = np.random.default_rng(seed)
+    return SimplexMesh(dim, base.vertices + rng.uniform(-0.05, 0.05, base.vertices.shape),
+                       base.cells)
+
+
+def affine_at(mesh, c, r, bary):
+    """c_K + r_K (x - mid K) sampled at barycentric points: (nc, Q, ..., n)."""
+    dx = physical_points(mesh, bary) - mesh.cell_centroids[:, None]
+    return c[:, None] + np.einsum("c...,cqn->cq...n", r, dx)
+
+
+# -- closed-form norms and sups, and the affine parts of each field ----------------
+
+def lattice(dim, m):
+    """Barycentric points with coordinates in {0, 1/m, ..., 1}, vertices
+    included."""
+    return np.array([p for p in itertools.product(range(m + 1), repeat=dim + 1)
+                     if sum(p) == m], dtype=float) / m
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("tensor", [False, True])
+def test_closed_form_norm_and_sup_match_sampling(dim, tensor):
+    mesh = jiggled(dim)
+    rng = np.random.default_rng(10 * dim + tensor)
+    rows = (mesh.n_cells, dim) if tensor else (mesh.n_cells,)
+    c, r = rng.standard_normal(rows + (dim,)), rng.standard_normal(rows)
+    rule = rule_for_degree(dim, 4)
+    quad = analysis.l2_norm_of_values(mesh, affine_at(mesh, c, r, rule.points), rule)
+    assert equivalence._affine_l2(mesh, c, r) == pytest.approx(quad, rel=1e-12)
+    sup = equivalence._vertex_sup(mesh, c, r)
+    assert np.abs(affine_at(mesh, c, r, lattice(dim, 6))).max() == pytest.approx(sup, rel=1e-14)
+    inside = rng.dirichlet(np.ones(dim + 1), 500)
+    assert np.abs(affine_at(mesh, c, r, inside)).max() <= sup
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_trace_mean_gauge_matches_quadrature(dim):
+    mesh = jiggled(dim)
+    rng = np.random.default_rng(dim)
+    c = rng.standard_normal((mesh.n_cells, dim, dim))
+    r = rng.standard_normal((mesh.n_cells, dim))
+    (c0, r0), s = equivalence._trace_mean_gauge(mesh, (c, r))
+    rule = rule_for_degree(dim, 1)
+    trace = np.einsum("cqrr->cq", affine_at(mesh, c, r, rule.points))
+    assert s * dim * mesh.cell_measures.sum() == pytest.approx(integrate(mesh, trace, rule),
+                                                             rel=1e-13)
+    assert np.array_equal(c0, c - s * np.eye(dim))
+    assert r0 is r
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_rt_affine_parts_match_basis_values(dim):
+    mesh = jiggled(dim, seed=1)
+    rng = np.random.default_rng(dim)
+    bary = rule_for_degree(dim, 3).points
+    for ncomp in (1, dim):
+        dm = DofMap.build(mesh, "RT0", ncomp=ncomp)
+        field = RTField(dm, rng.standard_normal(dm.n_total))
+        vals = field.values(bary)
+        diff = affine_at(mesh, *field.affine_parts(), bary) - vals
+        assert np.abs(diff).max() <= 1e-12 * np.abs(vals).max()
+
+
+def gradients_by_basis(u, bary):
+    """Broken gradients by the basis-gradient sum that
+    ``BrokenField.gradients`` replaced, kept as its oracle."""
+    local = u.dofmap.gather(u.coeffs)
+    if u.dofmap.family == "CR":
+        _, grads = elements.cr_eval_mesh(u.mesh, bary)
+        out = np.einsum("can,car->crn", grads, local)
+        out = np.broadcast_to(out[:, None], (out.shape[0], len(bary)) + out.shape[1:])
+    else:
+        _, grads = elements.ecr_eval_mesh(u.mesh, bary)
+        out = np.einsum("cqan,car->cqrn", grads, local)
+    return out[:, :, 0, :] if u.ncomp == 1 else out
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("family", ["CR", "ECR"])
+def test_broken_gradients_match_basis_oracle(dim, family):
+    mesh = jiggled(dim, seed=2)
+    rng = np.random.default_rng(dim)
+    bary = rule_for_degree(dim, 4).points
+    for ncomp, dirichlet in ((1, True), (dim, False)):
+        dm = DofMap.build(mesh, family, dirichlet, ncomp)
+        u = BrokenField(dm, rng.standard_normal(dm.n_total))
+        got, expected = u.gradients(bary), gradients_by_basis(u, bary)
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_certificates_need_no_quadrature(monkeypatch):
+    # every compared field is cellwise affine: once the solves are done, no
+    # identity check and no jump check samples a field at quadrature points
+    solves = {}
+
+    def replay(name):
+        solve = getattr(problems, name)
+
+        def call(mesh, *args, **kwargs):
+            key = (name, id(mesh)) + tuple(a for a in args if isinstance(a, str))
+            if key not in solves:
+                solves[key] = solve(mesh, *args, **kwargs)
+            return solves[key]
+        return call
+
+    for name in ("solve_poisson", "solve_poisson_mixed", "solve_stokes",
+                 "solve_stokes_mixed", "solve_eigen"):
+        monkeypatch.setattr(problems, name, replay(name))
+    mesh2, mesh3 = jiggled(2, n=2), jiggled(3)
+    rng = np.random.default_rng(5)
+    f2, f3 = rng.uniform(-1, 1, mesh2.n_cells), rng.uniform(-1, 1, mesh3.n_cells)
+    v2 = rng.uniform(-1, 1, (mesh2.n_cells, 2))
+    v3 = rng.uniform(-1, 1, (mesh3.n_cells, 3))
+    checks = [lambda: check_poisson_identity(mesh2, f2),
+              lambda: check_poisson_identity(mesh3, f3),
+              lambda: check_stokes_identity(mesh2, v2),
+              lambda: check_stokes_identity(mesh3, v3),
+              lambda: check_marini_identity(mesh2, f2),
+              lambda: check_cgs_identity(mesh2, v2),
+              lambda: check_eigen_equivalence(mesh2, k=2)]
+    for check in checks:
+        assert check().passed                      # records every solve
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a certificate comparison used quadrature")
+
+    for module in (equivalence, problems, elements):
+        for name in ("rule_for_degree", "physical_points", "cell_weights"):
+            monkeypatch.setattr(module, name, forbidden)
+    for name in ("cr_eval_mesh", "ecr_eval_mesh", "bubble_eval_mesh", "rt0_eval_mesh"):
+        monkeypatch.setattr(elements, name, forbidden)
+    for check in checks:
+        assert check().passed
+    u = problems.solve_poisson(mesh3, f3, "ECR")
+    vel, pressure = problems.solve_stokes(mesh3, v3, "ECR")
+    for jump, sup in (equivalence.normal_jump_of_gradient(u),
+                      equivalence.stokes_tensor_normal_jump(vel, pressure)):
+        assert jump <= equivalence.JUMP_TOL * sup
+
+
+# -- negative controls: a certificate fails when the mixed side is off --------------
+
+def off_by_one_coefficient(field):
+    """The RT field with its largest coefficient off by a relative 1e-6."""
+    coeffs = field.coeffs.copy()
+    coeffs[np.argmax(np.abs(coeffs))] *= 1.0 + 1e-6
+    return RTField(field.dofmap, coeffs)
+
+
+def perturb_mixed_solver(monkeypatch, name):
+    solve = getattr(problems, name)
+
+    def perturbed(*args, **kwargs):
+        sigma, u = solve(*args, **kwargs)
+        return off_by_one_coefficient(sigma), u
+
+    monkeypatch.setattr(problems, name, perturbed)
+
+
+@pytest.mark.parametrize("check, solver, dim, vector, keys, tol", [
+    (check_poisson_identity, "solve_poisson_mixed", 3, False, ["sigma_vs_grad"], IDENTITY_TOL),
+    (check_stokes_identity, "solve_stokes_mixed", 3, True, ["tensor_identity"], STOKES_TOL),
+    (check_marini_identity, "solve_poisson_mixed", 2, False, ["l2", "pointwise"], IDENTITY_TOL),
+    (check_cgs_identity, "solve_stokes_mixed", 2, True, ["tensor_l2", "tensor_pointwise"],
+     IDENTITY_TOL),
+])
+def test_identity_fails_when_one_rt_coefficient_is_off(monkeypatch, check, solver, dim,
+                                                        vector, keys, tol):
+    mesh = level(dim, 1 if dim == 3 else 2)
+    rng = np.random.default_rng(dim)
+    f = rng.uniform(-1, 1, (mesh.n_cells, dim) if vector else mesh.n_cells)
+    assert check(mesh, f).passed
+    perturb_mixed_solver(monkeypatch, solver)
+    rep = check(mesh, f)
+    assert not rep.passed
+    for key in keys:
+        assert rep.relative[key] > tol
+
+
+def test_eigen_equivalence_fails_when_one_rt_coefficient_is_off(monkeypatch):
+    mesh = level(2, 2)
+    solve = problems.solve_eigen
+
+    def perturbed(mesh, family, *args, **kwargs):
+        pairs = solve(mesh, family, *args, **kwargs)
+        if family == "RT-mixed":
+            for pair in pairs:
+                pair.sigma = off_by_one_coefficient(pair.sigma)
+        return pairs
+
+    monkeypatch.setattr(problems, "solve_eigen", perturbed)
+    rep = check_eigen_equivalence(mesh, k=1)
+    assert not rep.passed
+    assert rep.relative["sigma_identity_0"] > rep.tolerance
 
 
 # -- projection -----------------------------------------------------------------
@@ -60,7 +265,7 @@ def test_global_linear_field_gives_constant_rt():
     coeffs[mesh.n_facets:] = mesh.cell_centroids @ a + 0.2
     u = BrokenField(dm, coeffs)
     rt = ecr_gradient_as_rt(u)
-    assert np.abs(rt.cell_radial_coefficients()).max() < 1e-13
+    assert np.abs(rt.affine_parts()[1]).max() < 1e-13
     bary = rule_for_degree(2, 2).points
     assert np.abs(rt.values(bary) - a).max() < 1e-12
 
@@ -71,7 +276,7 @@ def test_single_bubble_radial_field():
     coeffs = np.zeros(dm.n_scalar)
     coeffs[-1] = 1.0                        # unit bubble coefficient
     u = BrokenField(dm, coeffs)
-    g, r = equivalence.broken_gradient_parts(u)
+    g, r = u.gradient_parts()
     assert np.abs(g[0]).max() < 1e-13        # pure bubble has no constant part
     assert r[0] == pytest.approx(-18.0, rel=1e-14)
     rt = ecr_gradient_as_rt(u)
