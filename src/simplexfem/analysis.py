@@ -26,30 +26,29 @@ def l2_norm_of_values(mesh, values, rule):
     return float(np.sqrt(integrate(mesh, _sq(values), rule)))
 
 
-def l2_error(field, exact_u, quad_degree=ERROR_DEGREE):
+def _error(mesh, sample, exact):
+    """|| exact - sample || on the degree-ERROR_DEGREE rule, ``sample`` a
+    field method taking barycentric points and ``exact`` a callable."""
+    rule = rule_for_degree(mesh.dim, ERROR_DEGREE)
+    x = physical_points(mesh, rule.points)
+    diff = sample(rule.points) - np.asarray(exact(x), dtype=float)
+    return l2_norm_of_values(mesh, diff, rule)
+
+
+def l2_error(field, exact_u):
     """|| u - u_h || by quadrature against a callable exact solution."""
-    mesh = field.mesh
-    rule = rule_for_degree(mesh.dim, quad_degree)
-    x = physical_points(mesh, rule.points)
-    diff = field.values(rule.points) - np.asarray(exact_u(x), dtype=float)
-    return l2_norm_of_values(mesh, diff, rule)
+    return _error(field.mesh, field.values, exact_u)
 
 
-def broken_h1_error(field, exact_grad, quad_degree=ERROR_DEGREE):
+def broken_h1_error(field, exact_grad):
     """|| grad u - grad_NC u_h || (cellwise gradients)."""
-    mesh = field.mesh
-    rule = rule_for_degree(mesh.dim, quad_degree)
-    x = physical_points(mesh, rule.points)
-    diff = field.gradients(rule.points) - np.asarray(exact_grad(x), dtype=float)
-    return l2_norm_of_values(mesh, diff, rule)
+    return _error(field.mesh, field.gradients, exact_grad)
 
 
-def osc(f, mesh, r=0, quad_degree=ERROR_DEGREE):
-    """Data oscillation (sum_K h_K^2 ||f - Pi0 f||_K^2)^(1/2); only the
-    piecewise-constant best approximation (r = 0) is implemented."""
-    if r != 0:
-        raise NotImplementedError("osc supports r = 0 only")
-    rule = rule_for_degree(mesh.dim, quad_degree)
+def osc(f, mesh):
+    """Data oscillation (sum_K h_K^2 ||f - Pi0 f||_K^2)^(1/2) against the
+    piecewise-constant best approximation."""
+    rule = rule_for_degree(mesh.dim, ERROR_DEGREE)
     vals = load_values(mesh, f, rule)
     means = integrate_cellwise(mesh, vals, rule) / mesh.cell_measures
     sq = integrate_cellwise(mesh, (vals - means[:, None]) ** 2, rule)

@@ -24,8 +24,8 @@ import scipy.sparse as sp
 
 from . import elements
 from .mesh import MeshError
-from .quadrature import (cell_weights, integrate_cellwise, physical_points,
-                         rule_for_degree)
+from .quadrature import (cell_weights, facet_rule_for_degree, integrate_cellwise,
+                         physical_points, rule_for_degree)
 
 DEFAULT_LOAD_DEGREE = 8
 MATRIX_DEGREE = 4
@@ -231,17 +231,21 @@ def load_values(mesh, f, rule, ncomp=1):
     raise DataError(f"cannot interpret load of shape {arr.shape}")
 
 
-def piecewise_constant_load(mesh, f, ncomp=1, quad_degree=DEFAULT_LOAD_DEGREE):
+def _load_integrals(mesh, f, ncomp=1):
+    """Per-cell integrals of a load on the degree-DEFAULT_LOAD_DEGREE rule:
+    (nc,) or (nc, ncomp)."""
+    rule = rule_for_degree(mesh.dim, DEFAULT_LOAD_DEGREE)
+    return integrate_cellwise(mesh, load_values(mesh, f, rule, ncomp), rule)
+
+
+def piecewise_constant_load(mesh, f, ncomp=1):
     """Per-cell averages of a load: (nc,) or (nc, ncomp)."""
-    rule = rule_for_degree(mesh.dim, quad_degree)
-    vals = load_values(mesh, f, rule, ncomp)
-    ints = integrate_cellwise(mesh, vals, rule)
     meas = mesh.cell_measures if ncomp == 1 else mesh.cell_measures[:, None]
-    return ints / meas
+    return _load_integrals(mesh, f, ncomp) / meas
 
 
-def _rhs(mesh, dofmap, f, quad_degree):
-    rule = rule_for_degree(mesh.dim, quad_degree)
+def _rhs(mesh, dofmap, f):
+    rule = rule_for_degree(mesh.dim, DEFAULT_LOAD_DEGREE)
     w = cell_weights(mesh, rule)
     if dofmap.family == "ECR":
         vals, _ = elements.ecr_eval_mesh(mesh, rule.points)
@@ -261,13 +265,13 @@ def _rhs(mesh, dofmap, f, quad_degree):
 
 # -- problem systems ---------------------------------------------------------
 
-def assemble_poisson(mesh, f, family="ECR", quad_degree=DEFAULT_LOAD_DEGREE):
+def assemble_poisson(mesh, f, family="ECR"):
     """Primal Poisson with homogeneous Dirichlet data: SPD stiffness, load
     vector, DOF map.  The `problems` solvers assemble CR only; the
     monolithic ECR system is the oracle for their CR + bubbles solve."""
     dm = DofMap.build(mesh, family, dirichlet=True)
     A = scatter_symmetric(dm, stiffness_local(mesh, family))
-    b = _rhs(mesh, dm, f, quad_degree)
+    b = _rhs(mesh, dm, f)
     return A, b, dm
 
 
@@ -300,19 +304,17 @@ def _rt0_divergence(mesh):
                           (mesh.n_cells, mesh.n_facets))
 
 
-def assemble_mixed_poisson(mesh, f, quad_degree=DEFAULT_LOAD_DEGREE):
+def assemble_mixed_poisson(mesh, f):
     """RT0 x P0 mixed Poisson; natural u = 0, no essential conditions."""
     rt = DofMap.build(mesh, "RT0")
     p0 = DofMap.build(mesh, "P0")
     A = scatter_symmetric(rt, elements.rt0_mass(mesh))
     B = _rt0_divergence(mesh)
-    load_rule = rule_for_degree(mesh.dim, quad_degree)
-    g = -integrate_cellwise(mesh, load_values(mesh, f, load_rule), load_rule)
-    system = SaddleSystem(A=A, f=np.zeros(rt.n_total), B=B, g=g)
+    system = SaddleSystem(A=A, f=np.zeros(rt.n_total), B=B, g=-_load_integrals(mesh, f))
     return system, rt, p0
 
 
-def assemble_stokes(mesh, f, family="ECR", quad_degree=DEFAULT_LOAD_DEGREE):
+def assemble_stokes(mesh, f, family="ECR"):
     """Nonconforming Stokes: velocity in n components of CR/ECR, piecewise
     constant pressure with zero mean, gauging the constant pressure.  As
     for Poisson, the ECR system is a test oracle only."""
@@ -328,7 +330,7 @@ def assemble_stokes(mesh, f, family="ECR", quad_degree=DEFAULT_LOAD_DEGREE):
                       for comp in range(n)])
     d = np.swapaxes(elements.gradient_integrals(mesh), 1, 2).reshape(mesh.n_cells, 1, -1)
     B = scatter_matrix(prs.cell_dofs, cols, d, (prs.n_total, vel.n_total))
-    b = _rhs(mesh, vel, f, quad_degree)
+    b = _rhs(mesh, vel, f)
     const_pressure = np.concatenate([np.zeros(vel.n_total), np.ones(prs.n_total)])
     system = SaddleSystem(A=A, f=b, B=B, g=np.zeros(prs.n_total),
                           constraints=[Constraint(None, mesh.cell_measures.copy(),
@@ -336,7 +338,7 @@ def assemble_stokes(mesh, f, family="ECR", quad_degree=DEFAULT_LOAD_DEGREE):
     return system, vel, prs
 
 
-def assemble_pseudostress(mesh, f, quad_degree=DEFAULT_LOAD_DEGREE):
+def assemble_pseudostress(mesh, f):
     """Pseudostress Stokes: tensor RT0 rows against (P0)^n, deviatoric form,
     with the global trace-mean constraint gauging the constant tensor I."""
     n = mesh.dim
@@ -353,9 +355,7 @@ def assemble_pseudostress(mesh, f, quad_degree=DEFAULT_LOAD_DEGREE):
     B = sp.block_diag([_rt0_divergence(mesh)] * n, format="csr")
     trace = scatter_vector(sig, elements.rt0_moment(mesh))
 
-    load_rule = rule_for_degree(mesh.dim, quad_degree)
-    fv = load_values(mesh, f, load_rule, ncomp=n)
-    g = -integrate_cellwise(mesh, fv, load_rule).T.ravel()
+    g = -_load_integrals(mesh, f, n).T.ravel()
 
     # the constant tensor I: tensor row r has flux nu_F[r] |F| through facet F
     identity = (mesh.facet_normals * mesh.facet_measures[:, None]).T.ravel()
@@ -365,11 +365,11 @@ def assemble_pseudostress(mesh, f, quad_degree=DEFAULT_LOAD_DEGREE):
     return system, sig, upo
 
 
-def facet_averages_of(mesh, g, quad_degree=MATRIX_DEGREE):
-    """Facet averages of a callable (or pass-through of a per-facet array)."""
+def facet_averages_of(mesh, g):
+    """Facet averages of a callable on the degree-MATRIX_DEGREE facet rule
+    (or pass-through of a per-facet array)."""
     if callable(g):
-        from .quadrature import facet_rule_for_degree
-        rule = facet_rule_for_degree(mesh.dim, quad_degree)
+        rule = facet_rule_for_degree(mesh.dim, MATRIX_DEGREE)
         pts = np.einsum("qk,fki->fqi", rule.points, mesh.vertices[mesh.facets])
         vals = np.asarray(g(pts), dtype=float)
         fac = math.factorial(mesh.dim - 1)
@@ -380,27 +380,26 @@ def facet_averages_of(mesh, g, quad_degree=MATRIX_DEGREE):
     return arr
 
 
-def check_neumann_compatibility(mesh, f, g_avg, quad_degree=DEFAULT_LOAD_DEGREE, tol=1e-10):
-    rule = rule_for_degree(mesh.dim, quad_degree)
-    total_f = float(integrate_cellwise(mesh, load_values(mesh, f, rule), rule).sum())
+def check_neumann_compatibility(mesh, f, g_avg):
+    total_f = float(_load_integrals(mesh, f).sum())
     bnd = mesh.boundary_facet_indices()
     total_g = float((g_avg[bnd] * mesh.facet_measures[bnd]).sum())
     scale = max(1.0, abs(total_f), abs(total_g))
-    if abs(total_f + total_g) > tol * scale:
+    if abs(total_f + total_g) > 1e-10 * scale:
         raise DataError(
             f"incompatible Neumann data: int f + int g = {total_f + total_g:.3e}")
     return total_f, total_g
 
 
-def assemble_neumann_primal(mesh, f, g, family="ECR", quad_degree=DEFAULT_LOAD_DEGREE):
+def assemble_neumann_primal(mesh, f, g, family="ECR"):
     """Pure-Neumann primal problem on the zero-mean subspace (gauging the
     constant); the flux enters through facet averages, exactly for piecewise
     constant g.  As for Poisson, the ECR system is a test oracle only."""
     g_avg = facet_averages_of(mesh, g)
-    check_neumann_compatibility(mesh, f, g_avg, quad_degree)
+    check_neumann_compatibility(mesh, f, g_avg)
     dm = DofMap.build(mesh, family, dirichlet=False)
     A = scatter_symmetric(dm, stiffness_local(mesh, family))
-    b = _rhs(mesh, dm, f, quad_degree)
+    b = _rhs(mesh, dm, f)
     bnd = mesh.boundary_facet_indices()
     b[dm.facet_dofs[bnd]] += g_avg[bnd] * mesh.facet_measures[bnd]
 
@@ -413,15 +412,15 @@ def assemble_neumann_primal(mesh, f, g, family="ECR", quad_degree=DEFAULT_LOAD_D
     return system, dm
 
 
-def assemble_neumann_mixed(mesh, f, g, quad_degree=DEFAULT_LOAD_DEGREE):
+def assemble_neumann_mixed(mesh, f, g):
     """Mixed Neumann problem: boundary fluxes are essential (facet averages
     of g), the test space drops them, and u has zero mean, gauging u = 1.
 
     Returns (system, rt map, p0 map, interior facet ids, boundary flux
     coefficient vector over all facets)."""
     g_avg = facet_averages_of(mesh, g)
-    check_neumann_compatibility(mesh, f, g_avg, quad_degree)
-    system_full, rt, p0 = assemble_mixed_poisson(mesh, f, quad_degree)
+    check_neumann_compatibility(mesh, f, g_avg)
+    system_full, rt, p0 = assemble_mixed_poisson(mesh, f)
     A, B, g_vec = system_full.A, system_full.B, system_full.g
 
     bnd = mesh.boundary_facet_indices()

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analysis, assembly, elements, problems
+from . import analysis, assembly, elements, problems, quadrature
 from .assembly import DataError
 from .quadrature import cell_weights, physical_points, rule_for_degree
 
@@ -29,6 +29,7 @@ IDENTITY_TOL = 1e-9
 STOKES_TOL = 1e-8
 JUMP_TOL = 1e-10
 DIV_TOL = 1e-11
+LAMBDA_TOL = 1e-10
 
 
 @dataclass
@@ -83,26 +84,18 @@ class IdentityReport:
 
 
 def require_piecewise_constant(mesh, f, ncomp=1):
-    """Normalize a piecewise-constant load to a per-cell array; callables are
-    rejected (the equivalence identities assume cellwise-constant data)."""
+    """Normalize a piecewise-constant load to a per-cell array, (nc,) or
+    (nc, ncomp); callables are rejected (the equivalence identities assume
+    cellwise-constant data)."""
     if callable(f):
         raise DataError("equivalence checks need piecewise-constant loads; "
                         "project callables with project_p0 first")
-    arr = np.asarray(f, dtype=float)
-    if ncomp == 1:
-        if arr.ndim == 0:
-            return np.full(mesh.n_cells, float(arr))
-        if arr.shape == (mesh.n_cells,):
-            return arr.copy()
-    else:
-        if arr.shape == (ncomp,):
-            return np.broadcast_to(arr, (mesh.n_cells, ncomp)).copy()
-        if arr.shape == (mesh.n_cells, ncomp):
-            return arr.copy()
-    raise DataError(f"cannot interpret piecewise-constant load of shape {arr.shape}")
+    # the one-point rule only fixes the sample count: nothing is evaluated
+    centroid = quadrature.rule_for_degree(mesh.dim, 0)
+    return assembly.load_values(mesh, f, centroid, ncomp)[:, 0]
 
 
-def project_p0(source, mesh, quad_degree=8):
+def project_p0(source, mesh):
     """Piecewise-constant L2 projection as a P0 BrokenField.
 
     For ECR fields the projection is the cell-coefficient block itself; CR
@@ -116,7 +109,7 @@ def project_p0(source, mesh, quad_degree=8):
             p0 = assembly.DofMap.build(mesh, "P0", ncomp=source.ncomp)
             return problems.BrokenField(p0, avg.T.ravel())
         return problems.BrokenField(p0, avg)
-    avg = assembly.piecewise_constant_load(mesh, source, quad_degree=quad_degree)
+    avg = assembly.piecewise_constant_load(mesh, source)
     return problems.BrokenField(p0, np.asarray(avg))
 
 
@@ -183,11 +176,11 @@ def _facet_side_views(mesh, per_cell_facet, facet_ids):
     return per_cell_facet[k_plus, loc_plus], per_cell_facet[k_minus, loc_minus]
 
 
-def ecr_gradient_as_rt(u, jump_tol=JUMP_TOL):
+def ecr_gradient_as_rt(u):
     """Re-express the broken gradient of an equivalence-mode ECR solution as
     an RT0 field (exact: the gradient is cellwise constant + radial).
 
-    Raises DataError when interior normal jumps exceed ``jump_tol`` relative
+    Raises DataError when interior normal jumps exceed ``JUMP_TOL`` relative
     to the gradient sup norm, which signals that ``u`` did not come from a
     piecewise-constant-load solve.
     """
@@ -197,9 +190,9 @@ def ecr_gradient_as_rt(u, jump_tol=JUMP_TOL):
     g, r = u.gradient_parts()
     traces = _normal_traces(mesh, g, r)
     max_jump, sup = _max_interior_jump(mesh, traces), _vertex_sup(mesh, g, r)
-    if max_jump > jump_tol * max(sup, 1e-300):
-        raise DataError(f"normal jump {max_jump:.3e} exceeds {jump_tol:.1e} x "
-                        f"sup|grad| = {jump_tol * sup:.3e}; not an "
+    if max_jump > JUMP_TOL * max(sup, 1e-300):
+        raise DataError(f"normal jump {max_jump:.3e} exceeds {JUMP_TOL:.1e} x "
+                        f"sup|grad| = {JUMP_TOL * sup:.3e}; not an "
                         "equivalence-mode solution")
     fluxes = mesh.facet_measures[mesh.cell_facets] * traces
     coeffs = np.zeros(mesh.n_facets)
@@ -232,32 +225,28 @@ def stokes_tensor_normal_jump(vel, pressure):
     return _max_interior_jump(mesh, _normal_traces(mesh, g, r)), _vertex_sup(mesh, g, r)
 
 
-def _p0_l2_diff(mesh, a, b):
-    meas = mesh.cell_measures
-    while meas.ndim < np.ndim(a):
-        meas = meas[..., None]
-    na = float(np.sqrt((meas * np.asarray(a) ** 2).sum()))
-    nb = float(np.sqrt((meas * np.asarray(b) ** 2).sum()))
-    d = float(np.sqrt((meas * (np.asarray(a) - np.asarray(b)) ** 2).sum()))
-    return d, na, nb
+def _constant(values):
+    """(c, r) parts of a piecewise-constant field: r = 0."""
+    return values, np.zeros(len(values))
 
 
 # -- Poisson -----------------------------------------------------------------
 
-def check_poisson_identity(mesh, f_pc, level=-1, tol=IDENTITY_TOL, config=None):
+def check_poisson_identity(mesh, f_pc, level=-1, tol=IDENTITY_TOL):
     """Certify sigma_RT = grad_NC u_ECR and u_RT = Pi0 u_ECR for a
     piecewise-constant load, including the H(div)-conformity and cellwise
     divergence diagnostics."""
     f = require_piecewise_constant(mesh, f_pc)
-    u = problems.solve_poisson(mesh, f, "ECR", config=config)
-    sigma, u_rt = problems.solve_poisson_mixed(mesh, f, config=config)
+    u = problems.solve_poisson(mesh, f, "ECR")
+    sigma, u_rt = problems.solve_poisson_mixed(mesh, f)
 
     report = IdentityReport("poisson", level=level, tolerance=tol)
     grad = u.gradient_parts()
     d, na, nb = _compare(mesh, sigma.affine_parts(), grad, _affine_l2)
     report.record("sigma_vs_grad", d, na, nb)
     report.extra["sigma_norm"] = na
-    d, na, nb = _p0_l2_diff(mesh, u_rt.coeffs, u.cell_averages())
+    d, na, nb = _compare(mesh, _constant(u_rt.coeffs), _constant(u.cell_averages()),
+                         _affine_l2)
     report.record("u_vs_projection", d, na, nb)
     report.extra["u_rt_norm"] = na
 
@@ -274,14 +263,14 @@ def check_poisson_identity(mesh, f_pc, level=-1, tol=IDENTITY_TOL, config=None):
 
 # -- Stokes ------------------------------------------------------------------
 
-def check_stokes_identity(mesh, f_pc, level=-1, tol=STOKES_TOL, config=None):
+def check_stokes_identity(mesh, f_pc, level=-1, tol=STOKES_TOL):
     """Certify the pseudostress identity sigma_RT = grad_NC u_ECR + p id
     (after trace-mean gauge) and, weakly, u_RT = Pi0 u_ECR + L u_ECR tested
     against every RT tensor basis function."""
     n = mesh.dim
     f = require_piecewise_constant(mesh, f_pc, ncomp=n)
-    vel, pressure = problems.solve_stokes(mesh, f, "ECR", config=config)
-    sigma, u_rt = problems.solve_stokes_mixed(mesh, f, config=config)
+    vel, pressure = problems.solve_stokes(mesh, f, "ECR")
+    sigma, u_rt = problems.solve_stokes_mixed(mesh, f)
 
     report = IdentityReport("stokes", level=level, tolerance=tol)
     g, rad = vel.gradient_parts()
@@ -323,13 +312,13 @@ def check_stokes_identity(mesh, f_pc, level=-1, tol=STOKES_TOL, config=None):
 
 # -- 2D pointwise identities ---------------------------------------------------
 
-def check_marini_identity(mesh, f_pc, level=-1, tol=IDENTITY_TOL, config=None):
+def check_marini_identity(mesh, f_pc, level=-1, tol=IDENTITY_TOL):
     """2D identity sigma_RT|_K = grad u_CR|_K - (f_K/2)(x - mid K)."""
     if mesh.dim != 2:
         raise ValueError("the Marini identity is two-dimensional")
     f = require_piecewise_constant(mesh, f_pc)
-    u_cr = problems.solve_poisson(mesh, f, "CR", config=config)
-    sigma, _ = problems.solve_poisson_mixed(mesh, f, config=config)
+    u_cr = problems.solve_poisson(mesh, f, "CR")
+    sigma, _ = problems.solve_poisson_mixed(mesh, f)
 
     g, r = u_cr.gradient_parts()
     predicted = (g, r - 0.5 * f)
@@ -351,7 +340,7 @@ def cgs_displacement_correction(mesh, f_pc):
             - np.einsum("cij,cj->ci", cov, f) / 8.0)
 
 
-def check_cgs_identity(mesh, f_pc, level=-1, tol=IDENTITY_TOL, config=None):
+def check_cgs_identity(mesh, f_pc, level=-1, tol=IDENTITY_TOL):
     """2D Stokes identities: the pseudostress line
     sigma_RT = grad u_CR - (f_K/2) otimes (x - mid K) + p_CR id (after
     trace-mean gauge) and the displacement line
@@ -359,8 +348,8 @@ def check_cgs_identity(mesh, f_pc, level=-1, tol=IDENTITY_TOL, config=None):
     if mesh.dim != 2:
         raise ValueError("the CGS identity is two-dimensional")
     f = require_piecewise_constant(mesh, f_pc, ncomp=2)
-    vel, pressure = problems.solve_stokes(mesh, f, "CR", config=config)
-    sigma, u_rt = problems.solve_stokes_mixed(mesh, f, config=config)
+    vel, pressure = problems.solve_stokes(mesh, f, "CR")
+    sigma, u_rt = problems.solve_stokes_mixed(mesh, f)
 
     g, r = vel.gradient_parts()
     tens, shift_p = _trace_mean_gauge(mesh, _pseudostress(g, r - 0.5 * f, pressure))
@@ -373,8 +362,8 @@ def check_cgs_identity(mesh, f_pc, level=-1, tol=IDENTITY_TOL, config=None):
     report.extra["gauge_shift_mixed"] = shift_m
 
     predicted_u = vel.cell_averages() + cgs_displacement_correction(mesh, f)
-    d, na, nb = _p0_l2_diff(mesh, u_rt.coeffs.reshape(2, -1).T, predicted_u)
-    report.record("displacement_l2", d, na, nb)
+    report.record("displacement_l2", *_compare(
+        mesh, _constant(u_rt.coeffs.reshape(2, -1).T), _constant(predicted_u), _affine_l2))
     return report.finalize()
 
 
@@ -385,8 +374,7 @@ def _align_sign(values, anchor):
     return 1.0 if v >= 0 else -1.0
 
 
-def check_eigen_equivalence(mesh, k=3, level=-1, tol_lambda=1e-10,
-                            tol_field=1e-8, config=None):
+def check_eigen_equivalence(mesh, k=3, level=-1, tol_field=1e-8, config=None):
     """Match the RT-mixed saddle eigenproblem against the projected-mass ECR
     form: identical eigenvalues, and for simple eigenvalues the field
     identities sigma_RT = grad_NC phi and u_RT = Pi0 phi after sign
@@ -402,8 +390,8 @@ def check_eigen_equivalence(mesh, k=3, level=-1, tol_lambda=1e-10,
                   float(np.abs(lam_e).max()))
     report.extra["lambda_mixed"] = lam_m
     report.extra["lambda_equiv"] = lam_e
-    report.extra["lambda_tolerance"] = tol_lambda
-    lam_pass = lam_err <= tol_lambda * max(np.abs(lam_m).max(), 1e-300)
+    report.extra["lambda_tolerance"] = LAMBDA_TOL
+    lam_pass = lam_err <= LAMBDA_TOL * max(np.abs(lam_m).max(), 1e-300)
 
     gaps = np.abs(np.diff(lam_m)) / np.abs(lam_m[:-1]) if k > 1 else np.array([])
     for j in range(k):
@@ -419,8 +407,8 @@ def check_eigen_equivalence(mesh, k=3, level=-1, tol_lambda=1e-10,
         anchor = int(np.argmax(np.abs(u_rt)))
         s_m = _align_sign(u_rt, anchor)
         s_e = _align_sign(proj, anchor)
-        d, na, nb = _p0_l2_diff(mesh, s_m * u_rt, s_e * proj)
-        report.record(f"u_identity_{j}", d, na, nb)
+        report.record(f"u_identity_{j}", *_compare(
+            mesh, _constant(s_m * u_rt), _constant(s_e * proj), _affine_l2))
         d, na, nb = _compare(mesh, [s_m * a for a in mixed[j].sigma.affine_parts()],
                              [s_e * a for a in phi.gradient_parts()], _affine_l2)
         report.record(f"sigma_identity_{j}", d, na, nb)
@@ -429,7 +417,7 @@ def check_eigen_equivalence(mesh, k=3, level=-1, tol_lambda=1e-10,
     return report
 
 
-def eigen_error_comparison(meshes, exact, config=None):
+def eigen_error_comparison(meshes, exact):
     """Superconvergence study for the first eigenvalue: per level the errors
     ||grad u - grad_NC u_ECR||, ||grad u - sigma_RT|| and the difference
     ||grad_NC u_ECR - sigma_RT||, with observed rates.
@@ -441,22 +429,19 @@ def eigen_error_comparison(meshes, exact, config=None):
     anchor_point = np.full(meshes[0].dim, 0.49)
     anchor_point[1::2] = 0.51
     for mesh in meshes:
-        ecr = problems.solve_eigen(mesh, "ECR", 1, config=config)[0]
-        mixed = problems.solve_eigen(mesh, "RT-mixed", 1, config=config)[0]
+        ecr = problems.solve_eigen(mesh, "ECR", 1)[0]
+        mixed = problems.solve_eigen(mesh, "RT-mixed", 1)[0]
         cell = mesh.find_cell(anchor_point)
         centroid = mesh.cell_centroids[cell]
         sign_exact = 1.0 if u_exact(centroid) >= 0 else -1.0
         s_e = sign_exact * _align_sign(ecr.primal.cell_averages(), cell)
         s_m = sign_exact * _align_sign(mixed.u.coeffs, cell)
 
-        rule = rule_for_degree(mesh.dim, analysis.ERROR_DEGREE)
-        x = physical_points(mesh, rule.points)
-        exact_vals = np.asarray(grad_exact(x), dtype=float)
-        grad_ecr = s_e * ecr.primal.gradients(rule.points)
-        sigma = s_m * mixed.sigma.values(rule.points)
-        e_primal = analysis.l2_norm_of_values(mesh, exact_vals - grad_ecr, rule)
-        e_mixed = analysis.l2_norm_of_values(mesh, exact_vals - sigma, rule)
-        e_diff = analysis.l2_norm_of_values(mesh, grad_ecr - sigma, rule)
+        # ||grad u - s grad_h|| = ||s grad u - grad_h|| for a sign s
+        e_primal = analysis.broken_h1_error(ecr.primal, lambda x: s_e * grad_exact(x))
+        e_mixed = analysis.l2_error(mixed.sigma, lambda x: s_m * grad_exact(x))
+        e_diff, _, _ = _compare(mesh, [s_e * a for a in ecr.primal.gradient_parts()],
+                                [s_m * a for a in mixed.sigma.affine_parts()], _affine_l2)
         table.add_level(mesh.h_max, ecr.primal.dofmap.n_total,
                         ecr_error=e_primal, rt_error=e_mixed,
                         difference=e_diff,
@@ -464,7 +449,7 @@ def eigen_error_comparison(meshes, exact, config=None):
     return table
 
 
-def neumann_counterexample_report(meshes, config=None):
+def neumann_counterexample_report(meshes):
     """The pure-Neumann witness that CR and RT are not equivalent: RT (and
     ECR) reproduce u = x1^2 + x2^2 exactly while the CR error is bounded
     below by beta*h; reports per-level exactness residuals and the fitted
@@ -480,24 +465,15 @@ def neumann_counterexample_report(meshes, config=None):
         mean = float(np.einsum("cq,cq->", cell_weights(mesh, rule),
                                fixture.u(x))) / volume
 
-        sigma, _ = problems.solve_neumann(mesh, fixture.f, g, form="mixed",
-                                          config=config)
-        rt_err = analysis.l2_norm_of_values(
-            mesh, sigma.values(rule.points) - fixture.grad(x), rule)
-
-        u_ecr = problems.solve_neumann(mesh, fixture.f, g, form="ecr", config=config)
-        ecr_err = analysis.l2_norm_of_values(
-            mesh, u_ecr.gradients(rule.points) - fixture.grad(x), rule)
-
-        u_cr = problems.solve_neumann(mesh, fixture.f, g, form="cr", config=config)
-        cr_err = analysis.l2_norm_of_values(
-            mesh, u_cr.gradients(rule.points) - fixture.grad(x), rule)
-
-        # zero-mean L2 errors of the primal fields (gauge-free check data)
-        shifted = fixture.u(x) - mean
-        ecr_l2 = analysis.l2_norm_of_values(mesh, u_ecr.values(rule.points) - shifted, rule)
+        sigma, _ = problems.solve_neumann(mesh, fixture.f, g, form="mixed")
+        u_ecr = problems.solve_neumann(mesh, fixture.f, g, form="ecr")
+        u_cr = problems.solve_neumann(mesh, fixture.f, g, form="cr")
+        cr_err = analysis.broken_h1_error(u_cr, fixture.grad)
+        # the zero-mean L2 error of the ECR field is gauge-free check data
         table.add_level(mesh.h_max, u_cr.dofmap.n_total,
-                        rt_flux_error=rt_err, ecr_grad_error=ecr_err,
-                        cr_grad_error=cr_err, ecr_l2_error=ecr_l2,
+                        rt_flux_error=analysis.l2_error(sigma, fixture.grad),
+                        ecr_grad_error=analysis.broken_h1_error(u_ecr, fixture.grad),
+                        cr_grad_error=cr_err,
+                        ecr_l2_error=analysis.l2_error(u_ecr, lambda x: fixture.u(x) - mean),
                         beta=cr_err / mesh.h_max)
     return table

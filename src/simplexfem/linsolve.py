@@ -1,7 +1,10 @@
 """Direct sparse solvers and generalized symmetric eigensolvers at desk scale.
 
 Linear systems go through a sparse LU factorization with one step of
-iterative refinement and a verified residual.
+iterative refinement and a verified relative residual: every solve, and
+every eigenpair, is gated at ``RESIDUAL_TOL``.  ``SolverConfig`` carries
+only what the eigensolver needs: the dense/ARPACK switch and the start
+vector's seed.
 
 Saddle systems carry constraints that each fix a gauge, a null vector k of
 the block matrix.  They are solved by pinning, never by factorising the
@@ -35,18 +38,24 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
+RESIDUAL_TOL = 1e-12            # relative residual gate of every solve
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    tolerance: float = 1e-12
     dense_cutoff: int = 2000
     seed: int = 0
 
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-
 
 DEFAULT = SolverConfig()
+
+
+def _gate(residual, what):
+    """Raise SolverError unless the relative residual is finite and at most
+    RESIDUAL_TOL."""
+    if not np.isfinite(residual) or residual > RESIDUAL_TOL:
+        raise SolverError(f"{what} residual {residual:.3e} exceeds "
+                          f"tolerance {RESIDUAL_TOL:.1e}", residual)
 
 
 def _splu(K):
@@ -63,18 +72,14 @@ def _lu_solve_refined(K, rhs):
     return x
 
 
-def solve_spd(A, b, config=None):
+def solve_spd(A, b):
     """Solve SPD A x = b to a verified relative residual."""
-    config = config or DEFAULT
     b = np.asarray(b, dtype=float)
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
         return np.zeros_like(b)
     x = _lu_solve_refined(sp.csc_matrix(A), b)
-    residual = np.linalg.norm(A @ x - b) / norm_b
-    if not np.isfinite(residual) or residual > config.tolerance:
-        raise SolverError(f"linear solve residual {residual:.3e} exceeds "
-                          f"tolerance {config.tolerance:.1e}", residual)
+    _gate(np.linalg.norm(A @ x - b) / norm_b, "linear solve")
     return x
 
 
@@ -110,7 +115,7 @@ def saddle_matrix(system):
     return sp.bmat([[K, C], [C.T, None]], format="csc")
 
 
-def solve_saddle(system, config=None):
+def solve_saddle(system):
     """Solve a SaddleSystem; returns (primal, dual, multipliers).
 
     The bordered matrix is never factorised.  With K the block matrix, F its
@@ -122,14 +127,13 @@ def solve_saddle(system, config=None):
     3. the removed DOFs are set to 0 and z is re-gauged along k so that
        c^T z = rhs;
     4. the residual of the full bordered system is gated at
-       ``config.tolerance``.
+       ``RESIDUAL_TOL``.
 
     A declared k that is not a null vector of K breaks the dropped row or
     the re-gauge, and the gate raises SolverError.  K must have no null
     vector besides the declared ones: the pinned matrix is then singular,
     which SuperLU reports only when the breakdown is exact.
     """
-    config = config or DEFAULT
     np_, nd = system.n_primal, system.n_dual
     F = system.f if system.g is None else np.concatenate([system.f, system.g])
     rhs_c = np.array([c.rhs for c in system.constraints], dtype=float)
@@ -149,10 +153,7 @@ def solve_saddle(system, config=None):
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"constraint row orthogonal to its null vector: {exc}") from exc
         bordered = np.concatenate([K @ z + C @ mult - F, C.T @ z - rhs_c])
-        residual = np.linalg.norm(bordered) / norm_rhs
-        if not np.isfinite(residual) or residual > config.tolerance:
-            raise SolverError(f"saddle solve residual {residual:.3e} exceeds "
-                              f"tolerance {config.tolerance:.1e}", residual)
+        _gate(np.linalg.norm(bordered) / norm_rhs, "saddle solve")
     return z[:np_], z[np_:], mult
 
 
@@ -241,7 +242,6 @@ def eig_smallest(A, M, k, config=None):
     for lam, x in zip(lams, X.T):
         r = np.linalg.norm(A @ x - lam * (M @ x))
         denom = np.linalg.norm(A @ x)
-        if denom > 0 and r / denom > config.tolerance:
-            raise SolverError(f"eigen residual {r / denom:.3e} exceeds "
-                              f"tolerance {config.tolerance:.1e}", r / denom)
+        if denom > 0:
+            _gate(r / denom, "eigen")
     return lams, X

@@ -1,5 +1,13 @@
 """Discrete fields and end-to-end drivers for the Poisson, Stokes and
-Laplace-eigenvalue model problems, plus exact-solution fixtures."""
+Laplace-eigenvalue model problems, plus exact-solution fixtures.
+
+Field values and gradients are closed forms in each cell's affine parts;
+no basis function is evaluated for them.  The drivers take a mesh and the
+problem data only: loads are sampled on the rule of degree
+``assembly.DEFAULT_LOAD_DEGREE`` and every solve is gated at
+``linsolve.RESIDUAL_TOL``.  Only ``solve_eigen`` takes a
+``linsolve.SolverConfig``, which picks the eigensolver and seeds its start
+vector."""
 
 from __future__ import annotations
 
@@ -35,23 +43,23 @@ class BrokenField:
     def ncomp(self):
         return self.dofmap.ncomp
 
-    def _basis(self, bary):
-        mesh = self.mesh
-        fam = self.dofmap.family
-        if fam == "ECR":
-            return elements.ecr_eval_mesh(mesh, bary)[0]
-        if fam == "CR":
-            vals, _ = elements.cr_eval_mesh(mesh, bary)
-            return np.broadcast_to(vals[None], (mesh.n_cells,) + vals.shape)
-        if fam == "P0":
-            return np.ones((mesh.n_cells, len(bary), 1))
-        raise ValueError(f"BrokenField does not support family {fam!r}")
-
     def values(self, bary):
-        """(nc, Q) for scalar fields, (nc, Q, ncomp) for vector fields."""
-        local = self.dofmap.gather(self.coeffs)
-        out = np.einsum("cqa,car->cqr", self._basis(np.asarray(bary)), local)
-        return out[:, :, 0] if self.ncomp == 1 else out
+        """(nc, Q) for scalar fields, (nc, Q, ncomp) for vector fields.
+
+        On K, with dx = x - mid K, the cell average m_K and the gradient
+        parts (g_K, r_K): u = m_K + g_K . dx + (r_K / 2)(|dx|^2 - tr S_K / |K|),
+        and u = m_K for P0.  dx = sum_k lam_k d_k is taken in barycentric
+        form, with d_k the vertices of K less mid K."""
+        mesh, bary = self.mesh, np.asarray(bary)
+        m = self.cell_averages()
+        if self.dofmap.family == "P0":
+            return np.repeat(m[:, None], len(bary), axis=1)
+        g, r = self.gradient_parts()
+        dx = bary @ (mesh.vertices[mesh.cells] - mesh.cell_centroids[:, None])
+        mean_sq = np.einsum("cii->c", mesh.cell_second_moments) / mesh.cell_measures
+        sq = np.einsum("cqn,cqn->cq", dx, dx) - mean_sq[:, None]
+        return (m[:, None] + np.einsum("cqn,c...n->cq...", dx, g)
+                + 0.5 * np.einsum("c...,cq->cq...", r, sq))
 
     def gradient_parts(self):
         """Cellwise representation grad u|_K = g_K + r_K (x - mid K) of the
@@ -113,11 +121,10 @@ class RTField:
 
     def values(self, bary):
         """(nc, Q, n) for a vector field, (nc, Q, ncomp, n) rows for a
-        tensor field."""
-        vals, _ = elements.rt0_eval_mesh(self.mesh, np.asarray(bary))
-        local = self.dofmap.gather(self.coeffs)        # (nc, n+1, ncomp)
-        out = np.einsum("cqin,cir->cqrn", vals, local)
-        return out[:, :, 0, :] if self.ncomp == 1 else out
+        tensor field: c_K + r_K (x - mid K) from ``affine_parts``."""
+        c, r = self.affine_parts()
+        dx = physical_points(self.mesh, np.asarray(bary)) - self.mesh.cell_centroids[:, None]
+        return c[:, None] + np.einsum("c...,cqn->cq...n", r, dx)
 
     def cell_divergence(self):
         """Exact cellwise-constant divergence: (nc,) or (nc, ncomp)."""
@@ -207,10 +214,10 @@ def outward_flux_averages(mesh, grad_u):
 # coefficient per cell (Arnold & Brezzi, M2AN 19, 1985); no ECR system is
 # factorised.  The monolithic ECR assembly is kept as a test oracle only.
 
-def bubble_coefficients(mesh, f, quad_degree=assembly.DEFAULT_LOAD_DEGREE, ncomp=1):
+def bubble_coefficients(mesh, f, ncomp=1):
     """Per-cell bubble coefficients (f, phi_K)_K / ||grad phi_K||_K^2 of a
     load: (nc,) or (nc, ncomp)."""
-    rule = rule_for_degree(mesh.dim, quad_degree)
+    rule = rule_for_degree(mesh.dim, assembly.DEFAULT_LOAD_DEGREE)
     bubble, _ = elements.bubble_eval_mesh(mesh, rule.points)
     fv = assembly.load_values(mesh, f, rule, ncomp)
     moments = np.einsum("cq,cq...->c...", bubble * cell_weights(mesh, rule), fv)
@@ -218,15 +225,16 @@ def bubble_coefficients(mesh, f, quad_degree=assembly.DEFAULT_LOAD_DEGREE, ncomp
     return moments / (energy if ncomp == 1 else energy[:, None])
 
 
-def _cr_load(mesh, f, family, quad_degree, ncomp=1):
+def _cr_load(mesh, f, family, ncomp=1):
     """The load for the CR system and, for ECR, the bubble coefficients,
     both from one sample of f (None for CR)."""
     if family == "CR":
         return f, None
     if family != "ECR":
         raise ValueError(f"primal problems support families CR and ECR, not {family!r}")
-    fv = assembly.load_values(mesh, f, rule_for_degree(mesh.dim, quad_degree), ncomp)
-    return fv, bubble_coefficients(mesh, fv, quad_degree, ncomp)
+    rule = rule_for_degree(mesh.dim, assembly.DEFAULT_LOAD_DEGREE)
+    fv = assembly.load_values(mesh, f, rule, ncomp)
+    return fv, bubble_coefficients(mesh, fv, ncomp)
 
 
 def _with_bubbles(cr, bubbles):
@@ -243,45 +251,40 @@ def _with_bubbles(cr, bubbles):
     return BrokenField(dm, coeffs.ravel())
 
 
-def solve_poisson(mesh, f, family="ECR", quad_degree=assembly.DEFAULT_LOAD_DEGREE,
-                  config=None):
+def solve_poisson(mesh, f, family="ECR"):
     """Homogeneous-Dirichlet Poisson by the CR or ECR method; ECR is the CR
     solve plus closed-form bubbles."""
-    load, bubbles = _cr_load(mesh, f, family, quad_degree)
-    A, b, dm = assembly.assemble_poisson(mesh, load, "CR", quad_degree)
-    return _with_bubbles(BrokenField(dm, linsolve.solve_spd(A, b, config)), bubbles)
+    load, bubbles = _cr_load(mesh, f, family)
+    A, b, dm = assembly.assemble_poisson(mesh, load, "CR")
+    return _with_bubbles(BrokenField(dm, linsolve.solve_spd(A, b)), bubbles)
 
 
-def solve_poisson_mixed(mesh, f, quad_degree=assembly.DEFAULT_LOAD_DEGREE,
-                        config=None):
+def solve_poisson_mixed(mesh, f):
     """Mixed Poisson by the RT0 x P0 pair: (flux field, displacement)."""
-    system, rt, p0 = assembly.assemble_mixed_poisson(mesh, f, quad_degree)
-    x, y, _ = linsolve.solve_saddle(system, config)
+    system, rt, p0 = assembly.assemble_mixed_poisson(mesh, f)
+    x, y, _ = linsolve.solve_saddle(system)
     return RTField(rt, x), BrokenField(p0, y)
 
 
-def solve_stokes(mesh, f, family="ECR", quad_degree=assembly.DEFAULT_LOAD_DEGREE,
-                 config=None):
+def solve_stokes(mesh, f, family="ECR"):
     """Stokes by the (CR/ECR)^n x P0 pair: (velocity, zero-mean pressure).
     ECR is the CR solve plus closed-form bubbles in each velocity component,
     with the CR pressure."""
-    load, bubbles = _cr_load(mesh, f, family, quad_degree, mesh.dim)
-    system, vel, prs = assembly.assemble_stokes(mesh, load, "CR", quad_degree)
-    x, y, _ = linsolve.solve_saddle(system, config)
+    load, bubbles = _cr_load(mesh, f, family, mesh.dim)
+    system, vel, prs = assembly.assemble_stokes(mesh, load, "CR")
+    x, y, _ = linsolve.solve_saddle(system)
     return _with_bubbles(BrokenField(vel, x), bubbles), BrokenField(prs, y)
 
 
-def solve_stokes_mixed(mesh, f, quad_degree=assembly.DEFAULT_LOAD_DEGREE,
-                       config=None):
+def solve_stokes_mixed(mesh, f):
     """Pseudostress Stokes by tensor RT0 x (P0)^n: (pseudostress,
     displacement)."""
-    system, sig, upo = assembly.assemble_pseudostress(mesh, f, quad_degree)
-    x, y, _ = linsolve.solve_saddle(system, config)
+    system, sig, upo = assembly.assemble_pseudostress(mesh, f)
+    x, y, _ = linsolve.solve_saddle(system)
     return RTField(sig, x), BrokenField(upo, y)
 
 
-def solve_neumann(mesh, f, g, form="ecr", quad_degree=assembly.DEFAULT_LOAD_DEGREE,
-                  config=None):
+def solve_neumann(mesh, f, g, form="ecr"):
     """Pure-Neumann Poisson problem.
 
     ``form`` selects primal ECR/CR (returns the zero-mean BrokenField) or the
@@ -290,17 +293,16 @@ def solve_neumann(mesh, f, g, form="ecr", quad_degree=assembly.DEFAULT_LOAD_DEGR
     back to zero mean.
     """
     if form in ("ecr", "cr"):
-        load, bubbles = _cr_load(mesh, f, form.upper(), quad_degree)
-        system, dm = assembly.assemble_neumann_primal(mesh, load, g, "CR", quad_degree)
-        x, _, _ = linsolve.solve_saddle(system, config)
+        load, bubbles = _cr_load(mesh, f, form.upper())
+        system, dm = assembly.assemble_neumann_primal(mesh, load, g, "CR")
+        x, _, _ = linsolve.solve_saddle(system)
         u = _with_bubbles(BrokenField(dm, x), bubbles)
         if bubbles is not None:
             u.coeffs -= mesh.cell_measures @ u.cell_averages() / mesh.cell_measures.sum()
         return u
     if form == "mixed":
-        system, rt, p0, interior, sigma_bc = assembly.assemble_neumann_mixed(
-            mesh, f, g, quad_degree)
-        x, y, _ = linsolve.solve_saddle(system, config)
+        system, rt, p0, interior, sigma_bc = assembly.assemble_neumann_mixed(mesh, f, g)
+        x, y, _ = linsolve.solve_saddle(system)
         sigma = sigma_bc.copy()
         sigma[interior] = x
         return RTField(rt, sigma), BrokenField(p0, y)
@@ -324,8 +326,9 @@ def solve_eigen(mesh, family="ECR", k=1, config=None):
     saddle pencil -[[A, B^T], [B, 0]] (sigma, u) = lam diag(0, |K|) (sigma, u),
     ||u_RT|| = 1) and "RT-equiv" (ECR stiffness against the projected mass,
     ||Pi0 phi|| = 1).  Both RT pencils have one finite eigenvalue per cell.
+    ``config`` (a ``linsolve.SolverConfig``) picks the dense or the ARPACK
+    eigensolver and seeds ARPACK's start vector.
     """
-    config = config or linsolve.DEFAULT
     if family in ("ECR", "CR", "RT-equiv"):
         fam, mass = ("ECR", "projected") if family == "RT-equiv" else (family, "full")
         A, M, dm = assembly.assemble_eigen(mesh, fam, mass)

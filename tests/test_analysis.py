@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -65,11 +67,6 @@ def test_osc_invariant_under_constant_shift():
     assert osc(f, mesh) == pytest.approx(osc(g, mesh), rel=1e-12)
 
 
-def test_osc_r_not_implemented():
-    with pytest.raises(NotImplementedError):
-        osc(1.0, build_box_mesh(2, 1), r=1)
-
-
 def test_fit_rate_examples():
     rates, slope = fit_rate([1.0, 0.5, 0.25])
     assert np.allclose(rates, [1.0, 1.0]) and slope == pytest.approx(1.0)
@@ -120,5 +117,5 @@ def test_convergence_table_csv_and_plots(tmp_path):
     assert np.allclose(t.rates("err"), [2.0])
     paths = t.write_plot_files(str(tmp_path / "study"))
     assert len(paths) == 1
-    content = open(paths[0]).read().strip().splitlines()
+    content = Path(paths[0]).read_text().strip().splitlines()
     assert len(content) == 2 and len(content[0].split()) == 2

@@ -15,7 +15,7 @@ def test_equiv_poisson_exit_zero(tmp_path):
     code = run(["equiv", "--problem", "poisson", "--dim", "2", "--levels", "3",
                 "--rhs", "const:1", "--out-dir", str(tmp_path)])
     assert code == 0
-    reports = json.load(open(tmp_path / "equiv_poisson_reports.json"))
+    reports = json.loads((tmp_path / "equiv_poisson_reports.json").read_text())
     assert len(reports) == 3
     for rep in reports:
         assert rep["passed"]
@@ -28,7 +28,7 @@ def test_equiv_random_loads(tmp_path):
                 "--rhs", "random", "--n-loads", "2", "--seed", "7",
                 "--out-dir", str(tmp_path)])
     assert code == 0
-    reports = json.load(open(tmp_path / "equiv_poisson_reports.json"))
+    reports = json.loads((tmp_path / "equiv_poisson_reports.json").read_text())
     assert len(reports) == 4
 
 
@@ -50,7 +50,7 @@ def test_eigen_table(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "lambda1_cr=24.000000" in out
     assert "lambda1_ecr=17.142857" in out
-    table = open(tmp_path / "eigen_table.csv").read()
+    table = (tmp_path / "eigen_table.csv").read_text()
     assert table.splitlines()[1].startswith("level,h,dofs,")
 
 
@@ -58,7 +58,7 @@ def test_convergence_table_and_plots(tmp_path):
     code = run(["convergence", "--solution", "sine", "--dim", "2", "--levels", "3",
                 "--elements", "cr,ecr", "--emit-plot", "--out-dir", str(tmp_path)])
     assert code == 0
-    lines = open(tmp_path / "convergence_table.csv").read().splitlines()
+    lines = (tmp_path / "convergence_table.csv").read_text().splitlines()
     header = lines[1].split(",")
     i_ecr = header.index("h1_ecr")
     i_cr = header.index("h1_cr")
@@ -115,7 +115,7 @@ def test_tolerance_override(tmp_path):
     code = run(["equiv", "--problem", "poisson", "--levels", "1", "--rhs",
                 "const:1", "--tol", "1e-18", "--out-dir", str(tmp_path)])
     assert code == 1
-    reports = json.load(open(tmp_path / "equiv_poisson_reports.json"))
+    reports = json.loads((tmp_path / "equiv_poisson_reports.json").read_text())
     assert reports[0]["tolerance"] == 1e-18
     code = run(["equiv", "--problem", "poisson", "--levels", "1", "--rhs",
                 "const:1", "--tol", "1e-6", "--out-dir", str(tmp_path)])
@@ -144,5 +144,5 @@ def test_rerun_is_bitwise_identical(tmp_path):
 
 def test_csv_header_records_defaults(tmp_path):
     run(["convergence", "--levels", "2", "--out-dir", str(tmp_path)])
-    first = open(tmp_path / "convergence_table.csv").read().splitlines()[0]
+    first = (tmp_path / "convergence_table.csv").read_text().splitlines()[0]
     assert first.startswith("#") and "tol_poisson" in first and "seed=" in first

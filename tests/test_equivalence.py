@@ -78,6 +78,40 @@ def test_trace_mean_gauge_matches_quadrature(dim):
     assert r0 is r
 
 
+def values_by_basis(field, bary):
+    """Field values by the basis sum over ``cr_eval_mesh``, ``ecr_eval_mesh``
+    and ``rt0_eval_mesh`` that the closed-form ``values`` replaced, kept as
+    its oracle."""
+    local = field.dofmap.gather(field.coeffs)          # (nc, nldof, ncomp)
+    family = field.dofmap.family
+    if family == "RT0":
+        vals, _ = elements.rt0_eval_mesh(field.mesh, bary)
+        out = np.einsum("cqin,cir->cqrn", vals, local)
+        return out[:, :, 0, :] if field.ncomp == 1 else out
+    if family == "CR":
+        out = np.einsum("qa,car->cqr", elements.cr_eval_mesh(field.mesh, bary)[0], local)
+    elif family == "ECR":
+        out = np.einsum("cqa,car->cqr", elements.ecr_eval_mesh(field.mesh, bary)[0], local)
+    else:
+        out = np.repeat(local, len(bary), axis=1)
+    return out[:, :, 0] if field.ncomp == 1 else out
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("family", ["CR", "ECR", "P0", "RT0"])
+def test_values_match_basis_oracle(dim, family):
+    mesh = jiggled(dim, seed=3)
+    rng = np.random.default_rng(dim)
+    bary = rule_for_degree(dim, 4).points
+    kind = RTField if family == "RT0" else BrokenField
+    for ncomp, dirichlet in ((1, True), (dim, False)):
+        dm = DofMap.build(mesh, family, dirichlet, ncomp)
+        field = kind(dm, rng.standard_normal(dm.n_total))
+        got, expected = field.values(bary), values_by_basis(field, bary)
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_rt_affine_parts_match_basis_values(dim):
     mesh = jiggled(dim, seed=1)
@@ -86,7 +120,7 @@ def test_rt_affine_parts_match_basis_values(dim):
     for ncomp in (1, dim):
         dm = DofMap.build(mesh, "RT0", ncomp=ncomp)
         field = RTField(dm, rng.standard_normal(dm.n_total))
-        vals = field.values(bary)
+        vals = values_by_basis(field, bary)
         diff = affine_at(mesh, *field.affine_parts(), bary) - vals
         assert np.abs(diff).max() <= 1e-12 * np.abs(vals).max()
 

@@ -9,11 +9,6 @@ from simplexfem.mesh import SimplexMesh, build_box_mesh, mesh_hierarchy, refine_
 from simplexfem.problems import outward_flux_averages, quadratic_neumann_solution
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(tolerance=0.0)
-
-
 def test_diagonal_solve():
     d = np.array([1.0, 2.0, 4.0])
     A = sp.diags(d).tocsr()
