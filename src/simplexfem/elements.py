@@ -183,21 +183,31 @@ def rt0_moment(mesh):
     return mesh.cell_facet_signs[:, :, None] * offsets / mesh.dim
 
 
-def rt0_outer(mesh):
-    """int_K psi_i psi_j^T = s_i s_j / (n^2 |K|^2) (|K| d_i d_j^T + S):
-    (nc, n+1, n+1, n, n), with d_i = mid K - a_i and S the centred second
-    moment ``cell_second_moments``."""
+def _rt0_parts(mesh):
+    """u_i = s_i d_i / (n|K|) (nc, n+1, n) and scale_i = s_i / (n|K|)
+    (nc, n+1), with d_i = mid K - a_i: on K, psi_i = u_i + scale_i (x - mid K)."""
     meas = mesh.cell_measures
-    u = rt0_moment(mesh) / meas[:, None, None]                # s_i d_i / (n|K|)
-    scale = mesh.cell_facet_signs / (mesh.dim * meas[:, None])
-    return (meas[:, None, None, None, None] * np.einsum("cir,cjs->cijrs", u, u)
+    return (rt0_moment(mesh) / meas[:, None, None],
+            mesh.cell_facet_signs / (mesh.dim * meas[:, None]))
+
+
+def rt0_outer(mesh):
+    """int_K psi_i psi_j^T = |K| u_i u_j^T + scale_i scale_j S:
+    (nc, n+1, n+1, n, n), with S the centred second moment
+    ``cell_second_moments`` and (u, scale) from ``_rt0_parts``."""
+    u, scale = _rt0_parts(mesh)
+    return (mesh.cell_measures[:, None, None, None, None] * np.einsum("cir,cjs->cijrs", u, u)
             + np.einsum("ci,cj->cij", scale, scale)[:, :, :, None, None]
             * mesh.cell_second_moments[:, None, None])
 
 
 def rt0_mass(mesh):
-    """int_K psi_i . psi_j, the trace of ``rt0_outer``: (nc, n+1, n+1)."""
-    return np.einsum("cijrr->cij", rt0_outer(mesh))
+    """int_K psi_i . psi_j = |K| u_i . u_j + scale_i scale_j tr S, the trace
+    of ``rt0_outer``: (nc, n+1, n+1)."""
+    u, scale = _rt0_parts(mesh)
+    trace = np.einsum("cii->c", mesh.cell_second_moments)
+    return (mesh.cell_measures[:, None, None] * (u @ np.swapaxes(u, 1, 2))
+            + np.einsum("ci,cj,c->cij", scale, scale, trace))
 
 
 def gradient_integrals(mesh):

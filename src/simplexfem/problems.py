@@ -259,10 +259,76 @@ def solve_poisson(mesh, f, family="ECR"):
     return _with_bubbles(BrokenField(dm, linsolve.solve_spd(A, b)), bubbles)
 
 
+def _solve_rt0_hybrid(mesh, g, sigma_bc=None):
+    """Hybridised RT0 x P0 solve (Arnold & Brezzi, M2AN 19, 1985; Cockburn
+    & Gopalakrishnan, SINUM 42, 2004): (facet fluxes (nf,), u (nc,)).
+
+    The normal continuity of sigma is relaxed and restored by one
+    multiplier per interior facet.  On K the unknowns (sigma_K, u_K) solve
+    [[M_K, s], [s^T, 0]] z_K = r_K - D_K lam, with M_K the RT0 mass, s the
+    cell's facet signs and D_K = diag(s) on its interior facets, so each
+    cell is eliminated by one (n+2, n+2) inverse.  What remains is the
+    multiplier system sum_K D_K (z_K)_sigma = 0: SPD, one row per interior
+    facet, coupling the facets of each cell.
+    The two copies of an interior flux agree to the accuracy of that
+    solve; their mean is returned.
+
+    ``g`` is the right-hand side of the divergence rows.  With ``sigma_bc``
+    (nf,) the boundary fluxes are fixed to it (and ``g`` must have their
+    divergence moved over): the multiplier system then has the constant in
+    its kernel, which shifts u, and is gauged so that u has zero mean.
+    """
+    n, nc, nf = mesh.dim, mesh.n_cells, mesh.n_facets
+    signs = mesh.cell_facet_signs.astype(float)
+    interior = mesh.interior_facet_indices()
+    number = np.full(nf, -1)
+    number[interior] = np.arange(len(interior))
+    dofs = number[mesh.cell_facets]                    # (nc, n+1), -1 on the boundary
+    local = np.zeros((nc, n + 2, n + 2))
+    local[:, :n + 1, :n + 1] = elements.rt0_mass(mesh)
+    local[:, :n + 1, n + 1] = local[:, n + 1, :n + 1] = signs
+    rhs = np.zeros((nc, n + 2))
+    rhs[:, n + 1] = g
+    if sigma_bc is not None:
+        # boundary fluxes are known: their rows and columns become identity
+        fixed = dofs < 0
+        known = np.where(fixed, sigma_bc[mesh.cell_facets], 0.0)
+        rhs[:, :n + 1] = np.where(fixed, known,
+                                  -np.einsum("cij,cj->ci", local[:, :n + 1, :n + 1], known))
+        keep = np.hstack([~fixed, np.ones((nc, 1), dtype=bool)])
+        local *= keep[:, :, None] & keep[:, None, :]
+        local[:, :n + 1, :n + 1] += fixed[:, :, None] * np.eye(n + 1)
+    inv = np.linalg.inv(local)
+    coupling = np.where(dofs >= 0, signs, 0.0)         # D_K
+    z0 = np.einsum("cab,cb->ca", inv, rhs)
+    T = inv[:, :, :n + 1] * coupling[:, None, :]       # z_K = z0_K - T_K lam_K
+    S_local = coupling[:, :, None] * T[:, :n + 1]
+    S_local = 0.5 * (S_local + np.swapaxes(S_local, 1, 2))
+    ni = len(interior)
+    S = assembly.scatter_matrix(dofs, dofs, S_local, (ni, ni))
+    inner = dofs >= 0
+    b = np.bincount(dofs[inner], (coupling * z0[:, :n + 1])[inner], minlength=ni)
+    if sigma_bc is None:
+        lam = linsolve.solve_spd(S, b)
+    else:
+        # u_K = z0_K - T_K lam_K: zero mean of u is one row on lam
+        row = np.bincount(dofs[inner], (mesh.cell_measures[:, None] * T[:, n + 1])[inner],
+                          minlength=ni)
+        gauge = assembly.Constraint(row, None, np.ones(ni), mesh.cell_measures @ z0[:, n + 1])
+        lam, _, _ = linsolve.solve_saddle(assembly.SaddleSystem(S, b, constraints=[gauge]))
+    z = z0 - np.einsum("cab,cb->ca", T, np.append(lam, 0.0)[dofs])
+    count = np.bincount(mesh.cell_facets.ravel(), minlength=nf)
+    sigma = np.bincount(mesh.cell_facets.ravel(), z[:, :n + 1].ravel(), minlength=nf) / count
+    return sigma, z[:, n + 1]
+
+
 def solve_poisson_mixed(mesh, f):
-    """Mixed Poisson by the RT0 x P0 pair: (flux field, displacement)."""
+    """Mixed Poisson by the RT0 x P0 pair: (flux field, displacement).
+    Solved hybridised, and gated on the residual of the unhybridised
+    system."""
     system, rt, p0 = assembly.assemble_mixed_poisson(mesh, f)
-    x, y, _ = linsolve.solve_saddle(system)
+    x, y = _solve_rt0_hybrid(mesh, system.g)
+    linsolve.gate_saddle(system, x, y)
     return RTField(rt, x), BrokenField(p0, y)
 
 
@@ -302,9 +368,8 @@ def solve_neumann(mesh, f, g, form="ecr"):
         return u
     if form == "mixed":
         system, rt, p0, interior, sigma_bc = assembly.assemble_neumann_mixed(mesh, f, g)
-        x, y, _ = linsolve.solve_saddle(system)
-        sigma = sigma_bc.copy()
-        sigma[interior] = x
+        sigma, y = _solve_rt0_hybrid(mesh, system.g, sigma_bc)
+        linsolve.gate_saddle(system, sigma[interior], y)
         return RTField(rt, sigma), BrokenField(p0, y)
     raise ValueError(f"unknown Neumann form {form!r}")
 

@@ -114,7 +114,7 @@ def reference_monomial_integral(alpha):
 def physical_points(mesh, bary):
     """Map barycentric points (Q, n+1) to physical points on every cell,
     returning (nc, Q, n)."""
-    return np.einsum("qk,cki->cqi", bary, mesh.vertices[mesh.cells])
+    return np.asarray(bary) @ mesh.vertices[mesh.cells]
 
 
 def cell_weights(mesh, rule):

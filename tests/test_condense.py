@@ -152,23 +152,46 @@ def test_neumann_ecr_reproduces_quadratic_on_fine_meshes(variant, lvl):
     assert table.columns["ecr_l2_error"][0] < 1e-9
 
 
-def test_ecr_solves_factorise_only_cr_sized_matrices(monkeypatch):
-    shapes = []
+@pytest.fixture
+def factorised(monkeypatch):
+    """(size, SuperLU column order) of every factorisation, in order."""
+    record = []
     original = linsolve._splu
 
-    def recording(K):
-        shapes.append(K.shape[0])
-        return original(K)
+    def recording(K, **order):
+        record.append((K.shape[0], order.get("permc_spec", "COLAMD")))
+        return original(K, **order)
 
     monkeypatch.setattr(linsolve, "_splu", recording)
+    return record
+
+
+def test_ecr_solves_factorise_only_cr_sized_matrices(factorised):
     mesh = level(3, 1)
     n_interior = len(mesh.interior_facet_indices())
     solve_poisson(mesh, 1.0, "ECR")
-    assert shapes == [n_interior]
-    shapes.clear()
+    assert factorised == [(n_interior, "MMD_AT_PLUS_A")]
+    factorised.clear()
     solve_stokes(mesh, np.ones(3), "ECR")
     # velocity facet DOFs of three components plus the pressures, one pinned
-    assert shapes == [3 * n_interior + mesh.n_cells - 1]
+    assert factorised == [(3 * n_interior + mesh.n_cells - 1, "COLAMD")]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_mixed_solves_factorise_only_multiplier_sized_matrices(factorised, dim):
+    mesh = level(dim, 1)
+    n_interior = len(mesh.interior_facet_indices())
+    problems.solve_poisson_mixed(mesh, 1.0)
+    assert factorised == [(n_interior, "MMD_AT_PLUS_A")]
+    factorised.clear()
+    fix = problems.quadratic_neumann_solution(dim)
+    solve_neumann(mesh, fix.f, problems.outward_flux_averages(mesh, fix.grad), form="mixed")
+    # the multiplier system less the DOF pinned by its constant null vector
+    assert factorised == [(n_interior - 1, "COLAMD")]
+    factorised.clear()
+    problems.solve_stokes_mixed(mesh, np.ones(dim))
+    # tensor fluxes and displacements, the DOF gauging the tensor I pinned
+    assert factorised == [(dim * (mesh.n_facets + mesh.n_cells) - 1, "COLAMD")]
 
 
 def test_rt_side_never_touches_cr_or_ecr(monkeypatch):

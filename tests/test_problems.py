@@ -4,7 +4,8 @@ import scipy.linalg as dla
 import scipy.sparse.linalg as sla
 
 from simplexfem import analysis, assembly, linsolve, problems
-from simplexfem.mesh import build_box_mesh, mesh_hierarchy, refine_uniform
+from simplexfem.linsolve import SolverError
+from simplexfem.mesh import SimplexMesh, build_box_mesh, mesh_hierarchy, refine_uniform
 from simplexfem.problems import (quadratic_neumann_solution, sine_solution,
                                  solve_eigen, solve_neumann, solve_poisson,
                                  solve_poisson_mixed, solve_stokes)
@@ -66,6 +67,88 @@ def test_mixed_global_balance():
 def test_mixed_zero_load():
     mesh = build_box_mesh(2, 1)
     sigma, u = solve_poisson_mixed(mesh, 0.0)
+    assert np.abs(sigma.coeffs).max() == 0.0 and np.abs(u.coeffs).max() == 0.0
+
+
+# -- the hybridised RT0 solve against the unhybridised saddle solve ---------
+
+MIXED_MESHES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)]
+
+
+def mixed_mesh(dim, lvl, jiggle):
+    mesh = mesh_hierarchy(build_box_mesh(dim, 1), lvl)[-1]
+    if not jiggle:
+        return mesh
+    rng = np.random.default_rng(10 * dim + lvl)
+    moved = mesh.vertices + rng.uniform(-0.1, 0.1, mesh.vertices.shape) / 2 ** lvl
+    return SimplexMesh(dim, moved, mesh.cells)
+
+
+def relative_gap(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize("jiggle", [False, True])
+@pytest.mark.parametrize("dim,lvl", MIXED_MESHES)
+def test_hybrid_mixed_poisson_matches_saddle_oracle(dim, lvl, jiggle):
+    mesh = mixed_mesh(dim, lvl, jiggle)
+    pc = np.random.default_rng(lvl).uniform(-1.0, 1.0, mesh.n_cells)
+    for load in (pc, sine_solution(dim).f):
+        sigma, u = solve_poisson_mixed(mesh, load)
+        system, _, _ = assembly.assemble_mixed_poisson(mesh, load)
+        x, y, _ = linsolve.solve_saddle(system)
+        assert relative_gap(sigma.coeffs, x) <= 1e-12
+        assert relative_gap(u.coeffs, y) <= 1e-12
+
+
+@pytest.mark.parametrize("jiggle", [False, True])
+@pytest.mark.parametrize("dim,lvl", MIXED_MESHES)
+def test_hybrid_mixed_neumann_matches_saddle_oracle(dim, lvl, jiggle):
+    mesh = mixed_mesh(dim, lvl, jiggle)
+    fix = quadratic_neumann_solution(dim)
+    g = problems.outward_flux_averages(mesh, fix.grad)
+    sigma, u = solve_neumann(mesh, fix.f, g, form="mixed")
+    system, _, _, interior, sigma_bc = assembly.assemble_neumann_mixed(mesh, fix.f, g)
+    x, y, _ = linsolve.solve_saddle(system)
+    oracle = sigma_bc.copy()
+    oracle[interior] = x
+    assert relative_gap(sigma.coeffs, oracle) <= 1e-12
+    assert relative_gap(u.coeffs, y) <= 1e-12
+    assert np.array_equal(sigma.coeffs[mesh.boundary_facet_indices()],
+                          sigma_bc[mesh.boundary_facet_indices()])
+
+
+def perturb_first(solve):
+    """``solve`` with its first returned vector's first entry moved by
+    1e-9 of its largest entry, after the solve's own gate."""
+    def perturbed(*args):
+        out = solve(*args)
+        lam = out[0] if isinstance(out, tuple) else out
+        lam[0] += 1e-9 * np.abs(lam).max()
+        return out
+    return perturbed
+
+
+def test_hybrid_gate_rejects_a_perturbed_multiplier(monkeypatch):
+    mesh = mixed_mesh(2, 3, True)
+    f = np.random.default_rng(0).uniform(-1.0, 1.0, mesh.n_cells)
+    fix = quadratic_neumann_solution(2)
+    g = problems.outward_flux_averages(mesh, fix.grad)
+    solve_poisson_mixed(mesh, f)
+    solve_neumann(mesh, fix.f, g, form="mixed")
+    # the multiplier solves gate their own residual; only the residual of
+    # the unhybridised mixed system can see the perturbation
+    monkeypatch.setattr(linsolve, "solve_spd", perturb_first(linsolve.solve_spd))
+    monkeypatch.setattr(linsolve, "solve_saddle", perturb_first(linsolve.solve_saddle))
+    with pytest.raises(SolverError):
+        solve_poisson_mixed(mesh, f)
+    with pytest.raises(SolverError):
+        solve_neumann(mesh, fix.f, g, form="mixed")
+
+
+def test_hybrid_neumann_zero_data():
+    mesh = refine_uniform(build_box_mesh(2, 1))
+    sigma, u = solve_neumann(mesh, 0.0, np.zeros(mesh.n_facets), form="mixed")
     assert np.abs(sigma.coeffs).max() == 0.0 and np.abs(u.coeffs).max() == 0.0
 
 

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from simplexfem.mesh import build_box_mesh, refine_uniform
+from simplexfem.mesh import SimplexMesh, build_box_mesh, refine_uniform
 from simplexfem.quadrature import (QuadratureError, cell_weights,
-                                   facet_rule_for_degree, integrate,
+                                   facet_rule_for_degree, integrate, physical_points,
                                    reference_monomial_integral, rule_for_degree)
 
 
@@ -46,6 +46,20 @@ def test_named_reference_integrals():
     rule = rule_for_degree(3, 2)
     x = rule.points[:, 1]
     assert (x ** 2 * rule.weights).sum() == pytest.approx(1 / 60, abs=1e-14)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_physical_points_match_einsum_oracle(dim):
+    base = refine_uniform(refine_uniform(build_box_mesh(dim, 1)))
+    rng = np.random.default_rng(dim)
+    m = SimplexMesh(dim, base.vertices + rng.uniform(-0.05, 0.05, base.vertices.shape),
+                    base.cells)
+    for degree in (1, 4, 8):
+        bary = rule_for_degree(dim, degree).points
+        oracle = np.einsum("qk,cki->cqi", bary, m.vertices[m.cells])
+        got = physical_points(m, bary)
+        assert got.shape == oracle.shape
+        assert np.abs(got - oracle).max() <= 1e-15 * np.abs(oracle).max()
 
 
 @pytest.mark.parametrize("dim", [2, 3])
