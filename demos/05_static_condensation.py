@@ -35,7 +35,7 @@ print(f"min/max bubble amplitude: {b.min():.6e} / {b.max():.6e} "
 
 
 def monolithic(mesh):
-    return sf.solve_spd(*sf.assemble_poisson(mesh, 1.0, "ECR")[:2])
+    return sf.solve(sf.SaddleSystem(*sf.assemble_poisson(mesh, 1.0, "ECR")[:2]))[0]
 
 
 sol = sf.solve_poisson(mesh, 1.0, "ECR")

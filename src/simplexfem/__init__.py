@@ -18,7 +18,7 @@ from .equivalence import (IdentityReport, check_cgs_identity,
                           check_poisson_identity, check_stokes_identity,
                           ecr_gradient_as_rt, eigen_error_comparison,
                           neumann_counterexample_report, project_p0)
-from .linsolve import SolverConfig, SolverError, eig_smallest, solve_saddle, solve_spd
+from .linsolve import SolverConfig, SolverError, eig_smallest, solve
 from .mesh import (MeshError, SimplexMesh, build_box_mesh, mesh_hierarchy,
                    read_mesh, refine_uniform, write_mesh)
 from .problems import (BrokenField, EigenPair, ExactSolution, RTField,

@@ -52,10 +52,6 @@ class DofMap:
     def n_total(self):
         return self.ncomp * self.n_scalar
 
-    @property
-    def n_local(self):
-        return self.cell_dofs.shape[1]
-
     def gather(self, coeffs):
         """Per-cell local coefficients (nc, nldof, ncomp); eliminated DOFs
         contribute zero."""
@@ -96,17 +92,16 @@ class DofMap:
 
 
 class Constraint(NamedTuple):
-    """One scalar gauge condition c . (x, y) = rhs on the primal x and/or
-    dual y unknown, with ``k`` the null vector of [[A, B^T], [B, 0]] that
-    the condition fixes.
+    """The gauge condition c . z = rhs on the whole unknown z = (x, y),
+    primal then dual, with ``k`` the null vector of [[A, B^T], [B, 0]] that
+    it fixes.
 
-    ``k`` spans the whole unknown (primal then dual).  The solver pins the
-    DOF where |k| is largest and re-gauges along ``k`` afterwards, so ``k``
-    must satisfy A k_x + B^T k_y = 0 and B k_x = 0 and have c . k != 0.
+    ``c`` and ``k`` both span z.  The solver pins the DOF where |k| is
+    largest and re-gauges along ``k`` afterwards, so ``k`` must satisfy
+    A k_x + B^T k_y = 0 and B k_x = 0 and have c . k != 0.
     """
 
-    primal: Optional[np.ndarray]
-    dual: Optional[np.ndarray]
+    c: np.ndarray
     k: np.ndarray
     rhs: float = 0.0
 
@@ -114,19 +109,19 @@ class Constraint(NamedTuple):
 @dataclass
 class SaddleSystem:
     """Symmetric block system [[A, B^T], [B, 0]] with right-hand sides
-    ``f`` (primal) and ``g`` (dual), plus scalar constraints that each fix
-    one null direction (the gauge) of the block matrix.
+    ``f`` (primal) and ``g`` (dual), or A alone, and at most one gauge: a
+    scalar condition that fixes the one null direction of the block matrix.
 
-    Its meaning is the bordered system with one Lagrange multiplier per
-    constraint; ``linsolve.solve_saddle`` solves it without factorising the
-    bordered matrix.
+    With a gauge its meaning is the bordered system with one Lagrange
+    multiplier; ``linsolve.solve`` solves every system without factorising
+    the bordered matrix.
     """
 
     A: sp.csr_matrix
     f: np.ndarray
     B: Optional[sp.csr_matrix] = None
     g: Optional[np.ndarray] = None
-    constraints: list = field(default_factory=list)
+    gauge: Optional[Constraint] = None
 
     def __post_init__(self):
         n = self.A.shape[0]
@@ -136,8 +131,9 @@ class SaddleSystem:
             raise ValueError("B and g must be supplied together")
         if self.B is not None and (self.B.shape[1] != n or self.B.shape[0] != len(self.g)):
             raise ValueError("inconsistent dual block dimensions")
-        if any(len(c.k) != n + self.n_dual for c in self.constraints):
-            raise ValueError("constraint null vector must span primal and dual")
+        if self.gauge is not None and (len(self.gauge.c) != n + self.n_dual
+                                       or len(self.gauge.k) != n + self.n_dual):
+            raise ValueError("gauge row and null vector must span primal and dual")
 
     @property
     def n_primal(self):
@@ -175,14 +171,11 @@ def scatter_symmetric(dofmap, local):
 
 def scatter_vector(dofmap, local):
     """Accumulate local vectors (nc, nldof[, ncomp]) into a flat rhs."""
-    out = np.zeros(dofmap.n_total)
-    if local.ndim == 2:
-        local = local[:, :, None]
-    for comp in range(dofmap.ncomp):
-        shift = comp * dofmap.n_scalar
-        mask = dofmap.cell_dofs >= 0
-        np.add.at(out, dofmap.cell_dofs[mask] + shift, local[:, :, comp][mask])
-    return out
+    local = local.reshape(local.shape[:2] + (dofmap.ncomp,))
+    mask = dofmap.cell_dofs >= 0
+    return np.concatenate([np.bincount(dofmap.cell_dofs[mask], local[:, :, comp][mask],
+                                       minlength=dofmap.n_scalar)
+                           for comp in range(dofmap.ncomp)])
 
 
 # -- local matrices / loads --------------------------------------------------
@@ -193,15 +186,6 @@ def stiffness_local(mesh, family):
     if family == "CR":
         return elements.cr_stiffness(mesh)
     raise ValueError(f"no stiffness for family {family!r}")
-
-def mass_local(mesh, family):
-    if family == "ECR":
-        return elements.ecr_mass(mesh)
-    if family == "CR":
-        return elements.cr_mass(mesh)
-    if family == "P0":
-        return mesh.cell_measures[:, None, None].copy()
-    raise ValueError(f"no mass for family {family!r}")
 
 
 def load_values(mesh, f, rule, ncomp=1):
@@ -314,6 +298,13 @@ def assemble_mixed_poisson(mesh, f):
     return system, rt, p0
 
 
+def _zero_mean_dual(mesh, n_primal):
+    """The gauge sum_K |K| y_K = 0 of a cellwise dual y, fixing y = 1."""
+    zero = np.zeros(n_primal)
+    return Constraint(np.concatenate([zero, mesh.cell_measures]),
+                      np.concatenate([zero, np.ones(mesh.n_cells)]))
+
+
 def assemble_stokes(mesh, f, family="ECR"):
     """Nonconforming Stokes: velocity in n components of CR/ECR, piecewise
     constant pressure with zero mean, gauging the constant pressure.  As
@@ -331,10 +322,8 @@ def assemble_stokes(mesh, f, family="ECR"):
     d = np.swapaxes(elements.gradient_integrals(mesh), 1, 2).reshape(mesh.n_cells, 1, -1)
     B = scatter_matrix(prs.cell_dofs, cols, d, (prs.n_total, vel.n_total))
     b = _rhs(mesh, vel, f)
-    const_pressure = np.concatenate([np.zeros(vel.n_total), np.ones(prs.n_total)])
     system = SaddleSystem(A=A, f=b, B=B, g=np.zeros(prs.n_total),
-                          constraints=[Constraint(None, mesh.cell_measures.copy(),
-                                                  const_pressure)])
+                          gauge=_zero_mean_dual(mesh, vel.n_total))
     return system, vel, prs
 
 
@@ -359,9 +348,10 @@ def assemble_pseudostress(mesh, f):
 
     # the constant tensor I: tensor row r has flux nu_F[r] |F| through facet F
     identity = (mesh.facet_normals * mesh.facet_measures[:, None]).T.ravel()
-    const_identity = np.concatenate([identity, np.zeros(upo.n_total)])
+    zero = np.zeros(upo.n_total)
     system = SaddleSystem(A=A, f=np.zeros(sig.n_total), B=B, g=g,
-                          constraints=[Constraint(trace, None, const_identity)])
+                          gauge=Constraint(np.concatenate([trace, zero]),
+                                           np.concatenate([identity, zero])))
     return system, sig, upo
 
 
@@ -403,12 +393,10 @@ def assemble_neumann_primal(mesh, f, g, family="ECR"):
     bnd = mesh.boundary_facet_indices()
     b[dm.facet_dofs[bnd]] += g_avg[bnd] * mesh.facet_measures[bnd]
 
-    mean = np.zeros(dm.n_total)
     avg_row = elements.cell_average_row(family, mesh.dim)
-    np.add.at(mean, dm.cell_dofs.ravel(),
-              np.outer(mesh.cell_measures, avg_row).ravel())
-    system = SaddleSystem(A=A, f=b,
-                          constraints=[Constraint(mean, None, np.ones(dm.n_total))])
+    mean = np.bincount(dm.cell_dofs.ravel(), np.outer(mesh.cell_measures, avg_row).ravel(),
+                       minlength=dm.n_total)
+    system = SaddleSystem(A=A, f=b, gauge=Constraint(mean, np.ones(dm.n_total)))
     return system, dm
 
 
@@ -434,9 +422,8 @@ def assemble_neumann_mixed(mesh, f, g):
     B_b = B[:, bnd].tocsr()
     f_red = -A_ib @ sigma_bc[bnd]
     g_red = g_vec - B_b @ sigma_bc[bnd]
-    const_u = np.concatenate([np.zeros(len(interior)), np.ones(p0.n_total)])
     system = SaddleSystem(A=A_ii, f=f_red, B=B_i, g=g_red,
-                          constraints=[Constraint(None, mesh.cell_measures.copy(), const_u)])
+                          gauge=_zero_mean_dual(mesh, len(interior)))
     return system, rt, p0, interior, sigma_bc
 
 
@@ -454,7 +441,8 @@ def assemble_eigen(mesh, family="ECR", mass="full"):
     dm = DofMap.build(mesh, family, dirichlet=True)
     A = scatter_symmetric(dm, stiffness_local(mesh, family))
     if mass == "full":
-        M = scatter_symmetric(dm, mass_local(mesh, family))
+        M = scatter_symmetric(dm, elements.ecr_mass(mesh) if family == "ECR"
+                              else elements.cr_mass(mesh))
     else:
         avg_row = elements.cell_average_row(family, mesh.dim)
         local = np.einsum("a,b,c->cab", avg_row, avg_row, mesh.cell_measures)

@@ -126,10 +126,13 @@ def _normal_traces(mesh, g, r):
 
 
 def _max_interior_jump(mesh, traces):
-    """Largest jump of per-(cell, local facet) traces across interior facets."""
+    """Largest jump of per-(cell, local facet) traces across interior
+    facets, component by component: the two cells of an interior facet
+    carry opposite signs, so the jump is the signed sum of its traces."""
     interior = mesh.interior_facet_indices()
-    plus, minus = _facet_side_views(mesh, traces, interior)
-    return float(np.abs(plus - minus).max()) if len(interior) else 0.0
+    signs = mesh.cell_facet_signs.reshape(traces.shape[:2] + (1,) * (traces.ndim - 2))
+    jumps = mesh.facet_sums(signs * traces)[interior]
+    return float(np.abs(jumps).max()) if len(interior) else 0.0
 
 
 def _affine_l2(mesh, c, r):
@@ -166,16 +169,6 @@ def normal_jump_of_gradient(u):
     return _max_interior_jump(mesh, _normal_traces(mesh, g, r)), _vertex_sup(mesh, g, r)
 
 
-def _facet_side_views(mesh, per_cell_facet, facet_ids):
-    """Values attached to (cell, local facet) seen from both sides of the
-    given facets."""
-    k_plus = mesh.facet_cells[facet_ids, 0]
-    k_minus = mesh.facet_cells[facet_ids, 1]
-    loc_plus = np.argmax(mesh.cell_facets[k_plus] == facet_ids[:, None], axis=1)
-    loc_minus = np.argmax(mesh.cell_facets[k_minus] == facet_ids[:, None], axis=1)
-    return per_cell_facet[k_plus, loc_plus], per_cell_facet[k_minus, loc_minus]
-
-
 def ecr_gradient_as_rt(u):
     """Re-express the broken gradient of an equivalence-mode ECR solution as
     an RT0 field (exact: the gradient is cellwise constant + radial).
@@ -195,12 +188,9 @@ def ecr_gradient_as_rt(u):
                         f"sup|grad| = {JUMP_TOL * sup:.3e}; not an "
                         "equivalence-mode solution")
     fluxes = mesh.facet_measures[mesh.cell_facets] * traces
-    coeffs = np.zeros(mesh.n_facets)
-    counts = np.zeros(mesh.n_facets)
-    np.add.at(coeffs, mesh.cell_facets.ravel(), fluxes.ravel())
-    np.add.at(counts, mesh.cell_facets.ravel(), 1.0)
+    counts = np.bincount(mesh.cell_facets.ravel(), minlength=mesh.n_facets)
     rt = assembly.DofMap.build(mesh, "RT0")
-    return problems.RTField(rt, coeffs / counts)
+    return problems.RTField(rt, mesh.facet_sums(fluxes) / counts)
 
 
 def _pseudostress(g, r, pressure):
@@ -291,12 +281,8 @@ def check_stokes_identity(mesh, f_pc, level=-1, tol=STOKES_TOL):
     contrib = (delta[:, None, None] * elements.rt0_moment(mesh)
                + np.einsum("ci,cmk,ck->cim", radial, mesh.cell_second_moments, rad)) / n
     lhs_cell = u_rt.coeffs.reshape(n, mesh.n_cells).T - vel.cell_averages()
-    t_weak = np.zeros((n, mesh.n_facets))
-    t_div = np.zeros((n, mesh.n_facets))
-    for r in range(n):
-        np.add.at(t_weak[r], mesh.cell_facets.ravel(), contrib[:, :, r].ravel())
-        np.add.at(t_div[r], mesh.cell_facets.ravel(),
-                  (lhs_cell[:, r][:, None] * mesh.cell_facet_signs).ravel())
+    t_weak = mesh.facet_sums(contrib)
+    t_div = mesh.facet_sums(lhs_cell[:, None, :] * mesh.cell_facet_signs[:, :, None])
     scale = max(np.abs(t_div).max(), np.abs(t_weak).max(), 1e-300)
     weak_resid = float(np.abs(t_div - t_weak).max())
     report.record("weak_l_relation", weak_resid, scale, scale)

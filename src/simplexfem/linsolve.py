@@ -1,27 +1,44 @@
 """Direct sparse solvers and generalized symmetric eigensolvers at desk scale.
 
-Linear systems go through a sparse LU factorization with one step of
-iterative refinement and a verified relative residual: every solve, and
-every eigenpair, is gated at ``RESIDUAL_TOL``.  ``SolverConfig`` carries
-only what the eigensolver needs: the dense/ARPACK switch and the start
-vector's seed.
+Every linear system is an ``assembly.SaddleSystem`` and goes through
+``solve``: a sparse LU factorization with one step of iterative refinement
+and a verified relative residual.  Every solve, and every eigenpair, is
+gated at ``RESIDUAL_TOL``.  ``SolverConfig`` carries only what the
+eigensolver needs: the dense/ARPACK switch and the start vector's seed.
+``_splu`` is the one factorisation entry, ARPACK's shift-invert included.
 
-SPD solves: symmetric minimum-degree order, no pivoting.  ``solve_spd``
-factorises in the minimum-degree order of A^T + A with the diagonal as
-pivots, which keeps the factor of a 3D CR stiffness at a third of the fill
-COLAMD gives (3D L4, 47,616 unknowns: fill 34 against 105).  Saddle
-systems and the eigensolver keep SuperLU's default, COLAMD with partial
-pivoting: an indefinite matrix has zero diagonal blocks, and on the pinned
-pseudostress matrix of 12,311 unknowns the symmetric order took 80 s on
-2 vCPUs, at fill 227, and reached a relative residual of 82.
+The order follows from the system.  Without a dual block the matrix is SPD,
+or SPD once its gauge DOF is pinned: it is factorised in the minimum-degree
+order of A^T + A with the diagonal as pivots, which keeps the factor of a 3D
+CR stiffness at a third of the fill COLAMD gives (3D L4, 47,616 unknowns:
+fill 34 against 105).  Saddle systems and the eigensolver keep SuperLU's
+default, COLAMD with partial pivoting: an indefinite matrix has zero
+diagonal blocks, and on the pinned pseudostress matrix of 12,311 unknowns
+the symmetric order took 80 s on 2 vCPUs, at fill 227, and reached a
+relative residual of 82.
 
-Saddle systems carry constraints that each fix a gauge, a null vector k of
-the block matrix.  They are solved by pinning, never by factorising the
-bordered matrix: the multiplier follows in closed form from k, the DOF where
-|k| is largest is removed before factorising, and the solution is re-gauged
-along k afterwards.  No dense constraint row reaches SuperLU, whose fill it
-would multiply.  The residual of the full bordered system is the gate;
-``gate_saddle`` applies it to a solution found by any other route.
+A system carries at most one gauge: a null vector k of the block matrix K
+and a row c that fixes it, c . z = rhs.  It is solved by pinning, never by
+factorising the bordered matrix:
+
+1. the multiplier follows from k^T K = 0: mu = k . F / k . c;
+2. K z = F - c mu is solved with the DOF at argmax |k| removed;
+3. the removed DOF is set to 0 and z is re-gauged along k so that
+   c . z = rhs;
+4. z is refined once by the residual of all rows less its component along
+   k, and re-gauged again.  The removed row then shares the rounding of the
+   others instead of collecting its sum, and the rounding that step 3 adds
+   (K k vanishes only to rounding) is corrected.  On the pure-Neumann RT0
+   multiplier systems the first exceeded the gate from 2D L6 (12k
+   unknowns) and the second at L8 (196k).
+
+No dense constraint row reaches SuperLU, whose fill it would multiply.  A
+declared k that is not a null vector of K breaks the dropped row or the
+re-gauge, and the gate raises SolverError.  K must have no null vector
+besides the declared one, or the pinned matrix is singular, which SuperLU
+reports only when the breakdown is exact.  The residual of the full
+bordered system is the gate; ``gate_saddle`` applies it to a solution found
+by any other route.
 
 Eigenproblems A x = lam M x (A symmetric nonsingular, SPD or a negated
 saddle matrix; M symmetric PSD with an SPD block on its nonzero rows J) work
@@ -82,20 +99,6 @@ def _splu(K, **order):
         raise SolverError(f"factorization breakdown: {exc}") from exc
 
 
-def solve_spd(A, b):
-    """Solve SPD A x = b to a verified relative residual."""
-    b = np.asarray(b, dtype=float)
-    norm_b = np.linalg.norm(b)
-    if norm_b == 0.0:
-        return np.zeros_like(b)
-    A = sp.csc_matrix(A)
-    lu = _splu(A, **_SPD_ORDER)
-    x = lu.solve(b)
-    x = x + lu.solve(b - A @ x)                # one step of refinement
-    _gate(np.linalg.norm(A @ x - b) / norm_b, "linear solve")
-    return x
-
-
 def _block_matrix(system):
     """[[A, B^T], [B, 0]], or A alone when there is no dual block."""
     if system.B is None:
@@ -103,29 +106,14 @@ def _block_matrix(system):
     return sp.bmat([[system.A, system.B.T], [system.B, None]], format="csc")
 
 
-def _constraint_columns(system):
-    """Constraint rows c_i and their null vectors k_i as the columns of two
-    (n_primal + n_dual, n_constraints) arrays."""
-    np_ = system.n_primal
-    C = np.zeros((np_ + system.n_dual, len(system.constraints)))
-    N = np.zeros_like(C)
-    for i, con in enumerate(system.constraints):
-        if con.primal is not None:
-            C[:np_, i] = con.primal
-        if con.dual is not None:
-            C[np_:, i] = con.dual
-        N[:, i] = con.k
-    return C, N
-
-
 def saddle_matrix(system):
     """The full bordered symmetric indefinite matrix of a SaddleSystem: the
-    block matrix with one multiplier row and column per constraint."""
+    block matrix with a multiplier row and column for its gauge."""
     K = _block_matrix(system)
-    if not system.constraints:
+    if system.gauge is None:
         return K
-    C = sp.csc_matrix(_constraint_columns(system)[0])
-    return sp.bmat([[K, C], [C.T, None]], format="csc")
+    c = sp.csc_matrix(system.gauge.c[:, None])
+    return sp.bmat([[K, c], [c.T, None]], format="csc")
 
 
 def _block_apply(system, z):
@@ -136,84 +124,67 @@ def _block_apply(system, z):
     return np.concatenate([system.A @ x + system.B.T @ y, system.B @ x])
 
 
-def _multipliers(N, C, F):
-    """Closed-form multipliers (k^T c) mult = k^T F, exact because
-    k^T K = 0."""
-    try:
-        return np.linalg.solve(N.T @ C, N.T @ F)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"constraint row orthogonal to its null vector: {exc}") from exc
+def _rhs(system):
+    """The right-hand side (f, g) of the block matrix."""
+    return system.f if system.g is None else np.concatenate([system.f, system.g])
 
 
-def _saddle_rhs(system):
-    F = system.f if system.g is None else np.concatenate([system.f, system.g])
-    return F, np.array([c.rhs for c in system.constraints], dtype=float)
+def _multiplier(system, F):
+    """The gauge's multiplier k . F / k . c, exact because k^T K = 0; None
+    without a gauge."""
+    if system.gauge is None:
+        return None
+    c, k, _ = system.gauge
+    kc = k @ c
+    if kc == 0.0:
+        raise SolverError("gauge row orthogonal to its null vector")
+    return (k @ F) / kc
 
 
 def gate_saddle(system, primal, dual):
     """Gate a solution (primal, dual) of a SaddleSystem at ``RESIDUAL_TOL``
     on the relative residual of the full bordered system, with A and B
-    applied by matvec only and the multipliers in closed form from the null
-    vectors k.  A zero right-hand side admits only the zero solution.
-    Returns the multipliers."""
-    F, rhs_c = _saddle_rhs(system)
-    C, N = _constraint_columns(system)
-    mult = _multipliers(N, C, F)
+    applied by matvec only and the multiplier in closed form.  A zero
+    right-hand side admits only the zero solution.  Returns the
+    multiplier."""
+    F = _rhs(system)
+    mu = _multiplier(system, F)
     z = np.concatenate([primal, dual])
-    bordered = np.concatenate([_block_apply(system, z) + C @ mult - F, C.T @ z - rhs_c])
-    norm_r = np.linalg.norm(bordered)
-    norm_rhs = np.linalg.norm(np.concatenate([F, rhs_c]))
+    Kz = _block_apply(system, z)
+    if mu is not None:
+        c, _, rhs_c = system.gauge
+        Kz, F = np.append(Kz + c * mu, c @ z), np.append(F, rhs_c)
+    norm_r, norm_rhs = np.linalg.norm(Kz - F), np.linalg.norm(F)
     _gate(norm_r / norm_rhs if norm_rhs > 0.0 else (0.0 if norm_r == 0.0 else np.inf),
-          "saddle solve")
-    return mult
+          "linear solve")
+    return mu
 
 
-def solve_saddle(system):
-    """Solve a SaddleSystem; returns (primal, dual, multipliers).
-
-    The bordered matrix is never factorised.  With K the block matrix, F its
-    right-hand side and (c_i, k_i) the constraints:
-
-    1. the multipliers follow from k_i^T K = 0: (k^T c) mult = k^T F;
-    2. K z = F - c mult is solved with the DOF at argmax |k_i| removed, so
-       the factorised matrix is K less one row and column per constraint;
-    3. the removed DOFs are set to 0 and z is re-gauged along k so that
-       c^T z = rhs;
-    4. z is refined once by the residual of all rows less its components
-       along the k_i, and re-gauged again.  The removed rows then share
-       the rounding of the others instead of collecting its sum, and the
-       rounding that step 3 adds (K k vanishes only to rounding) is
-       corrected.  On the pure-Neumann RT0 multiplier systems the first
-       exceeded the gate from 2D L6 (12k unknowns) and the second at L8
-       (196k);
-    5. ``gate_saddle`` gates the residual of the full bordered system at
-       ``RESIDUAL_TOL``.
-
-    A declared k that is not a null vector of K breaks the dropped row or
-    the re-gauge, and the gate raises SolverError.  K must have no null
-    vector besides the declared ones: the pinned matrix is then singular,
-    which SuperLU reports only when the breakdown is exact.
-    """
-    np_, nd = system.n_primal, system.n_dual
-    F, rhs_c = _saddle_rhs(system)
-    C, N = _constraint_columns(system)
-    z = np.zeros(np_ + nd)
-    if F.any() or rhs_c.any():
+def solve(system):
+    """Solve a SaddleSystem to a gated residual: (primal, dual, multiplier),
+    the multiplier None without a gauge."""
+    F, gauge = _rhs(system), system.gauge
+    z = np.zeros(len(F))
+    if F.any() or (gauge is not None and gauge.rhs):
         K = _block_matrix(system)
-        rhs = F - C @ _multipliers(N, C, F)
-        pinned = np.ones(np_ + nd, dtype=bool)
-        pinned[np.argmax(np.abs(N), axis=0)] = False
-        lu = _splu(K[pinned][:, pinned])
-        z[pinned] = lu.solve(rhs[pinned])
-        try:
-            gauge = np.linalg.inv(C.T @ N)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"constraint row orthogonal to its null vector: {exc}") from exc
-        z -= N @ (gauge @ (C.T @ z - rhs_c))
-        r = K @ z - rhs
-        r -= N @ np.linalg.solve(N.T @ N, N.T @ r)
-        z[pinned] -= lu.solve(r[pinned])
-        z -= N @ (gauge @ (C.T @ z - rhs_c))
+        order = _SPD_ORDER if system.B is None else {}
+        if gauge is None:
+            lu = _splu(K, **order)
+            z = lu.solve(F)
+            z = z + lu.solve(F - K @ z)            # one step of refinement
+        else:                                      # steps 1-4 of the module doc
+            c, k, rhs_c = gauge
+            rhs = F - c * _multiplier(system, F)
+            free = np.ones(len(F), dtype=bool)
+            free[np.argmax(np.abs(k))] = False
+            lu = _splu(K[free][:, free], **order)
+            z[free] = lu.solve(rhs[free])
+            z -= k * ((c @ z - rhs_c) / (c @ k))
+            r = K @ z - rhs
+            r -= k * ((k @ r) / (k @ k))
+            z[free] -= lu.solve(r[free])
+            z -= k * ((c @ z - rhs_c) / (c @ k))
+    np_ = system.n_primal
     return z[:np_], z[np_:], gate_saddle(system, z[:np_], z[np_:])
 
 
@@ -257,10 +228,12 @@ def _eig_sparse(A, M, k, n_pairs, ncv, config):
     stalling the convergence of its wanted half."""
     rng = np.random.default_rng(config.seed)
     v0 = rng.standard_normal(A.shape[0])
+    # (A - sigma M)^-1 is A^-1 at the zero shift
+    inverse = sla.LinearOperator(A.shape, matvec=_splu(A).solve, dtype=float)
     try:
         lams, X = sla.eigsh(A, k=n_pairs, M=M, sigma=_EIG_SHIFT, which="LM",
-                            v0=v0, ncv=ncv, maxiter=_EIG_MAXITER)
-    except RuntimeError as exc:        # ARPACK failure or a singular factor
+                            v0=v0, ncv=ncv, maxiter=_EIG_MAXITER, OPinv=inverse)
+    except RuntimeError as exc:        # ARPACK failure
         raise SolverError(f"eigensolver failed: {exc}") from exc
     order = np.argsort(lams)[:k]
     return lams[order], X[:, order]

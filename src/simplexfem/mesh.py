@@ -180,10 +180,7 @@ class SimplexMesh:
             raise MeshError("facet orientation is ambiguous (degenerate geometry)")
         self.cell_facet_signs = _lock(np.where(dots > 0, 1, -1).astype(np.int64))
 
-        interior = ~self.is_boundary_facet
-        sign_sum = np.zeros(len(self.facets))
-        np.add.at(sign_sum, self.cell_facets.ravel(), self.cell_facet_signs.ravel())
-        if np.any(sign_sum[interior] != 0):
+        if np.any(self.facet_sums(self.cell_facet_signs)[~self.is_boundary_facet] != 0):
             raise MeshError("interior facet signs are not antisymmetric")
 
     # -- simple queries ----------------------------------------------------
@@ -206,13 +203,20 @@ class SimplexMesh:
     def boundary_facet_indices(self):
         return np.flatnonzero(self.is_boundary_facet)
 
+    def facet_sums(self, values):
+        """Per-facet sums of values attached to (cell, local facet):
+        (nc, n+1[, m]) -> (nf[, m]), each sum taken in cell order."""
+        values = np.asarray(values, dtype=float)
+        cols = values.reshape(self.cell_facets.size, -1).T
+        sums = [np.bincount(self.cell_facets.ravel(), col, minlength=self.n_facets)
+                for col in cols]
+        return np.stack(sums, axis=-1).reshape((self.n_facets,) + values.shape[2:])
+
     def boundary_facet_signs(self):
         """+1 where a boundary facet's canonical normal points outward, -1
-        where it points inward; in ``boundary_facet_indices`` order."""
-        bnd = self.boundary_facet_indices()
-        cells0 = self.facet_cells[bnd, 0]
-        local = np.argmax(self.cell_facets[cells0] == bnd[:, None], axis=1)
-        return self.cell_facet_signs[cells0, local]
+        where it points inward; in ``boundary_facet_indices`` order.  It is
+        the sum of the signs of the facet's cells, of which it has one."""
+        return self.facet_sums(self.cell_facet_signs)[self.is_boundary_facet]
 
     @property
     def h_max(self):

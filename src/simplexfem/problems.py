@@ -256,7 +256,8 @@ def solve_poisson(mesh, f, family="ECR"):
     solve plus closed-form bubbles."""
     load, bubbles = _cr_load(mesh, f, family)
     A, b, dm = assembly.assemble_poisson(mesh, load, "CR")
-    return _with_bubbles(BrokenField(dm, linsolve.solve_spd(A, b)), bubbles)
+    x, _, _ = linsolve.solve(assembly.SaddleSystem(A, b))
+    return _with_bubbles(BrokenField(dm, x), bubbles)
 
 
 def _solve_rt0_hybrid(mesh, g, sigma_bc=None):
@@ -308,18 +309,16 @@ def _solve_rt0_hybrid(mesh, g, sigma_bc=None):
     S = assembly.scatter_matrix(dofs, dofs, S_local, (ni, ni))
     inner = dofs >= 0
     b = np.bincount(dofs[inner], (coupling * z0[:, :n + 1])[inner], minlength=ni)
-    if sigma_bc is None:
-        lam = linsolve.solve_spd(S, b)
-    else:
+    gauge = None
+    if sigma_bc is not None:
         # u_K = z0_K - T_K lam_K: zero mean of u is one row on lam
         row = np.bincount(dofs[inner], (mesh.cell_measures[:, None] * T[:, n + 1])[inner],
                           minlength=ni)
-        gauge = assembly.Constraint(row, None, np.ones(ni), mesh.cell_measures @ z0[:, n + 1])
-        lam, _, _ = linsolve.solve_saddle(assembly.SaddleSystem(S, b, constraints=[gauge]))
+        gauge = assembly.Constraint(row, np.ones(ni), mesh.cell_measures @ z0[:, n + 1])
+    lam, _, _ = linsolve.solve(assembly.SaddleSystem(S, b, gauge=gauge))
     z = z0 - np.einsum("cab,cb->ca", T, np.append(lam, 0.0)[dofs])
     count = np.bincount(mesh.cell_facets.ravel(), minlength=nf)
-    sigma = np.bincount(mesh.cell_facets.ravel(), z[:, :n + 1].ravel(), minlength=nf) / count
-    return sigma, z[:, n + 1]
+    return mesh.facet_sums(z[:, :n + 1]) / count, z[:, n + 1]
 
 
 def solve_poisson_mixed(mesh, f):
@@ -338,7 +337,7 @@ def solve_stokes(mesh, f, family="ECR"):
     with the CR pressure."""
     load, bubbles = _cr_load(mesh, f, family, mesh.dim)
     system, vel, prs = assembly.assemble_stokes(mesh, load, "CR")
-    x, y, _ = linsolve.solve_saddle(system)
+    x, y, _ = linsolve.solve(system)
     return _with_bubbles(BrokenField(vel, x), bubbles), BrokenField(prs, y)
 
 
@@ -346,7 +345,7 @@ def solve_stokes_mixed(mesh, f):
     """Pseudostress Stokes by tensor RT0 x (P0)^n: (pseudostress,
     displacement)."""
     system, sig, upo = assembly.assemble_pseudostress(mesh, f)
-    x, y, _ = linsolve.solve_saddle(system)
+    x, y, _ = linsolve.solve(system)
     return RTField(sig, x), BrokenField(upo, y)
 
 
@@ -361,7 +360,7 @@ def solve_neumann(mesh, f, g, form="ecr"):
     if form in ("ecr", "cr"):
         load, bubbles = _cr_load(mesh, f, form.upper())
         system, dm = assembly.assemble_neumann_primal(mesh, load, g, "CR")
-        x, _, _ = linsolve.solve_saddle(system)
+        x, _, _ = linsolve.solve(system)
         u = _with_bubbles(BrokenField(dm, x), bubbles)
         if bubbles is not None:
             u.coeffs -= mesh.cell_measures @ u.cell_averages() / mesh.cell_measures.sum()

@@ -1,0 +1,34 @@
+import pytest
+import scipy.sparse.linalg as sla
+from scipy.sparse.linalg._eigen.arpack import arpack
+
+from simplexfem import linsolve
+
+
+@pytest.fixture
+def factorised(monkeypatch):
+    """(size, SuperLU column order) of every factorisation, in order.  A
+    SuperLU factorisation that does not come through ``linsolve._splu``,
+    ARPACK's shift-invert included, fails the test."""
+    record = []
+    depth = []
+    original = linsolve._splu
+
+    def recording(K, **order):
+        record.append((K.shape[0], order.get("permc_spec", "COLAMD")))
+        depth.append(K.shape[0])
+        try:
+            return original(K, **order)
+        finally:
+            depth.pop()
+
+    def guarded(splu):
+        def factorise(A, *args, **kwargs):
+            assert depth, f"SuperLU factorisation of size {A.shape[0]} outside linsolve._splu"
+            return splu(A, *args, **kwargs)
+        return factorise
+
+    monkeypatch.setattr(linsolve, "_splu", recording)
+    monkeypatch.setattr(sla, "splu", guarded(sla.splu))
+    monkeypatch.setattr(arpack, "splu", guarded(arpack.splu))
+    return record

@@ -85,11 +85,11 @@ def test_load_value_shapes():
 
 
 def test_energy_positive_for_unit_load():
-    from simplexfem.linsolve import solve_spd
+    from simplexfem.linsolve import solve
 
     mesh = refine_uniform(two_triangles())
     A, b, dm = assembly.assemble_poisson(mesh, 1.0, "ECR")
-    x = solve_spd(A, b)
+    x, _, _ = solve(assembly.SaddleSystem(A, b))
     assert x @ b > 0
 
 

@@ -23,7 +23,8 @@ def reference_triangle(scale=1.0):
 
 
 def monolithic_poisson(mesh, f):
-    return linsolve.solve_spd(*assembly.assemble_poisson(mesh, f, "ECR")[:2])
+    A, b, _ = assembly.assemble_poisson(mesh, f, "ECR")
+    return linsolve.solve(assembly.SaddleSystem(A, b))[0]
 
 
 def relative_gap(a, b):
@@ -123,7 +124,7 @@ def test_stokes_matches_monolithic_ecr(dim, lvl):
     f = rng.uniform(-1, 1, (mesh.n_cells, dim))
     vel, prs = solve_stokes(mesh, f, "ECR")
     system, vel_dm, _ = assembly.assemble_stokes(mesh, f, "ECR")
-    x, y, _ = linsolve.solve_saddle(system)
+    x, y, _ = linsolve.solve(system)
     assert vel.dofmap.n_total == vel_dm.n_total
     assert relative_gap(vel.coeffs, x) <= 1e-12
     assert relative_gap(prs.coeffs, y) <= 1e-12
@@ -136,7 +137,7 @@ def test_neumann_matches_monolithic_ecr(dim, lvl):
     g = problems.outward_flux_averages(mesh, fix.grad)
     sol = solve_neumann(mesh, fix.f, g, form="ecr")
     system, _ = assembly.assemble_neumann_primal(mesh, fix.f, g, "ECR")
-    x, _, _ = linsolve.solve_saddle(system)
+    x, _, _ = linsolve.solve(system)
     assert relative_gap(sol.coeffs, x) <= 1e-12
     # zero mean, as the monolithic gauge demands
     mean = mesh.cell_measures @ sol.cell_averages()
@@ -152,20 +153,6 @@ def test_neumann_ecr_reproduces_quadratic_on_fine_meshes(variant, lvl):
     assert table.columns["ecr_l2_error"][0] < 1e-9
 
 
-@pytest.fixture
-def factorised(monkeypatch):
-    """(size, SuperLU column order) of every factorisation, in order."""
-    record = []
-    original = linsolve._splu
-
-    def recording(K, **order):
-        record.append((K.shape[0], order.get("permc_spec", "COLAMD")))
-        return original(K, **order)
-
-    monkeypatch.setattr(linsolve, "_splu", recording)
-    return record
-
-
 def test_ecr_solves_factorise_only_cr_sized_matrices(factorised):
     mesh = level(3, 1)
     n_interior = len(mesh.interior_facet_indices())
@@ -175,6 +162,11 @@ def test_ecr_solves_factorise_only_cr_sized_matrices(factorised):
     solve_stokes(mesh, np.ones(3), "ECR")
     # velocity facet DOFs of three components plus the pressures, one pinned
     assert factorised == [(3 * n_interior + mesh.n_cells - 1, "COLAMD")]
+    factorised.clear()
+    fix = problems.quadratic_neumann_solution(3)
+    solve_neumann(mesh, fix.f, problems.outward_flux_averages(mesh, fix.grad), form="ecr")
+    # the CR facet DOFs less the one pinned by the constant null vector: SPD
+    assert factorised == [(mesh.n_facets - 1, "MMD_AT_PLUS_A")]
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -187,7 +179,7 @@ def test_mixed_solves_factorise_only_multiplier_sized_matrices(factorised, dim):
     fix = problems.quadratic_neumann_solution(dim)
     solve_neumann(mesh, fix.f, problems.outward_flux_averages(mesh, fix.grad), form="mixed")
     # the multiplier system less the DOF pinned by its constant null vector
-    assert factorised == [(n_interior - 1, "COLAMD")]
+    assert factorised == [(n_interior - 1, "MMD_AT_PLUS_A")]
     factorised.clear()
     problems.solve_stokes_mixed(mesh, np.ones(dim))
     # tensor fluxes and displacements, the DOF gauging the tensor I pinned

@@ -63,6 +63,25 @@ def test_facet_incidence_invariants(dim):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
+def test_signed_facet_sums_match_side_lookups(dim):
+    # oracle: each facet's cells, with its local index found in each of them
+    m = refine_uniform(build_box_mesh(dim, 2))
+    traces = np.random.default_rng(dim).standard_normal(m.cell_facets.shape + (2,))
+
+    def side(facets, which):
+        cells = m.facet_cells[facets, which]
+        local = np.argmax(m.cell_facets[cells] == facets[:, None], axis=1)
+        return cells, local
+
+    bnd = m.boundary_facet_indices()
+    assert np.array_equal(m.boundary_facet_signs(), m.cell_facet_signs[side(bnd, 0)])
+    interior = m.interior_facet_indices()
+    jump = traces[side(interior, 0)] - traces[side(interior, 1)]
+    signed = m.facet_sums(m.cell_facet_signs[:, :, None] * traces)[interior]
+    assert np.array_equal(np.abs(signed), np.abs(jump))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
 def test_positive_volumes_and_unit_normals(dim):
     m = refine_uniform(build_box_mesh(dim, 1))
     assert np.all(m.cell_measures > 0)

@@ -96,7 +96,7 @@ def test_hybrid_mixed_poisson_matches_saddle_oracle(dim, lvl, jiggle):
     for load in (pc, sine_solution(dim).f):
         sigma, u = solve_poisson_mixed(mesh, load)
         system, _, _ = assembly.assemble_mixed_poisson(mesh, load)
-        x, y, _ = linsolve.solve_saddle(system)
+        x, y, _ = linsolve.solve(system)
         assert relative_gap(sigma.coeffs, x) <= 1e-12
         assert relative_gap(u.coeffs, y) <= 1e-12
 
@@ -109,7 +109,7 @@ def test_hybrid_mixed_neumann_matches_saddle_oracle(dim, lvl, jiggle):
     g = problems.outward_flux_averages(mesh, fix.grad)
     sigma, u = solve_neumann(mesh, fix.f, g, form="mixed")
     system, _, _, interior, sigma_bc = assembly.assemble_neumann_mixed(mesh, fix.f, g)
-    x, y, _ = linsolve.solve_saddle(system)
+    x, y, _ = linsolve.solve(system)
     oracle = sigma_bc.copy()
     oracle[interior] = x
     assert relative_gap(sigma.coeffs, oracle) <= 1e-12
@@ -119,12 +119,11 @@ def test_hybrid_mixed_neumann_matches_saddle_oracle(dim, lvl, jiggle):
 
 
 def perturb_first(solve):
-    """``solve`` with its first returned vector's first entry moved by
-    1e-9 of its largest entry, after the solve's own gate."""
+    """``solve`` with its primal's first entry moved by 1e-9 of its largest
+    entry, after the solve's own gate."""
     def perturbed(*args):
         out = solve(*args)
-        lam = out[0] if isinstance(out, tuple) else out
-        lam[0] += 1e-9 * np.abs(lam).max()
+        out[0][0] += 1e-9 * np.abs(out[0]).max()
         return out
     return perturbed
 
@@ -138,8 +137,7 @@ def test_hybrid_gate_rejects_a_perturbed_multiplier(monkeypatch):
     solve_neumann(mesh, fix.f, g, form="mixed")
     # the multiplier solves gate their own residual; only the residual of
     # the unhybridised mixed system can see the perturbation
-    monkeypatch.setattr(linsolve, "solve_spd", perturb_first(linsolve.solve_spd))
-    monkeypatch.setattr(linsolve, "solve_saddle", perturb_first(linsolve.solve_saddle))
+    monkeypatch.setattr(linsolve, "solve", perturb_first(linsolve.solve))
     with pytest.raises(SolverError):
         solve_poisson_mixed(mesh, f)
     with pytest.raises(SolverError):
