@@ -25,6 +25,6 @@ from .problems import (BrokenField, EigenPair, ExactSolution, RTField,
                        bubble_coefficients, quadratic_neumann_solution,
                        sine_solution, solve_eigen, solve_neumann, solve_poisson,
                        solve_poisson_mixed, solve_stokes, solve_stokes_mixed)
-from .quadrature import QuadratureRule, facet_rule_for_degree, rule_for_degree
+from .quadrature import QuadratureRule, rule_for_degree
 
 __version__ = "0.1.0"

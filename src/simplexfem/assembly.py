@@ -24,8 +24,8 @@ import scipy.sparse as sp
 
 from . import elements
 from .mesh import MeshError
-from .quadrature import (cell_weights, facet_rule_for_degree, integrate_cellwise,
-                         physical_points, rule_for_degree)
+from .quadrature import (cell_weights, integrate_cellwise, physical_points,
+                         rule_for_degree)
 
 DEFAULT_LOAD_DEGREE = 8
 MATRIX_DEGREE = 4
@@ -359,7 +359,7 @@ def facet_averages_of(mesh, g):
     """Facet averages of a callable on the degree-MATRIX_DEGREE facet rule
     (or pass-through of a per-facet array)."""
     if callable(g):
-        rule = facet_rule_for_degree(mesh.dim, MATRIX_DEGREE)
+        rule = rule_for_degree(mesh.dim - 1, MATRIX_DEGREE)
         pts = np.einsum("qk,fki->fqi", rule.points, mesh.vertices[mesh.facets])
         vals = np.asarray(g(pts), dtype=float)
         fac = math.factorial(mesh.dim - 1)

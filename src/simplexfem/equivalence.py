@@ -364,12 +364,16 @@ def check_eigen_equivalence(mesh, k=3, level=-1, tol_field=1e-8, config=None):
     """Match the RT-mixed saddle eigenproblem against the projected-mass ECR
     form: identical eigenvalues, and for simple eigenvalues the field
     identities sigma_RT = grad_NC phi and u_RT = Pi0 phi after sign
-    alignment."""
-    mixed = problems.solve_eigen(mesh, "RT-mixed", k, config=config)
+    alignment.  The mixed side solves one pair beyond k, so that a lambda_k
+    repeated in lambda_{k+1} counts as multiple; only k pairs are compared."""
+    n_pairs = k + 1 if k < mesh.n_cells else k     # one finite eigenvalue per cell
+    mixed = problems.solve_eigen(mesh, "RT-mixed", n_pairs, config=config)
     equiv = problems.solve_eigen(mesh, "RT-equiv", k, config=config)
+    lam_all = np.array([p.lam for p in mixed])
+    gaps = np.abs(np.diff(lam_all)) / np.abs(lam_all[:-1])
 
     report = IdentityReport("eigen_equivalence", level=level, tolerance=tol_field)
-    lam_m = np.array([p.lam for p in mixed])
+    lam_m = lam_all[:k]
     lam_e = np.array([p.lam for p in equiv])
     lam_err = float(np.abs(lam_m - lam_e).max())
     report.record("eigenvalues", lam_err, float(np.abs(lam_m).max()),
@@ -379,10 +383,9 @@ def check_eigen_equivalence(mesh, k=3, level=-1, tol_field=1e-8, config=None):
     report.extra["lambda_tolerance"] = LAMBDA_TOL
     lam_pass = lam_err <= LAMBDA_TOL * max(np.abs(lam_m).max(), 1e-300)
 
-    gaps = np.abs(np.diff(lam_m)) / np.abs(lam_m[:-1]) if k > 1 else np.array([])
     for j in range(k):
         simple = ((j == 0 or gaps[j - 1] > 1e-6)
-                  and (j == k - 1 or gaps[j] > 1e-6))
+                  and (j == len(gaps) or gaps[j] > 1e-6))
         if not simple:
             report.notes.append(f"eigenvalue {j}: multiplicity detected, "
                                 "field comparison skipped")

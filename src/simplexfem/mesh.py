@@ -1,14 +1,18 @@
 """Simplicial meshes in n dimensions with facet incidence and geometry caches.
 
 A mesh stores vertices, positively oriented cells, and the set of (n-1)-facets
-with a canonical global orientation: the vertex tuple of every facet is sorted
-ascending and the unit normal is derived from that tuple.  Each cell records,
-for each of its facets, a sign telling whether the canonical normal points out
-of the cell.  Meshes are immutable after construction.
+with a canonical global orientation: the vertex tuple (p_0, ..., p_{n-1}) of
+every facet is sorted ascending, and the unit normal nu is the one with
+det[nu; p_1 - p_0; ...; p_{n-1} - p_0] > 0.  Each cell records, for each of
+its facets, a sign telling whether the canonical normal points out of the
+cell.  Every formula is the same in each dimension n >= 2; the box generator
+works in any dimension and uniform refinement in 2D and 3D.  Meshes are
+immutable after construction.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -40,6 +44,26 @@ def _unique_rows(rows, base):
     for j in reversed(range(width)):
         keys, out[:, j] = np.divmod(keys, base)
     return out, inverse
+
+
+def _cross(rows):
+    """Generalised cross product of stacked rows (..., k-1, k): the vector c
+    with det[x; rows] = x . c for every x, so c_j = (-1)^j times the minor
+    of the rows without column j.  Expanded by cofactors, it is term by term
+    the 2D rotation (t_y, -t_x) for k = 2 and ``np.cross`` for k = 3; an LU
+    determinant would round where these are exact."""
+    k = rows.shape[-1]
+    if k == 1:
+        return np.ones(rows.shape[:-2] + (1,))
+    c = []
+    for j in range(k):
+        sub = np.delete(rows, j, axis=-1)                  # (..., k-1, k-1)
+        cof = _cross(sub[..., 1:, :])
+        minor = sub[..., 0, 0] * cof[..., 0]
+        for i in range(1, k - 1):
+            minor = minor + sub[..., 0, i] * cof[..., i]
+        c.append(minor if j % 2 == 0 else -minor)
+    return np.stack(c, axis=-1)
 
 
 class SimplexMesh:
@@ -157,28 +181,21 @@ class SimplexMesh:
         scale = self.cell_measures / ((n + 1) * (n + 2))
         self.cell_second_moments = _lock(outer * scale[:, None, None])
 
+        # |F| and the canonical normal from the generalised cross product of
+        # the facet edges, which gives det[nu; p_1 - p_0; ...] = |c| > 0
         p = self.vertices[self.facets]                     # (nf, n, n)
-        if n == 2:
-            t = p[:, 1, :] - p[:, 0, :]
-            length = np.linalg.norm(t, axis=1)
-            normal = np.stack([t[:, 1], -t[:, 0]], axis=1) / length[:, None]
-            self.facet_measures = _lock(length)
-            self.facet_normals = _lock(normal)
-        else:
-            c = np.cross(p[:, 1, :] - p[:, 0, :], p[:, 2, :] - p[:, 0, :])
-            area2 = np.linalg.norm(c, axis=1)
-            self.facet_measures = _lock(area2 / 2.0)
-            self.facet_normals = _lock(c / area2[:, None])
         self.facet_centroids = _lock(p.mean(axis=1))
+        c = _cross(p[:, 1:, :] - p[:, :1, :])
+        del p                            # freed before the long-lived arrays: lower peak RSS
+        area = np.linalg.norm(c, axis=1)                   # (n-1)! |F|
+        self.facet_measures = _lock(area / math.factorial(n - 1))
+        c /= area[:, None]
+        self.facet_normals = _lock(c)
 
-        # sign: +1 iff canonical normal points away from the opposite vertex
-        opp = self.vertices[self.cells]                    # (nc, n+1, n) local vertex i
-        fc = self.facet_centroids[self.cell_facets]        # (nc, n+1, n)
-        fn = self.facet_normals[self.cell_facets]
-        dots = np.einsum("cki,cki->ck", fn, fc - opp)
-        if np.any(np.abs(dots) < 1e-14 * self.cell_diameters[:, None]):
-            raise MeshError("facet orientation is ambiguous (degenerate geometry)")
-        self.cell_facet_signs = _lock(np.where(dots > 0, 1, -1).astype(np.int64))
+        # sign: +1 iff the canonical normal points out of the cell, against
+        # the inward grad(lambda_i)
+        dots = np.einsum("cki,cki->ck", self.facet_normals[self.cell_facets], grads)
+        self.cell_facet_signs = _lock(np.where(dots < 0, 1, -1).astype(np.int64))
 
         if np.any(self.facet_sums(self.cell_facet_signs)[~self.is_boundary_facet] != 0):
             raise MeshError("interior facet signs are not antisymmetric")
@@ -234,96 +251,59 @@ class SimplexMesh:
             raise MeshError(f"point {point.tolist()} lies outside the mesh")
         return int(hits[0])
 
-    def translated(self, vec):
-        """New mesh with all vertices shifted by ``vec``."""
-        return SimplexMesh(self.dim, self.vertices + np.asarray(vec, dtype=float), self.cells)
-
 
 # -- generation ------------------------------------------------------------
 
 def build_box_mesh(dim, subdivisions, variant="diagonal"):
     """Mesh of the unit box (0,1)^dim.
 
-    ``dim=2`` splits each grid square into two triangles along the same
-    diagonal, or into four (``variant="crisscross"``) around the square
-    center.  ``dim=3`` splits each grid cube into six tetrahedra by the
-    Kuhn rule.
+    Each grid cube is split into dim! simplices by the Kuhn rule
+    (Freudenthal, Ann. Math. 43, 1942): one simplex per order of the
+    coordinate steps from the cube's low corner to its high corner.  That is
+    two triangles along the same diagonal in 2D and six tetrahedra in 3D.
+    ``variant="crisscross"`` (2D only) instead splits each square into four
+    triangles around its center.
 
     Parameters
     ----------
-    dim : 2 or 3
+    dim : int >= 2
     subdivisions : int
         Number of grid intervals per coordinate direction, >= 1.
     variant : "diagonal" or "crisscross"
-        Only meaningful in 2D.
     """
-    m = int(subdivisions)
-    if dim not in (2, 3):
-        raise MeshError(f"build_box_mesh supports dim 2 or 3, got {dim}")
+    dim, m = int(dim), int(subdivisions)
+    if dim < 2:
+        raise MeshError(f"build_box_mesh needs dim >= 2, got {dim}")
     if m < 1:
         raise MeshError("subdivisions must be >= 1")
     if variant not in ("diagonal", "crisscross"):
         raise MeshError(f"unknown variant {variant!r}")
-    if dim == 3 and variant != "diagonal":
+    if dim != 2 and variant != "diagonal":
         raise MeshError("the crisscross variant is 2D only")
 
-    if dim == 2:
-        grid = np.arange(m + 1) / m
-        xv, yv = np.meshgrid(grid, grid, indexing="ij")
-        verts = np.stack([xv.ravel(), yv.ravel()], axis=1)
-
-        def vid(i, j):
-            return i * (m + 1) + j
-
-        cells = []
-        if variant == "diagonal":
-            for i in range(m):
-                for j in range(m):
-                    v00, v10 = vid(i, j), vid(i + 1, j)
-                    v11, v01 = vid(i + 1, j + 1), vid(i, j + 1)
-                    cells.append((v00, v10, v11))
-                    cells.append((v00, v11, v01))
-        else:
-            centers = np.array([[(i + 0.5) / m, (j + 0.5) / m]
-                                for i in range(m) for j in range(m)])
-            base = len(verts)
-            verts = np.vstack([verts, centers])
-            for i in range(m):
-                for j in range(m):
-                    c = base + i * m + j
-                    v00, v10 = vid(i, j), vid(i + 1, j)
-                    v11, v01 = vid(i + 1, j + 1), vid(i, j + 1)
-                    cells.extend([(v00, v10, c), (v10, v11, c),
-                                  (v11, v01, c), (v01, v00, c)])
-        return SimplexMesh(2, verts, np.array(cells))
-
     grid = np.arange(m + 1) / m
-    xv, yv, zv = np.meshgrid(grid, grid, grid, indexing="ij")
-    verts = np.stack([xv.ravel(), yv.ravel(), zv.ravel()], axis=1)
+    verts = np.stack([g.ravel() for g in np.meshgrid(*[grid] * dim, indexing="ij")], axis=1)
+    strides = (m + 1) ** np.arange(dim - 1, -1, -1)           # vertex id = index @ strides
+    cubes = np.stack(np.meshgrid(*[np.arange(m)] * dim, indexing="ij"), axis=-1)
+    cubes = cubes.reshape(-1, dim)                            # grid index of each cube
+    low = cubes @ strides                                     # id of its low corner
 
-    def vid3(i, j, k):
-        return (i * (m + 1) + j) * (m + 1) + k
+    if variant == "crisscross":
+        ring = low[:, None] + np.array([0, m + 1, m + 2, 1])  # v00 v10 v11 v01
+        centers = np.arange(len(low)) + len(verts)
+        verts = np.vstack([verts, (cubes + 0.5) / m])
+        cells = np.stack([ring, np.roll(ring, -1, axis=1),
+                          np.repeat(centers[:, None], 4, axis=1)], axis=2)
+        return SimplexMesh(2, verts, cells.reshape(-1, 3))
 
-    import itertools
-
-    cells = []
-    unit = np.eye(3, dtype=int)
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                corner = np.array([i, j, k])
-                for perm in itertools.permutations(range(3)):
-                    path = [corner]
-                    for p in perm:
-                        path.append(path[-1] + unit[p])
-                    cells.append([vid3(*q) for q in path])
-    return SimplexMesh(3, verts, np.array(cells))
+    steps = strides[np.array(list(itertools.permutations(range(dim))))]
+    paths = np.pad(np.cumsum(steps, axis=1), ((0, 0), (1, 0)))   # low corner first
+    cells = low[:, None, None] + paths[None, :, :]
+    return SimplexMesh(dim, verts, cells.reshape(-1, dim + 1))
 
 
 # Children of one cell, as indices into its vertices followed by its edge
-# midpoints in ``_EDGES`` order.  2D: v0 v1 v2 m01 m02 m12.
-_EDGES = {2: [(0, 1), (0, 2), (1, 2)],
-          3: [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]}
+# midpoints in lexicographic edge order.  2D: v0 v1 v2 m01 m02 m12.
 _CHILDREN_2D = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2], [3, 5, 4]])
 # 3D: v0 v1 v2 v3 m01 m02 m03 m12 m13 m23.  Four corner tetrahedra, then the
 # octahedron cut along one of three diagonals (p, q): the tetrahedra
@@ -342,12 +322,15 @@ def refine_uniform(mesh):
     tetrahedra; the interior octahedron is cut along its shortest diagonal
     (lexicographic midpoint-index tie-break), which keeps the children
     shape-regular across levels.  The children of cell c are rows
-    2^n c .. 2^n (c + 1) - 1.
+    2^n c .. 2^n (c + 1) - 1.  Raises MeshError for dim > 3.
     """
     n = mesh.dim
+    if n > 3:
+        raise MeshError(f"uniform refinement supports dim 2 or 3, got {n}")
     cells = mesh.cells
     nc = len(cells)
-    pairs = np.sort(cells[:, _EDGES[n]], axis=2)             # (nc, n_edges, 2)
+    local_edges = list(itertools.combinations(range(n + 1), 2))
+    pairs = np.sort(cells[:, local_edges], axis=2)           # (nc, n_edges, 2)
     edges, inverse = _unique_rows(pairs.reshape(-1, 2), mesh.n_vertices)
     mid_ids = inverse.reshape(nc, -1) + mesh.n_vertices
     midpoints = mesh.vertices[edges].mean(axis=1)

@@ -1,10 +1,11 @@
 """Quadrature rules on the reference n-simplex, exact to a requested degree.
 
-Degrees 0-2 use the classic symmetric rules (centroid, facet midpoints in 2D,
-the 4-point rule in 3D).  Higher degrees are collapsed Gauss-Jacobi product
-rules: positive weights, arbitrary dimension, exactness guaranteed by
+Degrees 0-1 use the centroid.  Higher degrees are collapsed Gauss-Jacobi
+product rules: positive weights, any dimension, exactness guaranteed by
 construction.  Points are stored as barycentric coordinates with respect to
-the cell vertex order; weights sum to the reference-simplex volume 1/n!.
+the cell vertex order; weights sum to the reference-simplex volume 1/n!.  A
+facet of an n-simplex takes the (n-1)-dimensional rule, in the facet's own
+vertex order.
 """
 
 from __future__ import annotations
@@ -74,41 +75,9 @@ def rule_for_degree(dim, degree):
     if degree <= 1:
         points = np.full((1, dim + 1), 1.0 / (dim + 1))
         return QuadratureRule(dim, 1, points, np.array([vol]))
-    if degree == 2 and dim == 2:
-        points = np.array([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
-        return QuadratureRule(2, 2, points, np.full(3, vol / 3.0))
-    if degree == 2 and dim == 3:
-        s = (5.0 + 3.0 * math.sqrt(5.0)) / 20.0
-        t = (5.0 - math.sqrt(5.0)) / 20.0
-        points = np.full((4, 4), t)
-        np.fill_diagonal(points, s)
-        return QuadratureRule(3, 2, points, np.full(4, vol / 4.0))
     x, w = _collapsed_rule(dim, degree)
     bary = np.column_stack([1.0 - x.sum(axis=1), x])
     return QuadratureRule(dim, degree, bary, w)
-
-
-def facet_rule_for_degree(dim, degree):
-    """Rule on the reference (dim-1)-simplex, barycentric in the facet's own
-    vertex order (2 coordinates for mesh dim 2, 3 for dim 3)."""
-    if dim == 2:
-        k = max(1, (int(degree) + 2) // 2)
-        t, w = np.polynomial.legendre.leggauss(k)
-        u = (t + 1.0) / 2.0
-        return QuadratureRule(1, 2 * k - 1, np.column_stack([1.0 - u, u]), w / 2.0)
-    if dim == 3:
-        return rule_for_degree(2, degree)
-    raise QuadratureError(f"facet rules support mesh dim 2 or 3, got {dim}")
-
-
-def reference_monomial_integral(alpha):
-    """Exact integral of x^alpha over the reference simplex:
-    prod(alpha_i!) / (|alpha| + n)!."""
-    alpha = [int(a) for a in alpha]
-    num = 1
-    for a in alpha:
-        num *= math.factorial(a)
-    return num / math.factorial(sum(alpha) + len(alpha))
 
 
 def physical_points(mesh, bary):

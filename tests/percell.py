@@ -2,17 +2,35 @@
 one facet at a time against the package's batch arrays.
 
 The basis formulas are the package's own private ones (``elements._cr`` and
-friends); only the per-cell plumbing lives here.
+friends); only the per-cell plumbing lives here.  The facet geometry is
+computed from the facet's vertices alone, as an oracle for the mesh's facet
+arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from simplexfem import elements
-from simplexfem.mesh import MeshError
+from simplexfem.mesh import MeshError, SimplexMesh
+
+
+def reference_monomial_integral(alpha):
+    """Exact integral of x^alpha over the reference simplex:
+    prod(alpha_i!) / (|alpha| + n)!."""
+    alpha = [int(a) for a in alpha]
+    num = 1
+    for a in alpha:
+        num *= math.factorial(a)
+    return num / math.factorial(sum(alpha) + len(alpha))
+
+
+def translated(mesh, vec):
+    """New mesh with all vertices shifted by ``vec``."""
+    return SimplexMesh(mesh.dim, mesh.vertices + np.asarray(vec, dtype=float), mesh.cells)
 
 
 @dataclass(frozen=True)
@@ -58,16 +76,24 @@ def cell_geometry(mesh, cell_index):
 
 
 def facet_geometry(mesh, facet_index):
-    """Exact per-facet geometry; raises on an out-of-range index."""
+    """Per-facet geometry from the facet's vertices p_0..p_{n-1} alone;
+    raises on an out-of-range index.  With the edges E = [p_1 - p_0, ...],
+    the measure is sqrt(det(E^T E)) / (n-1)!, and the unit normal spans the
+    orthogonal complement of E, oriented so that det[nu; E^T] > 0."""
     i = int(facet_index)
     if not 0 <= i < mesh.n_facets:
         raise MeshError(f"facet index {i} out of range")
+    p = mesh.vertices[mesh.facets[i]]
+    E = (p[1:] - p[0]).T                                  # (n, n-1)
+    normal = np.linalg.svd(E)[0][:, -1]
+    if np.linalg.det(np.vstack([normal, E.T])) < 0:
+        normal = -normal
     return FacetGeometry(
         dim=mesh.dim,
-        vertices=mesh.vertices[mesh.facets[i]],
-        measure=float(mesh.facet_measures[i]),
-        centroid=mesh.facet_centroids[i],
-        unit_normal=mesh.facet_normals[i],
+        vertices=p,
+        measure=math.sqrt(np.linalg.det(E.T @ E)) / math.factorial(mesh.dim - 1),
+        centroid=p.mean(axis=0),
+        unit_normal=normal,
     )
 
 

@@ -22,7 +22,7 @@ from simplexfem import analysis, assembly, elements, equivalence, linsolve, prob
 from simplexfem.mesh import build_box_mesh, mesh_hierarchy, refine_uniform
 from simplexfem.quadrature import rule_for_degree
 
-from percell import cell_geometry, ecr_eval
+from percell import cell_geometry, ecr_eval, reference_monomial_integral
 
 EXACT_LAMBDA = 2 * np.pi ** 2
 
@@ -293,8 +293,7 @@ def test_criterion_10_convergence_comparison():
 def test_criterion_11_element_property_suite():
     with criterion(11, "element property suite", budget=10) as state:
         import itertools
-        from simplexfem.quadrature import (cell_weights, facet_rule_for_degree,
-                                           reference_monomial_integral)
+        from simplexfem.quadrature import cell_weights
         import math
 
         rng = np.random.default_rng(0)
@@ -321,7 +320,7 @@ def test_criterion_11_element_property_suite():
             target[-1] = 1.0
             assert np.abs(avgs - target).max() <= 1e-12
             # facet-average DOF duality on a sample of cells
-            frule = facet_rule_for_degree(dim, 4)
+            frule = rule_for_degree(dim - 1, 4)
             fac = math.factorial(dim - 1)
             for c in rng.choice(mesh.n_cells, size=4, replace=False):
                 g = cell_geometry(mesh, int(c))
@@ -339,3 +338,49 @@ def test_criterion_11_element_property_suite():
             cross = np.einsum("can,cqn,cq->ca", cr_grads, grads[:, :, -1, :], w)
             assert np.abs(cross).max() <= 1e-12
         state["detail"] = "DOF duality, partition, orthogonality, exactness all <= stated tolerances"
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_criterion_12_certificates_in_4d(m):
+    # the paper's claim holds in any dimension: the Poisson, Stokes and
+    # eigen certificates of criteria 1, 2, 4 and 6 on the 4D Kuhn box
+    with criterion(12, f"4D certificates, {m}^4 cubes") as state:
+        mesh = build_box_mesh(4, m)
+        f = _random_loads(mesh, 1, seed=700 + m)[0]
+        rep = equivalence.check_poisson_identity(mesh, f)
+        sigma_ratio = rep.residuals["sigma_vs_grad"] / rep.extra["sigma_norm"]
+        u_ratio = rep.residuals["u_vs_projection"] / rep.extra["u_rt_norm"]
+        assert sigma_ratio <= 1e-9 and u_ratio <= 1e-9, (sigma_ratio, u_ratio)
+        assert rep.extra["jump_pass"] and rep.extra["div_pass"]
+
+        f = _random_loads(mesh, 1, seed=800 + m, ncomp=4)[0]
+        rep = equivalence.check_stokes_identity(mesh, f)
+        t = rep.residuals["tensor_identity"] / max(rep.extra["sigma_norm"], 1e-300)
+        w = rep.relative["weak_l_relation"]
+        assert t <= 1e-8 and w <= 1e-8, (t, w)
+
+        rep = equivalence.check_eigen_equivalence(mesh, k=3)
+        lam_m = np.asarray(rep.extra["lambda_mixed"])
+        lam_e = np.asarray(rep.extra["lambda_equiv"])
+        rel = np.abs(lam_m - lam_e).max() / np.abs(lam_m).max()
+        assert rep.passed and rel <= 1e-10, (rel, rep.relative)
+        fields = [v for key, v in rep.relative.items()
+                  if key.startswith(("u_identity", "sigma_identity"))]
+        assert fields and max(fields) <= 1e-8
+        state["detail"] = (f"{mesh.n_cells} cells: Poisson {max(sigma_ratio, u_ratio):.2e}, "
+                           f"Stokes {max(t, w):.2e}, eigen lambda {rel:.2e}, "
+                           f"fields {max(fields):.2e}")
+
+
+def test_criterion_12_eigenvalue_order_in_4d():
+    # lambda_1 = 4 pi^2 on (0,1)^4; ECR bounds it from below on the Kuhn
+    # box and, by Courant-Fischer, lies below CR
+    with criterion(12, "4D eigenvalue order") as state:
+        mesh = build_box_mesh(4, 2)
+        lam_ecr = problems.solve_eigen(mesh, "ECR", 1)[0].lam
+        lam_cr = problems.solve_eigen(mesh, "CR", 1)[0].lam
+        exact = 4 * np.pi ** 2
+        assert lam_ecr <= lam_cr + 1e-12, (lam_ecr, lam_cr)
+        assert lam_ecr <= exact + 1e-12, lam_ecr
+        state["detail"] = (f"{mesh.n_cells} cells: ECR {lam_ecr:.4f} <= CR {lam_cr:.4f}, "
+                           f"4 pi^2 = {exact:.4f}")

@@ -5,8 +5,7 @@ import pytest
 
 from simplexfem import elements
 from simplexfem.mesh import SimplexMesh, build_box_mesh, refine_uniform
-from simplexfem.quadrature import (cell_weights, facet_rule_for_degree,
-                                   physical_points, rule_for_degree)
+from simplexfem.quadrature import cell_weights, physical_points, rule_for_degree
 
 from percell import cell_geometry, cr_eval, ecr_eval, rt0_eval
 
@@ -33,7 +32,7 @@ def facet_average(mesh, fi, values, rule):
 # -- closed-form spot checks -------------------------------------------------
 
 def test_bubble_value_at_centroid():
-    for dim in (2, 3):
+    for dim in (2, 3, 4):
         m = build_box_mesh(dim, 1)
         g = cell_geometry(m, 0)
         vals, _ = ecr_eval(g, g.centroid)
@@ -101,7 +100,7 @@ def test_cr_value_one_at_own_facet_centroid():
 @pytest.mark.parametrize("dim", [2, 3])
 def test_dof_duality_facet_and_cell_averages(dim):
     m = refine_uniform(build_box_mesh(dim, 1))
-    frule = facet_rule_for_degree(dim, 4)
+    frule = rule_for_degree(dim - 1, 4)
     crule = rule_for_degree(dim, 4)
     w = cell_weights(m, crule)
     ecr_vals, _ = elements.ecr_eval_mesh(m, crule.points)
@@ -130,7 +129,7 @@ def test_dof_duality_facet_and_cell_averages(dim):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_dof_duality_rt_fluxes(dim):
     m = refine_uniform(build_box_mesh(dim, 1))
-    frule = facet_rule_for_degree(dim, 4)
+    frule = rule_for_degree(dim - 1, 4)
     for c in (0, m.n_cells - 1):
         g = cell_geometry(m, c)
         signs = m.cell_facet_signs[c]
@@ -197,7 +196,7 @@ def test_p1_bubble_orthogonality(dim):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_bubble_normal_derivative_constant_per_facet(dim):
     m = refine_uniform(build_box_mesh(dim, 1))
-    frule = facet_rule_for_degree(dim, 2)
+    frule = rule_for_degree(dim - 1, 2)
     for c in (0, m.n_cells // 2):
         g = cell_geometry(m, c)
         for local in range(dim + 1):

@@ -15,6 +15,8 @@ from simplexfem.mesh import SimplexMesh, build_box_mesh, mesh_hierarchy, refine_
 from simplexfem.problems import BrokenField, RTField, sine_solution, solve_poisson
 from simplexfem.quadrature import integrate, physical_points, rule_for_degree
 
+from percell import translated
+
 
 def level(dim, n):
     m = build_box_mesh(dim, 1)
@@ -384,7 +386,7 @@ def test_identity_residuals_translation_invariant():
     rng = np.random.default_rng(9)
     f = rng.uniform(-1, 1, base.n_cells)
     r1 = check_poisson_identity(base, f)
-    r2 = check_poisson_identity(base.translated([0.3, 0.7]), f)
+    r2 = check_poisson_identity(translated(base, [0.3, 0.7]), f)
     # residuals sit at rounding level; compare after flooring at the pass tol
     floor = 1e-12
     for key in r1.relative:
@@ -507,6 +509,26 @@ def test_eigen_equivalence_levels():
         for key, val in rep.relative.items():
             if key.startswith(("u_identity", "sigma_identity")):
                 assert val <= 1e-8
+
+
+@pytest.mark.parametrize("make", [lambda: level(3, 1), lambda: build_box_mesh(4, 1)],
+                         ids=["3d-L1", "4d-box1"])
+def test_eigen_check_sees_multiplicity_split_by_k(make):
+    # lambda_2 = lambda_3: with k = 2 the last reported pair belongs to a
+    # double eigenvalue, whose eigenvectors the two solves may rotate apart
+    rep = check_eigen_equivalence(make(), k=2)
+    assert rep.passed
+    assert rep.relative["eigenvalues"] <= 1e-10
+    assert len(rep.extra["lambda_mixed"]) == len(rep.extra["lambda_equiv"]) == 2
+    assert "u_identity_1" not in rep.relative
+    assert rep.notes == ["eigenvalue 1: multiplicity detected, field comparison skipped"]
+
+
+def test_eigen_check_with_k_equal_to_the_cell_count():
+    mesh = build_box_mesh(2, 1)
+    rep = check_eigen_equivalence(mesh, k=mesh.n_cells)
+    assert rep.passed
+    assert len(rep.extra["lambda_mixed"]) == mesh.n_cells
 
 
 @pytest.mark.parametrize("lvl", [2, 3])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from simplexfem.mesh import (MeshError, SimplexMesh, build_box_mesh,
                              mesh_hierarchy, read_mesh, refine_uniform,
                              write_mesh)
 
-from percell import cell_geometry, facet_geometry
+from percell import cell_geometry, facet_geometry, translated
 
 
 def test_box_mesh_2d_diagonal_counts():
@@ -26,11 +28,56 @@ def test_box_mesh_crisscross_counts():
 
 def test_box_mesh_rejects_bad_input():
     with pytest.raises(MeshError):
-        build_box_mesh(4, 1)
+        build_box_mesh(1, 1)
     with pytest.raises(MeshError):
         build_box_mesh(2, 0)
     with pytest.raises(MeshError):
         build_box_mesh(3, 1, "crisscross")
+
+
+def test_refine_rejects_dim_above_3():
+    with pytest.raises(MeshError, match="dim 2 or 3"):
+        refine_uniform(build_box_mesh(4, 1))
+
+
+def box_loop(dim, m, variant="diagonal"):
+    """The box mesh built one grid cube at a time: the oracle for the
+    vectorised ``build_box_mesh``.  Kuhn: one simplex per order of the unit
+    steps from the cube's low corner to its high corner."""
+    grid = np.arange(m + 1) / m
+    verts = np.array(list(itertools.product(grid, repeat=dim)))
+
+    def vid(index):
+        return int(np.ravel_multi_index(tuple(index), (m + 1,) * dim))
+
+    cells = []
+    for corner in itertools.product(range(m), repeat=dim):
+        if variant == "crisscross":
+            i, j = corner
+            c = len(verts) + i * m + j
+            ring = [vid((i, j)), vid((i + 1, j)), vid((i + 1, j + 1)), vid((i, j + 1))]
+            cells.extend([(a, b, c) for a, b in zip(ring, ring[1:] + ring[:1])])
+            continue
+        for perm in itertools.permutations(range(dim)):
+            path = [np.array(corner)]
+            for p in perm:
+                path.append(path[-1] + np.eye(dim, dtype=int)[p])
+            cells.append([vid(q) for q in path])
+    if variant == "crisscross":
+        centers = [[(i + 0.5) / m, (j + 0.5) / m] for i in range(m) for j in range(m)]
+        verts = np.vstack([verts, centers])
+    return verts, np.array(cells)
+
+
+@pytest.mark.parametrize("dim,variant,m", [(2, "diagonal", 1), (2, "diagonal", 5),
+                                           (2, "crisscross", 1), (2, "crisscross", 4),
+                                           (3, "diagonal", 1), (3, "diagonal", 3),
+                                           (4, "diagonal", 1), (4, "diagonal", 2)])
+def test_box_mesh_is_bitwise_the_cube_loop(dim, variant, m):
+    verts, cells = box_loop(dim, m, variant)
+    mesh = build_box_mesh(dim, m, variant)
+    assert np.array_equal(mesh.vertices, verts)
+    assert np.array_equal(mesh.cells, SimplexMesh(dim, verts, cells).cells)
 
 
 @pytest.mark.parametrize("dim,children", [(2, 4), (3, 8)])
@@ -108,13 +155,39 @@ def test_reference_tet_measure():
     assert cell_geometry(m, 0).measure == pytest.approx(1 / 6, abs=1e-15)
 
 
+def jiggled_mesh(dim):
+    """A box mesh with every vertex moved a little: cells and facets of
+    differing shape, and canonical normals that point out of some cells and
+    into others."""
+    m = refine_uniform(build_box_mesh(dim, 2)) if dim < 4 else build_box_mesh(dim, 2)
+    rng = np.random.default_rng(dim)
+    return SimplexMesh(dim, m.vertices + rng.uniform(-0.05, 0.05, m.vertices.shape), m.cells)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_facet_geometry_matches_an_independent_oracle(dim):
+    m = jiggled_mesh(dim)
+    geos = [facet_geometry(m, fi) for fi in range(m.n_facets)]
+    measures = np.array([geo.measure for geo in geos])
+    normals = np.array([geo.unit_normal for geo in geos])
+    centroids = np.array([geo.centroid for geo in geos])
+    assert np.abs(m.facet_measures / measures - 1.0).max() <= 1e-13
+    assert np.abs(m.facet_normals - normals).max() <= 1e-13
+    assert np.array_equal(m.facet_centroids, centroids)
+    # signs: +1 iff the canonical normal points away from the opposite vertex
+    away = np.einsum("cki,cki->ck", normals[m.cell_facets],
+                     centroids[m.cell_facets] - m.vertices[m.cells])
+    assert np.array_equal(m.cell_facet_signs, np.where(away > 0, 1, -1))
+    assert set(m.cell_facet_signs.ravel().tolist()) == {-1, 1}
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_facet_geometry_measure_matches_quadrature(dim):
     import math
-    from simplexfem.quadrature import facet_rule_for_degree
+    from simplexfem.quadrature import rule_for_degree
 
     m = refine_uniform(build_box_mesh(dim, 1))
-    rule = facet_rule_for_degree(dim, 2)
+    rule = rule_for_degree(dim - 1, 2)
     for fi in (0, m.n_facets // 2, m.n_facets - 1):
         geo = facet_geometry(m, fi)
         # integral of 1 over the facet via mapped quadrature
@@ -174,7 +247,7 @@ def test_find_cell_and_translation():
     m = build_box_mesh(2, 2)
     c = m.find_cell([0.49, 0.51])
     assert 0 <= c < m.n_cells
-    t = m.translated([0.3, 0.7])
+    t = translated(m, [0.3, 0.7])
     assert np.allclose(t.vertices, m.vertices + [0.3, 0.7])
     assert np.array_equal(t.cells, m.cells)
 
