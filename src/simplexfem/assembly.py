@@ -215,7 +215,7 @@ def load_values(mesh, f, rule, ncomp=1):
     raise DataError(f"cannot interpret load of shape {arr.shape}")
 
 
-def _load_integrals(mesh, f, ncomp=1):
+def load_integrals(mesh, f, ncomp=1):
     """Per-cell integrals of a load on the degree-DEFAULT_LOAD_DEGREE rule:
     (nc,) or (nc, ncomp)."""
     rule = rule_for_degree(mesh.dim, DEFAULT_LOAD_DEGREE)
@@ -225,7 +225,7 @@ def _load_integrals(mesh, f, ncomp=1):
 def piecewise_constant_load(mesh, f, ncomp=1):
     """Per-cell averages of a load: (nc,) or (nc, ncomp)."""
     meas = mesh.cell_measures if ncomp == 1 else mesh.cell_measures[:, None]
-    return _load_integrals(mesh, f, ncomp) / meas
+    return load_integrals(mesh, f, ncomp) / meas
 
 
 def _rhs(mesh, dofmap, f):
@@ -294,11 +294,11 @@ def assemble_mixed_poisson(mesh, f):
     p0 = DofMap.build(mesh, "P0")
     A = scatter_symmetric(rt, elements.rt0_mass(mesh))
     B = _rt0_divergence(mesh)
-    system = SaddleSystem(A=A, f=np.zeros(rt.n_total), B=B, g=-_load_integrals(mesh, f))
+    system = SaddleSystem(A=A, f=np.zeros(rt.n_total), B=B, g=-load_integrals(mesh, f))
     return system, rt, p0
 
 
-def _zero_mean_dual(mesh, n_primal):
+def zero_mean_dual(mesh, n_primal):
     """The gauge sum_K |K| y_K = 0 of a cellwise dual y, fixing y = 1."""
     zero = np.zeros(n_primal)
     return Constraint(np.concatenate([zero, mesh.cell_measures]),
@@ -323,7 +323,7 @@ def assemble_stokes(mesh, f, family="ECR"):
     B = scatter_matrix(prs.cell_dofs, cols, d, (prs.n_total, vel.n_total))
     b = _rhs(mesh, vel, f)
     system = SaddleSystem(A=A, f=b, B=B, g=np.zeros(prs.n_total),
-                          gauge=_zero_mean_dual(mesh, vel.n_total))
+                          gauge=zero_mean_dual(mesh, vel.n_total))
     return system, vel, prs
 
 
@@ -344,7 +344,7 @@ def assemble_pseudostress(mesh, f):
     B = sp.block_diag([_rt0_divergence(mesh)] * n, format="csr")
     trace = scatter_vector(sig, elements.rt0_moment(mesh))
 
-    g = -_load_integrals(mesh, f, n).T.ravel()
+    g = -load_integrals(mesh, f, n).T.ravel()
 
     # the constant tensor I: tensor row r has flux nu_F[r] |F| through facet F
     identity = (mesh.facet_normals * mesh.facet_measures[:, None]).T.ravel()
@@ -363,7 +363,7 @@ def facet_averages_of(mesh, g):
         pts = np.einsum("qk,fki->fqi", rule.points, mesh.vertices[mesh.facets])
         vals = np.asarray(g(pts), dtype=float)
         fac = math.factorial(mesh.dim - 1)
-        return fac * vals @ rule.weights
+        return fac * np.einsum("fq,q->f", vals, rule.weights)
     arr = np.asarray(g, dtype=float)
     if arr.shape != (mesh.n_facets,):
         raise DataError("per-facet flux data must have one value per facet")
@@ -371,7 +371,7 @@ def facet_averages_of(mesh, g):
 
 
 def check_neumann_compatibility(mesh, f, g_avg):
-    total_f = float(_load_integrals(mesh, f).sum())
+    total_f = float(load_integrals(mesh, f).sum())
     bnd = mesh.boundary_facet_indices()
     total_g = float((g_avg[bnd] * mesh.facet_measures[bnd]).sum())
     scale = max(1.0, abs(total_f), abs(total_g))
@@ -400,21 +400,32 @@ def assemble_neumann_primal(mesh, f, g, family="ECR"):
     return system, dm
 
 
+def boundary_fluxes(mesh, f, g):
+    """The essential boundary fluxes of the mixed Neumann problem, checked
+    for compatibility with the load: the canonical flux of the facet
+    average of g on each boundary facet, zero on the interior facets (nf,)."""
+    g_avg = facet_averages_of(mesh, g)
+    check_neumann_compatibility(mesh, f, g_avg)
+    bnd = mesh.boundary_facet_indices()
+    sigma_bc = np.zeros(mesh.n_facets)
+    sigma_bc[bnd] = mesh.boundary_facet_signs() * g_avg[bnd] * mesh.facet_measures[bnd]
+    return sigma_bc
+
+
 def assemble_neumann_mixed(mesh, f, g):
     """Mixed Neumann problem: boundary fluxes are essential (facet averages
     of g), the test space drops them, and u has zero mean, gauging u = 1.
+    The `problems` solver gates its hybridised solve on this system, applied
+    from the local blocks; the assembled system is its test oracle.
 
     Returns (system, rt map, p0 map, interior facet ids, boundary flux
     coefficient vector over all facets)."""
-    g_avg = facet_averages_of(mesh, g)
-    check_neumann_compatibility(mesh, f, g_avg)
+    sigma_bc = boundary_fluxes(mesh, f, g)
     system_full, rt, p0 = assemble_mixed_poisson(mesh, f)
     A, B, g_vec = system_full.A, system_full.B, system_full.g
 
     bnd = mesh.boundary_facet_indices()
     interior = mesh.interior_facet_indices()
-    sigma_bc = np.zeros(mesh.n_facets)
-    sigma_bc[bnd] = mesh.boundary_facet_signs() * g_avg[bnd] * mesh.facet_measures[bnd]
 
     A_ii = A[interior][:, interior].tocsr()
     A_ib = A[interior][:, bnd].tocsr()
@@ -423,7 +434,7 @@ def assemble_neumann_mixed(mesh, f, g):
     f_red = -A_ib @ sigma_bc[bnd]
     g_red = g_vec - B_b @ sigma_bc[bnd]
     system = SaddleSystem(A=A_ii, f=f_red, B=B_i, g=g_red,
-                          gauge=_zero_mean_dual(mesh, len(interior)))
+                          gauge=zero_mean_dual(mesh, len(interior)))
     return system, rt, p0, interior, sigma_bc
 
 

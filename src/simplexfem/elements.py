@@ -2,8 +2,10 @@
 P0 element families on n-simplices.
 
 Each basis formula is written once, as a private function that the batch
-evaluators (``*_eval_mesh``) call.  Each local matrix is one batch function,
-in closed form except the ECR mass (quartic; a degree-4 rule).
+evaluators (``*_eval_mesh``, ``bubble_values``) call.  Each local matrix is
+one batch function, in closed form except the ECR mass (quartic; a degree-4
+rule).  The RT0 basis is never evaluated pointwise here: its local matrices
+and moments are closed forms in the cell geometry.
 
 Degrees of freedom are *average*-normalized throughout:
 
@@ -65,11 +67,16 @@ def cell_average_row(family, dim):
 # barycentric coordinates lam (..., n+1), their gradients (..., n+1, n) and
 # offsets dx = x - mid(K) (..., n)
 
-def _bubble(n, dx, H):
-    """phi_K and its gradient at offsets ``dx``; ``H`` broadcasts against
-    dx[..., 0]."""
-    c = np.asarray(bubble_strength(n, H))
-    return (n + 2) / 2.0 - 0.5 * c * (dx ** 2).sum(axis=-1), -c[..., None] * dx
+def _bubble_value(n, sq, H):
+    """phi_K = (n+2)/2 - c/2 |x - mid(K)|^2 from ``sq`` = |x - mid(K)|^2;
+    ``H`` broadcasts against sq."""
+    return -0.5 * bubble_strength(n, H) * sq + (n + 2) / 2.0
+
+
+def _bubble_gradient(n, dx, H):
+    """grad phi_K = -c (x - mid(K)) at offsets ``dx``; ``H`` broadcasts
+    against dx[..., 0]."""
+    return -np.asarray(bubble_strength(n, H))[..., None] * dx
 
 
 def _ecr_values(n, lam, bubble):
@@ -90,13 +97,6 @@ def _cr(n, lam, grad_lam):
     return 1.0 - n * lam, -n * grad_lam
 
 
-def _rt0(x, vertices, signs, measure):
-    """RT0 values s_i (x - a_i) / (n|K|) (..., n+1, n) and divergences
-    s_i / |K| (..., n+1); ``measure`` broadcasts against ``signs``."""
-    divs = signs / measure
-    return (divs / x.shape[-1])[..., None] * (x[..., None, :] - vertices), divs
-
-
 # -- batch evaluation over all cells of a mesh ------------------------------
 
 def cr_eval_mesh(mesh, bary):
@@ -108,10 +108,23 @@ def cr_eval_mesh(mesh, bary):
     return _cr(mesh.dim, np.asarray(bary), mesh.barycentric_gradients)
 
 
+def bubble_values(mesh, bary):
+    """Bubble phi_K on every cell at barycentric points: (nc, Q).
+
+    With d_i = a_i - mid(K), x - mid(K) = sum_i lam_i d_i, so
+    |x - mid(K)|^2 = lam^T G_K lam for the vertex Gram matrix
+    G_K[i, j] = d_i . d_j: no (nc, Q, n) point or offset array is formed."""
+    d = mesh.vertices[mesh.cells] - mesh.cell_centroids[:, None, :]
+    gram = np.einsum("cin,cjn->cij", d, d)
+    bary = np.asarray(bary)
+    sq = np.einsum("qi,cij,qj->cq", bary, gram, bary)
+    return _bubble_value(mesh.dim, sq, mesh.cell_H[:, None])
+
+
 def bubble_eval_mesh(mesh, bary):
     """Bubble phi_K on every cell: values (nc, Q), gradients (nc, Q, n)."""
     dx = physical_points(mesh, bary) - mesh.cell_centroids[:, None, :]
-    return _bubble(mesh.dim, dx, mesh.cell_H[:, None])
+    return bubble_values(mesh, bary), _bubble_gradient(mesh.dim, dx, mesh.cell_H[:, None])
 
 
 def ecr_eval_mesh(mesh, bary):
@@ -121,16 +134,6 @@ def ecr_eval_mesh(mesh, bary):
     bubble, bubble_grad = bubble_eval_mesh(mesh, bary)
     return (_ecr_values(n, np.asarray(bary), bubble),
             _ecr_gradients(n, mesh.barycentric_gradients[:, None], bubble_grad))
-
-
-def rt0_eval_mesh(mesh, bary):
-    """RT0 basis on every cell: values (nc, Q, n+1, n) and constant
-    divergences (nc, n+1) = s_i / |K|."""
-    values, divs = _rt0(physical_points(mesh, bary),
-                        mesh.vertices[mesh.cells][:, None],
-                        mesh.cell_facet_signs[:, None],
-                        mesh.cell_measures[:, None, None])
-    return values, divs[:, 0]
 
 
 # -- local matrices, every array with a leading cell axis --------------------
@@ -172,8 +175,7 @@ def ecr_mass(mesh):
     """int_K phi_a phi_b for ECR (nc, n+2, n+2): phi_K^2 is the only quartic
     integrand, so a degree-4 rule over the basis values is exact."""
     rule = rule_for_degree(mesh.dim, 4)
-    bubble, _ = bubble_eval_mesh(mesh, rule.points)
-    vals = _ecr_values(mesh.dim, rule.points, bubble)
+    vals = _ecr_values(mesh.dim, rule.points, bubble_values(mesh, rule.points))
     return np.einsum("cqa,cqb,cq->cab", vals, vals, cell_weights(mesh, rule))
 
 

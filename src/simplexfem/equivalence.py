@@ -142,8 +142,8 @@ def _affine_l2(mesh, c, r):
     on K is |K| |c_K|^2 + |r_K|^2 tr S_K, S_K the centred second moment."""
     nc = mesh.n_cells
     trace_s = np.einsum("cii->c", mesh.cell_second_moments)
-    sq = (mesh.cell_measures @ (c ** 2).reshape(nc, -1).sum(axis=1)
-          + trace_s @ (r ** 2).reshape(nc, -1).sum(axis=1))
+    sq = (np.einsum("c,c->", mesh.cell_measures, (c ** 2).reshape(nc, -1).sum(axis=1))
+          + np.einsum("c,c->", trace_s, (r ** 2).reshape(nc, -1).sum(axis=1)))
     return float(np.sqrt(sq))
 
 
@@ -203,7 +203,7 @@ def _trace_mean_gauge(mesh, parts):
     where int tr T = sum_K |K| tr c_K; returns (shifted parts, s)."""
     c, r = parts
     n = mesh.dim
-    s = float(mesh.cell_measures @ np.einsum("crr->c", c)) / (n * mesh.cell_measures.sum())
+    s = float(np.einsum("c,crr->", mesh.cell_measures, c)) / (n * mesh.cell_measures.sum())
     return (c - s * np.eye(n), r), s
 
 

@@ -29,21 +29,17 @@ def _lock(a):
     return a
 
 
-def _unique_rows(rows, base):
-    """``np.unique(rows, axis=0, return_inverse=True)`` for integer rows
-    with entries in [0, base): each row becomes one int64 key whose order is
-    the rows' lexicographic order, so the result is the same."""
-    width = rows.shape[1]
-    if base ** width >= 2 ** 63:
-        raise MeshError(f"{base} vertices overflow the int64 row keys")
-    key = np.zeros(len(rows), dtype=np.int64)
-    for j in range(width):
-        key = key * base + rows[:, j]
-    keys, inverse = np.unique(key, return_inverse=True)
-    out = np.empty((len(keys), width), dtype=np.int64)
-    for j in reversed(range(width)):
-        keys, out[:, j] = np.divmod(keys, base)
-    return out, inverse
+def _unique_rows(rows):
+    """``np.unique(rows, axis=0, return_inverse=True)`` for integer rows:
+    one ``np.lexsort`` over the columns, first column primary, so the unique
+    rows come in lexicographic order, for any number of vertices."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
 
 
 def _cross(rows):
@@ -139,7 +135,7 @@ class SimplexMesh:
         keep = np.array([[j for j in range(n + 1) if j != i] for i in range(n + 1)])
         local = cells[:, keep]                    # (nc, n+1, n)
         local = np.sort(local, axis=2).reshape(nc * (n + 1), n)
-        facets, inverse = _unique_rows(local, len(self.vertices))
+        facets, inverse = _unique_rows(local)
         self.facets = _lock(facets)
         self.cell_facets = _lock(inverse.reshape(nc, n + 1).astype(np.int64))
 
@@ -331,7 +327,7 @@ def refine_uniform(mesh):
     nc = len(cells)
     local_edges = list(itertools.combinations(range(n + 1), 2))
     pairs = np.sort(cells[:, local_edges], axis=2)           # (nc, n_edges, 2)
-    edges, inverse = _unique_rows(pairs.reshape(-1, 2), mesh.n_vertices)
+    edges, inverse = _unique_rows(pairs.reshape(-1, 2))
     mid_ids = inverse.reshape(nc, -1) + mesh.n_vertices
     midpoints = mesh.vertices[edges].mean(axis=1)
     verts = np.vstack([mesh.vertices, midpoints])

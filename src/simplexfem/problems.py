@@ -11,6 +11,7 @@ vector."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -18,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import assembly, elements, linsolve
-from .quadrature import cell_weights, physical_points, rule_for_degree
+from .quadrature import physical_points, rule_for_degree
 
 
 # -- discrete fields ---------------------------------------------------------
@@ -91,16 +92,6 @@ class BrokenField:
         row = elements.cell_average_row(self.dofmap.family, self.mesh.dim)
         out = np.einsum("a,car->cr", row, local)
         return out[:, 0] if self.ncomp == 1 else out
-
-    def facet_averages(self):
-        """Facet-average coefficients (nf,) or (nf, ncomp); zero on
-        eliminated Dirichlet facets."""
-        if self.dofmap.facet_dofs is None:
-            raise ValueError("facet averages need a facet-based family")
-        coeffs = self.coeffs.reshape(self.ncomp, self.dofmap.n_scalar)
-        fd = self.dofmap.facet_dofs
-        out = np.where(fd[None, :] >= 0, coeffs[:, np.where(fd >= 0, fd, 0)], 0.0)
-        return out[0] if self.ncomp == 1 else out.T
 
 
 @dataclass
@@ -216,25 +207,30 @@ def outward_flux_averages(mesh, grad_u):
 
 def bubble_coefficients(mesh, f, ncomp=1):
     """Per-cell bubble coefficients (f, phi_K)_K / ||grad phi_K||_K^2 of a
-    load: (nc,) or (nc, ncomp)."""
-    rule = rule_for_degree(mesh.dim, assembly.DEFAULT_LOAD_DEGREE)
-    bubble, _ = elements.bubble_eval_mesh(mesh, rule.points)
+    load: (nc,) or (nc, ncomp).  The physical weights n! |K| w_q are applied
+    after the sum over the points, so that besides the load sample only the
+    (nc, Q) bubble values are formed."""
+    n = mesh.dim
+    rule = rule_for_degree(n, assembly.DEFAULT_LOAD_DEGREE)
     fv = assembly.load_values(mesh, f, rule, ncomp)
-    moments = np.einsum("cq,cq...->c...", bubble * cell_weights(mesh, rule), fv)
-    energy = elements.bubble_energy(mesh.dim, mesh.cell_measures, mesh.cell_H)
-    return moments / (energy if ncomp == 1 else energy[:, None])
+    moments = np.einsum("cq,q,cq...->c...", elements.bubble_values(mesh, rule.points),
+                        rule.weights, fv)
+    scale = (math.factorial(n) * mesh.cell_measures
+             / elements.bubble_energy(n, mesh.cell_measures, mesh.cell_H))
+    return moments * (scale if ncomp == 1 else scale[:, None])
 
 
-def _cr_load(mesh, f, family, ncomp=1):
-    """The load for the CR system and, for ECR, the bubble coefficients,
-    both from one sample of f (None for CR)."""
+def _cr_system(mesh, f, family, assemble, ncomp=1):
+    """``assemble(load)`` of the CR system and, for ECR, the bubble
+    coefficients (None for CR), both from one sample of f.  The sample dies
+    here, so that it is not held across the caller's factorisation."""
     if family == "CR":
-        return f, None
+        return assemble(f), None
     if family != "ECR":
         raise ValueError(f"primal problems support families CR and ECR, not {family!r}")
     rule = rule_for_degree(mesh.dim, assembly.DEFAULT_LOAD_DEGREE)
     fv = assembly.load_values(mesh, f, rule, ncomp)
-    return fv, bubble_coefficients(mesh, fv, ncomp)
+    return assemble(fv), bubble_coefficients(mesh, fv, ncomp)
 
 
 def _with_bubbles(cr, bubbles):
@@ -254,8 +250,8 @@ def _with_bubbles(cr, bubbles):
 def solve_poisson(mesh, f, family="ECR"):
     """Homogeneous-Dirichlet Poisson by the CR or ECR method; ECR is the CR
     solve plus closed-form bubbles."""
-    load, bubbles = _cr_load(mesh, f, family)
-    A, b, dm = assembly.assemble_poisson(mesh, load, "CR")
+    (A, b, dm), bubbles = _cr_system(
+        mesh, f, family, lambda load: assembly.assemble_poisson(mesh, load, "CR"))
     x, _, _ = linsolve.solve(assembly.SaddleSystem(A, b))
     return _with_bubbles(BrokenField(dm, x), bubbles)
 
@@ -274,10 +270,11 @@ def _solve_rt0_hybrid(mesh, g, sigma_bc=None):
     The two copies of an interior flux agree to the accuracy of that
     solve; their mean is returned.
 
-    ``g`` is the right-hand side of the divergence rows.  With ``sigma_bc``
-    (nf,) the boundary fluxes are fixed to it (and ``g`` must have their
-    divergence moved over): the multiplier system then has the constant in
-    its kernel, which shifts u, and is gauged so that u has zero mean.
+    ``g`` is the right-hand side -int_K f of the divergence rows.  With
+    ``sigma_bc`` (nf,), zero on the interior facets, the boundary fluxes are
+    fixed to it and moved to the right-hand side: the multiplier system then
+    has the constant in its kernel, which shifts u, and is gauged so that u
+    has zero mean.  The result is gated by ``_gate_mixed``.
     """
     n, nc, nf = mesh.dim, mesh.n_cells, mesh.n_facets
     signs = mesh.cell_facet_signs.astype(float)
@@ -285,8 +282,9 @@ def _solve_rt0_hybrid(mesh, g, sigma_bc=None):
     number = np.full(nf, -1)
     number[interior] = np.arange(len(interior))
     dofs = number[mesh.cell_facets]                    # (nc, n+1), -1 on the boundary
+    mass = elements.rt0_mass(mesh)
     local = np.zeros((nc, n + 2, n + 2))
-    local[:, :n + 1, :n + 1] = elements.rt0_mass(mesh)
+    local[:, :n + 1, :n + 1] = mass
     local[:, :n + 1, n + 1] = local[:, n + 1, :n + 1] = signs
     rhs = np.zeros((nc, n + 2))
     rhs[:, n + 1] = g
@@ -294,8 +292,8 @@ def _solve_rt0_hybrid(mesh, g, sigma_bc=None):
         # boundary fluxes are known: their rows and columns become identity
         fixed = dofs < 0
         known = np.where(fixed, sigma_bc[mesh.cell_facets], 0.0)
-        rhs[:, :n + 1] = np.where(fixed, known,
-                                  -np.einsum("cij,cj->ci", local[:, :n + 1, :n + 1], known))
+        rhs[:, :n + 1] = np.where(fixed, known, -np.einsum("cij,cj->ci", mass, known))
+        rhs[:, n + 1] -= np.einsum("ci,ci->c", signs, known)
         keep = np.hstack([~fixed, np.ones((nc, 1), dtype=bool)])
         local *= keep[:, :, None] & keep[:, None, :]
         local[:, :n + 1, :n + 1] += fixed[:, :, None] * np.eye(n + 1)
@@ -314,29 +312,66 @@ def _solve_rt0_hybrid(mesh, g, sigma_bc=None):
         # u_K = z0_K - T_K lam_K: zero mean of u is one row on lam
         row = np.bincount(dofs[inner], (mesh.cell_measures[:, None] * T[:, n + 1])[inner],
                           minlength=ni)
-        gauge = assembly.Constraint(row, np.ones(ni), mesh.cell_measures @ z0[:, n + 1])
+        gauge = assembly.Constraint(row, np.ones(ni),
+                                    np.einsum("c,c->", mesh.cell_measures, z0[:, n + 1]))
     lam, _, _ = linsolve.solve(assembly.SaddleSystem(S, b, gauge=gauge))
     z = z0 - np.einsum("cab,cb->ca", T, np.append(lam, 0.0)[dofs])
     count = np.bincount(mesh.cell_facets.ravel(), minlength=nf)
-    return mesh.facet_sums(z[:, :n + 1]) / count, z[:, n + 1]
+    sigma, u = mesh.facet_sums(z[:, :n + 1]) / count, z[:, n + 1]
+    _gate_mixed(mesh, mass, g, sigma, u, sigma_bc)
+    return sigma, u
+
+
+def _mixed_product(mesh, mass, sigma, u):
+    """The RT0 x P0 block product [[A, B^T], [B, 0]] (sigma, u) from the
+    local blocks: (A sigma + B^T u (nf,), B sigma (nc,)), with A applied as
+    the cellwise masses ``mass`` (``elements.rt0_mass``) and B as the facet
+    signs, so that no global matrix is assembled."""
+    signs = mesh.cell_facet_signs.astype(float)
+    local = sigma[mesh.cell_facets]
+    return (mesh.facet_sums(np.einsum("cij,cj->ci", mass, local) + signs * u[:, None]),
+            np.einsum("ci,ci->c", signs, local))
+
+
+def _gate_mixed(mesh, mass, g, sigma, u, sigma_bc=None):
+    """Gate (fluxes sigma (nf,), u (nc,)) by ``linsolve.gate_residual`` on
+    the unhybridised RT0 x P0 system, applied by ``_mixed_product``.
+
+    Without ``sigma_bc`` it is the system of
+    ``assembly.assemble_mixed_poisson``, [[A, B^T], [B, 0]] (sigma, u) =
+    (0, g).  With it, it is that of ``assembly.assemble_neumann_mixed``: the
+    unknowns are the interior fluxes and u, the boundary fluxes are fixed to
+    sigma_bc and moved to the right-hand side, and u has zero mean."""
+    if sigma_bc is None:
+        return linsolve.gate_residual(np.concatenate([np.zeros(mesh.n_facets), g]),
+                                      np.concatenate([sigma, u]),
+                                      np.concatenate(_mixed_product(mesh, mass, sigma, u)))
+    interior = mesh.interior_facet_indices()
+    inner = np.zeros(mesh.n_facets)
+    inner[interior] = sigma[interior]
+    flux_bc, div_bc = _mixed_product(mesh, mass, sigma_bc, np.zeros(mesh.n_cells))
+    flux, div = _mixed_product(mesh, mass, inner, u)
+    return linsolve.gate_residual(np.concatenate([-flux_bc[interior], g - div_bc]),
+                                  np.concatenate([sigma[interior], u]),
+                                  np.concatenate([flux[interior], div]),
+                                  assembly.zero_mean_dual(mesh, len(interior)))
 
 
 def solve_poisson_mixed(mesh, f):
     """Mixed Poisson by the RT0 x P0 pair: (flux field, displacement).
     Solved hybridised, and gated on the residual of the unhybridised
     system."""
-    system, rt, p0 = assembly.assemble_mixed_poisson(mesh, f)
-    x, y = _solve_rt0_hybrid(mesh, system.g)
-    linsolve.gate_saddle(system, x, y)
-    return RTField(rt, x), BrokenField(p0, y)
+    x, y = _solve_rt0_hybrid(mesh, -assembly.load_integrals(mesh, f))
+    return (RTField(assembly.DofMap.build(mesh, "RT0"), x),
+            BrokenField(assembly.DofMap.build(mesh, "P0"), y))
 
 
 def solve_stokes(mesh, f, family="ECR"):
     """Stokes by the (CR/ECR)^n x P0 pair: (velocity, zero-mean pressure).
     ECR is the CR solve plus closed-form bubbles in each velocity component,
     with the CR pressure."""
-    load, bubbles = _cr_load(mesh, f, family, mesh.dim)
-    system, vel, prs = assembly.assemble_stokes(mesh, load, "CR")
+    (system, vel, prs), bubbles = _cr_system(
+        mesh, f, family, lambda load: assembly.assemble_stokes(mesh, load, "CR"), mesh.dim)
     x, y, _ = linsolve.solve(system)
     return _with_bubbles(BrokenField(vel, x), bubbles), BrokenField(prs, y)
 
@@ -358,18 +393,20 @@ def solve_neumann(mesh, f, g, form="ecr"):
     back to zero mean.
     """
     if form in ("ecr", "cr"):
-        load, bubbles = _cr_load(mesh, f, form.upper())
-        system, dm = assembly.assemble_neumann_primal(mesh, load, g, "CR")
+        (system, dm), bubbles = _cr_system(
+            mesh, f, form.upper(),
+            lambda load: assembly.assemble_neumann_primal(mesh, load, g, "CR"))
         x, _, _ = linsolve.solve(system)
         u = _with_bubbles(BrokenField(dm, x), bubbles)
         if bubbles is not None:
-            u.coeffs -= mesh.cell_measures @ u.cell_averages() / mesh.cell_measures.sum()
+            mean = np.einsum("c,c->", mesh.cell_measures, u.cell_averages())
+            u.coeffs -= mean / mesh.cell_measures.sum()
         return u
     if form == "mixed":
-        system, rt, p0, interior, sigma_bc = assembly.assemble_neumann_mixed(mesh, f, g)
-        sigma, y = _solve_rt0_hybrid(mesh, system.g, sigma_bc)
-        linsolve.gate_saddle(system, sigma[interior], y)
-        return RTField(rt, sigma), BrokenField(p0, y)
+        sigma_bc = assembly.boundary_fluxes(mesh, f, g)
+        sigma, y = _solve_rt0_hybrid(mesh, -assembly.load_integrals(mesh, f), sigma_bc)
+        return (RTField(assembly.DofMap.build(mesh, "RT0"), sigma),
+                BrokenField(assembly.DofMap.build(mesh, "P0"), y))
     raise ValueError(f"unknown Neumann form {form!r}")
 
 

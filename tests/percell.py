@@ -1,10 +1,13 @@
 """Per-cell geometry and basis evaluation, for tests that check one cell or
 one facet at a time against the package's batch arrays.
 
-The basis formulas are the package's own private ones (``elements._cr`` and
-friends); only the per-cell plumbing lives here.  The facet geometry is
-computed from the facet's vertices alone, as an oracle for the mesh's facet
-arrays.
+The CR and ECR basis formulas are the package's own private ones
+(``elements._cr`` and friends); only the per-cell plumbing lives here.  The
+RT0 basis, which the package never evaluates pointwise, is written here
+(``_rt0``) as the quadrature oracle of its closed-form local matrices, and so
+are the helpers that only tests call (``rt0_eval_mesh``, ``facet_averages``).
+The facet geometry is computed from the facet's vertices alone, as an oracle
+for the mesh's facet arrays.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 
 from simplexfem import elements
 from simplexfem.mesh import MeshError, SimplexMesh
+from simplexfem.quadrature import physical_points
 
 
 def reference_monomial_integral(alpha):
@@ -108,9 +112,11 @@ def ecr_eval(geom, points):
     """ECR basis values/gradients at physical points of one cell."""
     points = np.asarray(points, dtype=float)
     n = geom.dim
-    bubble, bubble_grad = elements._bubble(n, points - geom.centroid, geom.H)
+    dx = points - geom.centroid
+    bubble = elements._bubble_value(n, (dx ** 2).sum(axis=-1), geom.H)
     return (elements._ecr_values(n, _barycentric_at(geom, points), bubble),
-            elements._ecr_gradients(n, geom.barycentric_gradients, bubble_grad))
+            elements._ecr_gradients(n, geom.barycentric_gradients,
+                                    elements._bubble_gradient(n, dx, geom.H)))
 
 
 def cr_eval(geom, points):
@@ -121,10 +127,38 @@ def cr_eval(geom, points):
     return values, np.broadcast_to(grads, values.shape + (geom.dim,)).copy()
 
 
+def _rt0(x, vertices, signs, measure):
+    """RT0 values s_i (x - a_i) / (n|K|) (..., n+1, n) and divergences
+    s_i / |K| (..., n+1); ``measure`` broadcasts against ``signs``."""
+    divs = signs / measure
+    return (divs / x.shape[-1])[..., None] * (x[..., None, :] - vertices), divs
+
+
 def rt0_eval(geom, orientation_signs, points):
     """RT0 basis vectors and divergences at physical points of one cell.
 
     ``orientation_signs`` is the cell's row of ``mesh.cell_facet_signs``.
     """
-    return elements._rt0(np.asarray(points, dtype=float), geom.vertices,
-                         np.asarray(orientation_signs, dtype=float), geom.measure)
+    return _rt0(np.asarray(points, dtype=float), geom.vertices,
+                np.asarray(orientation_signs, dtype=float), geom.measure)
+
+
+def rt0_eval_mesh(mesh, bary):
+    """RT0 basis on every cell: values (nc, Q, n+1, n) and constant
+    divergences (nc, n+1) = s_i / |K|."""
+    values, divs = _rt0(physical_points(mesh, bary),
+                        mesh.vertices[mesh.cells][:, None],
+                        mesh.cell_facet_signs[:, None],
+                        mesh.cell_measures[:, None, None])
+    return values, divs[:, 0]
+
+
+def facet_averages(field):
+    """Facet-average coefficients of a CR/ECR ``problems.BrokenField``: (nf,)
+    or (nf, ncomp), zero on eliminated Dirichlet facets."""
+    if field.dofmap.facet_dofs is None:
+        raise ValueError("facet averages need a facet-based family")
+    coeffs = field.coeffs.reshape(field.ncomp, field.dofmap.n_scalar)
+    fd = field.dofmap.facet_dofs
+    out = np.where(fd[None, :] >= 0, coeffs[:, np.where(fd >= 0, fd, 0)], 0.0)
+    return out[0] if field.ncomp == 1 else out.T

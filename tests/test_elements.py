@@ -7,7 +7,7 @@ from simplexfem import elements
 from simplexfem.mesh import SimplexMesh, build_box_mesh, refine_uniform
 from simplexfem.quadrature import cell_weights, physical_points, rule_for_degree
 
-from percell import cell_geometry, cr_eval, ecr_eval, rt0_eval
+from percell import cell_geometry, cr_eval, ecr_eval, rt0_eval, rt0_eval_mesh
 
 
 def reference_triangle():
@@ -148,7 +148,7 @@ def test_dof_duality_rt_fluxes(dim):
 def test_rt_divergence_theorem(dim):
     # int_K div psi_i = +-1 (the orientation sign)
     m = refine_uniform(build_box_mesh(dim, 1))
-    _, divs = elements.rt0_eval_mesh(m, rule_for_degree(dim, 2).points)
+    _, divs = rt0_eval_mesh(m, rule_for_degree(dim, 2).points)
     assert np.allclose(divs * m.cell_measures[:, None], m.cell_facet_signs, atol=1e-13)
 
 
@@ -160,7 +160,7 @@ def test_rt_reproduces_constant_vectors(dim):
     # coefficients int_E c . nu dE
     coeffs = m.facet_measures * (m.facet_normals @ const)
     bary = random_points(dim, 7, seed=4)
-    vals, _ = elements.rt0_eval_mesh(m, bary)
+    vals, _ = rt0_eval_mesh(m, bary)
     local = coeffs[m.cell_facets]
     recon = np.einsum("cqin,ci->cqn", vals, local)
     assert np.abs(recon - const).max() < 1e-12
@@ -211,13 +211,18 @@ def test_bubble_normal_derivative_constant_per_facet(dim):
 
 def disjoint_random_cells(dim, count, seed):
     """Mesh of ``count`` disjoint random cells, each well away from
-    degenerate and with canonical facet normals pointing both out and in."""
+    degenerate and with canonical facet normals pointing both out and in.
+
+    A cell is kept when |K| / diam^n reaches a fixed fraction of its value
+    sqrt(n+1) / (n! 2^(n/2)) on the regular n-simplex, the largest there
+    is (0.43 in 2D, 0.12 in 3D, 0.023 in 4D)."""
+    regular = math.sqrt(dim + 1) / (math.factorial(dim) * 2 ** (dim / 2))
     rng = np.random.default_rng(seed)
     cells = []
     while len(cells) < count:
         verts = rng.standard_normal((dim + 1, dim))
         m = SimplexMesh(dim, verts, [list(range(dim + 1))])
-        if (m.cell_measures[0] > 0.05 * m.cell_diameters[0] ** dim
+        if (m.cell_measures[0] > 0.2 * regular * m.cell_diameters[0] ** dim
                 and len(set(m.cell_facet_signs[0].tolist())) == 2):
             cells.append(verts)
     conn = np.arange(count * (dim + 1)).reshape(count, dim + 1)
@@ -233,7 +238,7 @@ def quadrature_oracle(m):
     w = cell_weights(m, rule)
     cr_vals, cr_grads = elements.cr_eval_mesh(m, rule.points)
     ecr_vals, ecr_grads = elements.ecr_eval_mesh(m, rule.points)
-    rt_vals, _ = elements.rt0_eval_mesh(m, rule.points)
+    rt_vals, _ = rt0_eval_mesh(m, rule.points)
     return {
         "cr_stiffness": np.einsum("can,cbn,cq->cab", cr_grads, cr_grads, w),
         "ecr_stiffness": np.einsum("cqan,cqbn,cq->cab", ecr_grads, ecr_grads, w),
@@ -261,14 +266,14 @@ def test_local_matrices_match_quadrature_oracle(dim, kind):
         assert np.all(diff <= 1e-13 * scale), (name, (diff / scale).max())
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim", [2, 3, 4])
 def test_per_cell_evaluators_match_batch(dim):
     m = disjoint_random_cells(dim, 3, seed=10 + dim)
     bary = random_points(dim, 6, seed=dim)
     x = physical_points(m, bary)
     batch = {"ecr": elements.ecr_eval_mesh(m, bary),
              "cr": elements.cr_eval_mesh(m, bary),
-             "rt0": elements.rt0_eval_mesh(m, bary)}
+             "rt0": rt0_eval_mesh(m, bary)}
     for c in range(m.n_cells):
         g = cell_geometry(m, c)
         vals, grads = ecr_eval(g, x[c])

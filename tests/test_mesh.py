@@ -109,6 +109,18 @@ def test_facet_incidence_invariants(dim):
     assert np.all(np.abs(sign_sum[~interior]) == 1)
 
 
+def test_4d_mesh_with_60000_vertices_builds():
+    # 60,000^4 > 2^63: a facet's 4 vertex ids no longer fit one int64 key
+    verts = np.random.default_rng(0).uniform(0.0, 1.0, (60_000, 4))
+    verts[0] = 0.5                                  # across the facet e_1..e_4
+    verts[-5:] = np.vstack([np.zeros(4), np.eye(4)])
+    ids = [59_996, 59_997, 59_998, 59_999]
+    m = SimplexMesh(4, verts, [[59_995] + ids, [0] + ids])
+    assert m.n_facets == 9
+    assert m.facets[~m.is_boundary_facet].tolist() == [ids]
+    assert np.array_equal(m.facets, np.unique(m.facets, axis=0))
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_signed_facet_sums_match_side_lookups(dim):
     # oracle: each facet's cells, with its local index found in each of them

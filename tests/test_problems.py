@@ -1,15 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as dla
 import scipy.sparse.linalg as sla
 
-from simplexfem import analysis, assembly, linsolve, problems
+from simplexfem import analysis, assembly, elements, linsolve, problems
 from simplexfem.linsolve import SolverError
 from simplexfem.mesh import SimplexMesh, build_box_mesh, mesh_hierarchy, refine_uniform
 from simplexfem.problems import (quadratic_neumann_solution, sine_solution,
                                  solve_eigen, solve_neumann, solve_poisson,
                                  solve_poisson_mixed, solve_stokes)
 from simplexfem.quadrature import rule_for_degree
+
+from percell import facet_averages
 
 EXACT_LAMBDA_2D = 2 * np.pi ** 2
 
@@ -150,6 +154,107 @@ def test_hybrid_neumann_zero_data():
     assert np.abs(sigma.coeffs).max() == 0.0 and np.abs(u.coeffs).max() == 0.0
 
 
+# -- the mixed gate, applied from the hybrid's local blocks ------------------
+
+def mixed_case(dim, lvl, kind, scale=1.0):
+    """A jiggled mesh and the data of a Dirichlet or pure-Neumann mixed
+    solve: (mesh, load, boundary flux data or None), all times ``scale``."""
+    mesh = mixed_mesh(dim, lvl, True)
+    if kind == "dirichlet":
+        return mesh, scale * np.random.default_rng(lvl).uniform(-1.0, 1.0, mesh.n_cells), None
+    fix = quadratic_neumann_solution(dim)
+    g = problems.outward_flux_averages(mesh, fix.grad)
+    return mesh, lambda x: scale * fix.f(x), scale * g
+
+
+def solve_mixed(mesh, f, g):
+    if g is None:
+        return solve_poisson_mixed(mesh, f)
+    return solve_neumann(mesh, f, g, form="mixed")
+
+
+def gate_mixed(mesh, f, g, sigma, u):
+    """``problems._gate_mixed`` on (sigma, u), with the data of ``mixed_case``."""
+    sigma_bc = None if g is None else assembly.boundary_fluxes(mesh, f, g)
+    return problems._gate_mixed(mesh, elements.rt0_mass(mesh),
+                                -assembly.load_integrals(mesh, f), sigma, u, sigma_bc)
+
+
+GATE_CASES = [(2, 4, "dirichlet"), (2, 4, "neumann"), (3, 2, "dirichlet"),
+              (3, 2, "neumann")]
+
+
+@pytest.mark.parametrize("dim,lvl,kind", GATE_CASES)
+def test_local_block_gate_matches_the_assembled_gate(monkeypatch, dim, lvl, kind):
+    mesh, f, g = mixed_case(dim, lvl, kind)
+    residuals = []
+    gate = linsolve._gate
+
+    def recorded(residual, what):
+        residuals.append(residual)
+        return gate(residual, what)
+
+    monkeypatch.setattr(linsolve, "_gate", recorded)
+    sigma, u = solve_mixed(mesh, f, g)
+    local = residuals[-1]                    # the last gate is the mixed one
+    if g is None:
+        system, _, _ = assembly.assemble_mixed_poisson(mesh, f)
+        linsolve.gate_saddle(system, sigma.coeffs, u.coeffs)
+    else:
+        system, _, _, interior, _ = assembly.assemble_neumann_mixed(mesh, f, g)
+        linsolve.gate_saddle(system, sigma.coeffs[interior], u.coeffs)
+    assert 0.0 < local <= linsolve.RESIDUAL_TOL
+    assert abs(local - residuals[-1]) <= 1e-16
+
+
+@pytest.mark.parametrize("dim,lvl,kind", GATE_CASES)
+def test_local_block_gate_rejects_a_moved_flux(dim, lvl, kind):
+    mesh, f, g = mixed_case(dim, lvl, kind)
+    sigma, u = solve_mixed(mesh, f, g)
+    gate_mixed(mesh, f, g, sigma.coeffs, u.coeffs)
+    moved = sigma.coeffs.copy()
+    interior = mesh.interior_facet_indices()
+    facet = interior[np.argmax(np.abs(moved[interior]))]
+    moved[facet] += 1e-6 * np.abs(moved).max()
+    with pytest.raises(SolverError):
+        gate_mixed(mesh, f, g, moved, u.coeffs)
+
+
+@pytest.mark.parametrize("dim,lvl,kind", GATE_CASES)
+def test_local_block_gate_passes_a_zero_load(dim, lvl, kind):
+    mesh, f, g = mixed_case(dim, lvl, kind, scale=0.0)
+    sigma, u = solve_mixed(mesh, f, g)
+    assert np.abs(sigma.coeffs).max() == 0.0 and np.abs(u.coeffs).max() == 0.0
+    gate_mixed(mesh, f, g, sigma.coeffs, u.coeffs)
+
+
+def test_mixed_solves_assemble_no_global_rt0_system(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a mixed solve assembled a global RT0 matrix")
+
+    monkeypatch.setattr(assembly, "assemble_mixed_poisson", forbidden)
+    monkeypatch.setattr(assembly, "scatter_symmetric", forbidden)
+    for dim in (2, 3):
+        for kind in ("dirichlet", "neumann"):
+            solve_mixed(*mixed_case(dim, 1, kind))
+
+
+@pytest.mark.parametrize("dim,lvl", [(2, 6), (3, 3)])
+def test_bubble_moments_hold_at_most_four_load_samples(dim, lvl):
+    # no (nc, Q, n) point, offset or gradient array: the peak stays within
+    # four (nc, Q) arrays of float64, the load sample included
+    mesh = mesh_hierarchy(build_box_mesh(dim, 1), lvl)[-1]
+    f = np.random.default_rng(lvl).uniform(-1.0, 1.0, mesh.n_cells)
+    n_points = rule_for_degree(dim, assembly.DEFAULT_LOAD_DEGREE).n_points
+    tracemalloc.start()
+    try:
+        problems.bubble_coefficients(mesh, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * mesh.n_cells * n_points * 8
+
+
 def test_neumann_rt_flux_exact():
     mesh = refine_uniform(build_box_mesh(2, 1))
     fix = quadratic_neumann_solution(2)
@@ -238,7 +343,7 @@ def test_field_evaluation_consistency():
 def test_facet_averages_match_coefficients():
     mesh = refine_uniform(build_box_mesh(2, 1))
     u = solve_poisson(mesh, 1.0, "ECR")
-    fa = u.facet_averages()
+    fa = facet_averages(u)
     assert fa.shape == (mesh.n_facets,)
     assert np.all(fa[mesh.boundary_facet_indices()] == 0.0)
 
