@@ -7,15 +7,31 @@ gated at ``RESIDUAL_TOL``.  ``SolverConfig`` carries only what the
 eigensolver needs: the dense/ARPACK switch and the start vector's seed.
 ``_splu`` is the one factorisation entry, ARPACK's shift-invert included.
 
-The order follows from the system.  Without a dual block the matrix is SPD,
-or SPD once its gauge DOF is pinned: it is factorised in the minimum-degree
-order of A^T + A with the diagonal as pivots, which keeps the factor of a 3D
-CR stiffness at a third of the fill COLAMD gives (3D L4, 47,616 unknowns:
-fill 34 against 105).  Saddle systems and the eigensolver keep SuperLU's
-default, COLAMD with partial pivoting: an indefinite matrix has zero
-diagonal blocks, and on the pinned pseudostress matrix of 12,311 unknowns
-the symmetric order took 80 s on 2 vCPUs, at fill 227, and reached a
-relative residual of 82.
+In ``solve`` the order follows from the system and every pivot is diagonal.
+Without a dual block the matrix is SPD, or SPD once its gauge DOF is pinned:
+it is factorised in the minimum-degree order of A^T + A, which keeps the
+factor of a 3D CR stiffness at a third of the fill COLAMD gives (3D L4,
+47,616 unknowns: fill 34 against 105).  A saddle matrix [[A, B^T], [B, 0]]
+is factorised in a constrained symmetric order (``_saddle_order``): the
+primal DOFs in the minimum-degree order of A, each dual DOF directly after
+the last primal DOF it couples to.  With A SPD and B of full row rank on the
+kept rows, every leading block is then itself a nonsingular saddle matrix,
+so the diagonal pivots exist (Tuma, SIMAX 23, 2002; Benzi, Golub & Liesen,
+Acta Numerica 14, 2005, sec. 6).  The pinned systems are of this kind: the
+CR-Stokes A is the Dirichlet vector Laplacian and B has lost one pressure
+row; the pseudostress A, the deviatoric mass, is SPD once one DOF of the
+tensor I is removed, and its divergence stays onto.  Minimum degree on the
+whole matrix would eliminate the low-degree zero-diagonal dual rows first:
+with threshold pivoting it took 80 s on the pinned pseudostress matrix of
+12,311 unknowns, at fill 227.  On 3D box(3) refined once (1,296 tets, 1
+vCPU), COLAMD with partial pivoting against the constrained order: CR-Stokes
+(8,423 unknowns) fill 63 in 0.46 s against 25 in 0.13 s, pseudostress
+(12,311) fill 35 in 1.49 s against 27 in 0.52 s, each order found in 0.02 s.
+The order of A alone beats that of |A| + |B|^T|B| on CR-Stokes (fill 25
+against 45 there) and equals it on the pseudostress, whose B^T B lies inside
+the pattern of A.  The pseudostress can still fill more than under
+COLAMD (2D L6: 21 against 16; 4D box(3): 155 against 80).  The eigensolver
+keeps SuperLU's default, COLAMD with partial pivoting.
 
 A system carries at most one gauge: a null vector k of the block matrix K
 and a row c that fixes it, c . z = rhs.  It is solved by pinning, never by
@@ -35,8 +51,9 @@ factorising the bordered matrix:
 No dense constraint row reaches SuperLU, whose fill it would multiply.  A
 declared k that is not a null vector of K breaks the dropped row or the
 re-gauge, and the gate raises SolverError.  K must have no null vector
-besides the declared one, or the pinned matrix is singular, which SuperLU
-reports only when the breakdown is exact.  The residual of the full
+besides the declared one, or the factorised matrix is singular: each
+factorisation is refused once a lower bound on its condition number
+exceeds 1/(n eps) (``_factorise``).  The residual of the full
 bordered system is the gate; ``gate_saddle`` applies it to a solution found
 by any other route, and ``gate_residual`` to one whose block product the
 caller forms itself.
@@ -99,6 +116,9 @@ def _gate(residual, what):
 # SuperLU options of the SPD factorisation: symmetric order, diagonal pivots
 _SPD_ORDER = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
               "options": {"SymmetricMode": True}}
+# ... and of the saddle factorisation, whose order ``_saddle_order`` supplies
+_SADDLE_ORDER = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0,
+                 "options": {"SymmetricMode": True}}
 
 
 def _splu(K, **order):
@@ -185,6 +205,57 @@ def gate_saddle(system, primal, dual):
     return gate_residual(_rhs(system), z, _block_apply(system, z), system.gauge)
 
 
+def _saddle_order(system, pinned=None):
+    """The DOFs of a saddle system less ``pinned``, in the order they are
+    factorised in: the primal DOFs in SuperLU's minimum-degree order of the
+    pattern of A on the kept rows, each dual DOF directly after the last
+    primal DOF it couples to (see the module doc)."""
+    n_primal = system.n_primal
+    keep = np.arange(n_primal + system.n_dual)
+    if pinned is not None:
+        keep = np.delete(keep, pinned)
+    primal, dual = keep[keep < n_primal], keep[keep >= n_primal]
+    P = sp.csc_matrix(system.A)[primal][:, primal]
+    P.data[:] = 1.0
+    P += sp.identity(len(primal), format="csc") * (2.0 * len(primal))
+    # an ordering call: on a pattern with a dominant diagonal, SuperLU's
+    # incomplete factorisation, with as good as everything dropped, returns
+    # the postordered MMD_AT_PLUS_A order a full splu of P would use, in a
+    # fifth of the time (0.02 against 0.10 s on 3D box(3) refined)
+    position = sla.spilu(P, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         drop_tol=0.5, fill_factor=1,
+                         options={"SymmetricMode": True}).perm_c
+    B = sp.csr_matrix(system.B)[dual - n_primal][:, primal]
+    last = np.full(len(dual), -1)              # a dual DOF without neighbours: first
+    coupled = np.diff(B.indptr) > 0
+    last[coupled] = np.maximum.reduceat(position[B.indices], B.indptr[:-1][coupled])
+    key = np.concatenate([2 * position, 2 * last + 1])
+    return np.concatenate([primal, dual])[np.argsort(key, kind="stable")]
+
+
+def _factorise(K, order):
+    """``_splu`` of K, refused when kappa_1(K) provably exceeds 1/(n eps).
+
+    One solve x = K^-1 b with a fixed-seed random b gives the lower bound
+    ||K||_1 ||x||_1 / ||b||_1 <= kappa_1(K).  A null vector K carries beyond
+    its declared gauge shows as a pivot at rounding level: the bound read
+    3.9e17 and 1.2e18 on the 2D L2 and L5 Stokes systems without their
+    gauge, against at most 1.5e5 on the healthy systems measured (Stokes and
+    pseudostress at 2D L6 and 3D box(3) refined, CR Poisson and the Poisson
+    multiplier systems at 2D L7), where 1/(n eps) is 9e10-5e11.  The solve
+    costs 2-13 ms on those systems."""
+    norm = sla.norm(K, 1)          # before the factor exists: |K| adds nothing to the peak
+    lu = _splu(K, **order)
+    n = K.shape[0]
+    b = np.random.default_rng(0).standard_normal(n)
+    with np.errstate(over="ignore"):
+        kappa = norm * np.abs(lu.solve(b)).sum() / np.abs(b).sum()
+    if not kappa <= 1.0 / (n * np.finfo(float).eps):
+        raise SolverError(f"matrix of {n} unknowns numerically singular: "
+                          f"kappa_1 >= {kappa:.1e}")
+    return lu
+
+
 def solve(system):
     """Solve a SaddleSystem to a gated residual: (primal, dual, multiplier),
     the multiplier None without a gauge."""
@@ -192,22 +263,27 @@ def solve(system):
     z = np.zeros(len(F))
     if F.any() or (gauge is not None and gauge.rhs):
         K = _block_matrix(system)
-        order = _SPD_ORDER if system.B is None else {}
+        pinned = None if gauge is None else np.argmax(np.abs(gauge.k))
+        if system.B is not None:                   # one index array: pin and order
+            keep = _saddle_order(system, pinned)
+            lu = _factorise(K[keep][:, keep], _SADDLE_ORDER)
+        elif pinned is not None:
+            keep = np.delete(np.arange(len(F)), pinned)
+            lu = _factorise(K[keep][:, keep], _SPD_ORDER)
+        else:
+            keep = slice(None)
+            lu = _factorise(K, _SPD_ORDER)
         if gauge is None:
-            lu = _splu(K, **order)
-            z = lu.solve(F)
-            z = z + lu.solve(F - K @ z)            # one step of refinement
+            z[keep] = lu.solve(F[keep])
+            z[keep] -= lu.solve((K @ z - F)[keep])    # one step of refinement
         else:                                      # steps 1-4 of the module doc
             c, k, rhs_c = gauge
             rhs = F - c * _multiplier(gauge, F)
-            free = np.ones(len(F), dtype=bool)
-            free[np.argmax(np.abs(k))] = False
-            lu = _splu(K[free][:, free], **order)
-            z[free] = lu.solve(rhs[free])
+            z[keep] = lu.solve(rhs[keep])
             z -= k * ((_dot(c, z) - rhs_c) / _dot(c, k))
             r = K @ z - rhs
             r -= k * (_dot(k, r) / _dot(k, k))
-            z[free] -= lu.solve(r[free])
+            z[keep] -= lu.solve(r[keep])
             z -= k * ((_dot(c, z) - rhs_c) / _dot(c, k))
     np_ = system.n_primal
     return z[:np_], z[np_:], gate_saddle(system, z[:np_], z[np_:])

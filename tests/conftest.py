@@ -5,22 +5,32 @@ from scipy.sparse.linalg._eigen.arpack import arpack
 from simplexfem import linsolve
 
 
+class Factorisation(tuple):
+    """(size, SuperLU column order) of one factorisation, and equal to that
+    pair; ``lu_nnz`` is the number of nonzeros of its L + U."""
+
+    lu_nnz = None
+
+
 @pytest.fixture
 def factorised(monkeypatch):
-    """(size, SuperLU column order) of every factorisation, in order.  A
-    SuperLU factorisation that does not come through ``linsolve._splu``,
-    ARPACK's shift-invert included, fails the test."""
+    """A ``Factorisation`` of every factorisation, in order.  A SuperLU
+    factorisation that does not come through ``linsolve._splu``, ARPACK's
+    shift-invert included, fails the test."""
     record = []
     depth = []
     original = linsolve._splu
 
     def recording(K, **order):
-        record.append((K.shape[0], order.get("permc_spec", "COLAMD")))
+        entry = Factorisation((K.shape[0], order.get("permc_spec", "COLAMD")))
+        record.append(entry)
         depth.append(K.shape[0])
         try:
-            return original(K, **order)
+            lu = original(K, **order)
         finally:
             depth.pop()
+        entry.lu_nnz = lu.nnz
+        return lu
 
     def guarded(splu):
         def factorise(A, *args, **kwargs):

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as sla
 
-from simplexfem import assembly, linsolve
+from simplexfem import assembly, linsolve, problems
 from simplexfem.linsolve import SolverConfig, SolverError, eig_smallest, gate_saddle, solve
 from simplexfem.mesh import SimplexMesh, build_box_mesh, mesh_hierarchy, refine_uniform
 from simplexfem.problems import outward_flux_averages, quadratic_neumann_solution, solve_eigen
@@ -164,6 +164,55 @@ def test_gauge_orthogonal_to_its_null_vector_fails(name):
         solve(system)
     with pytest.raises(SolverError):
         gate_saddle(system, np.zeros(system.n_primal), np.zeros(system.n_dual))
+
+
+@pytest.mark.parametrize("name,dim", GAUGED)
+def test_undeclared_null_vector_raises(name, dim):
+    # the gauge removed, K keeps its null vector: the factorisation must not
+    # return a solution with an arbitrary component along it
+    system = _gauged_system(name, dim)
+    system.gauge = None
+    with pytest.raises(SolverError, match="singular"):
+        solve(system)
+
+
+def _order_test_mesh(dim):
+    if dim == 2:
+        return mesh_hierarchy(build_box_mesh(2, 1), 2)[-1]
+    return refine_uniform(build_box_mesh(3, 1)) if dim == 3 else build_box_mesh(4, 2)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("problem", ["stokes", "pseudostress"])
+def test_saddle_order_puts_each_dual_dof_after_its_primal_neighbours(problem, dim):
+    mesh = _order_test_mesh(dim)
+    load = np.random.default_rng(dim).uniform(-1.0, 1.0, (mesh.n_cells, dim))
+    system = (assembly.assemble_stokes(mesh, load, "CR") if problem == "stokes"
+              else assembly.assemble_pseudostress(mesh, load))[0]
+    n_primal, n = system.n_primal, system.n_primal + system.n_dual
+    pinned = np.argmax(np.abs(system.gauge.k))
+    order = linsolve._saddle_order(system, pinned)
+    assert np.array_equal(np.sort(order), np.delete(np.arange(n), pinned))
+    assert pinned not in order
+    position = np.full(n, -1)
+    position[order] = np.arange(len(order))
+    B = system.B.tocoo()
+    dual, primal = B.row + n_primal, B.col
+    kept = (dual != pinned) & (primal != pinned)
+    assert np.all(position[dual[kept]] > position[primal[kept]])
+
+
+def test_pseudostress_factor_is_sparser_than_colamd(factorised):
+    mesh = refine_uniform(build_box_mesh(3, 2))
+    problems.solve_stokes_mixed(mesh, np.ones(3))
+    system = assembly.assemble_pseudostress(mesh, np.ones(3))[0]
+    keep = np.delete(np.arange(system.n_primal + system.n_dual),
+                     np.argmax(np.abs(system.gauge.k)))
+    K = linsolve._block_matrix(system)[keep][:, keep]
+    linsolve._splu(K)                              # the same pinned matrix, COLAMD
+    saddle, colamd = factorised
+    assert saddle == (K.shape[0], "NATURAL") and colamd == (K.shape[0], "COLAMD")
+    assert saddle.lu_nnz < colamd.lu_nnz
 
 
 @pytest.mark.parametrize("field", ["c", "k"])
