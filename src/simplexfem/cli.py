@@ -2,6 +2,9 @@
 eigenvalue tables and every equivalence identity check, emitting CSV tables,
 JSON reports and gnuplot-ready (h, error) data files.
 
+Each subcommand takes the mesh flags and only the flags it honours; a
+level, eigenpair or load count it cannot honour is a configuration error.
+
 Exit codes: 0 all requested checks passed, 1 a check failed (failing
 residuals are printed), 2 configuration error.
 """
@@ -15,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, assembly, equivalence, linsolve, mesh as meshmod, problems
+from . import analysis, assembly, equivalence, mesh as meshmod, problems
 from .assembly import DataError
 from .linsolve import SolverError
 from .mesh import MeshError
@@ -26,20 +29,26 @@ class ConfigError(ValueError):
     pass
 
 
-def _coarse_mesh(args):
-    if getattr(args, "mesh_file", None):
+def _meshes(args):
+    """The coarse mesh and its ``--levels`` uniform refinements."""
+    if args.mesh_file:
         try:
             with open(args.mesh_file) as fh:
-                return meshmod.read_mesh(fh.read())
+                coarse = meshmod.read_mesh(fh.read())
         except OSError as exc:
             raise ConfigError(f"cannot read mesh file: {exc}") from exc
-    return meshmod.build_box_mesh(args.dim, args.subdivisions, args.coarse)
+    else:
+        coarse = meshmod.build_box_mesh(args.dim, args.subdivisions, args.coarse)
+    return meshmod.mesh_hierarchy(coarse, args.levels)
 
 
 def _parse_rhs(spec, dim, ncomp=1):
-    """Load spec: const:<c[,c2,...]>, sine, or random."""
+    """Load spec: const:<c[,c2,...]> or sine."""
     if spec.startswith("const:"):
-        vals = [float(t) for t in spec[len("const:"):].split(",")]
+        try:
+            vals = [float(t) for t in spec[len("const:"):].split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse load spec {spec!r}") from exc
         if ncomp == 1:
             if len(vals) != 1:
                 raise ConfigError("scalar problem takes a single constant")
@@ -53,32 +62,7 @@ def _parse_rhs(spec, dim, ncomp=1):
         if ncomp != 1:
             raise ConfigError("the sine load is scalar")
         return problems.sine_solution(dim).f
-    if spec == "random":
-        return "random"
     raise ConfigError(f"cannot parse load spec {spec!r}")
-
-
-def _random_pc_loads(mesh, n_loads, seed, ncomp=1):
-    rng = np.random.default_rng(seed)
-    shape = (mesh.n_cells,) if ncomp == 1 else (mesh.n_cells, ncomp)
-    return [rng.uniform(-1.0, 1.0, shape) for _ in range(n_loads)]
-
-
-def _equivalence_load(mesh, f, ncomp=1):
-    """Project non-constant loads cellwise, warning once (identity mode)."""
-    if callable(f):
-        print("warning: non-piecewise-constant load projected cellwise "
-              "for the equivalence check", file=sys.stderr)
-        from .assembly import piecewise_constant_load
-        return piecewise_constant_load(mesh, f, ncomp=ncomp)
-    return f
-
-
-def _write_json(path, reports):
-    payload = [r.to_dict() for r in reports]
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _out(args, name):
@@ -86,56 +70,30 @@ def _out(args, name):
     return os.path.join(args.out_dir, name)
 
 
-def _meta(args, **extra):
-    meta = {"tol_poisson": equivalence.IDENTITY_TOL,
-            "tol_stokes": equivalence.STOKES_TOL,
-            "seed": args.seed}
-    if getattr(args, "tol", None) is not None:
-        meta["tol_override"] = args.tol
-    meta.update(extra)
-    return meta
-
-
 # -- subcommands -------------------------------------------------------------
 
 def cmd_poisson(args):
-    mesh = _coarse_mesh(args)
-    for _ in range(args.levels):
-        mesh = meshmod.refine_uniform(mesh)
-    f = _parse_rhs(args.rhs, args.dim)
+    mesh = _meshes(args)[-1]
+    f = _parse_rhs(args.rhs, mesh.dim)
     family = args.family.upper()
-    table = analysis.ConvergenceTable(meta=_meta(args, family=family))
-    failures = []
-    if args.condensed and family != "ECR":
-        raise ConfigError("--condensed applies to the ECR family")
     u = problems.solve_poisson(mesh, f, family)
-    if args.condensed:
-        mono, _, _ = linsolve.solve(
-            assembly.SaddleSystem(*assembly.assemble_poisson(mesh, f, family)[:2]))
-        agree = float(np.abs(u.coeffs - mono).max())
-        print(f"condensed vs monolithic max coefficient difference: {agree:.3e}")
-        if agree > (args.tol if args.tol is not None else 1e-12):
-            failures.append(f"condensed/monolithic disagreement {agree:.3e}")
     rule = rule_for_degree(mesh.dim, 4)
     norm = analysis.l2_norm_of_values(mesh, u.values(rule.points), rule)
     print(f"{family} Poisson solve: {u.dofmap.n_total} dofs, ||u_h|| = {norm:.8e}")
     if args.rhs == "sine":
-        fix = problems.sine_solution(args.dim)
+        fix = problems.sine_solution(mesh.dim)
         err_l2 = analysis.l2_error(u, fix.u)
         err_h1 = analysis.broken_h1_error(u, fix.grad)
         print(f"errors vs sine solution: L2 = {err_l2:.8e}, broken-H1 = {err_h1:.8e}")
+        table = analysis.ConvergenceTable(meta={"family": family})
         table.add_level(mesh.h_max, u.dofmap.n_total, l2=err_l2, h1=err_h1)
         table.write_csv(_out(args, "poisson_table.csv"))
-    for msg in failures:
-        print(f"FAIL: {msg}")
-    return 1 if failures else 0
+    return 0
 
 
 def cmd_stokes(args):
-    mesh = _coarse_mesh(args)
-    for _ in range(args.levels):
-        mesh = meshmod.refine_uniform(mesh)
-    f = _parse_rhs(args.rhs, args.dim, ncomp=args.dim)
+    mesh = _meshes(args)[-1]
+    f = _parse_rhs(args.rhs, mesh.dim, ncomp=mesh.dim)
     vel, pressure = problems.solve_stokes(mesh, f)
     proj_div = np.einsum("crr->c", vel.gradient_parts()[0])
     p_mean = float((pressure.coeffs * mesh.cell_measures).sum())
@@ -143,10 +101,9 @@ def cmd_stokes(args):
           f"max |Pi0 div u| = {np.abs(proj_div).max():.3e}, "
           f"pressure mean = {p_mean:.3e}")
     failures = []
-    div_tol = args.tol if args.tol is not None else 1e-10
-    if np.abs(proj_div).max() > div_tol:
+    if np.abs(proj_div).max() > args.tol:
         failures.append("projected divergence residual")
-    if abs(p_mean) > min(div_tol, 1e-12):
+    if abs(p_mean) > min(args.tol, 1e-12):
         failures.append("pressure mean nonzero")
     for msg in failures:
         print(f"FAIL: {msg}")
@@ -154,7 +111,6 @@ def cmd_stokes(args):
 
 
 def cmd_eigen(args):
-    coarse = _coarse_mesh(args)
     families = [t.strip() for t in args.elements.split(",") if t.strip()]
     alias = {"cr": "CR", "ecr": "ECR", "rt": "RT-mixed",
              "rt-mixed": "RT-mixed", "rt-equiv": "RT-equiv"}
@@ -162,9 +118,8 @@ def cmd_eigen(args):
         families = [alias[t.lower()] for t in families]
     except KeyError as exc:
         raise ConfigError(f"unknown element family {exc.args[0]!r}") from exc
-    meshes = meshmod.mesh_hierarchy(coarse, args.levels)
-    table = analysis.ConvergenceTable(meta=_meta(args, k=args.k, coarse=args.coarse))
-    for lvl, mesh in enumerate(meshes):
+    table = analysis.ConvergenceTable(meta={"k": args.k, "coarse": args.coarse})
+    for lvl, mesh in enumerate(_meshes(args)):
         row = {}
         for fam in families:
             pairs = problems.solve_eigen(mesh, fam, args.k)
@@ -180,64 +135,56 @@ def cmd_eigen(args):
 
 
 def cmd_equiv(args):
-    coarse = _coarse_mesh(args)
-    meshes = meshmod.mesh_hierarchy(coarse, args.levels)[1:]
-    reports = []
-    ncomp = args.dim if args.problem in ("stokes", "cgs") else 1
-    if args.tol is not None and args.tol <= 0:
-        raise ConfigError("--tol must be positive")
+    checks = {"poisson": equivalence.check_poisson_identity,
+              "stokes": equivalence.check_stokes_identity,
+              "marini": equivalence.check_marini_identity,
+              "cgs": equivalence.check_cgs_identity,
+              "eigen": lambda mesh, _, **kw: equivalence.check_eigen_equivalence(
+                  mesh, k=args.k, **kw)}
+    meshes = _meshes(args)[1:]
+    dim = meshes[0].dim
+    ncomp = dim if args.problem in ("stokes", "cgs") else 1
     # without --tol each check applies its own default tolerance
     tol = {} if args.tol is None else {"tol": args.tol}
-    tol_field = {} if args.tol is None else {"tol_field": args.tol}
+    f = None if args.rhs == "random" else _parse_rhs(args.rhs, dim, ncomp)
+    if callable(f):
+        print("warning: non-piecewise-constant load projected cellwise "
+              "for the equivalence check", file=sys.stderr)
+    reports = []
     for lvl, mesh in enumerate(meshes, start=1):
-        if args.rhs == "random":
-            loads = _random_pc_loads(mesh, args.n_loads, args.seed + lvl, ncomp)
+        if args.problem == "eigen":
+            loads = [None]          # load-independent: one check per level
+        elif args.rhs == "random":
+            rng = np.random.default_rng(args.seed + lvl)
+            shape = (mesh.n_cells,) if ncomp == 1 else (mesh.n_cells, ncomp)
+            loads = [rng.uniform(-1.0, 1.0, shape) for _ in range(args.n_loads)]
+        elif callable(f):
+            loads = [assembly.piecewise_constant_load(mesh, f, ncomp=ncomp)]
         else:
-            loads = [_equivalence_load(mesh, _parse_rhs(args.rhs, args.dim, ncomp),
-                                       ncomp)]
-        for f in loads:
-            if args.problem == "poisson":
-                reports.append(equivalence.check_poisson_identity(
-                    mesh, f, level=lvl, **tol))
-            elif args.problem == "stokes":
-                reports.append(equivalence.check_stokes_identity(
-                    mesh, f, level=lvl, **tol))
-            elif args.problem == "marini":
-                reports.append(equivalence.check_marini_identity(
-                    mesh, f, level=lvl, **tol))
-            elif args.problem == "cgs":
-                reports.append(equivalence.check_cgs_identity(
-                    mesh, f, level=lvl, **tol))
-            elif args.problem == "eigen":
-                reports.append(equivalence.check_eigen_equivalence(
-                    mesh, k=args.k, level=lvl, **tol_field))
-                break  # load-independent
-            else:
-                raise ConfigError(f"unknown equivalence problem {args.problem!r}")
-    _write_json(_out(args, f"equiv_{args.problem}_reports.json"), reports)
-    failed = [r for r in reports if not r.passed]
+            loads = [f]
+        reports += [checks[args.problem](mesh, load, level=lvl, **tol) for load in loads]
+    with open(_out(args, f"equiv_{args.problem}_reports.json"), "w") as fh:
+        json.dump([r.to_dict() for r in reports], fh, indent=2, sort_keys=True)
+        fh.write("\n")
     for r in reports:
         worst = max(r.relative.values()) if r.relative else 0.0
         status = "pass" if r.passed else "FAIL"
         print(f"{status} {r.name} level {r.level}: worst relative residual "
               f"{worst:.3e} (tol {r.tolerance:.1e})")
-    if failed:
-        for r in failed:
-            print(f"FAIL detail {r.name} level {r.level}: {r.relative}")
-        return 1
-    return 0
+    failed = [r for r in reports if not r.passed]
+    for r in failed:
+        print(f"FAIL detail {r.name} level {r.level}: {r.relative}")
+    return 1 if failed else 0
 
 
 def cmd_convergence(args):
-    if args.solution != "sine":
-        raise ConfigError(f"unknown manufactured solution {args.solution!r}")
-    fix = problems.sine_solution(args.dim)
     families = [t.strip().upper() for t in args.elements.split(",") if t.strip()]
     for fam in families:
         if fam not in ("CR", "ECR"):
             raise ConfigError(f"convergence supports cr/ecr, got {fam!r}")
-    meshes = meshmod.mesh_hierarchy(_coarse_mesh(args), args.levels)[1:]
-    table = analysis.ConvergenceTable(meta=_meta(args, solution=args.solution))
+    meshes = _meshes(args)[1:]
+    fix = problems.sine_solution(meshes[0].dim)
+    table = analysis.ConvergenceTable(meta={"solution": "sine"})
     for mesh in meshes:
         row = {}
         dofs = 0
@@ -259,9 +206,8 @@ def cmd_convergence(args):
 
 
 def cmd_neumann(args):
-    meshes = meshmod.mesh_hierarchy(_coarse_mesh(args), args.levels)[1:]
-    table = equivalence.neumann_counterexample_report(meshes)
-    table.meta.update(_meta(args))
+    table = equivalence.neumann_counterexample_report(_meshes(args)[1:])
+    table.meta["tol"] = args.tol
     table.write_csv(_out(args, "neumann_table.csv"))
     rt = np.array(table.columns["rt_flux_error"])
     ecr = np.array(table.columns["ecr_grad_error"])
@@ -271,10 +217,9 @@ def cmd_neumann(args):
         print(f"{i + 1:5d}  {table.h[i]:.5f}  {rt[i]:.3e}    {ecr[i]:.3e}     "
               f"{table.columns['cr_grad_error'][i]:.3e}    {beta[i]:.6f}")
     failures = []
-    exact_tol = args.tol if args.tol is not None else 1e-9
-    if rt.max() > exact_tol:
+    if rt.max() > args.tol:
         failures.append(f"RT flux not exact: {rt.max():.3e}")
-    if ecr.max() > exact_tol:
+    if ecr.max() > args.tol:
         failures.append(f"ECR gradient not exact: {ecr.max():.3e}")
     if beta.min() <= 0 or beta.max() / beta.min() > 1.2:
         failures.append("CR lower-bound constant unstable")
@@ -286,16 +231,18 @@ def cmd_neumann(args):
 # -- argument parsing ----------------------------------------------------------
 
 FORMAT_HELP = (
-    "Output files: CSV tables start with a '# key=value ...' line recording "
-    "the run configuration and effective tolerances, followed by the header "
-    "row 'level,h,dofs,<columns>' with the remaining columns in sorted name "
+    "Output files: every command but stokes writes into --out-dir: poisson "
+    "(with --rhs sine), eigen, convergence and neumann a CSV table, equiv a "
+    "JSON report file. CSV tables start with a '# key=value ...' line "
+    "recording the configuration the command applied (tolerances included "
+    "only where it checks one), followed by the header row "
+    "'level,h,dofs,<columns>' with the remaining columns in sorted name "
     "order; floats carry 17 significant digits. JSON report files hold one "
     "object per check (identity, level, residuals, relative_residuals, "
-    "max_normal_jump, tolerance, passed, notes, extra). --emit-plot writes "
-    "one two-column (h, value) text file per table column. Reruns with "
-    "identical flags and --seed are bitwise reproducible; FEM_THREADS caps "
-    "BLAS/OpenMP parallelism.")
-
+    "max_normal_jump, tolerance, passed, notes, extra). --emit-plot (eigen, "
+    "convergence) writes one two-column (h, value) text file per table "
+    "column. Reruns with identical flags (and --seed) are bitwise "
+    "reproducible; FEM_THREADS caps BLAS/OpenMP parallelism.")
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -305,7 +252,8 @@ def _build_parser():
         epilog=FORMAT_HELP)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, levels_default=1):
+    def command(name, func, help, levels=1, out_dir=True):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--dim", type=int, choices=(2, 3), default=2)
         p.add_argument("--coarse", choices=("diagonal", "crisscross"),
                        default="diagonal", help="coarse mesh variant")
@@ -313,67 +261,75 @@ def _build_parser():
                        help="coarse grid intervals per direction")
         p.add_argument("--mesh-file", default=None,
                        help="read the coarse mesh from a plain-text file")
-        p.add_argument("--levels", type=int, default=levels_default,
+        p.add_argument("--levels", type=int, default=levels,
                        help="uniform refinement levels")
-        p.add_argument("--out-dir", default=".",
-                       help="directory for CSV/JSON artifacts")
-        p.add_argument("--emit-plot", action="store_true",
-                       help="write two-column (h, value) plot data files")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized load sweeps")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the command's pass/fail tolerance")
+        if out_dir:
+            p.add_argument("--out-dir", default=".",
+                           help="directory for CSV/JSON artifacts")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("poisson", help="single Poisson solve (ECR optionally "
-                                       "checked against its monolithic system)")
-    common(p)
+    plot_help = "write two-column (h, value) plot data files"
+    tol_help = "pass/fail tolerance (default %(default)s)"
+
+    p = command("poisson", cmd_poisson, "single Poisson solve (--rhs sine "
+                "also tabulates its errors)")
     p.add_argument("--rhs", default="const:1")
     p.add_argument("--family", choices=("cr", "ecr"), default="ecr")
-    p.add_argument("--condensed", action="store_true",
-                   help="compare the ECR solve (CR + bubbles) with the "
-                        "monolithic ECR system")
-    p.set_defaults(func=cmd_poisson)
 
-    p = sub.add_parser("stokes", help="single Stokes solve with residual checks")
-    common(p)
+    p = command("stokes", cmd_stokes, "single Stokes solve with residual checks",
+                out_dir=False)
     p.add_argument("--rhs", default="const:1,0")
-    p.set_defaults(func=cmd_stokes)
+    p.add_argument("--tol", type=float, default=1e-10, help=tol_help)
 
-    p = sub.add_parser("eigen", help="eigenvalue tables per level and family")
-    common(p, levels_default=3)
+    p = command("eigen", cmd_eigen, "eigenvalue tables per level and family",
+                levels=3)
     p.add_argument("--k", type=int, default=1, help="number of eigenvalues")
     p.add_argument("--elements", default="cr,ecr",
                    help="comma list from cr,ecr,rt-mixed,rt-equiv")
-    p.set_defaults(func=cmd_eigen)
+    p.add_argument("--emit-plot", action="store_true", help=plot_help)
 
-    p = sub.add_parser("equiv", help="equivalence identity checks")
-    common(p, levels_default=3)
+    p = command("equiv", cmd_equiv, "equivalence identity checks", levels=3)
     p.add_argument("--problem", default="poisson",
                    choices=("poisson", "stokes", "marini", "cgs", "eigen"))
     p.add_argument("--rhs", default="const:1",
                    help="const:c[,c...], sine (projected), or random")
     p.add_argument("--n-loads", type=int, default=3,
                    help="number of random loads per level")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the random loads")
     p.add_argument("--k", type=int, default=3,
                    help="eigenpairs for --problem eigen")
-    p.set_defaults(func=cmd_equiv)
+    p.add_argument("--tol", type=float, default=None,
+                   help="pass/fail tolerance (default: each check's own)")
 
-    p = sub.add_parser("convergence", help="manufactured-solution error table")
-    common(p, levels_default=4)
-    p.add_argument("--solution", default="sine")
+    p = command("convergence", cmd_convergence, "sine manufactured-solution "
+                "error table", levels=4)
     p.add_argument("--elements", default="cr,ecr")
-    p.set_defaults(func=cmd_convergence)
+    p.add_argument("--emit-plot", action="store_true", help=plot_help)
 
-    p = sub.add_parser("neumann", help="pure-Neumann exactness counterexample")
-    common(p, levels_default=4)
-    p.set_defaults(func=cmd_neumann)
+    p = command("neumann", cmd_neumann, "pure-Neumann exactness counterexample",
+                levels=4)
+    p.add_argument("--tol", type=float, default=1e-9, help=tol_help)
     return parser
 
 
+def _check_config(args):
+    """Refuse counts and tolerances the command cannot honour."""
+    # equiv, convergence and neumann work on the refined levels only
+    refined_only = args.command in ("equiv", "convergence", "neumann")
+    least = {"levels": int(refined_only), "k": 1, "n_loads": 1}
+    for name, low in least.items():
+        if getattr(args, name, low) < low:
+            raise ConfigError(f"--{name.replace('_', '-')} must be at least {low}")
+    if getattr(args, "tol", None) is not None and args.tol <= 0:
+        raise ConfigError("--tol must be positive")
+
+
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
+        _check_config(args)
         return args.func(args)
     except (ConfigError, MeshError, DataError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -360,7 +360,7 @@ def _align_sign(values, anchor):
     return 1.0 if v >= 0 else -1.0
 
 
-def check_eigen_equivalence(mesh, k=3, level=-1, tol_field=1e-8, config=None):
+def check_eigen_equivalence(mesh, k=3, level=-1, tol=1e-8, config=None):
     """Match the RT-mixed saddle eigenproblem against the projected-mass ECR
     form: identical eigenvalues, and for simple eigenvalues the field
     identities sigma_RT = grad_NC phi and u_RT = Pi0 phi after sign
@@ -372,7 +372,7 @@ def check_eigen_equivalence(mesh, k=3, level=-1, tol_field=1e-8, config=None):
     lam_all = np.array([p.lam for p in mixed])
     gaps = np.abs(np.diff(lam_all)) / np.abs(lam_all[:-1])
 
-    report = IdentityReport("eigen_equivalence", level=level, tolerance=tol_field)
+    report = IdentityReport("eigen_equivalence", level=level, tolerance=tol)
     lam_m = lam_all[:k]
     lam_e = np.array([p.lam for p in equiv])
     lam_err = float(np.abs(lam_m - lam_e).max())

@@ -71,7 +71,7 @@ The package's other mesh-sized reductions follow the same rule.
 Eigenproblems A x = lam M x (A symmetric nonsingular, SPD or a negated
 saddle matrix; M symmetric PSD with an SPD block on its nonzero rows J) work
 on A^-1 M, whose nonzero eigenvalues are the reciprocals of the |J| finite
-pencil eigenvalues: ARPACK shift-invert above ``dense_cutoff`` rows, and a
+pencil eigenvalues: ARPACK shift-invert above ``DENSE_CUTOFF`` rows, and a
 dense congruence on J below it or when ARPACK cannot deliver the pairs.
 """
 
@@ -94,11 +94,11 @@ class SolverError(RuntimeError):
 
 
 RESIDUAL_TOL = 1e-12            # relative residual gate of every solve
+DENSE_CUTOFF = 2000             # eig_smallest uses ARPACK above this many rows
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    dense_cutoff: int = 2000
     seed: int = 0
 
 
@@ -348,7 +348,7 @@ def eig_smallest(A, M, k, config=None):
     with an SPD block on its nonzero rows J, and the finite eigenvalues
     positive: an SPD A, or a negated saddle matrix -[[A, B^T], [B, 0]]
     against a mass on the dual block.  There are |J| finite eigenvalues.
-    Above ``dense_cutoff`` rows ARPACK shift-invert is used whenever it can
+    Above ``DENSE_CUTOFF`` rows ARPACK shift-invert is used whenever it can
     deliver the pairs; otherwise a dense congruence on J.
     """
     config = config or DEFAULT
@@ -365,7 +365,7 @@ def eig_smallest(A, M, k, config=None):
     # |J|, and converges poorly with fewer than 2 n_pairs + 1 vectors
     n_pairs = k + _EXTRA_PAIRS
     ncv = min(max(2 * n_pairs + 1, 20), len(J) - 1)
-    if A.shape[0] > config.dense_cutoff and ncv > 2 * n_pairs:
+    if A.shape[0] > DENSE_CUTOFF and ncv > 2 * n_pairs:
         lams, X = _eig_sparse(A, M, k, n_pairs, ncv, config)
     else:
         lams, X = _eig_dense(A, M, J, k)

@@ -1,10 +1,9 @@
+import argparse
 import json
-import os
 
-import numpy as np
 import pytest
 
-from simplexfem.cli import main
+from simplexfem.cli import _build_parser, main
 
 
 def run(args):
@@ -55,7 +54,7 @@ def test_eigen_table(tmp_path, capsys):
 
 
 def test_convergence_table_and_plots(tmp_path):
-    code = run(["convergence", "--solution", "sine", "--dim", "2", "--levels", "3",
+    code = run(["convergence", "--dim", "2", "--levels", "3",
                 "--elements", "cr,ecr", "--emit-plot", "--out-dir", str(tmp_path)])
     assert code == 0
     lines = (tmp_path / "convergence_table.csv").read_text().splitlines()
@@ -73,13 +72,6 @@ def test_neumann_command(tmp_path):
     assert (tmp_path / "neumann_table.csv").exists()
 
 
-def test_poisson_condensed(tmp_path, capsys):
-    code = run(["poisson", "--levels", "2", "--rhs", "const:1", "--condensed",
-                "--out-dir", str(tmp_path)])
-    assert code == 0
-    assert "condensed vs monolithic" in capsys.readouterr().out
-
-
 def test_poisson_sine_errors(tmp_path):
     code = run(["poisson", "--levels", "2", "--rhs", "sine",
                 "--out-dir", str(tmp_path)])
@@ -87,9 +79,8 @@ def test_poisson_sine_errors(tmp_path):
     assert (tmp_path / "poisson_table.csv").exists()
 
 
-def test_stokes_command(tmp_path):
-    assert run(["stokes", "--levels", "1", "--rhs", "const:1,0",
-                "--out-dir", str(tmp_path)]) == 0
+def test_stokes_command():
+    assert run(["stokes", "--levels", "1", "--rhs", "const:1,0"]) == 0
 
 
 def test_mesh_file_input(tmp_path):
@@ -106,8 +97,33 @@ def test_config_errors_exit_two(tmp_path):
     assert run(["eigen", "--elements", "p3", "--out-dir", str(tmp_path)]) == 2
     assert run(["equiv", "--mesh-file", str(tmp_path / "missing.mesh"),
                 "--out-dir", str(tmp_path)]) == 2
-    assert run(["convergence", "--solution", "bogus", "--out-dir", str(tmp_path)]) == 2
     assert run(["equiv", "--tol", "-1", "--out-dir", str(tmp_path)]) == 2
+    # random loads are an equiv sweep; a malformed constant is not a traceback
+    assert run(["poisson", "--rhs", "random", "--out-dir", str(tmp_path)]) == 2
+    assert run(["equiv", "--rhs", "const:abc", "--out-dir", str(tmp_path)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["convergence", "--solution", "sine", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["equiv", "--levels", "0"],
+    ["convergence", "--levels", "0"],
+    ["neumann", "--levels", "0"],
+    ["poisson", "--levels", "-1"],
+    ["stokes", "--levels", "-1"],
+    ["eigen", "--levels", "-1"],
+    ["eigen", "--k", "0"],
+    ["equiv", "--problem", "eigen", "--k", "0"],
+    ["equiv", "--rhs", "random", "--n-loads", "0"],
+], ids=" ".join)
+def test_counts_the_command_cannot_honour_exit_two(argv, tmp_path, monkeypatch, capsys):
+    # each of these used to exit 0 after zero checks, end in a traceback, or
+    # (a negative level count) silently run level 0
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_tolerance_override(tmp_path):
@@ -143,6 +159,52 @@ def test_rerun_is_bitwise_identical(tmp_path):
 
 
 def test_csv_header_records_defaults(tmp_path):
-    run(["convergence", "--levels", "2", "--out-dir", str(tmp_path)])
+    # the header records the configuration the command applied, nothing else
+    assert run(["neumann", "--levels", "1", "--out-dir", str(tmp_path)]) == 0
+    first = (tmp_path / "neumann_table.csv").read_text().splitlines()[0]
+    assert first.startswith("#") and "tol=1e-09" in first
+    assert run(["convergence", "--levels", "2", "--out-dir", str(tmp_path)]) == 0
     first = (tmp_path / "convergence_table.csv").read_text().splitlines()[0]
-    assert first.startswith("#") and "tol_poisson" in first and "seed=" in first
+    assert first.startswith("#") and "solution=sine" in first
+    assert "seed" not in first and "tol" not in first
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records the names of the attributes read from it."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        object.__setattr__(self, "_read", set())
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_read").add(name)
+        return object.__getattribute__(self, name)
+
+
+# per command, invocations on a tiny mesh that together exercise every flag
+_FLAG_RUNS = {
+    "poisson": [["--rhs", "sine"]],
+    "stokes": [[]],
+    "eigen": [["--k", "1"]],
+    "equiv": [["--rhs", "random", "--n-loads", "1"], ["--problem", "eigen", "--k", "1"]],
+    "convergence": [[]],
+    "neumann": [[]],
+}
+
+
+def test_every_flag_is_read(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    parser = _build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(_FLAG_RUNS)
+    for name, sub in commands.items():
+        flags = {a.dest for a in sub._actions if a.option_strings and a.dest != "help"}
+        read = set()
+        for extra in _FLAG_RUNS[name]:
+            args = _ReadRecorder(**vars(parser.parse_args([name, "--levels", "1"] + extra)))
+            args.func(args)
+            read |= object.__getattribute__(args, "_read")
+        assert flags <= read, f"{name} never reads {sorted(flags - read)}"
+

@@ -3,14 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from simplexfem import analysis, assembly, elements, equivalence, problems
+from simplexfem import analysis, assembly, elements, equivalence, linsolve, problems
 from simplexfem.assembly import DataError, DofMap
 from simplexfem.equivalence import (IDENTITY_TOL, STOKES_TOL, check_cgs_identity,
                                     check_eigen_equivalence, check_marini_identity,
                                     check_poisson_identity, check_stokes_identity,
                                     ecr_gradient_as_rt, eigen_error_comparison,
                                     project_p0)
-from simplexfem.linsolve import SolverConfig
 from simplexfem.mesh import SimplexMesh, build_box_mesh, mesh_hierarchy, refine_uniform
 from simplexfem.problems import BrokenField, RTField, sine_solution, solve_poisson
 from simplexfem.quadrature import integrate, physical_points, rule_for_degree
@@ -533,8 +532,9 @@ def test_eigen_check_with_k_equal_to_the_cell_count():
 
 
 @pytest.mark.parametrize("lvl", [2, 3])
-def test_eigen_equivalence_on_the_sparse_path(lvl):
-    rep = check_eigen_equivalence(level(2, lvl), k=3, config=SolverConfig(dense_cutoff=1))
+def test_eigen_equivalence_on_the_sparse_path(lvl, monkeypatch):
+    monkeypatch.setattr(linsolve, "DENSE_CUTOFF", 1)
+    rep = check_eigen_equivalence(level(2, lvl), k=3)
     assert rep.passed
     assert rep.relative["eigenvalues"] <= 1e-10
     assert any(key.startswith("sigma_identity") for key in rep.relative)

@@ -271,15 +271,17 @@ def test_eigenvalues_invariant_under_vertex_renumbering():
     assert np.abs(lams - lams2).max() < 1e-10 * np.abs(lams).max()
 
 
-def test_sparse_path_matches_dense_path():
+def test_sparse_path_matches_dense_path(monkeypatch):
     mesh = refine_uniform(refine_uniform(build_box_mesh(2, 1)))
     A, M, _ = assembly.assemble_eigen(mesh, "CR")
-    dense = eig_smallest(A, M, 2, SolverConfig(dense_cutoff=10 ** 6))[0]
-    sparse = eig_smallest(A, M, 2, SolverConfig(dense_cutoff=1))[0]
+    monkeypatch.setattr(linsolve, "DENSE_CUTOFF", 10 ** 6)
+    dense = eig_smallest(A, M, 2)[0]
+    monkeypatch.setattr(linsolve, "DENSE_CUTOFF", 1)
+    sparse = eig_smallest(A, M, 2)[0]
     assert np.abs(dense - sparse).max() < 1e-9 * dense.max()
 
 
-def test_sparse_path_keeps_a_cut_degenerate_cluster_accurate():
+def test_sparse_path_keeps_a_cut_degenerate_cluster_accurate(monkeypatch):
     # k = 2 cuts the pair lam2 = lam3 of CR on 2D L2; with 1e-17 of rounding
     # in the mass off-diagonals ARPACK returned a 3e-9 residual for k pairs
     A, M, _ = assembly.assemble_eigen(mesh_hierarchy(build_box_mesh(2, 1), 2)[-1], "CR")
@@ -288,7 +290,8 @@ def test_sparse_path_keeps_a_cut_degenerate_cluster_accurate():
     noise = 1e-17 * np.random.default_rng(0).standard_normal(off.sum())
     N = sp.coo_matrix((noise, (coo.row[off], coo.col[off])), shape=M.shape)
     M = (M + N + N.T).tocsr()
-    lams, X = eig_smallest(A, M, 2, SolverConfig(seed=1, dense_cutoff=1))
+    monkeypatch.setattr(linsolve, "DENSE_CUTOFF", 1)
+    lams, X = eig_smallest(A, M, 2, SolverConfig(seed=1))
     assert lams[0] < lams[1]
     for lam, x in zip(lams, X.T):
         assert np.linalg.norm(A @ x - lam * (M @ x)) <= 1e-12 * np.linalg.norm(A @ x)
@@ -308,32 +311,35 @@ def _ecr_projected_pencil(mesh):
 @pytest.mark.parametrize("pencil", [_rt_mixed_pencil, _ecr_projected_pencil])
 @pytest.mark.parametrize("levels", [0, 1])
 @pytest.mark.parametrize("cutoff", [1, 10 ** 6])
-def test_finite_eigenvalue_count_is_the_number_of_cells(pencil, levels, cutoff):
+def test_finite_eigenvalue_count_is_the_number_of_cells(pencil, levels, cutoff,
+                                                       monkeypatch):
     # one finite eigenvalue per cell on either path, and SolverError, never a
     # scipy error, one beyond
     mesh = mesh_hierarchy(build_box_mesh(2, 1), levels)[-1]
     A, M = pencil(mesh)
-    config = SolverConfig(dense_cutoff=cutoff)
-    lams, X = eig_smallest(A, M, mesh.n_cells, config)
+    monkeypatch.setattr(linsolve, "DENSE_CUTOFF", cutoff)
+    lams, X = eig_smallest(A, M, mesh.n_cells)
     assert len(lams) == mesh.n_cells and np.all(np.diff(lams) >= 0)
     with pytest.raises(SolverError):
-        eig_smallest(A, M, mesh.n_cells + 1, config)
+        eig_smallest(A, M, mesh.n_cells + 1)
 
 
 @pytest.mark.parametrize("family", ["ECR", "CR", "RT-equiv", "RT-mixed"])
-def test_arpack_factorises_through_splu(factorised, family):
+def test_arpack_factorises_through_splu(factorised, family, monkeypatch):
     mesh = mesh_hierarchy(build_box_mesh(2, 1), 2)[-1]
     n_interior = len(mesh.interior_facet_indices())
     size = {"ECR": n_interior + mesh.n_cells, "CR": n_interior,
             "RT-equiv": n_interior + mesh.n_cells, "RT-mixed": mesh.n_facets + mesh.n_cells}
-    solve_eigen(mesh, family, 1, SolverConfig(dense_cutoff=1))
+    monkeypatch.setattr(linsolve, "DENSE_CUTOFF", 1)
+    solve_eigen(mesh, family, 1)
     assert factorised == [(size[family], "COLAMD")]
 
 
 @pytest.mark.parametrize("cutoff", [1, 10 ** 6])
-def test_saddle_pencil_vectors_are_m_orthonormal_eigenvectors(cutoff):
+def test_saddle_pencil_vectors_are_m_orthonormal_eigenvectors(cutoff, monkeypatch):
     A, M = _rt_mixed_pencil(mesh_hierarchy(build_box_mesh(2, 1), 2)[-1])
-    lams, X = eig_smallest(A, M, 4, SolverConfig(dense_cutoff=cutoff))
+    monkeypatch.setattr(linsolve, "DENSE_CUTOFF", cutoff)
+    lams, X = eig_smallest(A, M, 4)
     assert np.all(lams > 0)
     assert np.abs(X.T @ (M @ X) - np.eye(4)).max() <= 1e-12
     for lam, x in zip(lams, X.T):

@@ -397,10 +397,12 @@ def test_rt_eigenpairs_match_dense_schur_oracle(family, dim, levels):
 
 
 @pytest.mark.parametrize("family", ["RT-mixed", "RT-equiv"])
-def test_rt_eigen_dense_and_sparse_paths_agree(family):
+def test_rt_eigen_dense_and_sparse_paths_agree(family, monkeypatch):
     mesh = mesh_hierarchy(build_box_mesh(2, 1), 3)[-1]
-    dense = solve_eigen(mesh, family, 3, linsolve.SolverConfig(dense_cutoff=10 ** 6))
-    sparse = solve_eigen(mesh, family, 3, linsolve.SolverConfig(dense_cutoff=1))
+    monkeypatch.setattr(linsolve, "DENSE_CUTOFF", 10 ** 6)
+    dense = solve_eigen(mesh, family, 3)
+    monkeypatch.setattr(linsolve, "DENSE_CUTOFF", 1)
+    sparse = solve_eigen(mesh, family, 3)
     lam_d = np.array([p.lam for p in dense])
     assert np.abs(lam_d - [p.lam for p in sparse]).max() <= 1e-12 * lam_d.max()
     # lam_1 is simple: its eigenvector agrees up to sign
