@@ -10,7 +10,13 @@ Scalar DOF layouts (deterministic, independent of traversal order):
 * P0: one DOF per cell.
 
 Vector-valued fields stack ``ncomp`` copies component-major: the global index
-of (component r, scalar dof a) is ``r * n_scalar + a``.
+of (component r, scalar dof a) is ``r * n_scalar + a``.  ``DofMap.global_dofs``
+is the one place that adds these offsets; every gather and scatter, scalar or
+vector, reads it.
+
+Zero policy: ``scatter_matrix``, the one sparse scatter, stores no exact
+zero; it drops them once duplicates are summed.  A stored zero would still
+enter the factorisation's ordering and fill.
 """
 
 from __future__ import annotations
@@ -52,14 +58,30 @@ class DofMap:
     def n_total(self):
         return self.ncomp * self.n_scalar
 
+    @property
+    def global_dofs(self):
+        """Global index of every (cell, local dof, component), (nc, nldof,
+        ncomp): ``r * n_scalar + a`` for component r of scalar DOF a, -1 where
+        the DOF is eliminated."""
+        dofs = self.cell_dofs[:, :, None]
+        return np.where(dofs >= 0, dofs + self.n_scalar * np.arange(self.ncomp), -1)
+
     def gather(self, coeffs):
         """Per-cell local coefficients (nc, nldof, ncomp); eliminated DOFs
         contribute zero."""
-        coeffs = np.asarray(coeffs, dtype=float).reshape(self.ncomp, self.n_scalar)
-        safe = np.where(self.cell_dofs >= 0, self.cell_dofs, 0)
-        local = coeffs[:, safe]                        # (ncomp, nc, nldof)
-        local = np.where(self.cell_dofs[None, :, :] >= 0, local, 0.0)
-        return np.moveaxis(local, 0, -1)
+        dofs = self.global_dofs
+        coeffs = np.asarray(coeffs, dtype=float).reshape(self.n_total)
+        return np.where(dofs >= 0, coeffs[dofs], 0.0)
+
+    def coefficients(self, local):
+        """The coefficient vector whose ``gather`` is ``local`` (nc, nldof[,
+        ncomp]) on the kept DOFs: the inverse of ``gather`` for local values
+        that agree wherever cells share a DOF."""
+        dofs = self.global_dofs
+        kept = dofs >= 0
+        coeffs = np.zeros(self.n_total)
+        coeffs[dofs[kept]] = np.reshape(local, dofs.shape)[kept]
+        return coeffs
 
     @staticmethod
     def build(mesh, family, dirichlet=False, ncomp=1):
@@ -148,34 +170,36 @@ class SaddleSystem:
 
 def scatter_matrix(rows, cols, local, shape):
     """COO-accumulate local blocks (nc, a, b) into a csr matrix; negative
-    indices are skipped (eliminated DOFs)."""
+    indices are skipped (eliminated DOFs).  Exact zeros of the sum are not
+    stored."""
     nc, a, b = local.shape
     r = np.broadcast_to(rows[:, :, None], (nc, a, b))
     c = np.broadcast_to(cols[:, None, :], (nc, a, b))
     mask = (r >= 0) & (c >= 0)
-    mat = sp.coo_matrix((local[mask], (r[mask], c[mask])), shape=shape)
-    return mat.tocsr()
+    mat = sp.coo_matrix((local[mask], (r[mask], c[mask])), shape=shape).tocsr()
+    mat.eliminate_zeros()
+    return mat
+
+def scatter_blocks(row_map, col_map, local):
+    """Assemble the local blocks (nc, a, b) once for each component, rows
+    and columns of the same component from the maps' ``global_dofs``, in one
+    ``scatter_matrix`` over every (component, cell)."""
+    def dofs(dm):                                  # (ncomp nc, nldof)
+        return np.moveaxis(dm.global_dofs, -1, 0).reshape(-1, dm.cell_dofs.shape[1])
+    blocks = np.broadcast_to(local, (row_map.ncomp,) + local.shape)
+    return scatter_matrix(dofs(row_map), dofs(col_map), blocks.reshape((-1,) + local.shape[1:]),
+                          (row_map.n_total, col_map.n_total))
 
 def scatter_symmetric(dofmap, local):
     """Assemble identical local blocks for each component of ``dofmap``."""
-    n = dofmap.n_total
-    blocks = []
-    for comp in range(dofmap.ncomp):
-        shift = comp * dofmap.n_scalar
-        rows = np.where(dofmap.cell_dofs >= 0, dofmap.cell_dofs + shift, -1)
-        blocks.append(scatter_matrix(rows, rows, local, (n, n)))
-    out = blocks[0]
-    for b in blocks[1:]:
-        out = out + b
-    return out
+    return scatter_blocks(dofmap, dofmap, local)
 
 def scatter_vector(dofmap, local):
     """Accumulate local vectors (nc, nldof[, ncomp]) into a flat rhs."""
-    local = local.reshape(local.shape[:2] + (dofmap.ncomp,))
-    mask = dofmap.cell_dofs >= 0
-    return np.concatenate([np.bincount(dofmap.cell_dofs[mask], local[:, :, comp][mask],
-                                       minlength=dofmap.n_scalar)
-                           for comp in range(dofmap.ncomp)])
+    dofs = dofmap.global_dofs
+    kept = dofs >= 0
+    return np.bincount(dofs[kept], np.reshape(local, dofs.shape)[kept],
+                       minlength=dofmap.n_total)
 
 
 # -- local matrices / loads --------------------------------------------------
@@ -238,13 +262,8 @@ def _rhs(mesh, dofmap, f):
         vals = np.broadcast_to(cr_vals[None, :, :], (mesh.n_cells,) + cr_vals.shape)
     else:
         raise ValueError(dofmap.family)
-    if dofmap.ncomp == 1:
-        fv = load_values(mesh, f, rule, 1)
-        local = np.einsum("cqa,cq,cq->ca", vals, fv, w)
-    else:
-        fv = load_values(mesh, f, rule, dofmap.ncomp)
-        local = np.einsum("cqa,cqr,cq->car", vals, fv, w)
-    return scatter_vector(dofmap, local)
+    fv = load_values(mesh, f, rule, dofmap.ncomp).reshape(w.shape + (dofmap.ncomp,))
+    return scatter_vector(dofmap, np.einsum("cqa,cqr,cq->car", vals, fv, w))
 
 
 # -- problem systems ---------------------------------------------------------
@@ -281,11 +300,11 @@ def split_basis_stiffness(mesh):
     return scatter_symmetric(dm, local), dm
 
 
-def _rt0_divergence(mesh):
-    """RT0 x P0 divergence block (cells x facets): int_K div(psi_i) = s_i."""
-    return scatter_matrix(np.arange(mesh.n_cells)[:, None], mesh.cell_facets,
-                          mesh.cell_facet_signs[:, None, :].astype(float),
-                          (mesh.n_cells, mesh.n_facets))
+def _rt0_divergence(p0, rt):
+    """(RT0)^ncomp x (P0)^ncomp divergence block, each component's cells x
+    facets: int_K div(psi_i) = s_i."""
+    signs = rt.mesh.cell_facet_signs[:, None, :].astype(float)
+    return scatter_blocks(p0, rt, signs)
 
 
 def assemble_mixed_poisson(mesh, f):
@@ -293,7 +312,7 @@ def assemble_mixed_poisson(mesh, f):
     rt = DofMap.build(mesh, "RT0")
     p0 = DofMap.build(mesh, "P0")
     A = scatter_symmetric(rt, elements.rt0_mass(mesh))
-    B = _rt0_divergence(mesh)
+    B = _rt0_divergence(p0, rt)
     system = SaddleSystem(A=A, f=np.zeros(rt.n_total), B=B, g=-load_integrals(mesh, f))
     return system, rt, p0
 
@@ -314,12 +333,9 @@ def assemble_stokes(mesh, f, family="ECR"):
     prs = DofMap.build(mesh, "P0")
     A = scatter_symmetric(vel, stiffness_local(mesh, family))
 
-    # the ECR bubble's gradient integrates to zero: only the facet columns,
-    # component-major
-    facet_dofs = vel.cell_dofs[:, : n + 1]
-    cols = np.hstack([np.where(facet_dofs >= 0, facet_dofs + comp * vel.n_scalar, -1)
-                      for comp in range(n)])
-    d = np.swapaxes(elements.gradient_integrals(mesh), 1, 2).reshape(mesh.n_cells, 1, -1)
+    # the ECR bubble's gradient integrates to zero: only the facet columns
+    cols = vel.global_dofs[:, : n + 1].reshape(mesh.n_cells, -1)
+    d = elements.gradient_integrals(mesh).reshape(mesh.n_cells, 1, -1)
     B = scatter_matrix(prs.cell_dofs, cols, d, (prs.n_total, vel.n_total))
     b = _rhs(mesh, vel, f)
     system = SaddleSystem(A=A, f=b, B=B, g=np.zeros(prs.n_total),
@@ -333,21 +349,20 @@ def assemble_pseudostress(mesh, f):
     n = mesh.dim
     sig = DofMap.build(mesh, "RT0", ncomp=n)     # component r = tensor row r
     upo = DofMap.build(mesh, "P0", ncomp=n)
-    nl = n + 1
-    local = (np.einsum("rs,cij->crisj", np.eye(n), elements.rt0_mass(mesh))
-             - np.einsum("cijrs->crisj", elements.rt0_outer(mesh)) / n)
-    local = local.reshape(mesh.n_cells, n * nl, n * nl)
-    tensor_dofs = (sig.cell_dofs[:, None, :] + np.arange(n)[None, :, None] * sig.n_scalar)
-    tensor_dofs = tensor_dofs.reshape(mesh.n_cells, n * nl)
+    local = (np.einsum("rs,cij->cirjs", np.eye(n), elements.rt0_mass(mesh))
+             - np.einsum("cijrs->cirjs", elements.rt0_outer(mesh)) / n)
+    local = local.reshape(mesh.n_cells, (n + 1) * n, (n + 1) * n)
+    tensor_dofs = sig.global_dofs.reshape(mesh.n_cells, -1)
     A = scatter_matrix(tensor_dofs, tensor_dofs, local, (sig.n_total, sig.n_total))
 
-    B = sp.block_diag([_rt0_divergence(mesh)] * n, format="csr")
+    B = _rt0_divergence(upo, sig)
     trace = scatter_vector(sig, elements.rt0_moment(mesh))
 
-    g = -load_integrals(mesh, f, n).T.ravel()
+    g = upo.coefficients(-load_integrals(mesh, f, n))
 
     # the constant tensor I: tensor row r has flux nu_F[r] |F| through facet F
-    identity = (mesh.facet_normals * mesh.facet_measures[:, None]).T.ravel()
+    identity = sig.coefficients((mesh.facet_normals
+                                 * mesh.facet_measures[:, None])[mesh.cell_facets])
     zero = np.zeros(upo.n_total)
     system = SaddleSystem(A=A, f=np.zeros(sig.n_total), B=B, g=g,
                           gauge=Constraint(np.concatenate([trace, zero]),
@@ -394,8 +409,7 @@ def assemble_neumann_primal(mesh, f, g, family="ECR"):
     b[dm.facet_dofs[bnd]] += g_avg[bnd] * mesh.facet_measures[bnd]
 
     avg_row = elements.cell_average_row(family, mesh.dim)
-    mean = np.bincount(dm.cell_dofs.ravel(), np.outer(mesh.cell_measures, avg_row).ravel(),
-                       minlength=dm.n_total)
+    mean = scatter_vector(dm, np.outer(mesh.cell_measures, avg_row))
     system = SaddleSystem(A=A, f=b, gauge=Constraint(mean, np.ones(dm.n_total)))
     return system, dm
 

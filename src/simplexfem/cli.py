@@ -29,16 +29,33 @@ class ConfigError(ValueError):
     pass
 
 
+# the generated coarse mesh's flags, with their defaults
+_BOX_DEFAULTS = {"dim": 2, "coarse": "diagonal", "subdivisions": 1}
+
+
+def _box(args):
+    """The generated coarse mesh's flags with the defaults applied; None
+    with ``--mesh-file``, which fixes the mesh and refuses them."""
+    given = {k: getattr(args, k) for k in _BOX_DEFAULTS if getattr(args, k) is not None}
+    if not args.mesh_file:
+        return {**_BOX_DEFAULTS, **given}
+    if given:
+        flags = ", ".join(f"--{k}" for k in given)
+        raise ConfigError(f"{flags} cannot be applied to the mesh of --mesh-file")
+    return None
+
+
 def _meshes(args):
     """The coarse mesh and its ``--levels`` uniform refinements."""
-    if args.mesh_file:
+    box = _box(args)
+    if box is None:
         try:
             with open(args.mesh_file) as fh:
                 coarse = meshmod.read_mesh(fh.read())
         except OSError as exc:
             raise ConfigError(f"cannot read mesh file: {exc}") from exc
     else:
-        coarse = meshmod.build_box_mesh(args.dim, args.subdivisions, args.coarse)
+        coarse = meshmod.build_box_mesh(box["dim"], box["subdivisions"], box["coarse"])
     return meshmod.mesh_hierarchy(coarse, args.levels)
 
 
@@ -118,7 +135,9 @@ def cmd_eigen(args):
         families = [alias[t.lower()] for t in families]
     except KeyError as exc:
         raise ConfigError(f"unknown element family {exc.args[0]!r}") from exc
-    table = analysis.ConvergenceTable(meta={"k": args.k, "coarse": args.coarse})
+    box = _box(args)
+    meta = {"k": args.k} if box is None else {"k": args.k, "coarse": box["coarse"]}
+    table = analysis.ConvergenceTable(meta=meta)
     for lvl, mesh in enumerate(_meshes(args)):
         row = {}
         for fam in families:
@@ -143,6 +162,9 @@ def cmd_equiv(args):
                   mesh, k=args.k, **kw)}
     meshes = _meshes(args)[1:]
     dim = meshes[0].dim
+    if args.problem in ("marini", "cgs") and dim != 2:
+        raise ConfigError(f"--problem {args.problem} is a two-dimensional identity; "
+                          f"the mesh has dimension {dim}")
     ncomp = dim if args.problem in ("stokes", "cgs") else 1
     # without --tol each check applies its own default tolerance
     tol = {} if args.tol is None else {"tol": args.tol}
@@ -254,13 +276,16 @@ def _build_parser():
 
     def command(name, func, help, levels=1, out_dir=True):
         p = sub.add_parser(name, help=help)
-        p.add_argument("--dim", type=int, choices=(2, 3), default=2)
+        p.add_argument("--dim", type=int, choices=(2, 3),
+                       help="dimension of the generated mesh (default 2)")
         p.add_argument("--coarse", choices=("diagonal", "crisscross"),
-                       default="diagonal", help="coarse mesh variant")
-        p.add_argument("--subdivisions", type=int, default=1,
-                       help="coarse grid intervals per direction")
+                       help="generated coarse mesh variant (default diagonal)")
+        p.add_argument("--subdivisions", type=int,
+                       help="generated coarse grid intervals per direction "
+                            "(default 1)")
         p.add_argument("--mesh-file", default=None,
-                       help="read the coarse mesh from a plain-text file")
+                       help="read the coarse mesh from a plain-text file "
+                            "(excludes --dim, --coarse, --subdivisions)")
         p.add_argument("--levels", type=int, default=levels,
                        help="uniform refinement levels")
         if out_dir:

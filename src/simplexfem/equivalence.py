@@ -102,15 +102,12 @@ def project_p0(source, mesh):
     and P0 fields reduce exactly as well; callables/arrays are averaged by
     quadrature.
     """
-    p0 = assembly.DofMap.build(mesh, "P0")
     if isinstance(source, problems.BrokenField):
-        avg = source.cell_averages()
-        if source.ncomp > 1:
-            p0 = assembly.DofMap.build(mesh, "P0", ncomp=source.ncomp)
-            return problems.BrokenField(p0, avg.T.ravel())
-        return problems.BrokenField(p0, avg)
-    avg = assembly.piecewise_constant_load(mesh, source)
-    return problems.BrokenField(p0, np.asarray(avg))
+        avg, ncomp = source.cell_averages(), source.ncomp
+    else:
+        avg, ncomp = assembly.piecewise_constant_load(mesh, source), 1
+    p0 = assembly.DofMap.build(mesh, "P0", ncomp=ncomp)
+    return problems.BrokenField(p0, p0.coefficients(avg))
 
 
 def _normal_traces(mesh, g, r):
@@ -280,7 +277,7 @@ def check_stokes_identity(mesh, f_pc, level=-1, tol=STOKES_TOL):
     radial = mesh.cell_facet_signs / (n * mesh.cell_measures[:, None])
     contrib = (delta[:, None, None] * elements.rt0_moment(mesh)
                + np.einsum("ci,cmk,ck->cim", radial, mesh.cell_second_moments, rad)) / n
-    lhs_cell = u_rt.coeffs.reshape(n, mesh.n_cells).T - vel.cell_averages()
+    lhs_cell = u_rt.cell_averages() - vel.cell_averages()
     t_weak = mesh.facet_sums(contrib)
     t_div = mesh.facet_sums(lhs_cell[:, None, :] * mesh.cell_facet_signs[:, :, None])
     scale = max(np.abs(t_div).max(), np.abs(t_weak).max(), 1e-300)
@@ -349,7 +346,7 @@ def check_cgs_identity(mesh, f_pc, level=-1, tol=IDENTITY_TOL):
 
     predicted_u = vel.cell_averages() + cgs_displacement_correction(mesh, f)
     report.record("displacement_l2", *_compare(
-        mesh, _constant(u_rt.coeffs.reshape(2, -1).T), _constant(predicted_u), _affine_l2))
+        mesh, _constant(u_rt.cell_averages()), _constant(predicted_u), _affine_l2))
     return report.finalize()
 
 

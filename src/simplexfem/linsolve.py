@@ -3,8 +3,9 @@
 Every linear system is an ``assembly.SaddleSystem`` and goes through
 ``solve``: a sparse LU factorization with one step of iterative refinement
 and a verified relative residual.  Every solve, and every eigenpair, is
-gated at ``RESIDUAL_TOL``.  ``SolverConfig`` carries only what the
-eigensolver needs: the dense/ARPACK switch and the start vector's seed.
+gated at ``RESIDUAL_TOL``.  ``SolverConfig`` carries only the seed of
+ARPACK's start vector; the dense/ARPACK switch is the constant
+``DENSE_CUTOFF``.
 ``_splu`` is the one factorisation entry, ARPACK's shift-invert included.
 
 In ``solve`` the order follows from the system and every pivot is diagonal.

@@ -79,8 +79,6 @@ class SimplexMesh:
         Facet index opposite local vertex ``i``.
     cell_facet_signs : (nc, n+1) int array
         +1 where the canonical facet normal points out of the cell.
-    facet_cells : (nf, 2) int array
-        Incident cells, second entry -1 on the boundary.
     is_boundary_facet : (nf,) bool array
     """
 
@@ -143,17 +141,6 @@ class SimplexMesh:
         if counts.max() > 2:
             raise MeshError("facet shared by more than two cells")
         self.is_boundary_facet = _lock(counts == 1)
-
-        facet_cells = np.full((len(facets), 2), -1, dtype=np.int64)
-        cell_ids = np.repeat(np.arange(nc), n + 1)
-        order = np.argsort(self.cell_facets.ravel(), kind="stable")
-        sorted_f = self.cell_facets.ravel()[order]
-        sorted_c = cell_ids[order]
-        first = np.searchsorted(sorted_f, np.arange(len(facets)), side="left")
-        facet_cells[:, 0] = sorted_c[first]
-        two = counts == 2
-        facet_cells[two, 1] = sorted_c[first[two] + 1]
-        self.facet_cells = _lock(facet_cells)
 
     def _build_geometry(self):
         n = self.dim

@@ -6,8 +6,7 @@ no basis function is evaluated for them.  The drivers take a mesh and the
 problem data only: loads are sampled on the rule of degree
 ``assembly.DEFAULT_LOAD_DEGREE`` and every solve is gated at
 ``linsolve.RESIDUAL_TOL``.  Only ``solve_eigen`` takes a
-``linsolve.SolverConfig``, which picks the eigensolver and seeds its start
-vector."""
+``linsolve.SolverConfig``, which seeds ARPACK's start vector."""
 
 from __future__ import annotations
 
@@ -240,11 +239,10 @@ def _with_bubbles(cr, bubbles):
     (``bubbles`` None)."""
     if bubbles is None:
         return cr
-    mesh, ncomp = cr.mesh, cr.ncomp
-    dm = assembly.DofMap.build(mesh, "ECR", cr.dofmap.dirichlet, ncomp)
-    cells = bubbles.reshape(mesh.n_cells, ncomp) + cr.dofmap.gather(cr.coeffs).mean(axis=1)
-    coeffs = np.hstack([cr.coeffs.reshape(ncomp, -1), cells.T])
-    return BrokenField(dm, coeffs.ravel())
+    local = cr.dofmap.gather(cr.coeffs)                     # (nc, n+1, ncomp)
+    cells = bubbles.reshape(local[:, :1].shape) + local.mean(axis=1, keepdims=True)
+    dm = assembly.DofMap.build(cr.mesh, "ECR", cr.dofmap.dirichlet, cr.ncomp)
+    return BrokenField(dm, dm.coefficients(np.concatenate([local, cells], axis=1)))
 
 
 def solve_poisson(mesh, f, family="ECR"):
@@ -427,8 +425,8 @@ def solve_eigen(mesh, family="ECR", k=1, config=None):
     saddle pencil -[[A, B^T], [B, 0]] (sigma, u) = lam diag(0, |K|) (sigma, u),
     ||u_RT|| = 1) and "RT-equiv" (ECR stiffness against the projected mass,
     ||Pi0 phi|| = 1).  Both RT pencils have one finite eigenvalue per cell.
-    ``config`` (a ``linsolve.SolverConfig``) picks the dense or the ARPACK
-    eigensolver and seeds ARPACK's start vector.
+    ``config`` (a ``linsolve.SolverConfig``) seeds ARPACK's start vector;
+    ``linsolve.eig_smallest`` picks the dense or the ARPACK path.
     """
     if family in ("ECR", "CR", "RT-equiv"):
         fam, mass = ("ECR", "projected") if family == "RT-equiv" else (family, "full")

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 import scipy.sparse.linalg as sla
 from scipy.sparse.linalg._eigen.arpack import arpack
@@ -7,9 +8,11 @@ from simplexfem import linsolve
 
 class Factorisation(tuple):
     """(size, SuperLU column order) of one factorisation, and equal to that
-    pair; ``lu_nnz`` is the number of nonzeros of its L + U."""
+    pair; ``lu_nnz`` is the number of nonzeros of its L + U and ``zeros``
+    the number of exact zeros its matrix stores."""
 
     lu_nnz = None
+    zeros = None
 
 
 @pytest.fixture
@@ -23,6 +26,7 @@ def factorised(monkeypatch):
 
     def recording(K, **order):
         entry = Factorisation((K.shape[0], order.get("permc_spec", "COLAMD")))
+        entry.zeros = int(np.count_nonzero(K.data == 0))
         record.append(entry)
         depth.append(K.shape[0])
         try:

@@ -162,3 +162,13 @@ def facet_averages(field):
     fd = field.dofmap.facet_dofs
     out = np.where(fd[None, :] >= 0, coeffs[:, np.where(fd >= 0, fd, 0)], 0.0)
     return out[0] if field.ncomp == 1 else out.T
+
+
+def facet_cells(mesh):
+    """The cells of each facet (nf, 2) in cell order, the second -1 on the
+    boundary: ``mesh.cell_facets`` inverted one cell at a time."""
+    out = np.full((mesh.n_facets, 2), -1)
+    for cell, facets in enumerate(mesh.cell_facets):
+        for f in facets:
+            out[f, int(out[f, 0] >= 0)] = cell
+    return out

@@ -9,7 +9,7 @@ from simplexfem.problems import (BrokenField, outward_flux_averages,
                                  quadratic_neumann_solution)
 from simplexfem.quadrature import rule_for_degree
 
-from percell import cell_geometry, ecr_eval, rt0_eval
+from percell import cell_geometry, ecr_eval, facet_cells, rt0_eval
 
 
 def two_triangles():
@@ -35,13 +35,14 @@ def test_shared_interior_facet_dofs():
     mesh = refine_uniform(two_triangles())
     dm = DofMap.build(mesh, "ECR", dirichlet=True)
     interior = mesh.interior_facet_indices()
+    cells_of = facet_cells(mesh)
     for f in interior:
-        k0, k1 = mesh.facet_cells[f]
+        k0, k1 = cells_of[f]
         l0 = int(np.argmax(mesh.cell_facets[k0] == f))
         l1 = int(np.argmax(mesh.cell_facets[k1] == f))
         assert dm.cell_dofs[k0, l0] == dm.cell_dofs[k1, l1] >= 0
     for f in mesh.boundary_facet_indices():
-        k0 = mesh.facet_cells[f, 0]
+        k0 = cells_of[f, 0]
         l0 = int(np.argmax(mesh.cell_facets[k0] == f))
         assert dm.cell_dofs[k0, l0] == -1
 
@@ -102,11 +103,12 @@ def test_random_ecr_field_has_zero_facet_jumps(dim):
     frule = rule_for_degree(dim - 1, 4)
     import math
     fac = math.factorial(dim - 1)
+    cells_of = facet_cells(mesh)
     for _ in range(3):
         v = BrokenField(dm, rng.standard_normal(dm.n_total))
         interior = mesh.interior_facet_indices()
         for f in interior[:: max(1, len(interior) // 10)]:
-            k0, k1 = mesh.facet_cells[f]
+            k0, k1 = cells_of[f]
             pts = np.einsum("qk,ki->qi", frule.points, mesh.vertices[mesh.facets[f]])
             vals0, _ = ecr_eval(cell_geometry(mesh, k0), pts)
             vals1, _ = ecr_eval(cell_geometry(mesh, k1), pts)
@@ -125,8 +127,9 @@ def test_rt_fields_have_continuous_normal_flux():
 
     field = RTField(rt, coeffs)
     frule = rule_for_degree(1, 3)
+    cells_of = facet_cells(mesh)
     for f in mesh.interior_facet_indices():
-        k0, k1 = mesh.facet_cells[f]
+        k0, k1 = cells_of[f]
         pts_bary = np.array([[1 / 3, 1 / 3, 1 / 3]])
         # evaluate normal traces at the facet midpoint from both sides
         mid = mesh.facet_centroids[f]
@@ -252,3 +255,56 @@ def test_eigen_stiffness_spd_after_bc():
     mesh = refine_uniform(two_triangles())
     A, M, dm = assembly.assemble_eigen(mesh, "CR", mass="full")
     np.linalg.cholesky(A.toarray())
+
+
+def _assembled_matrices(mesh):
+    """Every matrix the assemblers build on ``mesh``, by name."""
+    dim, no_flux = mesh.dim, np.zeros(mesh.n_facets)
+    out = {"split basis": assembly.split_basis_stiffness(mesh)[0]}
+    for family in ("CR", "ECR"):
+        out[f"poisson {family}"] = assembly.assemble_poisson(mesh, 1.0, family)[0]
+        stokes = assembly.assemble_stokes(mesh, np.ones(dim), family)[0]
+        out[f"stokes A {family}"], out[f"stokes B {family}"] = stokes.A, stokes.B
+        out[f"neumann {family}"] = assembly.assemble_neumann_primal(
+            mesh, 0.0, no_flux, family)[0].A
+        for mass in ("full", "projected"):
+            A, M, _ = assembly.assemble_eigen(mesh, family, mass)
+            out[f"eigen A {family}"], out[f"eigen M {family} {mass}"] = A, M
+    for name, system in (
+            ("pseudostress", assembly.assemble_pseudostress(mesh, np.ones(dim))[0]),
+            ("mixed", assembly.assemble_mixed_poisson(mesh, 1.0)[0]),
+            ("neumann mixed", assembly.assemble_neumann_mixed(mesh, 0.0, no_flux)[0])):
+        out[f"{name} A"], out[f"{name} B"] = system.A, system.B
+    return out
+
+
+@pytest.mark.parametrize("dim,m", [(2, 4), (3, 2), (4, 1)])
+def test_no_assembled_matrix_stores_an_exact_zero(dim, m):
+    # the right-angle facet pairs of a Kuhn mesh give exact zeros in the CR
+    # stiffness; the one scatter drops them for scalar and vector maps alike
+    matrices = _assembled_matrices(build_box_mesh(dim, m))
+    stored = {name: int(np.count_nonzero(M.data == 0)) for name, M in matrices.items()}
+    assert all(M.nnz for M in matrices.values())
+    assert {name: n for name, n in stored.items() if n} == {}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("family", ["CR", "ECR", "RT0"])
+def test_vector_scatter_is_the_block_diagonal_of_the_scalar_one(family, dim):
+    # a local block with exact zeros in its sums: the CR stiffness on a Kuhn mesh
+    mesh = refine_uniform(build_box_mesh(dim, 1))
+    dirichlet = family != "RT0"
+    scalar_map = DofMap.build(mesh, family, dirichlet=dirichlet)
+    vector_map = DofMap.build(mesh, family, dirichlet=dirichlet, ncomp=dim)
+    nl = scalar_map.cell_dofs.shape[1]
+    local = np.zeros((mesh.n_cells, nl, nl))
+    local[:, : dim + 1, : dim + 1] = elements.cr_stiffness(mesh)
+    local[:, dim + 1:, dim + 1:] = 1.0
+    scalar = assembly.scatter_symmetric(scalar_map, local)
+    expected = sp.block_diag([scalar] * dim, format="csr")
+    expected.eliminate_zeros()
+    vector = assembly.scatter_symmetric(vector_map, local)
+    assert vector.shape == expected.shape
+    assert np.array_equal(vector.indptr, expected.indptr)
+    assert np.array_equal(vector.indices, expected.indices)
+    assert vector.data.tobytes() == expected.data.tobytes()

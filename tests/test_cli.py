@@ -92,6 +92,49 @@ def test_mesh_file_input(tmp_path):
                 "--mesh-file", str(path), "--out-dir", str(tmp_path)]) == 0
 
 
+@pytest.mark.parametrize("problem", ["marini", "cgs"])
+@pytest.mark.parametrize("source", ["dim", "mesh-file"])
+def test_two_dimensional_identity_on_a_3d_mesh_exits_two(problem, source, tmp_path,
+                                                          monkeypatch, capsys):
+    # the mesh's dimension decides, not --dim: a mesh file need not match it
+    from simplexfem.mesh import build_box_mesh, write_mesh
+
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cube.mesh"
+    path.write_text(write_mesh(build_box_mesh(3, 1)))
+    mesh = ["--dim", "3"] if source == "dim" else ["--mesh-file", str(path)]
+    assert run(["equiv", "--problem", problem, "--levels", "1"] + mesh) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cube.mesh"]
+
+
+@pytest.mark.parametrize("flag", [["--dim", "2"], ["--coarse", "crisscross"],
+                                  ["--subdivisions", "2"]], ids=" ".join)
+def test_mesh_file_refuses_the_generated_mesh_flags(flag, tmp_path, capsys):
+    from simplexfem.mesh import build_box_mesh, write_mesh
+
+    path = tmp_path / "coarse.mesh"
+    path.write_text(write_mesh(build_box_mesh(2, 2)))
+    assert run(["eigen", "--levels", "0", "--mesh-file", str(path),
+                "--out-dir", str(tmp_path)] + flag) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not (tmp_path / "eigen_table.csv").exists()
+
+
+def test_eigen_header_records_coarse_only_for_a_generated_mesh(tmp_path):
+    from simplexfem.mesh import build_box_mesh, write_mesh
+
+    path = tmp_path / "coarse.mesh"
+    path.write_text(write_mesh(build_box_mesh(2, 2)))
+    assert run(["eigen", "--levels", "0", "--mesh-file", str(path),
+                "--out-dir", str(tmp_path / "file")]) == 0
+    first = (tmp_path / "file" / "eigen_table.csv").read_text().splitlines()[0]
+    assert first.startswith("#") and "k=1" in first and "coarse" not in first
+    assert run(["eigen", "--levels", "0", "--out-dir", str(tmp_path / "box")]) == 0
+    first = (tmp_path / "box" / "eigen_table.csv").read_text().splitlines()[0]
+    assert "coarse=diagonal" in first
+
+
 def test_config_errors_exit_two(tmp_path):
     assert run(["equiv", "--rhs", "nonsense:1", "--out-dir", str(tmp_path)]) == 2
     assert run(["eigen", "--elements", "p3", "--out-dir", str(tmp_path)]) == 2

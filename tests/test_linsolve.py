@@ -344,3 +344,27 @@ def test_saddle_pencil_vectors_are_m_orthonormal_eigenvectors(cutoff, monkeypatc
     assert np.abs(X.T @ (M @ X) - np.eye(4)).max() <= 1e-12
     for lam, x in zip(lams, X.T):
         assert np.linalg.norm(A @ x - lam * (M @ x)) <= 1e-12 * np.linalg.norm(A @ x)
+
+
+def test_no_factorisation_sees_a_stored_zero(factorised):
+    # every certificate and every eigen family on small meshes: a matrix
+    # built outside assembly.scatter_matrix would bring its zeros here
+    from simplexfem import equivalence
+
+    for dim, levels in ((2, 2), (3, 1)):
+        mesh = mesh_hierarchy(build_box_mesh(dim, 1), levels)[-1]
+        loads = np.random.default_rng(dim).uniform(-1.0, 1.0, (mesh.n_cells, dim))
+        equivalence.check_poisson_identity(mesh, loads[:, 0])
+        equivalence.check_stokes_identity(mesh, loads)
+        if dim == 2:
+            equivalence.check_marini_identity(mesh, loads[:, 0])
+            equivalence.check_cgs_identity(mesh, loads)
+        equivalence.check_eigen_equivalence(mesh, k=2)
+        for family in ("ECR", "CR", "RT-equiv", "RT-mixed"):
+            solve_eigen(mesh, family, 2)
+        fix = quadratic_neumann_solution(dim)
+        g = outward_flux_averages(mesh, fix.grad)
+        for form in ("ecr", "cr", "mixed"):
+            problems.solve_neumann(mesh, fix.f, g, form)
+    assert len(factorised) > 20
+    assert [(f, f.zeros) for f in factorised if f.zeros] == []

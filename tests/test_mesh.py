@@ -7,7 +7,7 @@ from simplexfem.mesh import (MeshError, SimplexMesh, build_box_mesh,
                              mesh_hierarchy, read_mesh, refine_uniform,
                              write_mesh)
 
-from percell import cell_geometry, facet_geometry, translated
+from percell import cell_geometry, facet_cells, facet_geometry, translated
 
 
 def test_box_mesh_2d_diagonal_counts():
@@ -128,7 +128,7 @@ def test_signed_facet_sums_match_side_lookups(dim):
     traces = np.random.default_rng(dim).standard_normal(m.cell_facets.shape + (2,))
 
     def side(facets, which):
-        cells = m.facet_cells[facets, which]
+        cells = facet_cells(m)[facets, which]
         local = np.argmax(m.cell_facets[cells] == facets[:, None], axis=1)
         return cells, local
 
