@@ -252,7 +252,9 @@ def piecewise_constant_load(mesh, f, ncomp=1):
     return load_integrals(mesh, f, ncomp) / meas
 
 
-def _rhs(mesh, dofmap, f):
+def load_vector(mesh, dofmap, f):
+    """The CR or ECR load vector (f, phi_a) over ``dofmap``, on the
+    degree-DEFAULT_LOAD_DEGREE rule."""
     rule = rule_for_degree(mesh.dim, DEFAULT_LOAD_DEGREE)
     w = cell_weights(mesh, rule)
     if dofmap.family == "ECR":
@@ -272,10 +274,15 @@ def assemble_poisson(mesh, f, family="ECR"):
     """Primal Poisson with homogeneous Dirichlet data: SPD stiffness, load
     vector, DOF map.  The `problems` solvers assemble CR only; the
     monolithic ECR system is the oracle for their CR + bubbles solve."""
+    A, dm = poisson_stiffness(mesh, family)
+    return A, load_vector(mesh, dm, f), dm
+
+
+def poisson_stiffness(mesh, family):
+    """The load-free half of ``assemble_poisson``: the homogeneous-Dirichlet
+    stiffness and its DOF map."""
     dm = DofMap.build(mesh, family, dirichlet=True)
-    A = scatter_symmetric(dm, stiffness_local(mesh, family))
-    b = _rhs(mesh, dm, f)
-    return A, b, dm
+    return scatter_symmetric(dm, stiffness_local(mesh, family)), dm
 
 
 def split_basis_stiffness(mesh):
@@ -337,7 +344,7 @@ def assemble_stokes(mesh, f, family="ECR"):
     cols = vel.global_dofs[:, : n + 1].reshape(mesh.n_cells, -1)
     d = elements.gradient_integrals(mesh).reshape(mesh.n_cells, 1, -1)
     B = scatter_matrix(prs.cell_dofs, cols, d, (prs.n_total, vel.n_total))
-    b = _rhs(mesh, vel, f)
+    b = load_vector(mesh, vel, f)
     system = SaddleSystem(A=A, f=b, B=B, g=np.zeros(prs.n_total),
                           gauge=zero_mean_dual(mesh, vel.n_total))
     return system, vel, prs
@@ -404,7 +411,7 @@ def assemble_neumann_primal(mesh, f, g, family="ECR"):
     check_neumann_compatibility(mesh, f, g_avg)
     dm = DofMap.build(mesh, family, dirichlet=False)
     A = scatter_symmetric(dm, stiffness_local(mesh, family))
-    b = _rhs(mesh, dm, f)
+    b = load_vector(mesh, dm, f)
     bnd = mesh.boundary_facet_indices()
     b[dm.facet_dofs[bnd]] += g_avg[bnd] * mesh.facet_measures[bnd]
 

@@ -3,9 +3,14 @@
 Every linear system is an ``assembly.SaddleSystem`` and goes through
 ``solve``: a sparse LU factorization with one step of iterative refinement
 and a verified relative residual.  Every solve, and every eigenpair, is
-gated at ``RESIDUAL_TOL``.  ``SolverConfig`` carries only the seed of
-ARPACK's start vector; the dense/ARPACK switch is the constant
-``DENSE_CUTOFF``.
+gated at ``RESIDUAL_TOL``.  The factorization is a ``Factor``: the block
+matrix, its kept DOFs and their SuperLU factor, which depend on the matrix
+and the gauge's null vector only.  ``solve(system)`` builds one and uses
+it once; ``solve(system, factor)`` reuses one for another right-hand side
+of the same matrix, with the same refinement, re-gauge and gate on every
+solve.  A caller that solves many loads of one matrix factorises it once.
+``SolverConfig`` carries only the seed of ARPACK's start vector; the
+dense/ARPACK switch is the constant ``DENSE_CUTOFF``.
 ``_splu`` is the one factorisation entry, ARPACK's shift-invert included.
 
 In ``solve`` the order follows from the system and every pivot is diagonal.
@@ -54,10 +59,11 @@ declared k that is not a null vector of K breaks the dropped row or the
 re-gauge, and the gate raises SolverError.  K must have no null vector
 besides the declared one, or the factorised matrix is singular: each
 factorisation is refused once a lower bound on its condition number
-exceeds 1/(n eps) (``_factorise``).  The residual of the full
-bordered system is the gate; ``gate_saddle`` applies it to a solution found
-by any other route, and ``gate_residual`` to one whose block product the
-caller forms itself.
+exceeds 1/(n eps) (``_factorise``).  The bound is taken once per
+``Factor``, when it is built, not on each solve with it.  The residual of
+the full bordered system is the gate, taken on every solve;
+``gate_saddle`` applies it to a solution found by any other route, and
+``gate_residual`` to one whose block product the caller forms itself.
 
 Reductions over mesh-sized vectors (the gauge multiplier and re-gauge, the
 projection in the refinement, the gate norms, the eigen residuals and
@@ -257,23 +263,46 @@ def _factorise(K, order):
     return lu
 
 
-def solve(system):
-    """Solve a SaddleSystem to a gated residual: (primal, dual, multiplier),
-    the multiplier None without a gauge."""
-    F, gauge = _rhs(system), system.gauge
-    z = np.zeros(len(F))
-    if F.any() or (gauge is not None and gauge.rhs):
+class Factor:
+    """The factorised block matrix of a SaddleSystem, for every right-hand
+    side of that matrix and gauge.
+
+    Holds K = [[A, B^T], [B, 0]] (A alone without a dual block), the kept
+    DOFs (the pin and the order in one index array) and the SuperLU factor
+    of K on them, refused by ``_factorise``'s kappa_1 bound.  It depends on
+    A, B and the gauge's null vector k only: ``solve(system, factor)``
+    takes f, g and the gauge row and value from the system, which must
+    carry the A, B and k the factor was built from."""
+
+    def __init__(self, system):
         K = _block_matrix(system)
+        gauge = system.gauge
         pinned = None if gauge is None else np.argmax(np.abs(gauge.k))
         if system.B is not None:                   # one index array: pin and order
             keep = _saddle_order(system, pinned)
             lu = _factorise(K[keep][:, keep], _SADDLE_ORDER)
         elif pinned is not None:
-            keep = np.delete(np.arange(len(F)), pinned)
+            keep = np.delete(np.arange(K.shape[0]), pinned)
             lu = _factorise(K[keep][:, keep], _SPD_ORDER)
         else:
             keep = slice(None)
             lu = _factorise(K, _SPD_ORDER)
+        self.K, self.keep, self.lu = K, keep, lu
+
+
+def solve(system, factor=None):
+    """Solve a SaddleSystem to a gated residual: (primal, dual, multiplier),
+    the multiplier None without a gauge.
+
+    ``factor`` is a ``Factor`` of the system's matrix and gauge; without
+    one, a Factor is built for this system and dropped.  A zero right-hand
+    side is solved by zero, and then nothing is factorised."""
+    F, gauge = _rhs(system), system.gauge
+    z = np.zeros(len(F))
+    if F.any() or (gauge is not None and gauge.rhs):
+        if factor is None:
+            factor = Factor(system)
+        K, keep, lu = factor.K, factor.keep, factor.lu
         if gauge is None:
             z[keep] = lu.solve(F[keep])
             z[keep] -= lu.solve((K @ z - F)[keep])    # one step of refinement

@@ -3,10 +3,18 @@ Laplace-eigenvalue model problems, plus exact-solution fixtures.
 
 Field values and gradients are closed forms in each cell's affine parts;
 no basis function is evaluated for them.  The drivers take a mesh and the
-problem data only: loads are sampled on the rule of degree
+problem data: loads are sampled on the rule of degree
 ``assembly.DEFAULT_LOAD_DEGREE`` and every solve is gated at
 ``linsolve.RESIDUAL_TOL``.  Only ``solve_eigen`` takes a
-``linsolve.SolverConfig``, which seeds ARPACK's start vector."""
+``linsolve.SolverConfig``, which seeds ARPACK's start vector.
+
+Each Dirichlet Poisson solve has a mesh-only half: ``poisson_operator``,
+the factorised CR stiffness, and ``hybrid_operator``, the local elimination
+of the hybridised RT0 solve with its factorised multiplier matrix S, whose
+rounding-level entries are dropped (``_solve_rt0_hybrid``).
+``solve_poisson`` and ``solve_poisson_mixed`` take one of these to solve a
+further load on the same mesh without factorising again; without one they
+build it after sampling the load, use it once and keep nothing."""
 
 from __future__ import annotations
 
@@ -245,16 +253,91 @@ def _with_bubbles(cr, bubbles):
     return BrokenField(dm, dm.coefficients(np.concatenate([local, cells], axis=1)))
 
 
-def solve_poisson(mesh, f, family="ECR"):
+def poisson_operator(mesh):
+    """The mesh-only half of the homogeneous-Dirichlet CR Poisson solve:
+    the CR stiffness, factorised (a ``linsolve.Factor``).  It holds no
+    reference to the mesh."""
+    A, dm = assembly.poisson_stiffness(mesh, "CR")
+    return linsolve.Factor(assembly.SaddleSystem(A, np.zeros(dm.n_total)))
+
+
+def solve_poisson(mesh, f, family="ECR", operator=None):
     """Homogeneous-Dirichlet Poisson by the CR or ECR method; ECR is the CR
-    solve plus closed-form bubbles."""
-    (A, b, dm), bubbles = _cr_system(
-        mesh, f, family, lambda load: assembly.assemble_poisson(mesh, load, "CR"))
-    x, _, _ = linsolve.solve(assembly.SaddleSystem(A, b))
+    solve plus closed-form bubbles.  ``operator`` is
+    ``poisson_operator(mesh)``; without it the load is sampled, the system
+    assembled and factorised for this load alone, and nothing is kept."""
+    if operator is None:
+        (A, b, dm), bubbles = _cr_system(
+            mesh, f, family, lambda load: assembly.assemble_poisson(mesh, load, "CR"))
+        x, _, _ = linsolve.solve(assembly.SaddleSystem(A, b))
+    else:
+        dm = assembly.DofMap.build(mesh, "CR", dirichlet=True)
+        b, bubbles = _cr_system(mesh, f, family,
+                                lambda load: assembly.load_vector(mesh, dm, load))
+        x, _, _ = linsolve.solve(assembly.SaddleSystem(operator.K, b), operator)
     return _with_bubbles(BrokenField(dm, x), bubbles)
 
 
-def _solve_rt0_hybrid(mesh, g, sigma_bc=None):
+# an S_K entry at most this times max |S_K| is rounding (see ``_solve_rt0_hybrid``)
+_S_ROUNDING = 16.0 * np.finfo(float).eps
+
+
+@dataclass(frozen=True)
+class HybridOperator:
+    """The mesh-only half of the hybridised RT0 x P0 solve
+    (``_solve_rt0_hybrid``): the local elimination and the factorised
+    multiplier matrix S.  Built from ``elements.rt0_mass`` and the facet
+    signs alone; it holds no reference to the mesh."""
+
+    mass: np.ndarray                   # (nc, n+1, n+1) RT0 masses M_K
+    inverse: np.ndarray                # (nc, n+2, n+2) local inverses
+    coupling: np.ndarray               # (nc, n+1) D_K: the signs, 0 on boundary facets
+    dofs: np.ndarray                   # (nc, n+1) multiplier numbers, -1 on the boundary
+    factor: linsolve.Factor            # of S
+    gauge: Optional[assembly.Constraint]   # of S (its c and k), pure Neumann only
+
+
+def hybrid_operator(mesh, neumann=False):
+    """The local elimination of ``_solve_rt0_hybrid`` and its factorised
+    multiplier matrix S, for homogeneous Dirichlet data or, with
+    ``neumann``, for boundary fluxes fixed to given values (see there)."""
+    n, nc, nf = mesh.dim, mesh.n_cells, mesh.n_facets
+    signs = mesh.cell_facet_signs.astype(float)
+    interior = mesh.interior_facet_indices()
+    number = np.full(nf, -1)
+    number[interior] = np.arange(len(interior))
+    dofs = number[mesh.cell_facets]                    # (nc, n+1), -1 on the boundary
+    mass = elements.rt0_mass(mesh)
+    local = np.zeros((nc, n + 2, n + 2))
+    local[:, :n + 1, :n + 1] = mass
+    local[:, :n + 1, n + 1] = local[:, n + 1, :n + 1] = signs
+    if neumann:
+        # boundary fluxes are known: their rows and columns become identity
+        fixed = dofs < 0
+        keep = np.hstack([~fixed, np.ones((nc, 1), dtype=bool)])
+        local *= keep[:, :, None] & keep[:, None, :]
+        local[:, :n + 1, :n + 1] += fixed[:, :, None] * np.eye(n + 1)
+    inv = np.linalg.inv(local)
+    coupling = np.where(dofs >= 0, signs, 0.0)         # D_K
+    T = inv[:, :, :n + 1] * coupling[:, None, :]       # z_K = z0_K - T_K lam_K
+    S_local = coupling[:, :, None] * T[:, :n + 1]
+    S_local = 0.5 * (S_local + np.swapaxes(S_local, 1, 2))
+    scale = np.abs(S_local).max(axis=(1, 2), keepdims=True)
+    S_local[np.abs(S_local) <= _S_ROUNDING * scale] = 0.0
+    ni = len(interior)
+    S = assembly.scatter_matrix(dofs, dofs, S_local, (ni, ni))
+    gauge = None
+    if neumann:
+        # u_K = z0_K - T_K lam_K: zero mean of u is one row on lam
+        inner = dofs >= 0
+        row = np.bincount(dofs[inner], (mesh.cell_measures[:, None] * T[:, n + 1])[inner],
+                          minlength=ni)
+        gauge = assembly.Constraint(row, np.ones(ni))
+    factor = linsolve.Factor(assembly.SaddleSystem(S, np.zeros(ni), gauge=gauge))
+    return HybridOperator(mass, inv, coupling, dofs, factor, gauge)
+
+
+def _solve_rt0_hybrid(mesh, g, sigma_bc=None, operator=None):
     """Hybridised RT0 x P0 solve (Arnold & Brezzi, M2AN 19, 1985; Cockburn
     & Gopalakrishnan, SINUM 42, 2004): (facet fluxes (nf,), u (nc,)).
 
@@ -268,52 +351,48 @@ def _solve_rt0_hybrid(mesh, g, sigma_bc=None):
     The two copies of an interior flux agree to the accuracy of that
     solve; their mean is returned.
 
+    The mesh-only half, ``operator`` (``hybrid_operator``), holds the local
+    inverses, D_K and S = sum_K D_K [[M_K, s], [s^T, 0]]^-1_sigma,sigma D_K,
+    factorised; only the local right-hand sides, z0_K = inverse r_K, the
+    multiplier load and the recovery depend on g.  Without ``operator`` it
+    is built for this solve and dropped.  S_K equals the CR stiffness of K
+    (Marini, SINUM 22, 1985), whose right-angle facet pairs are exact
+    zeros, but the local inverse leaves rounding there: at most 0.8, 0.3
+    and 1.2 eps of the cell's largest entry on the Kuhn meshes 2D L7, 3D
+    L3 and 4D box(3), where every other entry is at least a third of it.
+    Entries of S_K at most 16 eps times its largest are therefore dropped,
+    and S has the pattern of the CR stiffness (at 2D L7 its L+U holds
+    920,050 entries, against 1,796,422 with them).
+
     ``g`` is the right-hand side -int_K f of the divergence rows.  With
     ``sigma_bc`` (nf,), zero on the interior facets, the boundary fluxes are
     fixed to it and moved to the right-hand side: the multiplier system then
     has the constant in its kernel, which shifts u, and is gauged so that u
-    has zero mean.  The result is gated by ``_gate_mixed``.
+    has zero mean.  The result is gated by ``_gate_mixed``, the residual of
+    the unhybridised system.
     """
+    if operator is None:
+        operator = hybrid_operator(mesh, neumann=sigma_bc is not None)
     n, nc, nf = mesh.dim, mesh.n_cells, mesh.n_facets
-    signs = mesh.cell_facet_signs.astype(float)
-    interior = mesh.interior_facet_indices()
-    number = np.full(nf, -1)
-    number[interior] = np.arange(len(interior))
-    dofs = number[mesh.cell_facets]                    # (nc, n+1), -1 on the boundary
-    mass = elements.rt0_mass(mesh)
-    local = np.zeros((nc, n + 2, n + 2))
-    local[:, :n + 1, :n + 1] = mass
-    local[:, :n + 1, n + 1] = local[:, n + 1, :n + 1] = signs
+    mass, inv, dofs = operator.mass, operator.inverse, operator.dofs
+    coupling = operator.coupling
     rhs = np.zeros((nc, n + 2))
     rhs[:, n + 1] = g
     if sigma_bc is not None:
-        # boundary fluxes are known: their rows and columns become identity
         fixed = dofs < 0
         known = np.where(fixed, sigma_bc[mesh.cell_facets], 0.0)
         rhs[:, :n + 1] = np.where(fixed, known, -np.einsum("cij,cj->ci", mass, known))
-        rhs[:, n + 1] -= np.einsum("ci,ci->c", signs, known)
-        keep = np.hstack([~fixed, np.ones((nc, 1), dtype=bool)])
-        local *= keep[:, :, None] & keep[:, None, :]
-        local[:, :n + 1, :n + 1] += fixed[:, :, None] * np.eye(n + 1)
-    inv = np.linalg.inv(local)
-    coupling = np.where(dofs >= 0, signs, 0.0)         # D_K
+        rhs[:, n + 1] -= np.einsum("ci,ci->c", mesh.cell_facet_signs, known)
     z0 = np.einsum("cab,cb->ca", inv, rhs)
-    T = inv[:, :, :n + 1] * coupling[:, None, :]       # z_K = z0_K - T_K lam_K
-    S_local = coupling[:, :, None] * T[:, :n + 1]
-    S_local = 0.5 * (S_local + np.swapaxes(S_local, 1, 2))
-    ni = len(interior)
-    S = assembly.scatter_matrix(dofs, dofs, S_local, (ni, ni))
     inner = dofs >= 0
-    b = np.bincount(dofs[inner], (coupling * z0[:, :n + 1])[inner], minlength=ni)
+    S = operator.factor.K
+    b = np.bincount(dofs[inner], (coupling * z0[:, :n + 1])[inner], minlength=S.shape[0])
     gauge = None
-    if sigma_bc is not None:
-        # u_K = z0_K - T_K lam_K: zero mean of u is one row on lam
-        row = np.bincount(dofs[inner], (mesh.cell_measures[:, None] * T[:, n + 1])[inner],
-                          minlength=ni)
-        gauge = assembly.Constraint(row, np.ones(ni),
-                                    np.einsum("c,c->", mesh.cell_measures, z0[:, n + 1]))
-    lam, _, _ = linsolve.solve(assembly.SaddleSystem(S, b, gauge=gauge))
-    z = z0 - np.einsum("cab,cb->ca", T, np.append(lam, 0.0)[dofs])
+    if operator.gauge is not None:
+        gauge = operator.gauge._replace(
+            rhs=np.einsum("c,c->", mesh.cell_measures, z0[:, n + 1]))
+    lam, _, _ = linsolve.solve(assembly.SaddleSystem(S, b, gauge=gauge), operator.factor)
+    z = z0 - np.einsum("cab,cb->ca", inv[:, :, :n + 1], coupling * np.append(lam, 0.0)[dofs])
     count = np.bincount(mesh.cell_facets.ravel(), minlength=nf)
     sigma, u = mesh.facet_sums(z[:, :n + 1]) / count, z[:, n + 1]
     _gate_mixed(mesh, mass, g, sigma, u, sigma_bc)
@@ -355,11 +434,13 @@ def _gate_mixed(mesh, mass, g, sigma, u, sigma_bc=None):
                                   assembly.zero_mean_dual(mesh, len(interior)))
 
 
-def solve_poisson_mixed(mesh, f):
+def solve_poisson_mixed(mesh, f, operator=None):
     """Mixed Poisson by the RT0 x P0 pair: (flux field, displacement).
     Solved hybridised, and gated on the residual of the unhybridised
-    system."""
-    x, y = _solve_rt0_hybrid(mesh, -assembly.load_integrals(mesh, f))
+    system.  ``operator`` is ``hybrid_operator(mesh)``; without it the load
+    is sampled and the operator built for this load alone, and nothing is
+    kept."""
+    x, y = _solve_rt0_hybrid(mesh, -assembly.load_integrals(mesh, f), operator=operator)
     return (RTField(assembly.DofMap.build(mesh, "RT0"), x),
             BrokenField(assembly.DofMap.build(mesh, "P0"), y))
 

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -411,6 +413,59 @@ def test_identity_residuals_relabeling_invariant():
         a = max(r1.relative[key], floor)
         b = max(r2.relative[key], floor)
         assert a / b <= 2.0 and b / a <= 2.0
+
+
+# -- the Poisson operators of the last mesh certified -------------------------------
+
+@pytest.mark.parametrize("check,dim,lvl", [(check_poisson_identity, 2, 4),
+                                           (check_poisson_identity, 3, 2),
+                                           (check_marini_identity, 2, 4)])
+def test_loads_on_one_mesh_share_its_factors_and_their_reports(factorised, check, dim, lvl):
+    mesh = level(dim, lvl)
+    loads = [np.random.default_rng(seed).uniform(-1, 1, mesh.n_cells) for seed in range(3)]
+    reports = [check(mesh, f).to_dict() for f in loads]
+    assert len(factorised) == 2                    # the CR stiffness and S, once each
+    for f, report in zip(loads, reports):
+        assert check(level(dim, lvl), f).to_dict() == report
+
+
+@pytest.fixture
+def factors(monkeypatch):
+    """Weak references to every ``linsolve.Factor`` built."""
+    made = []
+
+    class Recorded(linsolve.Factor):
+        def __init__(self, system):
+            super().__init__(system)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(linsolve, "Factor", Recorded)
+    return made
+
+
+def alive(refs):
+    gc.collect()
+    return [ref for ref in refs if ref() is not None]
+
+
+def test_only_the_last_mesh_certified_keeps_its_factors(factors):
+    mesh_a, mesh_b = level(2, 2), level(2, 2)
+    check_poisson_identity(mesh_a, np.ones(mesh_a.n_cells))
+    assert len(alive(factors)) == 2
+    of_a = list(factors)
+    check_marini_identity(mesh_b, np.ones(mesh_b.n_cells))
+    assert alive(of_a) == [] and len(alive(factors)) == 2
+    held_b = weakref.ref(mesh_b)
+    del mesh_b
+    assert held_b() is None and alive(factors) == []
+
+
+def test_one_shot_poisson_solves_keep_nothing(factors):
+    mesh = level(2, 2)
+    # the returned fields stay alive and hold no factor
+    kept = [solve_poisson(mesh, sine_solution(2).f, family) for family in ("ECR", "CR")]
+    kept.append(problems.solve_poisson_mixed(mesh, sine_solution(2).f))
+    assert len(factors) == 3 and alive(factors) == []
 
 
 # -- Stokes identity ---------------------------------------------------------------

@@ -42,11 +42,14 @@ def test_singular_matrix_detected():
         solve_matrix(A, b)
 
 
-def test_saddle_zero_rhs():
+def test_saddle_zero_rhs(factorised):
     mesh = refine_uniform(build_box_mesh(2, 1))
     system, rt, p0 = assembly.assemble_mixed_poisson(mesh, 0.0)
     x, y, mult = solve(system)
     assert np.all(x == 0) and np.all(y == 0)
+    A, b, _ = assembly.assemble_poisson(mesh, 0.0, "CR")
+    assert np.all(solve_matrix(A, b) == 0)
+    assert factorised == []
 
 
 def test_saddle_mixed_divergence():
@@ -125,6 +128,17 @@ def test_pinned_solve_matches_bordered_oracle(name, dim, perturb):
         assert np.linalg.norm(a - b) <= 1e-12 * max(np.linalg.norm(b), scale)
     if perturb:
         assert abs(want[2]) > 1e-3 * mult_scale
+
+
+@pytest.mark.parametrize("name,dim", GAUGED)
+def test_a_reused_factor_solves_bitwise_like_a_fresh_one(name, dim):
+    # solve(system) is a Factor used once: a Factor that has already solved
+    # another right-hand side of the same matrix and gauge gives the same bits
+    system = _gauged_system(name, dim)
+    factor = linsolve.Factor(system)
+    solve(_perturbed(system), factor)
+    for reused, fresh in zip(solve(system, factor), solve(system)):
+        assert np.array_equal(reused, fresh)
 
 
 @pytest.mark.parametrize("name,dim", GAUGED)

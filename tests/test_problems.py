@@ -122,6 +122,30 @@ def test_hybrid_mixed_neumann_matches_saddle_oracle(dim, lvl, jiggle):
                           sigma_bc[mesh.boundary_facet_indices()])
 
 
+@pytest.mark.parametrize("make", [lambda: mesh_hierarchy(build_box_mesh(2, 1), 5)[-1],
+                                  lambda: mesh_hierarchy(build_box_mesh(3, 1), 2)[-1],
+                                  lambda: build_box_mesh(4, 2)], ids=["2d-L5", "3d-L2", "4d-box2"])
+def test_multiplier_matrix_has_the_pattern_of_the_cr_stiffness(monkeypatch, make):
+    # S_K is the CR stiffness of K; the local inverse leaves rounding where
+    # a right-angle facet pair makes that zero, and those slots are dropped
+    mesh = make()
+    matrices = []
+    splu = linsolve._splu
+
+    def recorded(K, **order):
+        matrices.append(K.tocsr())
+        return splu(K, **order)
+
+    monkeypatch.setattr(linsolve, "_splu", recorded)
+    solve_poisson_mixed(mesh, 1.0)
+    (S,) = matrices
+    A = assembly.assemble_poisson(mesh, 1.0, "CR")[0]
+    for M in (S, A):
+        M.sort_indices()
+    assert np.array_equal(S.indptr, A.indptr) and np.array_equal(S.indices, A.indices)
+    assert np.abs(S - A).max() <= 1e-15 * np.abs(A).max()
+
+
 def perturb_first(solve):
     """``solve`` with its primal's first entry moved by 1e-9 of its largest
     entry, after the solve's own gate."""
