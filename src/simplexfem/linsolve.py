@@ -9,6 +9,9 @@ and the gauge's null vector only.  ``solve(system)`` builds one and uses
 it once; ``solve(system, factor)`` reuses one for another right-hand side
 of the same matrix, with the same refinement, re-gauge and gate on every
 solve.  A caller that solves many loads of one matrix factorises it once.
+A Factor may factorise a copy of A without its rounding-level entries
+(``Factor(system, factorised=...)``); the refinement and the gate are
+still taken against the system's own matrix.
 ``SolverConfig`` carries only the seed of ARPACK's start vector; the
 dense/ARPACK switch is the constant ``DENSE_CUTOFF``.
 ``_splu`` is the one factorisation entry, ARPACK's shift-invert included.
@@ -84,7 +87,7 @@ dense congruence on J below it or when ARPACK cannot deliver the pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as dla
@@ -272,21 +275,28 @@ class Factor:
     of K on them, refused by ``_factorise``'s kappa_1 bound.  It depends on
     A, B and the gauge's null vector k only: ``solve(system, factor)``
     takes f, g and the gauge row and value from the system, which must
-    carry the A, B and k the factor was built from."""
+    carry the A, B and k the factor was built from.
 
-    def __init__(self, system):
+    ``factorised``, if given, is ordered and factorised in A's place: a
+    matrix within rounding of A that stores fewer entries.  K stays the
+    system's own, so the refinement step and the gate of every solve are
+    taken against A, and they make up the difference."""
+
+    def __init__(self, system, factorised=None):
         K = _block_matrix(system)
+        near = system if factorised is None else replace(system, A=factorised)
+        M = K if factorised is None else _block_matrix(near)
         gauge = system.gauge
         pinned = None if gauge is None else np.argmax(np.abs(gauge.k))
         if system.B is not None:                   # one index array: pin and order
-            keep = _saddle_order(system, pinned)
-            lu = _factorise(K[keep][:, keep], _SADDLE_ORDER)
+            keep = _saddle_order(near, pinned)
+            lu = _factorise(M[keep][:, keep], _SADDLE_ORDER)
         elif pinned is not None:
             keep = np.delete(np.arange(K.shape[0]), pinned)
-            lu = _factorise(K[keep][:, keep], _SPD_ORDER)
+            lu = _factorise(M[keep][:, keep], _SPD_ORDER)
         else:
             keep = slice(None)
-            lu = _factorise(K, _SPD_ORDER)
+            lu = _factorise(M, _SPD_ORDER)
         self.K, self.keep, self.lu = K, keep, lu
 
 

@@ -10,11 +10,11 @@ problem data: loads are sampled on the rule of degree
 
 Each Dirichlet Poisson solve has a mesh-only half: ``poisson_operator``,
 the factorised CR stiffness, and ``hybrid_operator``, the local elimination
-of the hybridised RT0 solve with its factorised multiplier matrix S, whose
-rounding-level entries are dropped (``_solve_rt0_hybrid``).
+of the hybridised RT0 solve with its multiplier matrix S, factorised
+without its rounding-level entries (``_solve_rt0_hybrid``).
 ``solve_poisson`` and ``solve_poisson_mixed`` take one of these to solve a
 further load on the same mesh without factorising again; without one they
-build it after sampling the load, use it once and keep nothing."""
+sample the load, then build the operator, use it once and keep nothing."""
 
 from __future__ import annotations
 
@@ -256,7 +256,9 @@ def _with_bubbles(cr, bubbles):
 def poisson_operator(mesh):
     """The mesh-only half of the homogeneous-Dirichlet CR Poisson solve:
     the CR stiffness, factorised (a ``linsolve.Factor``).  It holds no
-    reference to the mesh."""
+    reference to the mesh, so it carries no DOF map (a ``DofMap`` holds its
+    mesh); ``solve_poisson`` builds the map, by one indexing of the cells'
+    facets."""
     A, dm = assembly.poisson_stiffness(mesh, "CR")
     return linsolve.Factor(assembly.SaddleSystem(A, np.zeros(dm.n_total)))
 
@@ -264,17 +266,12 @@ def poisson_operator(mesh):
 def solve_poisson(mesh, f, family="ECR", operator=None):
     """Homogeneous-Dirichlet Poisson by the CR or ECR method; ECR is the CR
     solve plus closed-form bubbles.  ``operator`` is
-    ``poisson_operator(mesh)``; without it the load is sampled, the system
-    assembled and factorised for this load alone, and nothing is kept."""
-    if operator is None:
-        (A, b, dm), bubbles = _cr_system(
-            mesh, f, family, lambda load: assembly.assemble_poisson(mesh, load, "CR"))
-        x, _, _ = linsolve.solve(assembly.SaddleSystem(A, b))
-    else:
-        dm = assembly.DofMap.build(mesh, "CR", dirichlet=True)
-        b, bubbles = _cr_system(mesh, f, family,
-                                lambda load: assembly.load_vector(mesh, dm, load))
-        x, _, _ = linsolve.solve(assembly.SaddleSystem(operator.K, b), operator)
+    ``poisson_operator(mesh)``; without it, it is built for this load alone
+    once the load is sampled, and nothing is kept."""
+    dm = assembly.DofMap.build(mesh, "CR", dirichlet=True)
+    b, bubbles = _cr_system(mesh, f, family, lambda load: assembly.load_vector(mesh, dm, load))
+    operator = operator or poisson_operator(mesh)
+    x, _, _ = linsolve.solve(assembly.SaddleSystem(operator.K, b), operator)
     return _with_bubbles(BrokenField(dm, x), bubbles)
 
 
@@ -293,8 +290,21 @@ class HybridOperator:
     inverse: np.ndarray                # (nc, n+2, n+2) local inverses
     coupling: np.ndarray               # (nc, n+1) D_K: the signs, 0 on boundary facets
     dofs: np.ndarray                   # (nc, n+1) multiplier numbers, -1 on the boundary
-    factor: linsolve.Factor            # of S
+    factor: linsolve.Factor            # of S; its LU leaves out S's rounding-level entries
     gauge: Optional[assembly.Constraint]   # of S (its c and k), pure Neumann only
+
+
+def _multiplier_matrices(inv, coupling, dofs, ni):
+    """S = sum_K D_K inverse_K[:n+1, :n+1] D_K, symmetrised, and the copy of
+    S that is factorised: without the S_K entries at most ``_S_ROUNDING``
+    times the cell's largest (see ``_solve_rt0_hybrid``)."""
+    m = coupling.shape[1]
+    S_local = coupling[:, :, None] * (inv[:, :m, :m] * coupling[:, None, :])
+    S_local = 0.5 * (S_local + np.swapaxes(S_local, 1, 2))
+    S = assembly.scatter_matrix(dofs, dofs, S_local, (ni, ni))
+    scale = np.abs(S_local).max(axis=(1, 2), keepdims=True)
+    S_local[np.abs(S_local) <= _S_ROUNDING * scale] = 0.0
+    return S, assembly.scatter_matrix(dofs, dofs, S_local, (ni, ni))
 
 
 def hybrid_operator(mesh, neumann=False):
@@ -318,22 +328,20 @@ def hybrid_operator(mesh, neumann=False):
         local *= keep[:, :, None] & keep[:, None, :]
         local[:, :n + 1, :n + 1] += fixed[:, :, None] * np.eye(n + 1)
     inv = np.linalg.inv(local)
+    del local                          # freed before S is factorised: lower peak RSS
     coupling = np.where(dofs >= 0, signs, 0.0)         # D_K
-    T = inv[:, :, :n + 1] * coupling[:, None, :]       # z_K = z0_K - T_K lam_K
-    S_local = coupling[:, :, None] * T[:, :n + 1]
-    S_local = 0.5 * (S_local + np.swapaxes(S_local, 1, 2))
-    scale = np.abs(S_local).max(axis=(1, 2), keepdims=True)
-    S_local[np.abs(S_local) <= _S_ROUNDING * scale] = 0.0
     ni = len(interior)
-    S = assembly.scatter_matrix(dofs, dofs, S_local, (ni, ni))
     gauge = None
     if neumann:
-        # u_K = z0_K - T_K lam_K: zero mean of u is one row on lam
+        # u_K = z0_K - T_K lam_K, T_K = inverse_K[:, :n+1] D_K: zero mean of u
+        # is one row on lam
         inner = dofs >= 0
-        row = np.bincount(dofs[inner], (mesh.cell_measures[:, None] * T[:, n + 1])[inner],
+        row = np.bincount(dofs[inner],
+                          (mesh.cell_measures[:, None] * (inv[:, n + 1, :n + 1] * coupling))[inner],
                           minlength=ni)
         gauge = assembly.Constraint(row, np.ones(ni))
-    factor = linsolve.Factor(assembly.SaddleSystem(S, np.zeros(ni), gauge=gauge))
+    S, factorised = _multiplier_matrices(inv, coupling, dofs, ni)
+    factor = linsolve.Factor(assembly.SaddleSystem(S, np.zeros(ni), gauge=gauge), factorised)
     return HybridOperator(mass, inv, coupling, dofs, factor, gauge)
 
 
@@ -360,9 +368,13 @@ def _solve_rt0_hybrid(mesh, g, sigma_bc=None, operator=None):
     zeros, but the local inverse leaves rounding there: at most 0.8, 0.3
     and 1.2 eps of the cell's largest entry on the Kuhn meshes 2D L7, 3D
     L3 and 4D box(3), where every other entry is at least a third of it.
-    Entries of S_K at most 16 eps times its largest are therefore dropped,
-    and S has the pattern of the CR stiffness (at 2D L7 its L+U holds
-    920,050 entries, against 1,796,422 with them).
+    Entries of S_K at most 16 eps times its largest are therefore dropped
+    from the copy of S that is factorised, which has the pattern of the CR
+    stiffness (at 2D L7 its L+U holds 920,050 entries, against 1,796,422
+    with them).  The refinement step and the gate of the multiplier solve
+    are taken against S itself: with the entries dropped from S as well,
+    the unhybridised residual of a constant load at 2D L7 read 1.3e-12,
+    above the gate, against 9.4e-13 this way.
 
     ``g`` is the right-hand side -int_K f of the divergence rows.  With
     ``sigma_bc`` (nf,), zero on the interior facets, the boundary fluxes are

@@ -141,6 +141,23 @@ def test_a_reused_factor_solves_bitwise_like_a_fresh_one(name, dim):
         assert np.array_equal(reused, fresh)
 
 
+@pytest.mark.parametrize("scale,passes", [(1e-15, True), (1e-2, False)])
+def test_a_factor_of_a_nearby_matrix_is_refined_and_gated_against_the_system(scale, passes):
+    # the factorised copy differs from A by `scale`; K, the refinement and
+    # the gate stay A's, so a copy far from A is refused, not solved
+    mesh = mesh_hierarchy(build_box_mesh(2, 1), 3)[-1]
+    A, b, _ = assembly.assemble_poisson(mesh, 1.0, "CR")
+    system = assembly.SaddleSystem(A, b)
+    factor = linsolve.Factor(system, factorised=A * (1.0 + scale))
+    assert (factor.K != A).nnz == 0
+    if passes:
+        x, _, _ = solve(system, factor)
+        assert np.linalg.norm(x - solve(system)[0]) <= 1e-12 * np.linalg.norm(x)
+    else:
+        with pytest.raises(SolverError):
+            solve(system, factor)
+
+
 @pytest.mark.parametrize("name,dim", GAUGED)
 def test_declared_gauge_is_a_null_vector(name, dim):
     system = _gauged_system(name, dim)
