@@ -356,11 +356,9 @@ def assemble_pseudostress(mesh, f):
     n = mesh.dim
     sig = DofMap.build(mesh, "RT0", ncomp=n)     # component r = tensor row r
     upo = DofMap.build(mesh, "P0", ncomp=n)
-    local = (np.einsum("rs,cij->cirjs", np.eye(n), elements.rt0_mass(mesh))
-             - np.einsum("cijrs->cirjs", elements.rt0_outer(mesh)) / n)
-    local = local.reshape(mesh.n_cells, (n + 1) * n, (n + 1) * n)
     tensor_dofs = sig.global_dofs.reshape(mesh.n_cells, -1)
-    A = scatter_matrix(tensor_dofs, tensor_dofs, local, (sig.n_total, sig.n_total))
+    A = scatter_matrix(tensor_dofs, tensor_dofs, elements.rt0_deviatoric_mass(mesh),
+                       (sig.n_total, sig.n_total))
 
     B = _rt0_divergence(upo, sig)
     trace = scatter_vector(sig, elements.rt0_moment(mesh))

@@ -212,6 +212,18 @@ def rt0_mass(mesh):
             + np.einsum("ci,cj,c->cij", scale, scale, trace))
 
 
+def rt0_deviatoric_mass(mesh):
+    """int_K dev Psi_(i,r) : dev Psi_(j,s) for the tensor RT0 basis
+    Psi_(i,r) = e_r psi_i^T (row r of the tensor is psi_i): delta_rs
+    ``rt0_mass``_ij - ``rt0_outer``_ijrs / n, (nc, (n+1) n, (n+1) n) with
+    the DOFs in (facet, row) order.  Its kernel on each cell is the
+    identity tensor."""
+    n = mesh.dim
+    local = (np.einsum("rs,cij->cirjs", np.eye(n), rt0_mass(mesh))
+             - np.einsum("cijrs->cirjs", rt0_outer(mesh)) / n)
+    return local.reshape(mesh.n_cells, (n + 1) * n, (n + 1) * n)
+
+
 def gradient_integrals(mesh):
     """int_K grad phi_a = -n |K| grad lam_a for the n+1 facet functions of
     CR and of ECR: (nc, n+1, n).  The ECR bubble's integral is zero."""

@@ -28,19 +28,17 @@ kept rows, every leading block is then itself a nonsingular saddle matrix,
 so the diagonal pivots exist (Tuma, SIMAX 23, 2002; Benzi, Golub & Liesen,
 Acta Numerica 14, 2005, sec. 6).  The pinned systems are of this kind: the
 CR-Stokes A is the Dirichlet vector Laplacian and B has lost one pressure
-row; the pseudostress A, the deviatoric mass, is SPD once one DOF of the
-tensor I is removed, and its divergence stays onto.  Minimum degree on the
-whole matrix would eliminate the low-degree zero-diagonal dual rows first:
-with threshold pivoting it took 80 s on the pinned pseudostress matrix of
-12,311 unknowns, at fill 227.  On 3D box(3) refined once (1,296 tets, 1
-vCPU), COLAMD with partial pivoting against the constrained order: CR-Stokes
-(8,423 unknowns) fill 63 in 0.46 s against 25 in 0.13 s, pseudostress
-(12,311) fill 35 in 1.49 s against 27 in 0.52 s, each order found in 0.02 s.
-The order of A alone beats that of |A| + |B|^T|B| on CR-Stokes (fill 25
-against 45 there) and equals it on the pseudostress, whose B^T B lies inside
-the pattern of A.  The pseudostress can still fill more than under
-COLAMD (2D L6: 21 against 16; 4D box(3): 155 against 80).  The eigensolver
-keeps SuperLU's default, COLAMD with partial pivoting.
+row, and so is the hybridised pseudostress multiplier system, whose blocks
+are those of CR-Stokes; the unhybridised pseudostress A, the deviatoric
+mass, is SPD once one DOF of the tensor I is removed, and its divergence
+stays onto.  Minimum degree on the whole matrix would eliminate the
+low-degree zero-diagonal dual rows first: with threshold pivoting it took
+80 s on the pinned unhybridised pseudostress matrix of 12,311 unknowns, at
+fill 227.  On 3D box(3) refined once (1,296 tets, 1 vCPU), COLAMD with
+partial pivoting took CR-Stokes (8,423 unknowns) to fill 63 in 0.46 s,
+against 25 in 0.13 s in the constrained order, found in 0.02 s.  The order
+of A alone beats that of |A| + |B|^T|B| there (fill 25 against 45).  The
+eigensolver keeps SuperLU's default, COLAMD with partial pivoting.
 
 A system carries at most one gauge: a null vector k of the block matrix K
 and a row c that fixes it, c . z = rhs.  It is solved by pinning, never by

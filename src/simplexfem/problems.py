@@ -14,12 +14,18 @@ of the hybridised RT0 solve with its multiplier matrix S, factorised
 without its rounding-level entries (``_solve_rt0_hybrid``).
 ``solve_poisson`` and ``solve_poisson_mixed`` take one of these to solve a
 further load on the same mesh without factorising again; without one they
-sample the load, then build the operator, use it once and keep nothing."""
+sample the load, then build the operator, use it once and keep nothing.
+The pseudostress Stokes solve is hybridised too, with the same local
+elimination, rounding drop and recovery: ``pseudostress_operator`` is its
+mesh-only half, which ``solve_stokes_mixed`` builds for each load.
+Both hybrid solves are gated on the residual of the unhybridised system,
+applied from the local blocks, so that no global RT0 matrix is
+assembled."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -281,41 +287,79 @@ _S_ROUNDING = 16.0 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class HybridOperator:
-    """The mesh-only half of the hybridised RT0 x P0 solve
-    (``_solve_rt0_hybrid``): the local elimination and the factorised
-    multiplier matrix S.  Built from ``elements.rt0_mass`` and the facet
-    signs alone; it holds no reference to the mesh."""
+    """The mesh-only half of a hybridised mixed solve, ``_solve_rt0_hybrid``
+    (``hybrid_operator``) or ``solve_stokes_mixed``
+    (``pseudostress_operator``): the local elimination and the factorised
+    multiplier system.  Built from RT0 data alone (``elements.rt0_mass``,
+    ``rt0_outer``, ``rt0_moment``, the facet signs, normals and measures);
+    it holds no reference to the mesh.  Each cell has p flux unknowns,
+    eliminated with its other unknowns by one (m, m) inverse."""
 
-    mass: np.ndarray                   # (nc, n+1, n+1) RT0 masses M_K
-    inverse: np.ndarray                # (nc, n+2, n+2) local inverses
-    coupling: np.ndarray               # (nc, n+1) D_K: the signs, 0 on boundary facets
-    dofs: np.ndarray                   # (nc, n+1) multiplier numbers, -1 on the boundary
-    factor: linsolve.Factor            # of S; its LU leaves out S's rounding-level entries
-    gauge: Optional[assembly.Constraint]   # of S (its c and k), pure Neumann only
+    mass: np.ndarray                   # (nc, p, p) flux blocks A_K of the unhybridised system
+    inverse: np.ndarray                # (nc, m, m) inverses of the bordered local blocks
+    coupling: np.ndarray               # (nc, p) D_K: the signs, 0 on boundary facets
+    dofs: np.ndarray                   # (nc, p) multiplier numbers, -1 on the boundary
+    system: assembly.SaddleSystem      # the multiplier system with a zero load: S (csc), E, gauge
+    factor: linsolve.Factor            # of it; its LU leaves out S's rounding-level entries
 
 
-def _multiplier_matrices(inv, coupling, dofs, ni):
-    """S = sum_K D_K inverse_K[:n+1, :n+1] D_K, symmetrised, and the copy of
-    S that is factorised: without the S_K entries at most ``_S_ROUNDING``
-    times the cell's largest (see ``_solve_rt0_hybrid``)."""
-    m = coupling.shape[1]
-    S_local = coupling[:, :, None] * (inv[:, :m, :m] * coupling[:, None, :])
+def _multiplier_matrices(inv, coupling, dofs, size, augment=None):
+    """S = sum_K (D_K inverse_K[:p, :p] D_K + augment_K), symmetrised, and
+    the copy of S that is factorised: without the entries of these cell
+    blocks at most ``_S_ROUNDING`` times the cell's largest (see
+    ``_solve_rt0_hybrid``)."""
+    p = coupling.shape[1]
+    S_local = coupling[:, :, None] * (inv[:, :p, :p] * coupling[:, None, :])
+    if augment is not None:
+        S_local += augment
     S_local = 0.5 * (S_local + np.swapaxes(S_local, 1, 2))
-    S = assembly.scatter_matrix(dofs, dofs, S_local, (ni, ni))
+    S = assembly.scatter_matrix(dofs, dofs, S_local, (size, size))
     scale = np.abs(S_local).max(axis=(1, 2), keepdims=True)
     S_local[np.abs(S_local) <= _S_ROUNDING * scale] = 0.0
-    return S, assembly.scatter_matrix(dofs, dofs, S_local, (ni, ni))
+    return S.tocsc(), assembly.scatter_matrix(dofs, dofs, S_local, (size, size))
+
+
+def _multiplier_solve(operator, z0, gauge_rhs=0.0):
+    """The multiplier solve and recovery of a hybridised system, from the
+    local solutions z0_K = inverse_K r_K (nc, m): the multiplier load
+    sum_K D_K (z0_K)[:p], the gated solve of ``operator.system`` with it
+    (its gauge, if any, set to ``gauge_rhs``), and
+    z_K = z0_K - inverse_K[:, :p] D_K lam_K.  Returns z (nc, m) and the
+    dual part of the multiplier solution."""
+    inv, coupling, dofs = operator.inverse, operator.coupling, operator.dofs
+    p = coupling.shape[1]
+    inner = dofs >= 0
+    system = operator.system
+    b = np.bincount(dofs[inner], (coupling * z0[:, :p])[inner], minlength=system.n_primal)
+    gauge = None if system.gauge is None else system.gauge._replace(rhs=gauge_rhs)
+    lam, dual, _ = linsolve.solve(replace(system, f=b, gauge=gauge), operator.factor)
+    return z0 - np.einsum("cab,cb->ca", inv[:, :, :p], coupling * np.append(lam, 0.0)[dofs]), dual
+
+
+def _mean_fluxes(mesh, local):
+    """Each facet's flux as the mean of its cells' copies: (nc, n+1[, m])
+    -> (nf[, m])."""
+    count = np.bincount(mesh.cell_facets.ravel(), minlength=mesh.n_facets)
+    sums = mesh.facet_sums(local)
+    return sums / count.reshape(count.shape + (1,) * (sums.ndim - 1))
+
+
+def _interior_numbers(mesh):
+    """Each facet's number among the interior facets, -1 on the boundary:
+    (nf,), and the number of interior facets."""
+    interior = mesh.interior_facet_indices()
+    number = np.full(mesh.n_facets, -1)
+    number[interior] = np.arange(len(interior))
+    return number, len(interior)
 
 
 def hybrid_operator(mesh, neumann=False):
     """The local elimination of ``_solve_rt0_hybrid`` and its factorised
     multiplier matrix S, for homogeneous Dirichlet data or, with
     ``neumann``, for boundary fluxes fixed to given values (see there)."""
-    n, nc, nf = mesh.dim, mesh.n_cells, mesh.n_facets
+    n, nc = mesh.dim, mesh.n_cells
     signs = mesh.cell_facet_signs.astype(float)
-    interior = mesh.interior_facet_indices()
-    number = np.full(nf, -1)
-    number[interior] = np.arange(len(interior))
+    number, ni = _interior_numbers(mesh)
     dofs = number[mesh.cell_facets]                    # (nc, n+1), -1 on the boundary
     mass = elements.rt0_mass(mesh)
     local = np.zeros((nc, n + 2, n + 2))
@@ -330,7 +374,6 @@ def hybrid_operator(mesh, neumann=False):
     inv = np.linalg.inv(local)
     del local                          # freed before S is factorised: lower peak RSS
     coupling = np.where(dofs >= 0, signs, 0.0)         # D_K
-    ni = len(interior)
     gauge = None
     if neumann:
         # u_K = z0_K - T_K lam_K, T_K = inverse_K[:, :n+1] D_K: zero mean of u
@@ -341,8 +384,8 @@ def hybrid_operator(mesh, neumann=False):
                           minlength=ni)
         gauge = assembly.Constraint(row, np.ones(ni))
     S, factorised = _multiplier_matrices(inv, coupling, dofs, ni)
-    factor = linsolve.Factor(assembly.SaddleSystem(S, np.zeros(ni), gauge=gauge), factorised)
-    return HybridOperator(mass, inv, coupling, dofs, factor, gauge)
+    system = assembly.SaddleSystem(S, np.zeros(ni), gauge=gauge)
+    return HybridOperator(mass, inv, coupling, dofs, system, linsolve.Factor(system, factorised))
 
 
 def _solve_rt0_hybrid(mesh, g, sigma_bc=None, operator=None):
@@ -385,9 +428,8 @@ def _solve_rt0_hybrid(mesh, g, sigma_bc=None, operator=None):
     """
     if operator is None:
         operator = hybrid_operator(mesh, neumann=sigma_bc is not None)
-    n, nc, nf = mesh.dim, mesh.n_cells, mesh.n_facets
+    n, nc = mesh.dim, mesh.n_cells
     mass, inv, dofs = operator.mass, operator.inverse, operator.dofs
-    coupling = operator.coupling
     rhs = np.zeros((nc, n + 2))
     rhs[:, n + 1] = g
     if sigma_bc is not None:
@@ -396,30 +438,29 @@ def _solve_rt0_hybrid(mesh, g, sigma_bc=None, operator=None):
         rhs[:, :n + 1] = np.where(fixed, known, -np.einsum("cij,cj->ci", mass, known))
         rhs[:, n + 1] -= np.einsum("ci,ci->c", mesh.cell_facet_signs, known)
     z0 = np.einsum("cab,cb->ca", inv, rhs)
-    inner = dofs >= 0
-    S = operator.factor.K
-    b = np.bincount(dofs[inner], (coupling * z0[:, :n + 1])[inner], minlength=S.shape[0])
-    gauge = None
-    if operator.gauge is not None:
-        gauge = operator.gauge._replace(
-            rhs=np.einsum("c,c->", mesh.cell_measures, z0[:, n + 1]))
-    lam, _, _ = linsolve.solve(assembly.SaddleSystem(S, b, gauge=gauge), operator.factor)
-    z = z0 - np.einsum("cab,cb->ca", inv[:, :, :n + 1], coupling * np.append(lam, 0.0)[dofs])
-    count = np.bincount(mesh.cell_facets.ravel(), minlength=nf)
-    sigma, u = mesh.facet_sums(z[:, :n + 1]) / count, z[:, n + 1]
+    gauge_rhs = (0.0 if operator.system.gauge is None
+                 else np.einsum("c,c->", mesh.cell_measures, z0[:, n + 1]))
+    z, _ = _multiplier_solve(operator, z0, gauge_rhs)
+    sigma, u = _mean_fluxes(mesh, z[:, :n + 1]), z[:, n + 1]
     _gate_mixed(mesh, mass, g, sigma, u, sigma_bc)
     return sigma, u
 
 
 def _mixed_product(mesh, mass, sigma, u):
-    """The RT0 x P0 block product [[A, B^T], [B, 0]] (sigma, u) from the
-    local blocks: (A sigma + B^T u (nf,), B sigma (nc,)), with A applied as
-    the cellwise masses ``mass`` (``elements.rt0_mass``) and B as the facet
-    signs, so that no global matrix is assembled."""
+    """The block product [[A, B^T], [B, 0]] (sigma, u) of RT0 x P0, or of
+    its tensor version (RT0)^r x (P0)^r, from the local blocks:
+    (A sigma + B^T u, B sigma).  A is applied as the cellwise blocks
+    ``mass``, (nc, (n+1) r, (n+1) r) in (facet, row) order
+    (``elements.rt0_mass`` for r = 1), and B as the facet signs, so that no
+    global matrix is assembled.  sigma (r nf,) and u (r nc,) are numbered
+    component-major, like their DOF maps."""
+    nc, nf = mesh.n_cells, mesh.n_facets
+    rows = mass.shape[1] // (mesh.dim + 1)
     signs = mesh.cell_facet_signs.astype(float)
-    local = sigma[mesh.cell_facets]
-    return (mesh.facet_sums(np.einsum("cij,cj->ci", mass, local) + signs * u[:, None]),
-            np.einsum("ci,ci->c", signs, local))
+    local = np.moveaxis(sigma.reshape(rows, nf)[:, mesh.cell_facets], 0, -1)   # (nc, n+1, r)
+    flux = np.einsum("cij,cj->ci", mass, local.reshape(nc, -1)).reshape(local.shape)
+    flux += signs[:, :, None] * u.reshape(rows, nc).T[:, None, :]
+    return mesh.facet_sums(flux).T.ravel(), np.einsum("ci,cir->rc", signs, local).ravel()
 
 
 def _gate_mixed(mesh, mass, g, sigma, u, sigma_bc=None):
@@ -467,12 +508,122 @@ def solve_stokes(mesh, f, family="ECR"):
     return _with_bubbles(BrokenField(vel, x), bubbles), BrokenField(prs, y)
 
 
+def _identity_fluxes(mesh):
+    """The identity tensor's local fluxes: row r through facet i of K is
+    nu_i[r] |F_i| with the facet's canonical normal, (nc, (n+1) n) in
+    (facet, row) order."""
+    return (mesh.facet_normals * mesh.facet_measures[:, None])[mesh.cell_facets].reshape(
+        mesh.n_cells, -1)
+
+
+def _check_identity_kernel(mass, identity):
+    """Raise SolverError unless the identity tensor's fluxes I_K lie in the
+    kernel of each local deviatoric mass A_K, to rounding: the elimination
+    of ``pseudostress_operator`` takes it there.  |A_K I_K| read at most
+    2.6 eps times max |A_K| max |I_K| on 2D L7, 3D box(4) refined once and
+    4D box(3), with and without jiggled vertices; the bound is 16 p eps,
+    p = n(n+1) the length of the products."""
+    p = mass.shape[1]
+    defect = np.abs(np.einsum("cij,cj->ci", mass, identity)).max(axis=1)
+    bound = _S_ROUNDING * p * np.abs(mass).max(axis=(1, 2)) * np.abs(identity).max(axis=1)
+    if not np.all(defect <= bound):
+        cell = int(np.argmax(defect / bound))
+        raise linsolve.SolverError(f"the identity tensor is not in the kernel of the "
+                                   f"deviatoric mass of cell {cell}: |A_K I_K| = "
+                                   f"{defect[cell]:.1e} > {bound[cell]:.1e}")
+
+
+def pseudostress_operator(mesh):
+    """The mesh-only half of the hybridised pseudostress solve
+    (``solve_stokes_mixed``): the local elimination and the factorised
+    multiplier system [[S, E^T], [E, 0]] with its gauge."""
+    n, nc = mesh.dim, mesh.n_cells
+    p = n * (n + 1)
+    number, ni = _interior_numbers(mesh)
+    facet = number[mesh.cell_facets][:, :, None]
+    dofs = np.where(facet >= 0, facet + ni * np.arange(n), -1).reshape(nc, p)
+    signs = np.repeat(mesh.cell_facet_signs.astype(float), n, axis=1)   # (facet, row) order
+    mass, identity = elements.rt0_deviatoric_mass(mesh), _identity_fluxes(mesh)
+    _check_identity_kernel(mass, identity)
+    local = np.zeros((nc, p + n + 1, p + n + 1))
+    local[:, :p, :p] = mass
+    divergence = signs[:, :, None] * np.tile(np.eye(n), (n + 1, 1))     # B_K^T: (p, n)
+    local[:, :p, p:p + n] = divergence
+    local[:, p:p + n, :p] = np.swapaxes(divergence, 1, 2)
+    local[:, :p, -1] = local[:, -1, :p] = elements.rt0_moment(mesh).reshape(nc, p)
+    inv = np.linalg.inv(local)
+    del local, divergence
+    coupling = np.where(dofs >= 0, signs, 0.0)                          # D_K
+    e = coupling * identity                                             # e_K = D_K I_K
+    augment = e[:, :, None] * e[:, None, :] / (n * mesh.cell_measures)[:, None, None]
+    S, factorised = _multiplier_matrices(inv, coupling, dofs, n * ni, augment)
+    del augment
+    E = assembly.scatter_matrix(np.arange(nc)[:, None], dofs, e[:, None, :], (nc, n * ni))
+    system = assembly.SaddleSystem(S, np.zeros(n * ni), E, np.zeros(nc),
+                                   assembly.zero_mean_dual(mesh, n * ni))
+    return HybridOperator(mass, inv, coupling, dofs, system, linsolve.Factor(system, factorised))
+
+
+def _gate_pseudostress(mesh, mass, g, sigma, u):
+    """Gate (tensor fluxes sigma (n nf,), u (n nc,)) by
+    ``linsolve.gate_residual`` on the unhybridised pseudostress system of
+    ``assembly.assemble_pseudostress``, [[A, B^T], [B, 0]] (sigma, u) =
+    (0, g) with the trace-mean gauge, applied by ``_mixed_product`` with the
+    local deviatoric masses ``mass``."""
+    n = mesh.dim
+    zero = np.zeros(n * mesh.n_cells)
+    trace = mesh.facet_sums(elements.rt0_moment(mesh)).T.ravel()
+    identity = (mesh.facet_normals * mesh.facet_measures[:, None]).T.ravel()
+    gauge = assembly.Constraint(np.concatenate([trace, zero]), np.concatenate([identity, zero]))
+    return linsolve.gate_residual(np.concatenate([np.zeros(n * mesh.n_facets), g]),
+                                  np.concatenate([sigma, u]),
+                                  np.concatenate(_mixed_product(mesh, mass, sigma, u)), gauge)
+
+
 def solve_stokes_mixed(mesh, f):
     """Pseudostress Stokes by tensor RT0 x (P0)^n: (pseudostress,
-    displacement)."""
-    system, sig, upo = assembly.assemble_pseudostress(mesh, f)
-    x, y, _ = linsolve.solve(system)
-    return RTField(sig, x), BrokenField(upo, y)
+    displacement), with int tr sigma = 0.  Solved hybridised (Cockburn &
+    Gopalakrishnan, SINUM 43, 2005), and gated on the residual of the
+    unhybridised system.
+
+    The normal continuity of each tensor row is relaxed and restored by an
+    n-vector multiplier lam_F on each interior facet, numbered
+    component-major like the CR-Stokes velocity.  Each cell's block
+    [[A_K, B_K^T], [B_K, 0]], A_K the deviatoric mass
+    (``elements.rt0_deviatoric_mass``), is singular along (I_K, 0), the
+    identity tensor; bordered with the trace row t_K (``rt0_moment``) it is
+    invertible, (n(n+2)+1)^2.  Its solution z_K has zero trace mean on K,
+    and sigma_K = z_K - beta_K I_K, with one global unknown beta_K per cell.
+    With e_K = D_K I_K the rows of E, what remains is
+    [[S, E^T], [E, 0]] (lam, beta) = (sum_K D_K z0_K, 0), gauged by
+    sum_K |K| beta_K = 0, the trace-mean condition.  E is the CR-Stokes
+    divergence B, and S is built from S_K + e_K e_K^T / (n |K|), which
+    leaves the solution unchanged because E lam = 0; that block equals the
+    CR vector stiffness of K, so the term coupling the components cancels
+    and the multiplier system has the size and, once the S_K entries at
+    most 16 eps of the cell's largest are left out of its factorised copy,
+    the pattern of CR-Stokes (``_multiplier_matrices``).  On 3D box(3)
+    refined once it factorises 8,423 unknowns to an L+U of 1.79M entries,
+    against 12,311 and 5.40M unhybridised.  Numbered facet-major, the same
+    matrix fills less in 3D and 4D (1.33M there) but 2.2 and 4.4 times
+    more on 2D L5 and L6, under ``linsolve``'s constrained order.
+
+    The two copies of an interior flux are averaged.  The load is sampled
+    before the operator (``pseudostress_operator``) is built, and the
+    operator is used for this load alone."""
+    n, nc = mesh.dim, mesh.n_cells
+    p = n * (n + 1)
+    g = -assembly.load_integrals(mesh, f, n)                            # (nc, n)
+    operator = pseudostress_operator(mesh)
+    rhs = np.zeros((nc, p + n + 1))
+    rhs[:, p:p + n] = g
+    z, beta = _multiplier_solve(operator, np.einsum("cab,cb->ca", operator.inverse, rhs))
+    sigma = z[:, :p] - beta[:, None] * _identity_fluxes(mesh)
+    sigma = _mean_fluxes(mesh, sigma.reshape(nc, n + 1, n)).T.ravel()
+    u = z[:, p:p + n].T.ravel()
+    _gate_pseudostress(mesh, operator.mass, g.T.ravel(), sigma, u)
+    return (RTField(assembly.DofMap.build(mesh, "RT0", ncomp=n), sigma),
+            BrokenField(assembly.DofMap.build(mesh, "P0", ncomp=n), u))
 
 
 def solve_neumann(mesh, f, g, form="ecr"):

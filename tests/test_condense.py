@@ -184,8 +184,9 @@ def test_mixed_solves_factorise_only_multiplier_sized_matrices(factorised, dim):
     assert factorised == [(n_interior - 1, "MMD_AT_PLUS_A")]
     factorised.clear()
     problems.solve_stokes_mixed(mesh, np.ones(dim))
-    # tensor fluxes and displacements, the DOF gauging the tensor I pinned
-    assert factorised == [(dim * (mesh.n_facets + mesh.n_cells) - 1, "NATURAL")]
+    # hybridised: a vector multiplier per interior facet and one identity
+    # amplitude per cell, the amplitude gauged by the trace mean pinned
+    assert factorised == [(dim * n_interior + mesh.n_cells - 1, "NATURAL")]
 
 
 def test_rt_side_never_touches_cr_or_ecr(monkeypatch):
