@@ -7,31 +7,30 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import load_values
-from .quadrature import integrate, integrate_cellwise, physical_points, rule_for_degree
+from .quadrature import cell_weights, integrate_cellwise, physical_points, rule_for_degree
 
 ERROR_DEGREE = 8
 
 
-def _sq(values):
-    """Sum of squares over all trailing (component) axes: (nc, Q, ...) ->
-    (nc, Q)."""
-    out = values ** 2
-    while out.ndim > 2:
-        out = out.sum(axis=-1)
-    return out
-
-
 def l2_norm_of_values(mesh, values, rule):
-    """L2 norm of sampled (possibly vector/tensor valued) data."""
-    return float(np.sqrt(integrate(mesh, _sq(values), rule)))
+    """L2 norm of sampled (possibly vector/tensor valued) data (nc, Q, ...):
+    the squares, summed over the trailing axes, and the weights are reduced
+    in one einsum."""
+    v = values.reshape(values.shape[:2] + (-1,))
+    return float(np.sqrt(np.einsum("cqk,cqk,cq->c", v, v, cell_weights(mesh, rule)).sum()))
 
 
 def _error(mesh, sample, exact):
     """|| exact - sample || on the degree-ERROR_DEGREE rule, ``sample`` a
-    field method taking barycentric points and ``exact`` a callable."""
+    field method taking barycentric points and ``exact`` a callable.
+    ``exact`` is evaluated first, so that the points and its temporaries
+    are freed before the field is sampled.  The difference is formed in the
+    field's own sample; ``exact``'s output may be a read-only broadcast, and
+    is only read."""
     rule = rule_for_degree(mesh.dim, ERROR_DEGREE)
-    x = physical_points(mesh, rule.points)
-    diff = sample(rule.points) - np.asarray(exact(x), dtype=float)
+    exact_values = exact(physical_points(mesh, rule.points))
+    diff = np.require(sample(rule.points), float, "W")
+    diff -= exact_values
     return l2_norm_of_values(mesh, diff, rule)
 
 

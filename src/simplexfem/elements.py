@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .quadrature import cell_weights, physical_points, rule_for_degree
+from .quadrature import cell_weights, centred_points, rule_for_degree
 
 FAMILIES = ("CR", "ECR", "RT0", "P0")
 
@@ -114,7 +114,7 @@ def bubble_values(mesh, bary):
     With d_i = a_i - mid(K), x - mid(K) = sum_i lam_i d_i, so
     |x - mid(K)|^2 = lam^T G_K lam for the vertex Gram matrix
     G_K[i, j] = d_i . d_j: no (nc, Q, n) point or offset array is formed."""
-    d = mesh.vertices[mesh.cells] - mesh.cell_centroids[:, None, :]
+    d = centred_points(mesh, np.eye(mesh.dim + 1))
     gram = np.einsum("cin,cjn->cij", d, d)
     bary = np.asarray(bary)
     sq = np.einsum("qi,cij,qj->cq", bary, gram, bary)
@@ -123,7 +123,7 @@ def bubble_values(mesh, bary):
 
 def bubble_eval_mesh(mesh, bary):
     """Bubble phi_K on every cell: values (nc, Q), gradients (nc, Q, n)."""
-    dx = physical_points(mesh, bary) - mesh.cell_centroids[:, None, :]
+    dx = centred_points(mesh, bary)
     return bubble_values(mesh, bary), _bubble_gradient(mesh.dim, dx, mesh.cell_H[:, None])
 
 

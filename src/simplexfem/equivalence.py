@@ -16,22 +16,15 @@ vertices (``_vertex_sup``).
 
 Both Poisson operators depend on the mesh alone, and the identity is a claim
 about every piecewise-constant load, so a caller certifies many loads on
-one mesh.  ``check_poisson_identity`` and ``check_marini_identity`` keep
-``problems.poisson_operator`` and ``problems.hybrid_operator`` of the last
-mesh they certified, each built on first use, and pass them to the
-drivers; further loads on that mesh factorise nothing.  Only the last mesh
-is kept, so a sweep over levels holds one mesh's factors at a time: they
-are dropped before the next mesh's are built and when the mesh itself is
-freed, which the memo sees through a weak reference.  The memo sits here,
-not in the drivers, so that a one-shot ``solve_poisson`` (a convergence
-sweep of callable loads) keeps nothing alive while it samples the next
-load.  The RT0 operator is built from the RT0 mass and the facet signs;
-the CR factor is never used for it, although S equals the CR stiffness.
+one mesh.  The drivers keep the operators of the last mesh they solved
+(see ``problems``), so ``check_poisson_identity`` and
+``check_marini_identity`` factorise each mesh's CR stiffness and RT0
+multiplier matrix once, however many loads they certify on it; the checks
+themselves hold no operator.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -234,37 +227,13 @@ def _constant(values):
 
 # -- Poisson -----------------------------------------------------------------
 
-_last_mesh = None                  # weak reference to the last mesh certified
-_operators = {}                    # its Poisson operators, by family
-
-
-def _forget(ref):
-    """Drop the operators when the mesh they belong to is freed."""
-    if ref is _last_mesh:
-        _operators.clear()
-
-
-def _poisson_operator(mesh, family):
-    """``problems.poisson_operator`` ("CR") or ``problems.hybrid_operator``
-    ("RT0") of ``mesh``, kept while ``mesh`` is the last mesh certified
-    (see the module doc)."""
-    global _last_mesh
-    if _last_mesh is None or _last_mesh() is not mesh:
-        _operators.clear()                 # free the old factors before building new ones
-        _last_mesh = weakref.ref(mesh, _forget)
-    if family not in _operators:
-        build = problems.poisson_operator if family == "CR" else problems.hybrid_operator
-        _operators[family] = build(mesh)
-    return _operators[family]
-
-
 def check_poisson_identity(mesh, f_pc, level=-1, tol=IDENTITY_TOL):
     """Certify sigma_RT = grad_NC u_ECR and u_RT = Pi0 u_ECR for a
     piecewise-constant load, including the H(div)-conformity and cellwise
     divergence diagnostics."""
     f = require_piecewise_constant(mesh, f_pc)
-    u = problems.solve_poisson(mesh, f, "ECR", _poisson_operator(mesh, "CR"))
-    sigma, u_rt = problems.solve_poisson_mixed(mesh, f, _poisson_operator(mesh, "RT0"))
+    u = problems.solve_poisson(mesh, f, "ECR")
+    sigma, u_rt = problems.solve_poisson_mixed(mesh, f)
 
     report = IdentityReport("poisson", level=level, tolerance=tol)
     grad = u.gradient_parts()
@@ -339,8 +308,8 @@ def check_marini_identity(mesh, f_pc, level=-1, tol=IDENTITY_TOL):
     if mesh.dim != 2:
         raise ValueError("the Marini identity is two-dimensional")
     f = require_piecewise_constant(mesh, f_pc)
-    u_cr = problems.solve_poisson(mesh, f, "CR", _poisson_operator(mesh, "CR"))
-    sigma, _ = problems.solve_poisson_mixed(mesh, f, _poisson_operator(mesh, "RT0"))
+    u_cr = problems.solve_poisson(mesh, f, "CR")
+    sigma, _ = problems.solve_poisson_mixed(mesh, f)
 
     g, r = u_cr.gradient_parts()
     predicted = (g, r - 0.5 * f)

@@ -12,9 +12,16 @@ Each Dirichlet Poisson solve has a mesh-only half: ``poisson_operator``,
 the factorised CR stiffness, and ``hybrid_operator``, the local elimination
 of the hybridised RT0 solve with its multiplier matrix S, factorised
 without its rounding-level entries (``_solve_rt0_hybrid``).
-``solve_poisson`` and ``solve_poisson_mixed`` take one of these to solve a
-further load on the same mesh without factorising again; without one they
-sample the load, then build the operator, use it once and keep nothing.
+``solve_poisson`` (CR and ECR alike, since ECR is the CR solve plus
+bubbles) and ``solve_poisson_mixed`` keep these operators of the last mesh
+they solved in one memo, each built on first use, so that further loads
+on that mesh, the ECR and CR solves of one load included, factorise
+nothing.  The memo holds that mesh by weak reference: it drops its
+operators when the mesh is freed, and when a solve on another mesh starts,
+before that mesh's load is sampled, so a sweep over levels holds one
+mesh's factors at a time.  The RT0 operator is built from the RT0 mass and
+the facet signs alone; the CR factor is never used for it, although S
+equals the CR stiffness.
 The pseudostress Stokes solve is hybridised too, with the same local
 elimination, rounding drop and recovery: ``pseudostress_operator`` is its
 mesh-only half, which ``solve_stokes_mixed`` builds for each load.
@@ -25,17 +32,31 @@ assembled."""
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import assembly, elements, linsolve
-from .quadrature import physical_points, rule_for_degree
+from .quadrature import centred_points, rule_for_degree
 
 
 # -- discrete fields ---------------------------------------------------------
+
+def _affine_values(mesh, c, r, bary):
+    """The cellwise affine field c_K + r_K (x - mid K) at barycentric
+    points: (nc, Q, n) from (c (nc, n), r (nc,)), built in place on the
+    centred points, or (nc, Q, m, n) rows from (c (nc, m, n), r (nc, m))."""
+    dx = centred_points(mesh, bary)
+    if r.ndim == 2:
+        return c[:, None] + np.einsum("cm,cqn->cqmn", r, dx)
+    dx *= r[:, None, None]
+    dx += c[:, None]
+    return dx
+
 
 @dataclass
 class BrokenField:
@@ -62,14 +83,13 @@ class BrokenField:
 
         On K, with dx = x - mid K, the cell average m_K and the gradient
         parts (g_K, r_K): u = m_K + g_K . dx + (r_K / 2)(|dx|^2 - tr S_K / |K|),
-        and u = m_K for P0.  dx = sum_k lam_k d_k is taken in barycentric
-        form, with d_k the vertices of K less mid K."""
+        and u = m_K for P0, with dx from ``quadrature.centred_points``."""
         mesh, bary = self.mesh, np.asarray(bary)
         m = self.cell_averages()
         if self.dofmap.family == "P0":
             return np.repeat(m[:, None], len(bary), axis=1)
         g, r = self.gradient_parts()
-        dx = bary @ (mesh.vertices[mesh.cells] - mesh.cell_centroids[:, None])
+        dx = centred_points(mesh, bary)
         mean_sq = np.einsum("cii->c", mesh.cell_second_moments) / mesh.cell_measures
         sq = np.einsum("cqn,cqn->cq", dx, dx) - mean_sq[:, None]
         return (m[:, None] + np.einsum("cqn,c...n->cq...", dx, g)
@@ -95,9 +115,7 @@ class BrokenField:
 
     def gradients(self, bary):
         """(nc, Q, n) for scalar fields, (nc, Q, ncomp, n) for vector."""
-        g, r = self.gradient_parts()
-        dx = physical_points(self.mesh, np.asarray(bary)) - self.mesh.cell_centroids[:, None]
-        return g[:, None] + np.einsum("c...,cqn->cq...n", r, dx)
+        return _affine_values(self.mesh, *self.gradient_parts(), bary)
 
     def cell_averages(self):
         """Exact cellwise averages: (nc,) or (nc, ncomp)."""
@@ -126,9 +144,7 @@ class RTField:
     def values(self, bary):
         """(nc, Q, n) for a vector field, (nc, Q, ncomp, n) rows for a
         tensor field: c_K + r_K (x - mid K) from ``affine_parts``."""
-        c, r = self.affine_parts()
-        dx = physical_points(self.mesh, np.asarray(bary)) - self.mesh.cell_centroids[:, None]
-        return c[:, None] + np.einsum("c...,cqn->cq...n", r, dx)
+        return _affine_values(self.mesh, *self.affine_parts(), bary)
 
     def cell_divergence(self):
         """Exact cellwise-constant divergence: (nc,) or (nc, ncomp)."""
@@ -161,22 +177,33 @@ class ExactSolution:
 
 
 def sine_solution(dim):
-    """u = prod sin(pi x_i) on the unit box, f = dim*pi^2*u."""
+    """u = prod sin(pi x_i) on the unit box, f = dim*pi^2*u.  Each call
+    takes one sin (and for grad one cos) of pi x, in place on a new array,
+    and writes the products out, so that a sample holds at most two arrays
+    of the shape of x; x itself is left as it is."""
     def u(x):
-        return np.prod(np.sin(np.pi * np.asarray(x)), axis=-1)
-
-    def grad(x):
-        x = np.asarray(x)
-        s = np.sin(np.pi * x)
-        c = np.cos(np.pi * x)
-        out = np.empty_like(x)
-        for i in range(dim):
-            others = [s[..., j] for j in range(dim) if j != i]
-            out[..., i] = np.pi * c[..., i] * np.prod(others, axis=0)
+        s = np.multiply(np.pi, x, dtype=float)
+        np.sin(s, out=s)
+        out = s[..., 0].copy()
+        for i in range(1, dim):
+            out *= s[..., i]
         return out
 
+    def grad(x):
+        s = np.multiply(np.pi, x, dtype=float)
+        c = np.cos(s)
+        np.sin(s, out=s)
+        c *= np.pi
+        for i in range(dim):
+            others = [s[..., j] for j in range(dim) if j != i]
+            if others:
+                c[..., i] *= reduce(np.multiply, others)
+        return c
+
     def f(x):
-        return dim * np.pi ** 2 * u(x)
+        out = u(x)
+        out *= dim * np.pi ** 2
+        return out
 
     return ExactSolution(f"sine{dim}d", u, grad, f)
 
@@ -269,14 +296,44 @@ def poisson_operator(mesh):
     return linsolve.Factor(assembly.SaddleSystem(A, np.zeros(dm.n_total)))
 
 
-def solve_poisson(mesh, f, family="ECR", operator=None):
+# -- the Poisson operators of the last mesh solved (see the module doc) ------
+
+_last_mesh = None                  # weak reference to the last mesh solved
+_operators = {}                    # its operators: "CR" poisson_operator, "RT0" hybrid_operator
+
+
+def _forget(ref):
+    """Drop the operators when the mesh they belong to is freed."""
+    if ref is _last_mesh:
+        _operators.clear()
+
+
+def _remember(mesh):
+    """Make ``mesh`` the memo's mesh; the operators of any other mesh are
+    dropped first.  Called before a load is sampled."""
+    global _last_mesh
+    if _last_mesh is None or _last_mesh() is not mesh:
+        _operators.clear()
+        _last_mesh = weakref.ref(mesh, _forget)
+
+
+def _operator(mesh, family):
+    """The memo's ``family`` operator of ``mesh``, built on first use."""
+    _remember(mesh)
+    if family not in _operators:
+        _operators[family] = poisson_operator(mesh) if family == "CR" else hybrid_operator(mesh)
+    return _operators[family]
+
+
+def solve_poisson(mesh, f, family="ECR"):
     """Homogeneous-Dirichlet Poisson by the CR or ECR method; ECR is the CR
-    solve plus closed-form bubbles.  ``operator`` is
-    ``poisson_operator(mesh)``; without it, it is built for this load alone
-    once the load is sampled, and nothing is kept."""
+    solve plus closed-form bubbles, so both solve with the same factor, the
+    memo's ``poisson_operator(mesh)``.  The load is sampled before that
+    operator is built and dies before it is used."""
+    _remember(mesh)
     dm = assembly.DofMap.build(mesh, "CR", dirichlet=True)
     b, bubbles = _cr_system(mesh, f, family, lambda load: assembly.load_vector(mesh, dm, load))
-    operator = operator or poisson_operator(mesh)
+    operator = _operator(mesh, "CR")
     x, _, _ = linsolve.solve(assembly.SaddleSystem(operator.K, b), operator)
     return _with_bubbles(BrokenField(dm, x), bubbles)
 
@@ -487,13 +544,14 @@ def _gate_mixed(mesh, mass, g, sigma, u, sigma_bc=None):
                                   assembly.zero_mean_dual(mesh, len(interior)))
 
 
-def solve_poisson_mixed(mesh, f, operator=None):
+def solve_poisson_mixed(mesh, f):
     """Mixed Poisson by the RT0 x P0 pair: (flux field, displacement).
-    Solved hybridised, and gated on the residual of the unhybridised
-    system.  ``operator`` is ``hybrid_operator(mesh)``; without it the load
-    is sampled and the operator built for this load alone, and nothing is
-    kept."""
-    x, y = _solve_rt0_hybrid(mesh, -assembly.load_integrals(mesh, f), operator=operator)
+    Solved hybridised with the memo's ``hybrid_operator(mesh)``, built after
+    the load is sampled, and gated on the residual of the unhybridised
+    system."""
+    _remember(mesh)
+    g = -assembly.load_integrals(mesh, f)
+    x, y = _solve_rt0_hybrid(mesh, g, operator=_operator(mesh, "RT0"))
     return (RTField(assembly.DofMap.build(mesh, "RT0"), x),
             BrokenField(assembly.DofMap.build(mesh, "P0"), y))
 

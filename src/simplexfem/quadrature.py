@@ -86,6 +86,13 @@ def physical_points(mesh, bary):
     return np.asarray(bary) @ mesh.vertices[mesh.cells]
 
 
+def centred_points(mesh, bary):
+    """x - mid K at barycentric points (Q, n+1) on every cell: (nc, Q, n),
+    as sum_k lam_k (a_k - mid K) over the vertices a_k of K.  At the
+    vertices (``bary`` the identity) these are the vertex offsets."""
+    return np.asarray(bary) @ (mesh.vertices[mesh.cells] - mesh.cell_centroids[:, None])
+
+
 def cell_weights(mesh, rule):
     """Physical quadrature weights (nc, Q): n! * |K| * w_q."""
     return math.factorial(mesh.dim) * np.multiply.outer(mesh.cell_measures, rule.weights)

@@ -7,7 +7,9 @@ from simplexfem import analysis
 from simplexfem.analysis import ConvergenceTable, fit_rate, osc
 from simplexfem.assembly import DofMap
 from simplexfem.mesh import build_box_mesh, mesh_hierarchy, refine_uniform
-from simplexfem.problems import BrokenField, sine_solution, solve_poisson
+from simplexfem.problems import (BrokenField, sine_solution, solve_poisson,
+                                 solve_poisson_mixed, solve_stokes)
+from simplexfem.quadrature import cell_weights, physical_points, rule_for_degree
 
 
 def linear_interpolant(mesh, a, b):
@@ -45,6 +47,31 @@ def test_h1_rate_on_sine_fixture():
     rates, slope = fit_rate(errs)
     assert 0.9 <= rates[-1] <= 1.1
     assert 0.9 <= slope <= 1.1
+
+
+def _plain_error(mesh, sample, exact):
+    """|| exact - sample || as a plain sum of weighted squares."""
+    rule = rule_for_degree(mesh.dim, analysis.ERROR_DEGREE)
+    diff = sample(rule.points) - exact(physical_points(mesh, rule.points))
+    w = cell_weights(mesh, rule).reshape(diff.shape[:2] + (1,) * (diff.ndim - 2))
+    return np.sqrt((diff ** 2 * w).sum())
+
+
+@pytest.mark.parametrize("dim,lvl", [(2, 2), (3, 1)])
+def test_vector_and_tensor_errors_match_a_plain_sum(dim, lvl):
+    mesh = mesh_hierarchy(build_box_mesh(dim, 1), lvl)[-1]
+    fix = sine_solution(dim)
+    sigma, _ = solve_poisson_mixed(mesh, fix.f)                 # values (nc, Q, n)
+    vel, _ = solve_stokes(mesh, tuple(np.arange(1.0, dim + 1)), "ECR")
+    assert vel.ncomp == dim                                     # gradients (nc, Q, n, n)
+
+    def tensor(x):
+        return np.einsum("...i,...j->...ij", np.sin(x), np.cos(x))
+
+    for got, sample, exact in ((analysis.l2_error(sigma, fix.grad), sigma.values, fix.grad),
+                               (analysis.broken_h1_error(vel, tensor), vel.gradients, tensor)):
+        want = _plain_error(mesh, sample, exact)
+        assert want > 0.0 and abs(got - want) <= 1e-14 * want
 
 
 def test_osc_piecewise_constant_is_zero():

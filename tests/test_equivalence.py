@@ -415,7 +415,7 @@ def test_identity_residuals_relabeling_invariant():
         assert a / b <= 2.0 and b / a <= 2.0
 
 
-# -- the Poisson operators of the last mesh certified -------------------------------
+# -- the Poisson operators of the last mesh solved ----------------------------------
 
 @pytest.mark.parametrize("check,dim,lvl", [(check_poisson_identity, 2, 4),
                                            (check_poisson_identity, 3, 2),
@@ -469,12 +469,37 @@ def test_only_the_last_mesh_certified_keeps_its_factors(factors):
     assert held_b() is None and alive(factors) == []
 
 
-def test_one_shot_poisson_solves_keep_nothing(factors):
-    mesh = level(2, 2)
-    # the returned fields stay alive and hold no factor
-    kept = [solve_poisson(mesh, sine_solution(2).f, family) for family in ("ECR", "CR")]
-    kept.append(problems.solve_poisson_mixed(mesh, sine_solution(2).f))
-    assert len(factors) == 3 and alive(factors) == []
+def test_poisson_solves_on_one_mesh_share_two_factors_until_the_next_mesh(factors):
+    mesh, other = level(2, 2), level(2, 2)
+    fix = sine_solution(2)
+    kept = [solve_poisson(mesh, fix.f, family) for family in ("ECR", "CR")]
+    kept.append(problems.solve_poisson_mixed(mesh, fix.f))
+    assert len(factors) == 2 and len(alive(factors)) == 2      # the CR stiffness and S
+    of_mesh = list(factors)
+    alive_while_sampled = []
+
+    def load(x):
+        alive_while_sampled.append(len(alive(of_mesh)))
+        return fix.f(x)
+
+    kept_other = [solve_poisson(other, load, "ECR"), problems.solve_poisson_mixed(other, load)]
+    # the first mesh and its fields live on, but its factors were freed
+    # before the second mesh's load was sampled
+    assert alive_while_sampled == [0, 0] and alive(of_mesh) == []
+    assert len(factors) == 4 and len(alive(factors)) == 2
+    held = weakref.ref(other)
+    del other, kept_other
+    assert held() is None and alive(factors) == []
+    assert len(kept) == 3 and kept[0].mesh is mesh
+
+
+def test_an_ecr_cr_level_sweep_factorises_each_mesh_once(factorised):
+    meshes = mesh_hierarchy(build_box_mesh(2, 1), 2)[1:]
+    fix = sine_solution(2)
+    for mesh in meshes:
+        for family in ("ECR", "CR"):
+            solve_poisson(mesh, fix.f, family)
+    assert factorised == [(len(m.interior_facet_indices()), "MMD_AT_PLUS_A") for m in meshes]
 
 
 # -- Stokes identity ---------------------------------------------------------------

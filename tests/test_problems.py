@@ -279,6 +279,37 @@ def test_bubble_moments_hold_at_most_four_load_samples(dim, lvl):
     assert peak <= 4 * mesh.n_cells * n_points * 8
 
 
+def _sine_by_np_prod(dim):
+    """The sine fixture as np.prod formulas: (u, grad, f)."""
+    def u(x):
+        return np.prod(np.sin(np.pi * np.asarray(x)), axis=-1)
+
+    def grad(x):
+        s, c = np.sin(np.pi * x), np.cos(np.pi * x)
+        out = np.empty_like(x)
+        for i in range(dim):
+            others = [s[..., j] for j in range(dim) if j != i]
+            out[..., i] = np.pi * c[..., i] * np.prod(others, axis=0)
+        return out
+
+    return u, grad, lambda x: dim * np.pi ** 2 * u(x)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("lead", [(7,), (5, 7)])
+def test_sine_fixture_matches_the_np_prod_formulas(dim, lead):
+    x = np.random.default_rng(dim).uniform(-0.2, 1.2, lead + (dim,))
+    before = x.copy()
+    x.flags.writeable = False
+    fix = sine_solution(dim)
+    for got, oracle in zip((fix.u, fix.grad, fix.f), _sine_by_np_prod(dim)):
+        want = oracle(x)
+        value = got(x)
+        assert value.shape == want.shape
+        assert np.all(np.abs(value - want) <= 4 * np.finfo(float).eps * np.abs(want))
+    assert np.array_equal(x, before)
+
+
 def test_neumann_rt_flux_exact():
     mesh = refine_uniform(build_box_mesh(2, 1))
     fix = quadratic_neumann_solution(2)

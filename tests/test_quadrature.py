@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from simplexfem.mesh import SimplexMesh, build_box_mesh, refine_uniform
-from simplexfem.quadrature import (QuadratureError, cell_weights, integrate,
+from simplexfem.quadrature import (QuadratureError, cell_weights, centred_points, integrate,
                                    physical_points, rule_for_degree)
 
 from percell import reference_monomial_integral
@@ -61,6 +61,19 @@ def test_physical_points_match_einsum_oracle(dim):
         got = physical_points(m, bary)
         assert got.shape == oracle.shape
         assert np.abs(got - oracle).max() <= 1e-15 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_centred_points_are_physical_points_less_the_centroid(dim):
+    base = build_box_mesh(dim, 2)
+    rng = np.random.default_rng(dim)
+    m = SimplexMesh(dim, base.vertices + rng.uniform(-0.05, 0.05, base.vertices.shape),
+                    base.cells)
+    bary = rule_for_degree(dim, 8).points
+    oracle = physical_points(m, bary) - m.cell_centroids[:, None]
+    assert np.abs(centred_points(m, bary) - oracle).max() <= 1e-15 * np.abs(m.vertices).max()
+    offsets = m.vertices[m.cells] - m.cell_centroids[:, None]
+    assert np.array_equal(centred_points(m, np.eye(dim + 1)), offsets)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
