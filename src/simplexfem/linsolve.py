@@ -20,12 +20,13 @@ In ``solve`` the order follows from the system and every pivot is diagonal.
 Without a dual block the matrix is SPD, or SPD once its gauge DOF is pinned:
 it is factorised in the minimum-degree order of A^T + A, which keeps the
 factor of a 3D CR stiffness at a third of the fill COLAMD gives (3D L4,
-47,616 unknowns: fill 34 against 105).  A saddle matrix [[A, B^T], [B, 0]]
-is factorised in a constrained symmetric order (``_saddle_order``): the
-primal DOFs in the minimum-degree order of A, each dual DOF directly after
-the last primal DOF it couples to.  With A SPD and B of full row rank on the
-kept rows, every leading block is then itself a nonsingular saddle matrix,
-so the diagonal pivots exist (Tuma, SIMAX 23, 2002; Benzi, Golub & Liesen,
+47,616 unknowns: fill 30 against 91, fill being the entries of L + U over
+those of the matrix).  A saddle matrix [[A, B^T], [B, 0]] is factorised in
+a constrained symmetric order (``_saddle_order``): the primal DOFs in the
+minimum-degree order of A, each dual DOF directly after the last primal DOF
+it couples to.  With A SPD and B of full row rank on the kept rows, every
+leading block is then itself a nonsingular saddle matrix, so the diagonal
+pivots exist (Tuma, SIMAX 23, 2002; Benzi, Golub & Liesen,
 Acta Numerica 14, 2005, sec. 6).  The pinned systems are of this kind: the
 CR-Stokes A is the Dirichlet vector Laplacian and B has lost one pressure
 row, and so is the hybridised pseudostress multiplier system, whose blocks
@@ -33,11 +34,11 @@ are those of CR-Stokes; the unhybridised pseudostress A, the deviatoric
 mass, is SPD once one DOF of the tensor I is removed, and its divergence
 stays onto.  Minimum degree on the whole matrix would eliminate the
 low-degree zero-diagonal dual rows first: with threshold pivoting it took
-80 s on the pinned unhybridised pseudostress matrix of 12,311 unknowns, at
-fill 227.  On 3D box(3) refined once (1,296 tets, 1 vCPU), COLAMD with
-partial pivoting took CR-Stokes (8,423 unknowns) to fill 63 in 0.46 s,
-against 25 in 0.13 s in the constrained order, found in 0.02 s.  The order
-of A alone beats that of |A| + |B|^T|B| there (fill 25 against 45).  The
+52 s on the pinned unhybridised pseudostress matrix of 12,311 unknowns, at
+fill 213.  On 3D box(3) refined once (1,296 tets, 1 BLAS thread), COLAMD
+with partial pivoting took CR-Stokes (8,423 unknowns) to fill 90 in 0.68 s,
+against 32 in 0.10 s in the constrained order, found in 0.02 s.  The order
+of A alone beats that of |A| + |B|^T|B| there (fill 32 against 51).  The
 eigensolver keeps SuperLU's default, COLAMD with partial pivoting.
 
 A system carries at most one gauge: a null vector k of the block matrix K
@@ -131,9 +132,18 @@ _SADDLE_ORDER = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0,
 
 def _splu(K, **order):
     """The one factorisation entry: SuperLU of K with the ``order`` options
-    (SuperLU's COLAMD default when none are given)."""
+    (SuperLU's COLAMD default when none are given), without relaxed
+    supernodes.
+
+    SuperLU's default relaxation (``relax`` = 10 in scipy's build) merges
+    every elimination subtree of up to that many columns into one dense
+    supernode and stores its explicit zeros.  ``relax=1`` merges none, so
+    the factor stores its L and U and nothing else: on the 3D L4 CR
+    stiffness 6.46M entries in 0.78 s, against 22.2M in 9.3 s relaxed
+    (1 BLAS thread).  Other ``relax`` values are not a tuning knob here:
+    ``relax=4`` stored 8.6M entries for the 0.92M of the 2D L7 CR factor."""
     try:
-        return sla.splu(K.tocsc(), **order)
+        return sla.splu(K.tocsc(), relax=1, **order)
     except RuntimeError as exc:
         raise SolverError(f"factorization breakdown: {exc}") from exc
 

@@ -661,10 +661,10 @@ def solve_stokes_mixed(mesh, f):
     and the multiplier system has the size and, once the S_K entries at
     most 16 eps of the cell's largest are left out of its factorised copy,
     the pattern of CR-Stokes (``_multiplier_matrices``).  On 3D box(3)
-    refined once it factorises 8,423 unknowns to an L+U of 1.79M entries,
-    against 12,311 and 5.40M unhybridised.  Numbered facet-major, the same
-    matrix fills less in 3D and 4D (1.33M there) but 2.2 and 4.4 times
-    more on 2D L5 and L6, under ``linsolve``'s constrained order.
+    refined once it factorises 8,423 unknowns to an L+U of 1.33M entries,
+    against 12,311 and 5.39M unhybridised.  Numbered facet-major, the same
+    matrix's factor stores as many entries under ``linsolve``'s constrained
+    order (2D L5 and L6, 3D box(3) and box(4) refined once, 4D box(3)).
 
     The two copies of an interior flux are averaged.  The load is sampled
     before the operator (``pseudostress_operator``) is built, and the

@@ -10,6 +10,7 @@ vertex order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,7 +63,8 @@ def _collapsed_rule(dim, degree):
 
 def rule_for_degree(dim, degree):
     """A rule on the reference ``dim``-simplex exact for polynomials of total
-    degree <= ``degree``.
+    degree <= ``degree``.  Rules are built once per (dim, degree) and shared:
+    a ``QuadratureRule`` is frozen and its arrays are read-only.
 
     Raises QuadratureError for dim < 1 or degree outside [0, 30].
     """
@@ -71,6 +73,11 @@ def rule_for_degree(dim, degree):
         raise QuadratureError(f"dimension must be >= 1, got {dim}")
     if not 0 <= degree <= MAX_DEGREE:
         raise QuadratureError(f"degree {degree} outside supported range [0, {MAX_DEGREE}]")
+    return _rule(dim, degree)
+
+
+@functools.cache
+def _rule(dim, degree):
     vol = 1.0 / math.factorial(dim)
     if degree <= 1:
         points = np.full((1, dim + 1), 1.0 / (dim + 1))

@@ -8,10 +8,13 @@ from simplexfem import linsolve
 
 class Factorisation(tuple):
     """(size, SuperLU column order) of one factorisation, and equal to that
-    pair; ``lu_nnz`` is the number of nonzeros of its L + U and ``zeros``
-    the number of exact zeros its matrix stores."""
+    pair; ``lu_nnz`` is the number of nonzeros of its L + U
+    (``lu.L.nnz + lu.U.nnz``), ``stored`` the number of entries the SuperLU
+    factor stores (``lu.nnz``, padding of merged supernodes included) and
+    ``zeros`` the number of exact zeros its matrix stores."""
 
     lu_nnz = None
+    stored = None
     zeros = None
 
 
@@ -33,7 +36,7 @@ def factorised(monkeypatch):
             lu = original(K, **order)
         finally:
             depth.pop()
-        entry.lu_nnz = lu.nnz
+        entry.lu_nnz, entry.stored = lu.L.nnz + lu.U.nnz, lu.nnz
         return lu
 
     def guarded(splu):

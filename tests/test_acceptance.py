@@ -268,7 +268,7 @@ def test_criterion_9_static_condensation():
 
 
 def test_criterion_10_convergence_comparison():
-    with criterion(10, "ECR vs CR convergence") as state:
+    with criterion(10, "ECR vs CR convergence", budget=30) as state:
         summary = []
         for dim, levels in ((2, 4), (3, 4)):
             fix = problems.sine_solution(dim)

@@ -251,6 +251,21 @@ def test_pseudostress_factor_is_sparser_than_colamd(factorised):
     assert hybrid.lu_nnz < min(saddle.lu_nnz, colamd.lu_nnz)
 
 
+@pytest.mark.parametrize("problem", ["poisson", "stokes"])
+def test_a_factor_stores_its_l_and_u_and_nothing_else(problem, factorised):
+    # SuperLU's relaxed supernodes store explicit zeros: 26% more entries
+    # than L + U on the 3D L3 CR stiffness, 15% more on 3D L2 CR-Stokes
+    if problem == "poisson":
+        problems.poisson_operator(mesh_hierarchy(build_box_mesh(3, 1), 3)[-1])
+    else:
+        mesh = mesh_hierarchy(build_box_mesh(3, 1), 2)[-1]
+        load = np.random.default_rng(3).uniform(-1.0, 1.0, (mesh.n_cells, 3))
+        linsolve.Factor(assembly.assemble_stokes(mesh, load, "CR")[0])
+    [entry] = factorised
+    assert entry[1] == ("MMD_AT_PLUS_A" if problem == "poisson" else "NATURAL")
+    assert entry.stored <= 1.001 * entry.lu_nnz, (entry.stored, entry.lu_nnz)
+
+
 @pytest.mark.parametrize("field", ["c", "k"])
 def test_gauge_of_the_wrong_length_is_rejected(field):
     system = _gauged_system("stokes-CR", 2)

@@ -108,6 +108,21 @@ def test_unsupported_requests_raise():
         rule_for_degree(2, 31)
 
 
+@pytest.mark.parametrize("dim,degree", [(1, 0), (2, 4), (3, 8)])
+def test_rules_are_built_once_and_shared_read_only(dim, degree):
+    rule = rule_for_degree(dim, degree)
+    assert rule_for_degree(np.int64(dim), degree) is rule
+    assert rule_for_degree(dim, degree) is rule
+    for array in (rule.points, rule.weights):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    # a cached rule does not let a bad request through
+    for bad in ((0, degree), (-dim, degree), (dim, -1), (dim, 31)):
+        with pytest.raises(QuadratureError):
+            rule_for_degree(*bad)
+
+
 def test_high_degree_available():
     # rhs/error norms rely on degree >= 8 in every dimension
     for dim in (2, 3, 4):
