@@ -12,9 +12,12 @@ solve.  A caller that solves many loads of one matrix factorises it once.
 A Factor may factorise a copy of A without its rounding-level entries
 (``Factor(system, factorised=...)``); the refinement and the gate are
 still taken against the system's own matrix.
+``solve`` also takes a column block of right-hand sides (f of shape
+(n, m)) for a system without dual block or gauge, and gates each column.
 ``SolverConfig`` carries only the seed of ARPACK's start vector; the
 dense/ARPACK switch is the constant ``DENSE_CUTOFF``.
-``_splu`` is the one factorisation entry, ARPACK's shift-invert included.
+``_splu`` is the one factorisation entry, and every caller passes it its
+order: ``_SPD_ORDER`` or ``_SADDLE_ORDER``.
 
 In ``solve`` the order follows from the system and every pivot is diagonal.
 Without a dual block the matrix is SPD, or SPD once its gauge DOF is pinned:
@@ -38,8 +41,7 @@ low-degree zero-diagonal dual rows first: with threshold pivoting it took
 fill 213.  On 3D box(3) refined once (1,296 tets, 1 BLAS thread), COLAMD
 with partial pivoting took CR-Stokes (8,423 unknowns) to fill 90 in 0.68 s,
 against 32 in 0.10 s in the constrained order, found in 0.02 s.  The order
-of A alone beats that of |A| + |B|^T|B| there (fill 32 against 51).  The
-eigensolver keeps SuperLU's default, COLAMD with partial pivoting.
+of A alone beats that of |A| + |B|^T|B| there (fill 32 against 51).
 
 A system carries at most one gauge: a null vector k of the block matrix K
 and a row c that fixes it, c . z = rhs.  It is solved by pinning, never by
@@ -77,11 +79,16 @@ the other vCPU is busy, such calls on 20k-100k entries took up to 8 ms
 when warm and at most 0.3 ms cold; on an idle machine the two cost the same.
 The package's other mesh-sized reductions follow the same rule.
 
-Eigenproblems A x = lam M x (A symmetric nonsingular, SPD or a negated
-saddle matrix; M symmetric PSD with an SPD block on its nonzero rows J) work
-on A^-1 M, whose nonzero eigenvalues are the reciprocals of the |J| finite
-pencil eigenvalues: ARPACK shift-invert above ``DENSE_CUTOFF`` rows, and a
-dense congruence on J below it or when ARPACK cannot deliver the pairs.
+Eigenproblems A x = lam M x (A SPD; M symmetric PSD with an SPD block on
+its nonzero rows J) work on A^-1 M, whose nonzero eigenvalues are the
+reciprocals of the |J| finite pencil eigenvalues.  ``eig_smallest`` never
+sees A: it takes A^-1 as a callable, which the caller builds from factors
+it already holds, and each pair's residual on the pencil the caller
+states, which may be a larger one that A is a Schur complement of.  ARPACK
+shift-invert needs only the action of A^-1 (Ericsson & Ruhe, Math. Comp.
+35, 1980) and runs above ``DENSE_CUTOFF`` rows; below it, or when ARPACK
+cannot deliver the pairs, a dense congruence on J applies A^-1 to one
+column block.
 """
 
 from __future__ import annotations
@@ -130,9 +137,9 @@ _SADDLE_ORDER = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0,
                  "options": {"SymmetricMode": True}}
 
 
-def _splu(K, **order):
-    """The one factorisation entry: SuperLU of K with the ``order`` options
-    (SuperLU's COLAMD default when none are given), without relaxed
+def _splu(K, *, permc_spec, diag_pivot_thresh, options):
+    """The one factorisation entry: SuperLU of K in the order its caller
+    gives (``_SPD_ORDER`` or ``_SADDLE_ORDER``), without relaxed
     supernodes.
 
     SuperLU's default relaxation (``relax`` = 10 in scipy's build) merges
@@ -143,7 +150,8 @@ def _splu(K, **order):
     (1 BLAS thread).  Other ``relax`` values are not a tuning knob here:
     ``relax=4`` stored 8.6M entries for the 0.92M of the 2D L7 CR factor."""
     try:
-        return sla.splu(K.tocsc(), relax=1, **order)
+        return sla.splu(K.tocsc(), relax=1, permc_spec=permc_spec,
+                        diag_pivot_thresh=diag_pivot_thresh, options=options)
     except RuntimeError as exc:
         raise SolverError(f"factorization breakdown: {exc}") from exc
 
@@ -153,16 +161,6 @@ def _block_matrix(system):
     if system.B is None:
         return sp.csc_matrix(system.A)
     return sp.bmat([[system.A, system.B.T], [system.B, None]], format="csc")
-
-
-def saddle_matrix(system):
-    """The full bordered symmetric indefinite matrix of a SaddleSystem: the
-    block matrix with a multiplier row and column for its gauge."""
-    K = _block_matrix(system)
-    if system.gauge is None:
-        return K
-    c = sp.csc_matrix(system.gauge.c[:, None])
-    return sp.bmat([[K, c], [c.T, None]], format="csc")
 
 
 def _block_apply(system, z):
@@ -180,8 +178,8 @@ def _rhs(system):
 
 def _dot(a, b):
     """a . b of two mesh-sized vectors, by einsum, outside BLAS (see the
-    module doc)."""
-    return np.einsum("i,i->", a, b)
+    module doc); column by column for two (n, m) blocks."""
+    return np.einsum("i...,i...->...", a, b)
 
 
 def _norm(a):
@@ -205,14 +203,17 @@ def gate_residual(F, z, Kz, gauge=None):
     Kz = K z, at ``RESIDUAL_TOL`` on the relative residual of the system
     bordered by ``gauge`` (an ``assembly.Constraint`` or None), with the
     multiplier in closed form.  A zero right-hand side admits only the zero
-    solution.  Returns the multiplier."""
+    solution.  Without a gauge F, z and Kz may be (n, m) column blocks,
+    each column gated.  Returns the multiplier."""
     mu = _multiplier(gauge, F)
     if mu is not None:
         c, _, rhs_c = gauge
         Kz, F = np.append(Kz + c * mu, _dot(c, z)), np.append(F, rhs_c)
     norm_r, norm_rhs = _norm(Kz - F), _norm(F)
-    _gate(norm_r / norm_rhs if norm_rhs > 0.0 else (0.0 if norm_r == 0.0 else np.inf),
-          "linear solve")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        relative = np.where(norm_rhs > 0.0, norm_r / norm_rhs,
+                            np.where(norm_r == 0.0, 0.0, np.inf))
+    _gate(np.max(relative), "linear solve")
     return mu
 
 
@@ -314,9 +315,10 @@ def solve(system, factor=None):
 
     ``factor`` is a ``Factor`` of the system's matrix and gauge; without
     one, a Factor is built for this system and dropped.  A zero right-hand
-    side is solved by zero, and then nothing is factorised."""
+    side is solved by zero, and then nothing is factorised.  Without dual
+    block and gauge, f may be an (n, m) block of right-hand sides."""
     F, gauge = _rhs(system), system.gauge
-    z = np.zeros(len(F))
+    z = np.zeros(F.shape)
     if F.any() or (gauge is not None and gauge.rhs):
         if factor is None:
             factor = Factor(system)
@@ -342,7 +344,7 @@ _EIG_SHIFT = 0.0                # shift-invert target: the smallest eigenvalues
 _EIG_MAXITER = 2000             # ARPACK restart limit
 
 
-def _eig_dense(A, M, J, k):
+def _eig_dense(inverse, M, J, k):
     """Congruence on the nonzero rows J of M: with M_JJ = L L^T and
     T = L^T (A^-1)_JJ L, the finite eigenvalues are 1/mu for the eigenvalues
     mu of T, with x = A^-1[:, J] L y / mu.
@@ -360,9 +362,9 @@ def _eig_dense(A, M, J, k):
     except dla.LinAlgError as exc:
         raise SolverError(f"mass matrix block on its nonzero rows not SPD: {exc}") from exc
     L = sp.csr_matrix(L)[np.argsort(order)]
-    R = np.zeros((A.shape[0], len(J)), order="F")
+    R = np.zeros((M.shape[0], len(J)), order="F")
     R[J] = L.toarray()
-    W = _splu(A).solve(R)
+    W = inverse(R)
     T = L.T @ W[J]
     mu, Y = dla.eigh(0.5 * (T + T.T), subset_by_index=[len(J) - k, len(J) - 1])
     mu, Y = mu[::-1], Y[:, ::-1]               # largest mu = smallest lambda
@@ -371,39 +373,46 @@ def _eig_dense(A, M, J, k):
     return 1.0 / mu, (W @ Y) / mu
 
 
-def _eig_sparse(A, M, k, n_pairs, ncv, config):
+def _eig_sparse(inverse, M, k, n_pairs, ncv, config):
     """ARPACK shift-invert for n_pairs pairs, of which the k smallest are
     kept: asking for more than k keeps a degenerate cluster cut at k from
     stalling the convergence of its wanted half."""
+    n = M.shape[0]
     rng = np.random.default_rng(config.seed)
-    v0 = rng.standard_normal(A.shape[0])
-    # (A - sigma M)^-1 is A^-1 at the zero shift
-    inverse = sla.LinearOperator(A.shape, matvec=_splu(A).solve, dtype=float)
+    v0 = rng.standard_normal(n)
+    # (A - sigma M)^-1 is A^-1 at the zero shift; in shift-invert mode eigsh
+    # reads only the shape and dtype of its first argument, never applies it.
+    # M goes in as a product on vectors: eigsh's own wrapper of a sparse M
+    # takes the slower one-column-block product
+    op = sla.LinearOperator((n, n), matvec=inverse, dtype=float)
+    mass = sla.LinearOperator((n, n), matvec=lambda x: M @ x, dtype=float)
     try:
-        lams, X = sla.eigsh(A, k=n_pairs, M=M, sigma=_EIG_SHIFT, which="LM",
-                            v0=v0, ncv=ncv, maxiter=_EIG_MAXITER, OPinv=inverse)
+        lams, X = sla.eigsh(op, k=n_pairs, M=mass, sigma=_EIG_SHIFT, which="LM",
+                            v0=v0, ncv=ncv, maxiter=_EIG_MAXITER, OPinv=op)
     except RuntimeError as exc:        # ARPACK failure
         raise SolverError(f"eigensolver failed: {exc}") from exc
     order = np.argsort(lams)[:k]
     return lams[order], X[:, order]
 
 
-def eig_smallest(A, M, k, config=None):
+def eig_smallest(inverse, M, pencil, k, config=None):
     """k smallest finite eigenvalues of A x = lam M x, ascending, with
-    M-orthonormal eigenvectors.
+    M-orthonormal eigenvectors, from the action of A^-1 alone.
 
-    A must be symmetric and nonsingular, M symmetric positive semi-definite
-    with an SPD block on its nonzero rows J, and the finite eigenvalues
-    positive: an SPD A, or a negated saddle matrix -[[A, B^T], [B, 0]]
-    against a mass on the dual block.  There are |J| finite eigenvalues.
-    Above ``DENSE_CUTOFF`` rows ARPACK shift-invert is used whenever it can
-    deliver the pairs; otherwise a dense congruence on J.
+    A must be SPD, M symmetric positive semi-definite with an SPD block on
+    its nonzero rows J; there are |J| finite eigenvalues.  ``inverse``
+    applies A^-1 to a vector (n,) and to a column block (n, m).
+    ``pencil(lam, x)`` returns the two sides (P z, lam N z) of the pencil
+    the caller gates each pair on, at the pair's full vector z: (A x,
+    lam M x) itself, or a larger pencil whose Schur complement A is, with
+    the eliminated unknowns of z recovered from x.  Above ``DENSE_CUTOFF``
+    rows ARPACK shift-invert is used whenever it can deliver the pairs;
+    otherwise a dense congruence on J.
     """
     config = config or DEFAULT
     k = int(k)
     if k < 1:
         raise ValueError("k must be >= 1")
-    A = sp.csr_matrix(A)
     M = sp.csr_matrix(M)
     J = np.flatnonzero(abs(M) @ np.ones(M.shape[1]))
     if k > len(J):
@@ -413,17 +422,17 @@ def eig_smallest(A, M, k, config=None):
     # |J|, and converges poorly with fewer than 2 n_pairs + 1 vectors
     n_pairs = k + _EXTRA_PAIRS
     ncv = min(max(2 * n_pairs + 1, 20), len(J) - 1)
-    if A.shape[0] > DENSE_CUTOFF and ncv > 2 * n_pairs:
-        lams, X = _eig_sparse(A, M, k, n_pairs, ncv, config)
+    if M.shape[0] > DENSE_CUTOFF and ncv > 2 * n_pairs:
+        lams, X = _eig_sparse(inverse, M, k, n_pairs, ncv, config)
     else:
-        lams, X = _eig_dense(A, M, J, k)
+        lams, X = _eig_dense(inverse, M, J, k)
     # verify: M-orthonormality and eigen residuals
     G = np.einsum("ik,il->kl", X, M @ X)
     if np.abs(G - np.eye(k)).max() > 1e-10:
         raise SolverError("eigenvectors are not M-orthonormal")
     for lam, x in zip(lams, X.T):
-        r = _norm(A @ x - lam * (M @ x))
-        denom = _norm(A @ x)
+        Pz, lam_Nz = pencil(lam, x)
+        denom = _norm(Pz)
         if denom > 0:
-            _gate(r / denom, "eigen")
+            _gate(_norm(Pz - lam_Nz) / denom, "eigen")
     return lams, X

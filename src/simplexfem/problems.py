@@ -13,10 +13,11 @@ the factorised CR stiffness, and ``hybrid_operator``, the local elimination
 of the hybridised RT0 solve with its multiplier matrix S, factorised
 without its rounding-level entries (``_solve_rt0_hybrid``).
 ``solve_poisson`` (CR and ECR alike, since ECR is the CR solve plus
-bubbles) and ``solve_poisson_mixed`` keep these operators of the last mesh
-they solved in one memo, each built on first use, so that further loads
-on that mesh, the ECR and CR solves of one load included, factorise
-nothing.  The memo holds that mesh by weak reference: it drops its
+bubbles), ``solve_poisson_mixed`` and ``solve_eigen`` keep these operators
+of the last mesh they solved in one memo, each built on first use, so that
+further loads on that mesh, the ECR and CR solves of one load included,
+factorise nothing, and a mesh's four eigen families factorise the same
+two matrices.  The memo holds that mesh by weak reference: it drops its
 operators when the mesh is freed, and when a solve on another mesh starts,
 before that mesh's load is sampled, so a sweep over levels holds one
 mesh's factors at a time.  The RT0 operator is built from the RT0 mass and
@@ -243,7 +244,9 @@ def outward_flux_averages(mesh, grad_u):
 # its facet averages (where Neumann data enter) vanish.  An ECR solution is
 # therefore the CR solution of the same load plus one closed-form bubble
 # coefficient per cell (Arnold & Brezzi, M2AN 19, 1985); no ECR system is
-# factorised.  The monolithic ECR assembly is kept as a test oracle only.
+# factorised.  The ECR eigen solves invert the same way (``bubble_split``);
+# the assembled ECR stiffness only gates their residuals, and is otherwise
+# a test oracle.
 
 def bubble_coefficients(mesh, f, ncomp=1):
     """Per-cell bubble coefficients (f, phi_K)_K / ||grad phi_K||_K^2 of a
@@ -273,11 +276,29 @@ def _cr_system(mesh, f, family, assemble, ncomp=1):
     return assemble(fv), bubble_coefficients(mesh, fv, ncomp)
 
 
+def bubble_split(dm):
+    """The change of basis of ECR = CR + bubbles on the ECR DOF map ``dm``
+    (scalar numbering; each component of a vector map uses it alike):
+    x = T (c, b) are the ECR coefficients of the CR field with facet
+    coefficients c plus the bubble b_K phi_K of each cell K.  The facet
+    rows of x are c; the cell row of K is b_K plus the mean of K's facet
+    coefficients, the CR field's cell average.  T^T A_ECR T is
+    blockdiag(A_CR, diag(||grad phi_K||^2)): the bubbles are
+    stiffness-orthogonal to CR.  Sparse, (n, n)."""
+    mesh = dm.mesh
+    n, nc = mesh.dim, mesh.n_cells
+    n_cr = dm.n_scalar - nc
+    mean = assembly.scatter_matrix(np.arange(nc)[:, None], dm.cell_dofs[:, :n + 1],
+                                   np.full((nc, 1, n + 1), 1.0 / (n + 1)), (nc, n_cr))
+    return sp.bmat([[sp.identity(n_cr), None], [mean, sp.identity(nc)]], format="csr")
+
+
 def _with_bubbles(cr, bubbles):
     """The ECR field CR + bubbles, per component: its facet averages are the
     CR coefficients, its cell averages the bubble coefficient plus the mean
-    of the cell's CR facet coefficients.  The CR field itself for CR
-    (``bubbles`` None)."""
+    of the cell's CR facet coefficients: ``bubble_split`` applied without
+    building it, as every ECR solve needs it once.  The CR field itself for
+    CR (``bubbles`` None)."""
     if bubbles is None:
         return cr
     local = cr.dofmap.gather(cr.coeffs)                     # (nc, n+1, ncomp)
@@ -382,15 +403,22 @@ def _multiplier_solve(operator, z0, gauge_rhs=0.0):
     sum_K D_K (z0_K)[:p], the gated solve of ``operator.system`` with it
     (its gauge, if any, set to ``gauge_rhs``), and
     z_K = z0_K - inverse_K[:, :p] D_K lam_K.  Returns z (nc, m) and the
-    dual part of the multiplier solution."""
-    inv, coupling, dofs = operator.inverse, operator.coupling, operator.dofs
-    p = coupling.shape[1]
+    dual part of the multiplier solution.  Without dual block and gauge,
+    z0 may carry a trailing axis of right-hand sides, (nc, m, r)."""
+    inv, dofs = operator.inverse, operator.dofs
+    p = dofs.shape[1]
+    columns = z0.shape[2:]                     # () for one right-hand side
+    coupling = operator.coupling.reshape(dofs.shape + (1,) * len(columns))
     inner = dofs >= 0
     system = operator.system
-    b = np.bincount(dofs[inner], (coupling * z0[:, :p])[inner], minlength=system.n_primal)
+    local = (coupling * z0[:, :p])[inner]
+    b = np.stack([np.bincount(dofs[inner], w, minlength=system.n_primal)
+                  for w in local.reshape(len(local), -1).T], axis=-1)
     gauge = None if system.gauge is None else system.gauge._replace(rhs=gauge_rhs)
-    lam, dual, _ = linsolve.solve(replace(system, f=b, gauge=gauge), operator.factor)
-    return z0 - np.einsum("cab,cb->ca", inv[:, :, :p], coupling * np.append(lam, 0.0)[dofs]), dual
+    lam, dual, _ = linsolve.solve(
+        replace(system, f=b.reshape((system.n_primal,) + columns), gauge=gauge), operator.factor)
+    lam = np.concatenate([lam, np.zeros((1,) + columns)])[dofs]           # 0 on the boundary
+    return z0 - np.einsum("cab,cb...->ca...", inv[:, :, :p], coupling * lam), dual
 
 
 def _mean_fluxes(mesh, local):
@@ -476,30 +504,36 @@ def _solve_rt0_hybrid(mesh, g, sigma_bc=None, operator=None):
     the unhybridised residual of a constant load at 2D L7 read 1.3e-12,
     above the gate, against 9.4e-13 this way.
 
-    ``g`` is the right-hand side -int_K f of the divergence rows.  With
-    ``sigma_bc`` (nf,), zero on the interior facets, the boundary fluxes are
-    fixed to it and moved to the right-hand side: the multiplier system then
-    has the constant in its kernel, which shifts u, and is gauged so that u
-    has zero mean.  The result is gated by ``_gate_mixed``, the residual of
-    the unhybridised system.
+    ``g`` is the right-hand side -int_K f of the divergence rows, (nc,), or
+    without ``sigma_bc`` a block (nc, r) of r of them, solved together.
+    With ``sigma_bc`` (nf,), zero on the interior facets, the boundary
+    fluxes are fixed to it and moved to the right-hand side: the multiplier
+    system then has the constant in its kernel, which shifts u, and is
+    gauged so that u has zero mean.  The result, (nf[, r]) and (nc[, r]), is
+    gated column by column by ``_gate_mixed``, the residual of the
+    unhybridised system.
     """
     if operator is None:
         operator = hybrid_operator(mesh, neumann=sigma_bc is not None)
     n, nc = mesh.dim, mesh.n_cells
     mass, inv, dofs = operator.mass, operator.inverse, operator.dofs
-    rhs = np.zeros((nc, n + 2))
-    rhs[:, n + 1] = g
-    if sigma_bc is not None:
+    if sigma_bc is None:                       # only the divergence row is loaded
+        z0 = np.einsum("ca,c...->ca...", inv[:, :, n + 1], g)
+    else:
+        rhs = np.zeros((nc, n + 2))
+        rhs[:, n + 1] = g
         fixed = dofs < 0
         known = np.where(fixed, sigma_bc[mesh.cell_facets], 0.0)
         rhs[:, :n + 1] = np.where(fixed, known, -np.einsum("cij,cj->ci", mass, known))
         rhs[:, n + 1] -= np.einsum("ci,ci->c", mesh.cell_facet_signs, known)
-    z0 = np.einsum("cab,cb->ca", inv, rhs)
+        z0 = np.einsum("cab,cb->ca", inv, rhs)
     gauge_rhs = (0.0 if operator.system.gauge is None
                  else np.einsum("c,c->", mesh.cell_measures, z0[:, n + 1]))
     z, _ = _multiplier_solve(operator, z0, gauge_rhs)
     sigma, u = _mean_fluxes(mesh, z[:, :n + 1]), z[:, n + 1]
-    _gate_mixed(mesh, mass, g, sigma, u, sigma_bc)
+    for column in np.ndindex(np.shape(g)[1:]):     # one pass for a single g
+        at = (slice(None),) + column
+        _gate_mixed(mesh, mass, g[at], sigma[at], u[at], sigma_bc)
     return sigma, u
 
 
@@ -720,6 +754,99 @@ class EigenPair:
     u: Optional[BrokenField] = None        # RT-mixed piecewise constant
 
 
+def _ecr_inverse(mesh, dm, operator):
+    """A^-1 of the ECR stiffness over ``dm`` from the CR factor ``operator``:
+    T blockdiag(A_CR^-1, D_b^-1) T^T with T = ``bubble_split(dm)``, D_b the
+    bubble energies.  The factor alone applies A_CR^-1: shift-invert needs
+    no refinement or gate per application, each pair's residual is gated."""
+    T = bubble_split(dm)
+    T_t = T.T.tocsr()                          # formed once, not on every application
+    n_cr = dm.n_scalar - mesh.n_cells
+    energy = elements.bubble_energy(mesh.dim, mesh.cell_measures, mesh.cell_H)
+
+    def inverse(r):
+        y = T_t @ r
+        y[:n_cr] = operator.lu.solve(y[:n_cr])
+        y[n_cr:] /= energy.reshape(energy.shape + (1,) * (y.ndim - 1))
+        return T @ y
+    return inverse
+
+
+def _on_cells(mesh, solve, sides):
+    """``eig_smallest``'s (inverse, M, pencil) of a pencil A z = lam N z
+    whose mass N is diag(|K|) on one unknown u per cell and zero on the
+    others, w, and the map from a pair's u to its whole vector: the problem
+    is solved on the cells alone, where the Schur complement of A has the
+    same finite eigenpairs and the inverse is the u part of A^-1 (0, y).
+    ``solve(y)`` returns (w, u) = A^-1 (0, y), for y (nc[, r]).  A pair's
+    vector is the purified z = A^-1 N (0, u), scaled to ||u||_|K| = 1: its
+    w rows then hold to rounding, where w recovered beside the Ritz u left
+    the residual at 1.1-3.0e-12 on the RT-equiv pencil at 2D L5
+    (Nour-Omid, Parlett, Ericsson & Jensen, Math. Comp. 48, 1987).  Each
+    pair's residual is gated on ``sides(lam, w, u)``, the two sides
+    (A z, lam N z) of the whole pencil."""
+    measures = mesh.cell_measures
+
+    def whole(U):
+        w, u = solve((measures * U.T).T)
+        scale = 1.0 / np.sqrt(np.einsum("c,c...,c...->...", measures, u, u))
+        return w * scale, u * scale
+
+    return ((lambda y: solve(y)[1]), sp.diags(measures),
+            (lambda lam, u: sides(lam, *whole(u))), whole)
+
+
+def _eigen_problem(mesh, family):
+    """``linsolve.eig_smallest``'s (inverse, M, pencil) for ``family`` and
+    the map from its (lams, X) to EigenPairs (see ``solve_eigen``)."""
+    if family == "RT-mixed":
+        operator = _operator(mesh, "RT0")
+
+        def sides(lam, sigma, u):              # -K z = lam diag(0, |K|) z, z = (sigma, u)
+            product = _mixed_product(mesh, operator.mass, sigma, u)
+            return (-np.concatenate(product),
+                    lam * np.concatenate([np.zeros(mesh.n_facets), mesh.cell_measures * u]))
+
+        # -K (sigma, u) = (0, y): the hybrid solve with the load -y
+        *problem, whole = _on_cells(
+            mesh, lambda y: _solve_rt0_hybrid(mesh, -y, operator=operator), sides)
+        rt, p0 = assembly.DofMap.build(mesh, "RT0"), assembly.DofMap.build(mesh, "P0")
+
+        def pairs(lams, U):
+            S, U = whole(U)
+            return [EigenPair(lam=float(l), sigma=RTField(rt, s), u=BrokenField(p0, u))
+                    for l, s, u in zip(lams, S.T, U.T)]
+        return (*problem, pairs)
+    if family not in ("ECR", "CR", "RT-equiv"):
+        raise ValueError(f"unknown eigen family {family!r}")
+    _remember(mesh)
+    A, M, dm = assembly.assemble_eigen(mesh, "CR" if family == "CR" else "ECR",
+                                       "projected" if family == "RT-equiv" else "full")
+    operator = _operator(mesh, "CR")
+    inverse = operator.lu.solve if family == "CR" else _ecr_inverse(mesh, dm, operator)
+    if family != "RT-equiv":
+        return (inverse, M, lambda lam, x: (A @ x, lam * (M @ x)),
+                lambda lams, X: [EigenPair(lam=float(l), primal=BrokenField(dm, x))
+                                 for l, x in zip(lams, X.T)])
+    n_cr = dm.n_scalar - mesh.n_cells
+
+    def solve(y):                              # A_ECR^-1 (0, y): (facets, cells)
+        x = inverse(np.concatenate([np.zeros((n_cr,) + y.shape[1:]), y]))
+        return x[:n_cr], x[n_cr:]
+
+    def sides(lam, facets, u):
+        x = np.concatenate([facets, u])
+        return A @ x, lam * (M @ x)
+
+    *problem, whole = _on_cells(mesh, solve, sides)
+
+    def pairs(lams, U):
+        W, U = whole(U)
+        return [EigenPair(lam=float(l), primal=BrokenField(dm, np.concatenate([w, u])))
+                for l, w, u in zip(lams, W.T, U.T)]
+    return (*problem, pairs)
+
+
 def solve_eigen(mesh, family="ECR", k=1, config=None):
     """k smallest Dirichlet-Laplacian eigenpairs.
 
@@ -727,20 +854,24 @@ def solve_eigen(mesh, family="ECR", k=1, config=None):
     saddle pencil -[[A, B^T], [B, 0]] (sigma, u) = lam diag(0, |K|) (sigma, u),
     ||u_RT|| = 1) and "RT-equiv" (ECR stiffness against the projected mass,
     ||Pi0 phi|| = 1).  Both RT pencils have one finite eigenvalue per cell.
-    ``config`` (a ``linsolve.SolverConfig``) seeds ARPACK's start vector;
+
+    Every family is solved on the memo's factors of ``mesh``, the ones the
+    Poisson solves use, so the four families factorise two matrices of one
+    row per interior facet.  CR uses ``poisson_operator``.  ECR and RT-equiv
+    use it too: with x = T (c, b) (``bubble_split``),
+    A_ECR^-1 = T blockdiag(A_CR^-1, D_b^-1) T^T, D_b the bubble energies
+    (Arnold & Brezzi, M2AN 19, 1985).  Both RT pencils are solved on their
+    one unknown per cell (``_on_cells``), where the mass is diag(|K|):
+    RT-mixed maps u to the P0 part of the hybrid solve (``hybrid_operator``)
+    with the load -|K| u, which is self-adjoint in diag(|K|) with
+    eigenvalues 1/lam, and RT-equiv maps it to the cell part of
+    A_ECR^-1 (0, |K| u).  The rest of each pair, sigma or the facet
+    coefficients, is recovered by one more solve.  Each pair is gated on
+    the residual of its family's whole pencil, for RT-mixed the
+    unhybridised one, applied from the local blocks, and every hybrid
+    solve is gated as in ``_solve_rt0_hybrid``.  ``config`` (a
+    ``linsolve.SolverConfig``) seeds ARPACK's start vector;
     ``linsolve.eig_smallest`` picks the dense or the ARPACK path.
     """
-    if family in ("ECR", "CR", "RT-equiv"):
-        fam, mass = ("ECR", "projected") if family == "RT-equiv" else (family, "full")
-        A, M, dm = assembly.assemble_eigen(mesh, fam, mass)
-        lams, X = linsolve.eig_smallest(A, M, k, config)
-        return [EigenPair(lam=float(l), primal=BrokenField(dm, x))
-                for l, x in zip(lams, X.T)]
-    if family == "RT-mixed":
-        system, rt, p0 = assembly.assemble_mixed_poisson(mesh, 0.0)
-        M = sp.diags(np.concatenate([np.zeros(rt.n_total), mesh.cell_measures]))
-        lams, X = linsolve.eig_smallest(-linsolve.saddle_matrix(system), M, k, config)
-        return [EigenPair(lam=float(l), sigma=RTField(rt, x[:rt.n_total]),
-                          u=BrokenField(p0, x[rt.n_total:]))
-                for l, x in zip(lams, X.T)]
-    raise ValueError(f"unknown eigen family {family!r}")
+    *problem, pairs = _eigen_problem(mesh, family)
+    return pairs(*linsolve.eig_smallest(*problem, k, config))

@@ -28,7 +28,7 @@ def factorised(monkeypatch):
     original = linsolve._splu
 
     def recording(K, **order):
-        entry = Factorisation((K.shape[0], order.get("permc_spec", "COLAMD")))
+        entry = Factorisation((K.shape[0], order["permc_spec"]))
         entry.zeros = int(np.count_nonzero(K.data == 0))
         record.append(entry)
         depth.append(K.shape[0])

@@ -230,6 +230,24 @@ def test_criterion_7_superconvergence():
                            f"primary-error gap {gap:.2%}")
 
 
+def test_criterion_7_superconvergence_in_3d():
+    # the eigen claim in 3D: four eigen families per level on the two
+    # factors the Poisson solves use, so L4 (24,576 cells) fits the budget
+    with criterion(7, "eigenfunction superconvergence in 3D", budget=30) as state:
+        meshes = mesh_hierarchy(build_box_mesh(3, 1), 4)[1:]
+        fix = problems.sine_solution(3)
+        amplitude = 2.0 * np.sqrt(2.0)                 # unit L2 norm on the cube
+        exact = (lambda x: amplitude * fix.u(x), lambda x: amplitude * fix.grad(x),
+                 3 * np.pi ** 2)
+        table = equivalence.eigen_error_comparison(meshes, exact)
+        diff_rates = table.rates("difference")
+        assert np.all((diff_rates >= 1.8) & (diff_rates <= 2.2)), diff_rates
+        for name in ("ecr_error", "rt_error"):
+            rates = table.rates(name)
+            assert np.all((rates >= 0.9) & (rates <= 1.1)), (name, rates)
+        state["detail"] = f"difference rates {np.round(diff_rates, 2)}"
+
+
 def test_criterion_8_neumann_counterexample():
     with criterion(8, "Neumann counterexample") as state:
         meshes = mesh_hierarchy(build_box_mesh(2, 1), 4)[1:]

@@ -104,6 +104,26 @@ def test_split_basis_decoupling(dim):
     assert np.all(np.diag(bubble_block) > 0)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_bubble_split_block_diagonalises_the_ecr_stiffness(dim):
+    # T^T A_ECR T = blockdiag(A_CR, D_b), D_b the bubble energies: what lets
+    # the ECR and RT-equiv eigen solves invert A_ECR with the CR factor
+    base = build_box_mesh(dim, 2) if dim == 4 else refine_uniform(build_box_mesh(dim, 2))
+    rng = np.random.default_rng(dim)
+    mesh = SimplexMesh(dim, base.vertices + rng.uniform(-0.05, 0.05, base.vertices.shape),
+                       base.cells)
+    A_ecr, _, dm = assembly.assemble_eigen(mesh, "ECR")
+    A_cr, _, _ = assembly.assemble_eigen(mesh, "CR")
+    T = problems.bubble_split(dm)
+    S = (T.T @ A_ecr @ T).toarray()
+    n_cr = A_cr.shape[0]
+    energy = elements.bubble_energy(dim, mesh.cell_measures, mesh.cell_H)
+    rounding = 16 * np.finfo(float).eps * np.abs(S).max()
+    assert np.abs(S[:n_cr, n_cr:]).max() <= rounding
+    assert np.abs(S[:n_cr, :n_cr] - A_cr).max() <= rounding
+    assert np.abs(S[n_cr:, n_cr:] - np.diag(energy)).max() <= rounding
+
+
 # -- every primal ECR solve against its monolithic ECR system ---------------
 
 ORACLE_MESHES = [(2, 3), (3, 1)]
@@ -189,8 +209,12 @@ def test_mixed_solves_factorise_only_multiplier_sized_matrices(factorised, dim):
     assert factorised == [(dim * n_interior + mesh.n_cells - 1, "NATURAL")]
 
 
-def test_rt_side_never_touches_cr_or_ecr(monkeypatch):
-    # the RT0 side of each certificate must be independent of the ECR side
+@pytest.mark.parametrize("cutoff", [1, linsolve.DENSE_CUTOFF], ids=["arpack", "dense"])
+def test_rt_side_never_touches_cr_or_ecr(cutoff, monkeypatch):
+    # the RT0 side of each certificate must be independent of the ECR side,
+    # on either eigen path
+    monkeypatch.setattr(linsolve, "DENSE_CUTOFF", cutoff)
+
     def forbidden(*args, **kwargs):
         raise AssertionError("RT0 path called a CR/ECR/bubble function")
 

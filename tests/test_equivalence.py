@@ -502,6 +502,18 @@ def test_an_ecr_cr_level_sweep_factorises_each_mesh_once(factorised):
     assert factorised == [(len(m.interior_facet_indices()), "MMD_AT_PLUS_A") for m in meshes]
 
 
+def test_an_eigen_level_sweep_holds_one_meshs_factors_at_a_time(factors, monkeypatch):
+    # the four families of a mesh share its CR factor and hybrid RT0
+    # operator; the next mesh's first solve frees them
+    monkeypatch.setattr(linsolve, "DENSE_CUTOFF", 1)
+    meshes = mesh_hierarchy(build_box_mesh(2, 1), 3)[1:]
+    for i, mesh in enumerate(meshes):
+        for family in ("ECR", "CR", "RT-equiv", "RT-mixed"):
+            problems.solve_eigen(mesh, family, 2)
+        assert len(factors) == 2 * (i + 1)
+        assert alive(factors) == factors[-2:]
+
+
 # -- Stokes identity ---------------------------------------------------------------
 
 def test_stokes_identity_2d():

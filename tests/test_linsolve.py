@@ -91,9 +91,19 @@ GAUGED = [(name, dim) for name in ("stokes-ECR", "stokes-CR", "pseudostress",
           for dim in (2, 3)]
 
 
+def _saddle_matrix(system):
+    """The full bordered symmetric indefinite matrix of a SaddleSystem: the
+    block matrix with a multiplier row and column for its gauge."""
+    K = linsolve._block_matrix(system)
+    if system.gauge is None:
+        return K
+    c = sp.csc_matrix(system.gauge.c[:, None])
+    return sp.bmat([[K, c], [c.T, None]], format="csc")
+
+
 def _bordered_oracle(system):
     """Factorise the bordered matrix with its dense multiplier rows."""
-    K = linsolve.saddle_matrix(system)
+    K = _saddle_matrix(system)
     parts = [system.f] + ([system.g] if system.g is not None else [])
     rhs = np.concatenate(parts + [[system.gauge.rhs]])
     lu = sla.splu(K)
@@ -243,7 +253,8 @@ def test_pseudostress_factor_is_sparser_than_colamd(factorised):
     keep = np.delete(np.arange(system.n_primal + system.n_dual),
                      np.argmax(np.abs(system.gauge.k)))
     K = linsolve._block_matrix(system)[keep][:, keep]
-    linsolve._splu(K)                              # the same pinned matrix, COLAMD
+    linsolve._splu(K, permc_spec="COLAMD", diag_pivot_thresh=1.0,
+                   options={})                    # the same pinned matrix, COLAMD
     hybrid, saddle, colamd = factorised
     n_hybrid = 3 * len(mesh.interior_facet_indices()) + mesh.n_cells - 1
     assert hybrid == (n_hybrid, "NATURAL")
@@ -266,6 +277,19 @@ def test_a_factor_stores_its_l_and_u_and_nothing_else(problem, factorised):
     assert entry.stored <= 1.001 * entry.lu_nnz, (entry.stored, entry.lu_nnz)
 
 
+def test_a_column_block_solves_like_its_columns_and_gates_each():
+    mesh = mesh_hierarchy(build_box_mesh(2, 1), 2)[-1]
+    A = assembly.assemble_poisson(mesh, 0.0, "CR")[0]
+    F = np.random.default_rng(4).standard_normal((A.shape[0], 3))
+    F[:, 1] = 0.0
+    X = solve(assembly.SaddleSystem(A, F))[0]
+    for x, f in zip(X.T, F.T):
+        assert np.abs(x - solve_matrix(A, f)).max() <= 1e-15 * max(np.abs(x).max(), 1.0)
+    X[:, 2] *= 1.0 + 1e-9                          # one column off: the block fails
+    with pytest.raises(SolverError):
+        linsolve.gate_residual(F, X, A @ X)
+
+
 @pytest.mark.parametrize("field", ["c", "k"])
 def test_gauge_of_the_wrong_length_is_rejected(field):
     system = _gauged_system("stokes-CR", 2)
@@ -274,23 +298,35 @@ def test_gauge_of_the_wrong_length_is_rejected(field):
         assembly.SaddleSystem(system.A, system.f, system.B, system.g, short)
 
 
+def _assembled(A, M):
+    """``eig_smallest``'s (inverse, M, pencil) of an assembled SPD pencil
+    (A, M): A^-1 by its factor in the SPD order, and the two sides
+    (A x, lam M x)."""
+    lu = linsolve._splu(sp.csc_matrix(A), **linsolve._SPD_ORDER)
+    return lu.solve, M, lambda lam, x: (A @ x, lam * (M @ x))
+
+
+def _eig(A, M, k, config=None):
+    return eig_smallest(*_assembled(A, M), k, config)
+
+
 def test_eig_identity_pencil():
     A = sp.identity(6, format="csr")
-    lams, X = eig_smallest(A, A, 3)
+    lams, X = _eig(A, A, 3)
     assert np.allclose(lams, 1.0, atol=1e-12)
 
 
 def test_eig_diagonal_hand_problem():
     A = sp.diags([1.0, 2.0, 3.0]).tocsr()
     M = sp.identity(3, format="csr")
-    lams, X = eig_smallest(A, M, 3)
+    lams, X = _eig(A, M, 3)
     assert np.allclose(lams, [1, 2, 3], atol=1e-12)
 
 
 def test_eig_m_orthonormality():
     mesh = refine_uniform(refine_uniform(build_box_mesh(2, 1)))
     A, M, dm = assembly.assemble_eigen(mesh, "ECR")
-    lams, X = eig_smallest(A, M, 4)
+    lams, X = _eig(A, M, 4)
     G = X.T @ (M @ X)
     assert np.abs(G - np.eye(4)).max() < 1e-10
     for lam, x in zip(lams, X.T):
@@ -301,16 +337,16 @@ def test_eig_projected_mass_finite_count():
     # projected mass has rank = #cells; asking for more must fail
     mesh = build_box_mesh(2, 1)
     A, M, dm = assembly.assemble_eigen(mesh, "ECR", mass="projected")
-    lams, X = eig_smallest(A, M, 2)
+    lams, X = _eig(A, M, 2)
     assert len(lams) == 2
     with pytest.raises(SolverError):
-        eig_smallest(A, M, 3)
+        _eig(A, M, 3)
 
 
 def test_eigenvalues_invariant_under_vertex_renumbering():
     mesh = refine_uniform(build_box_mesh(2, 1))
     A, M, _ = assembly.assemble_eigen(mesh, "ECR")
-    lams, _ = eig_smallest(A, M, 3)
+    lams, _ = _eig(A, M, 3)
 
     rng = np.random.default_rng(11)
     perm = rng.permutation(mesh.n_vertices)
@@ -318,7 +354,7 @@ def test_eigenvalues_invariant_under_vertex_renumbering():
     inv[perm] = np.arange(mesh.n_vertices)
     mesh2 = SimplexMesh(2, mesh.vertices[perm], inv[mesh.cells])
     A2, M2, _ = assembly.assemble_eigen(mesh2, "ECR")
-    lams2, _ = eig_smallest(A2, M2, 3)
+    lams2, _ = _eig(A2, M2, 3)
     assert np.abs(lams - lams2).max() < 1e-10 * np.abs(lams).max()
 
 
@@ -326,9 +362,9 @@ def test_sparse_path_matches_dense_path(monkeypatch):
     mesh = refine_uniform(refine_uniform(build_box_mesh(2, 1)))
     A, M, _ = assembly.assemble_eigen(mesh, "CR")
     monkeypatch.setattr(linsolve, "DENSE_CUTOFF", 10 ** 6)
-    dense = eig_smallest(A, M, 2)[0]
+    dense = _eig(A, M, 2)[0]
     monkeypatch.setattr(linsolve, "DENSE_CUTOFF", 1)
-    sparse = eig_smallest(A, M, 2)[0]
+    sparse = _eig(A, M, 2)[0]
     assert np.abs(dense - sparse).max() < 1e-9 * dense.max()
 
 
@@ -342,21 +378,20 @@ def test_sparse_path_keeps_a_cut_degenerate_cluster_accurate(monkeypatch):
     N = sp.coo_matrix((noise, (coo.row[off], coo.col[off])), shape=M.shape)
     M = (M + N + N.T).tocsr()
     monkeypatch.setattr(linsolve, "DENSE_CUTOFF", 1)
-    lams, X = eig_smallest(A, M, 2, SolverConfig(seed=1))
+    lams, X = _eig(A, M, 2, SolverConfig(seed=1))
     assert lams[0] < lams[1]
     for lam, x in zip(lams, X.T):
         assert np.linalg.norm(A @ x - lam * (M @ x)) <= 1e-12 * np.linalg.norm(A @ x)
 
 
 def _rt_mixed_pencil(mesh):
-    system, rt, _ = assembly.assemble_mixed_poisson(mesh, 0.0)
-    M = sp.diags(np.concatenate([np.zeros(rt.n_total), mesh.cell_measures]))
-    return -linsolve.saddle_matrix(system), M
+    inverse, M, pencil, _ = problems._eigen_problem(mesh, "RT-mixed")
+    return inverse, M, pencil
 
 
 def _ecr_projected_pencil(mesh):
     A, M, _ = assembly.assemble_eigen(mesh, "ECR", "projected")
-    return A, M
+    return _assembled(A, M)
 
 
 @pytest.mark.parametrize("pencil", [_rt_mixed_pencil, _ecr_projected_pencil])
@@ -367,34 +402,41 @@ def test_finite_eigenvalue_count_is_the_number_of_cells(pencil, levels, cutoff,
     # one finite eigenvalue per cell on either path, and SolverError, never a
     # scipy error, one beyond
     mesh = mesh_hierarchy(build_box_mesh(2, 1), levels)[-1]
-    A, M = pencil(mesh)
+    problem = pencil(mesh)
     monkeypatch.setattr(linsolve, "DENSE_CUTOFF", cutoff)
-    lams, X = eig_smallest(A, M, mesh.n_cells)
+    lams, X = eig_smallest(*problem, mesh.n_cells)
     assert len(lams) == mesh.n_cells and np.all(np.diff(lams) >= 0)
     with pytest.raises(SolverError):
-        eig_smallest(A, M, mesh.n_cells + 1)
+        eig_smallest(*problem, mesh.n_cells + 1)
 
 
-@pytest.mark.parametrize("family", ["ECR", "CR", "RT-equiv", "RT-mixed"])
-def test_arpack_factorises_through_splu(factorised, family, monkeypatch):
+def test_the_four_eigen_families_factorise_two_matrices(factorised, monkeypatch):
+    # ARPACK on every family of one mesh: CR, ECR and RT-equiv shift-invert
+    # with the CR stiffness's factor, RT-mixed with the hybrid multiplier
+    # matrix's; both have one row per interior facet
     mesh = mesh_hierarchy(build_box_mesh(2, 1), 2)[-1]
     n_interior = len(mesh.interior_facet_indices())
-    size = {"ECR": n_interior + mesh.n_cells, "CR": n_interior,
-            "RT-equiv": n_interior + mesh.n_cells, "RT-mixed": mesh.n_facets + mesh.n_cells}
     monkeypatch.setattr(linsolve, "DENSE_CUTOFF", 1)
-    solve_eigen(mesh, family, 1)
-    assert factorised == [(size[family], "COLAMD")]
+    for family in ("ECR", "CR", "RT-equiv", "RT-mixed"):
+        solve_eigen(mesh, family, 1)
+    assert factorised == [(n_interior, "MMD_AT_PLUS_A")] * 2
 
 
 @pytest.mark.parametrize("cutoff", [1, 10 ** 6])
 def test_saddle_pencil_vectors_are_m_orthonormal_eigenvectors(cutoff, monkeypatch):
-    A, M = _rt_mixed_pencil(mesh_hierarchy(build_box_mesh(2, 1), 2)[-1])
+    # RT-mixed solves on P0 and recovers sigma: the pairs (sigma, u) are
+    # checked on the assembled saddle pencil -K z = lam diag(0, |K|) z
+    mesh = mesh_hierarchy(build_box_mesh(2, 1), 2)[-1]
+    system, rt, _ = assembly.assemble_mixed_poisson(mesh, 0.0)
+    K = _saddle_matrix(system)
+    M = sp.diags(np.concatenate([np.zeros(rt.n_total), mesh.cell_measures]))
     monkeypatch.setattr(linsolve, "DENSE_CUTOFF", cutoff)
-    lams, X = eig_smallest(A, M, 4)
-    assert np.all(lams > 0)
+    pairs = solve_eigen(mesh, "RT-mixed", 4)
+    X = np.array([np.concatenate([p.sigma.coeffs, p.u.coeffs]) for p in pairs]).T
+    assert all(p.lam > 0 for p in pairs)
     assert np.abs(X.T @ (M @ X) - np.eye(4)).max() <= 1e-12
-    for lam, x in zip(lams, X.T):
-        assert np.linalg.norm(A @ x - lam * (M @ x)) <= 1e-12 * np.linalg.norm(A @ x)
+    for pair, x in zip(pairs, X.T):
+        assert np.linalg.norm(-K @ x - pair.lam * (M @ x)) <= 1e-12 * np.linalg.norm(K @ x)
 
 
 def test_no_factorisation_sees_a_stored_zero(factorised):
@@ -417,5 +459,7 @@ def test_no_factorisation_sees_a_stored_zero(factorised):
         g = outward_flux_averages(mesh, fix.grad)
         for form in ("ecr", "cr", "mixed"):
             problems.solve_neumann(mesh, fix.f, g, form)
-    assert len(factorised) > 20
+    # the eigen families factorise nothing beyond the Poisson certificates'
+    # CR and hybrid RT0 matrices, which they share
+    assert len(factorised) > 15
     assert [(f, f.zeros) for f in factorised if f.zeros] == []
