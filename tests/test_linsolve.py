@@ -410,6 +410,18 @@ def test_finite_eigenvalue_count_is_the_number_of_cells(pencil, levels, cutoff,
         eig_smallest(*problem, mesh.n_cells + 1)
 
 
+@pytest.mark.parametrize("family", ["ECR", "CR", "RT-equiv", "RT-mixed"])
+def test_arpack_factorises_through_splu(factorised, family, monkeypatch):
+    # ARPACK's shift-invert on one family alone factorises one matrix, in the
+    # SPD order, through linsolve._splu: the CR stiffness for CR, ECR and
+    # RT-equiv, the hybrid multiplier matrix for RT-mixed
+    mesh = mesh_hierarchy(build_box_mesh(2, 1), 2)[-1]
+    n_interior = len(mesh.interior_facet_indices())
+    monkeypatch.setattr(linsolve, "DENSE_CUTOFF", 1)
+    solve_eigen(mesh, family, 1)
+    assert factorised == [(n_interior, "MMD_AT_PLUS_A")]
+
+
 def test_the_four_eigen_families_factorise_two_matrices(factorised, monkeypatch):
     # ARPACK on every family of one mesh: CR, ECR and RT-equiv shift-invert
     # with the CR stiffness's factor, RT-mixed with the hybrid multiplier
