@@ -1,4 +1,10 @@
-"""Error norms, data oscillation, rate fitting and convergence tables."""
+"""Error norms, data oscillation, rate fitting and convergence tables.
+
+Error norms and the oscillation sample their callables and fields one block
+of cells at a time (``quadrature.cell_blocks``, under
+``quadrature.BLOCK_BYTES``), reduce each block to per-cell squares, and sum
+the cells once at the end: no sample spans the mesh, and the result does
+not depend on the block size."""
 
 from __future__ import annotations
 
@@ -6,51 +12,68 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import load_values
-from .quadrature import cell_weights, integrate_cellwise, physical_points, rule_for_degree
+from .assembly import reduce_load
+from .quadrature import (cell_blocks, cell_weights, integrate_cellwise, physical_points,
+                         rule_for_degree)
 
 ERROR_DEGREE = 8
 
 
-def l2_norm_of_values(mesh, values, rule):
-    """L2 norm of sampled (possibly vector/tensor valued) data (nc, Q, ...):
-    the squares, summed over the trailing axes, and the weights are reduced
-    in one einsum."""
+def _cell_squares(mesh, values, rule, cells=slice(None)):
+    """Squared L2 norm on each cell of ``cells`` of sampled (possibly
+    vector/tensor valued) data (b, Q, ...): the squares, summed over the
+    trailing axes, and the weights are reduced in one einsum."""
     v = values.reshape(values.shape[:2] + (-1,))
-    return float(np.sqrt(np.einsum("cqk,cqk,cq->c", v, v, cell_weights(mesh, rule)).sum()))
+    return np.einsum("cqk,cqk,cq->c", v, v, cell_weights(mesh, rule, cells))
 
 
-def _error(mesh, sample, exact):
+def l2_norm_of_values(mesh, values, rule):
+    """L2 norm of sampled (possibly vector/tensor valued) data (nc, Q, ...)."""
+    return float(np.sqrt(_cell_squares(mesh, values, rule).sum()))
+
+
+def _error(field, sample, exact):
     """|| exact - sample || on the degree-ERROR_DEGREE rule, ``sample`` a
-    field method taking barycentric points and ``exact`` a callable.
-    ``exact`` is evaluated first, so that the points and its temporaries
-    are freed before the field is sampled.  The difference is formed in the
-    field's own sample; ``exact``'s output may be a read-only broadcast, and
-    is only read."""
+    sampler of ``field`` taking (barycentric points, cells) and ``exact`` a
+    callable.  Both are sampled one block of cells at a time
+    (``quadrature.cell_blocks``, sized by n * ncomp values a point, which
+    bounds the points, the field's gradients and its values), and each
+    block is reduced to its cells' squared errors; the cells are summed
+    once at the end.  ``exact`` is evaluated first, so that the points and
+    its temporaries are freed before the field is sampled.  The difference
+    is formed in the field's own sample; ``exact``'s output may be a
+    read-only broadcast, and is only read."""
+    mesh = field.mesh
     rule = rule_for_degree(mesh.dim, ERROR_DEGREE)
-    exact_values = exact(physical_points(mesh, rule.points))
-    diff = np.require(sample(rule.points), float, "W")
-    diff -= exact_values
-    return l2_norm_of_values(mesh, diff, rule)
+    squares = np.empty(mesh.n_cells)
+    for cells in cell_blocks(mesh.n_cells, rule.n_points * mesh.dim * field.ncomp):
+        exact_values = exact(physical_points(mesh, rule.points, cells))
+        diff = np.require(sample(rule.points, cells), float, "W")
+        diff -= exact_values
+        squares[cells] = _cell_squares(mesh, diff, rule, cells)
+    return float(np.sqrt(squares.sum()))
 
 
 def l2_error(field, exact_u):
     """|| u - u_h || by quadrature against a callable exact solution."""
-    return _error(field.mesh, field.values, exact_u)
+    return _error(field, field.value_sampler(), exact_u)
 
 
 def broken_h1_error(field, exact_grad):
     """|| grad u - grad_NC u_h || (cellwise gradients)."""
-    return _error(field.mesh, field.gradients, exact_grad)
+    return _error(field, field.gradient_sampler(), exact_grad)
 
 
 def osc(f, mesh):
     """Data oscillation (sum_K h_K^2 ||f - Pi0 f||_K^2)^(1/2) against the
-    piecewise-constant best approximation."""
+    piecewise-constant best approximation, with f sampled and reduced one
+    block of cells at a time."""
     rule = rule_for_degree(mesh.dim, ERROR_DEGREE)
-    vals = load_values(mesh, f, rule)
-    means = integrate_cellwise(mesh, vals, rule) / mesh.cell_measures
-    sq = integrate_cellwise(mesh, (vals - means[:, None]) ** 2, rule)
+
+    def squares(vals, cells):
+        means = integrate_cellwise(mesh, vals, rule, cells) / mesh.cell_measures[cells]
+        return integrate_cellwise(mesh, (vals - means[:, None]) ** 2, rule, cells)
+    sq, = reduce_load(mesh, f, rule, 1, squares)
     return float(np.sqrt((mesh.cell_diameters ** 2 * sq).sum()))
 
 

@@ -30,7 +30,7 @@ import scipy.sparse as sp
 
 from . import elements
 from .mesh import MeshError
-from .quadrature import (cell_weights, integrate_cellwise, physical_points,
+from .quadrature import (cell_blocks, cell_weights, integrate_cellwise, physical_points,
                          rule_for_degree)
 
 DEFAULT_LOAD_DEGREE = 8
@@ -212,38 +212,80 @@ def stiffness_local(mesh, family):
     raise ValueError(f"no stiffness for family {family!r}")
 
 
-def load_values(mesh, f, rule, ncomp=1):
-    """Sample a load on the quadrature grid: callable, per-cell array,
-    constant, (for vector loads) a length-ncomp constant tuple, or values
-    already sampled on the points of ``rule``, shape (nc, Q[, ncomp])."""
-    nc, q = mesh.n_cells, rule.n_points
-    shape = (nc, q) if ncomp == 1 else (nc, q, ncomp)
+class CellLoad(NamedTuple):
+    """A load already reduced on each cell on the degree-DEFAULT_LOAD_DEGREE
+    rule: its integrals (nc[, ncomp]) and its moments against the CR basis
+    (nc, n+1, ncomp), as ``load_integrals`` and ``load_moments`` give them.
+    ``load_integrals`` and the CR ``load_vector`` take it in place of a
+    load: an ECR solve in ``problems`` reduces its load to it in the same
+    pass over the cells as its bubble moments, so the load is sampled once."""
+
+    integrals: np.ndarray
+    cr_moments: np.ndarray
+
+
+def _sample(mesh, f, rule, ncomp, cells):
+    """The load on the quadrature points of the cells ``cells``:
+    (b, Q[, ncomp]) for the b cells of the slice (see ``load_values``)."""
+    b, q = len(range(mesh.n_cells)[cells]), rule.n_points
+    shape = (b, q) if ncomp == 1 else (b, q, ncomp)
     if callable(f):
-        vals = np.asarray(f(physical_points(mesh, rule.points)), dtype=float)
+        vals = np.asarray(f(physical_points(mesh, rule.points, cells)), dtype=float)
         if vals.shape != shape:
             raise DataError(f"load callable returned shape {vals.shape}, expected {shape}")
         return vals
     arr = np.asarray(f, dtype=float)
-    if arr.shape == shape:
-        return arr
+    nc = mesh.n_cells
+    if arr.shape == (nc,) + shape[1:]:
+        return arr[cells]
     if arr.ndim == 0:
         if ncomp != 1:
             raise DataError("vector load needs ncomp values")
         return np.full(shape, float(arr))
     if ncomp == 1 and arr.shape == (nc,):
-        return np.broadcast_to(arr[:, None], shape).copy()
+        return np.broadcast_to(arr[cells, None], shape).copy()
     if ncomp > 1 and arr.shape == (ncomp,):
         return np.broadcast_to(arr[None, None, :], shape).copy()
     if ncomp > 1 and arr.shape == (nc, ncomp):
-        return np.broadcast_to(arr[:, None, :], shape).copy()
+        return np.broadcast_to(arr[cells, None, :], shape).copy()
     raise DataError(f"cannot interpret load of shape {arr.shape}")
+
+
+def reduce_load(mesh, f, rule, ncomp, *reductions):
+    """Per-cell reductions of a load, sampled one block of cells at a time
+    (``quadrature.cell_blocks``, sized by a block's physical points): each
+    reduction, called as ``reduce(values, cells)`` with the load on the
+    points of the cells ``cells`` (b, Q[, ncomp]), returns those cells' rows
+    of one (nc, ...) array.  Returns the list of these arrays.  Only one
+    block of the sample exists at a time."""
+    out = [None] * len(reductions)
+    for cells in cell_blocks(mesh.n_cells, rule.n_points * mesh.dim):
+        values = _sample(mesh, f, rule, ncomp, cells)
+        for i, reduce in enumerate(reductions):
+            rows = reduce(values, cells)
+            if out[i] is None:
+                out[i] = np.empty((mesh.n_cells,) + rows.shape[1:])
+            out[i][cells] = rows
+    return out
+
+
+def load_values(mesh, f, rule, ncomp=1):
+    """Sample a load on the quadrature grid: callable, per-cell array,
+    constant, (for vector loads) a length-ncomp constant tuple, or values
+    already sampled on the points of ``rule``, shape (nc, Q[, ncomp]).  A
+    callable is evaluated one block of cells at a time (``reduce_load``),
+    so that its points and temporaries never span the mesh."""
+    return reduce_load(mesh, f, rule, ncomp, lambda values, cells: values)[0]
 
 
 def load_integrals(mesh, f, ncomp=1):
     """Per-cell integrals of a load on the degree-DEFAULT_LOAD_DEGREE rule:
-    (nc,) or (nc, ncomp)."""
+    (nc,) or (nc, ncomp), reduced one block of cells at a time."""
+    if isinstance(f, CellLoad):
+        return f.integrals
     rule = rule_for_degree(mesh.dim, DEFAULT_LOAD_DEGREE)
-    return integrate_cellwise(mesh, load_values(mesh, f, rule, ncomp), rule)
+    return reduce_load(mesh, f, rule, ncomp,
+                       lambda values, cells: integrate_cellwise(mesh, values, rule, cells))[0]
 
 
 def piecewise_constant_load(mesh, f, ncomp=1):
@@ -252,20 +294,31 @@ def piecewise_constant_load(mesh, f, ncomp=1):
     return load_integrals(mesh, f, ncomp) / meas
 
 
+def load_moments(mesh, family, rule, values, cells):
+    """The local load vectors (f, phi_a)_K of the CR or ECR basis on the
+    cells ``cells``, from the load sampled on their points, values
+    (b, Q[, ncomp]): (b, nldof, ncomp)."""
+    w = cell_weights(mesh, rule, cells)
+    if family == "ECR":
+        vals, _ = elements.ecr_eval_mesh(mesh, rule.points, cells)
+    elif family == "CR":
+        cr_vals, _ = elements.cr_eval_mesh(mesh, rule.points)
+        vals = np.broadcast_to(cr_vals[None, :, :], (len(w),) + cr_vals.shape)
+    else:
+        raise ValueError(family)
+    return np.einsum("cqa,cqr,cq->car", vals, values.reshape(w.shape + (-1,)), w)
+
+
 def load_vector(mesh, dofmap, f):
     """The CR or ECR load vector (f, phi_a) over ``dofmap``, on the
-    degree-DEFAULT_LOAD_DEGREE rule."""
+    degree-DEFAULT_LOAD_DEGREE rule, reduced one block of cells at a time;
+    a CR map also takes a ``CellLoad``."""
+    if isinstance(f, CellLoad):
+        return scatter_vector(dofmap, f.cr_moments)
     rule = rule_for_degree(mesh.dim, DEFAULT_LOAD_DEGREE)
-    w = cell_weights(mesh, rule)
-    if dofmap.family == "ECR":
-        vals, _ = elements.ecr_eval_mesh(mesh, rule.points)
-    elif dofmap.family == "CR":
-        cr_vals, _ = elements.cr_eval_mesh(mesh, rule.points)
-        vals = np.broadcast_to(cr_vals[None, :, :], (mesh.n_cells,) + cr_vals.shape)
-    else:
-        raise ValueError(dofmap.family)
-    fv = load_values(mesh, f, rule, dofmap.ncomp).reshape(w.shape + (dofmap.ncomp,))
-    return scatter_vector(dofmap, np.einsum("cqa,cqr,cq->car", vals, fv, w))
+    moments, = reduce_load(mesh, f, rule, dofmap.ncomp, lambda values, cells: load_moments(
+        mesh, dofmap.family, rule, values, cells))
+    return scatter_vector(dofmap, moments)
 
 
 # -- problem systems ---------------------------------------------------------

@@ -108,32 +108,35 @@ def cr_eval_mesh(mesh, bary):
     return _cr(mesh.dim, np.asarray(bary), mesh.barycentric_gradients)
 
 
-def bubble_values(mesh, bary):
-    """Bubble phi_K on every cell at barycentric points: (nc, Q).
+def bubble_values(mesh, bary, cells=slice(None)):
+    """Bubble phi_K at barycentric points on the cells ``cells`` (a slice,
+    all by default): (nc, Q).
 
     With d_i = a_i - mid(K), x - mid(K) = sum_i lam_i d_i, so
     |x - mid(K)|^2 = lam^T G_K lam for the vertex Gram matrix
     G_K[i, j] = d_i . d_j: no (nc, Q, n) point or offset array is formed."""
-    d = centred_points(mesh, np.eye(mesh.dim + 1))
+    d = centred_points(mesh, np.eye(mesh.dim + 1), cells)
     gram = np.einsum("cin,cjn->cij", d, d)
     bary = np.asarray(bary)
     sq = np.einsum("qi,cij,qj->cq", bary, gram, bary)
-    return _bubble_value(mesh.dim, sq, mesh.cell_H[:, None])
+    return _bubble_value(mesh.dim, sq, mesh.cell_H[cells, None])
 
 
-def bubble_eval_mesh(mesh, bary):
-    """Bubble phi_K on every cell: values (nc, Q), gradients (nc, Q, n)."""
-    dx = centred_points(mesh, bary)
-    return bubble_values(mesh, bary), _bubble_gradient(mesh.dim, dx, mesh.cell_H[:, None])
+def bubble_eval_mesh(mesh, bary, cells=slice(None)):
+    """Bubble phi_K on the cells ``cells``: values (nc, Q), gradients
+    (nc, Q, n)."""
+    dx = centred_points(mesh, bary, cells)
+    return (bubble_values(mesh, bary, cells),
+            _bubble_gradient(mesh.dim, dx, mesh.cell_H[cells, None]))
 
 
-def ecr_eval_mesh(mesh, bary):
-    """ECR basis on every cell: values (nc, Q, n+2), gradients
+def ecr_eval_mesh(mesh, bary, cells=slice(None)):
+    """ECR basis on the cells ``cells``: values (nc, Q, n+2), gradients
     (nc, Q, n+2, n); the bubble is slot n+1."""
     n = mesh.dim
-    bubble, bubble_grad = bubble_eval_mesh(mesh, bary)
+    bubble, bubble_grad = bubble_eval_mesh(mesh, bary, cells)
     return (_ecr_values(n, np.asarray(bary), bubble),
-            _ecr_gradients(n, mesh.barycentric_gradients[:, None], bubble_grad))
+            _ecr_gradients(n, mesh.barycentric_gradients[cells, None], bubble_grad))
 
 
 # -- local matrices, every array with a leading cell axis --------------------

@@ -2,9 +2,12 @@
 Laplace-eigenvalue model problems, plus exact-solution fixtures.
 
 Field values and gradients are closed forms in each cell's affine parts;
-no basis function is evaluated for them.  The drivers take a mesh and the
-problem data: loads are sampled on the rule of degree
-``assembly.DEFAULT_LOAD_DEGREE`` and every solve is gated at
+no basis function is evaluated for them.  Each field's samplers take a
+slice of cells and its parts once, so that ``analysis`` samples a field
+one block of cells at a time.  The drivers take a mesh and the problem
+data: loads are sampled on the rule of degree
+``assembly.DEFAULT_LOAD_DEGREE``, one block of cells at a time
+(``assembly.reduce_load``), and every solve is gated at
 ``linsolve.RESIDUAL_TOL``.  Only ``solve_eigen`` takes a
 ``linsolve.SolverConfig``, which seeds ARPACK's start vector.
 
@@ -35,23 +38,25 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import partial, reduce
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import assembly, elements, linsolve
-from .quadrature import centred_points, rule_for_degree
+from .quadrature import centred_points, integrate_cellwise, rule_for_degree
 
 
 # -- discrete fields ---------------------------------------------------------
 
-def _affine_values(mesh, c, r, bary):
+def _affine_values(mesh, c, r, bary, cells=slice(None)):
     """The cellwise affine field c_K + r_K (x - mid K) at barycentric
-    points: (nc, Q, n) from (c (nc, n), r (nc,)), built in place on the
-    centred points, or (nc, Q, m, n) rows from (c (nc, m, n), r (nc, m))."""
-    dx = centred_points(mesh, bary)
+    points on the cells ``cells`` (a slice, all by default): (b, Q, n) from
+    (c (nc, n), r (nc,)), built in place on the centred points, or
+    (b, Q, m, n) rows from (c (nc, m, n), r (nc, m))."""
+    dx = centred_points(mesh, bary, cells)
+    c, r = c[cells], r[cells]
     if r.ndim == 2:
         return c[:, None] + np.einsum("cm,cqn->cqmn", r, dx)
     dx *= r[:, None, None]
@@ -79,22 +84,31 @@ class BrokenField:
     def ncomp(self):
         return self.dofmap.ncomp
 
-    def values(self, bary):
-        """(nc, Q) for scalar fields, (nc, Q, ncomp) for vector fields.
+    def values(self, bary, cells=slice(None)):
+        """(nc, Q) for scalar fields, (nc, Q, ncomp) for vector fields, on
+        the cells ``cells`` (a slice, all by default).
 
         On K, with dx = x - mid K, the cell average m_K and the gradient
         parts (g_K, r_K): u = m_K + g_K . dx + (r_K / 2)(|dx|^2 - tr S_K / |K|),
         and u = m_K for P0, with dx from ``quadrature.centred_points``."""
-        mesh, bary = self.mesh, np.asarray(bary)
+        return self.value_sampler()(bary, cells)
+
+    def value_sampler(self):
+        """``values`` as a function of (bary, cells) that takes the field's
+        cellwise parts once, for sampling one block of cells at a time."""
+        mesh = self.mesh
         m = self.cell_averages()
         if self.dofmap.family == "P0":
-            return np.repeat(m[:, None], len(bary), axis=1)
+            return lambda bary, cells=slice(None): np.repeat(m[cells, None], len(bary), axis=1)
         g, r = self.gradient_parts()
-        dx = centred_points(mesh, bary)
         mean_sq = np.einsum("cii->c", mesh.cell_second_moments) / mesh.cell_measures
-        sq = np.einsum("cqn,cqn->cq", dx, dx) - mean_sq[:, None]
-        return (m[:, None] + np.einsum("cqn,c...n->cq...", dx, g)
-                + 0.5 * np.einsum("c...,cq->cq...", r, sq))
+
+        def sample(bary, cells=slice(None)):
+            dx = centred_points(mesh, np.asarray(bary), cells)
+            sq = np.einsum("cqn,cqn->cq", dx, dx) - mean_sq[cells, None]
+            return (m[cells, None] + np.einsum("cqn,c...n->cq...", dx, g[cells])
+                    + 0.5 * np.einsum("c...,cq->cq...", r[cells], sq))
+        return sample
 
     def gradient_parts(self):
         """Cellwise representation grad u|_K = g_K + r_K (x - mid K) of the
@@ -114,9 +128,15 @@ class BrokenField:
             r = np.zeros((mesh.n_cells, self.ncomp))
         return (g[:, 0], r[:, 0]) if self.ncomp == 1 else (g, r)
 
-    def gradients(self, bary):
-        """(nc, Q, n) for scalar fields, (nc, Q, ncomp, n) for vector."""
-        return _affine_values(self.mesh, *self.gradient_parts(), bary)
+    def gradients(self, bary, cells=slice(None)):
+        """(nc, Q, n) for scalar fields, (nc, Q, ncomp, n) for vector, on
+        the cells ``cells``."""
+        return self.gradient_sampler()(bary, cells)
+
+    def gradient_sampler(self):
+        """``gradients`` as a function of (bary, cells) that takes the
+        gradient parts once."""
+        return partial(_affine_values, self.mesh, *self.gradient_parts())
 
     def cell_averages(self):
         """Exact cellwise averages: (nc,) or (nc, ncomp)."""
@@ -142,10 +162,16 @@ class RTField:
     def ncomp(self):
         return self.dofmap.ncomp
 
-    def values(self, bary):
+    def values(self, bary, cells=slice(None)):
         """(nc, Q, n) for a vector field, (nc, Q, ncomp, n) rows for a
-        tensor field: c_K + r_K (x - mid K) from ``affine_parts``."""
-        return _affine_values(self.mesh, *self.affine_parts(), bary)
+        tensor field, on the cells ``cells``: c_K + r_K (x - mid K) from
+        ``affine_parts``."""
+        return self.value_sampler()(bary, cells)
+
+    def value_sampler(self):
+        """``values`` as a function of (bary, cells) that takes the affine
+        parts once."""
+        return partial(_affine_values, self.mesh, *self.affine_parts())
 
     def cell_divergence(self):
         """Exact cellwise-constant divergence: (nc,) or (nc, ncomp)."""
@@ -248,32 +274,49 @@ def outward_flux_averages(mesh, grad_u):
 # the assembled ECR stiffness only gates their residuals, and is otherwise
 # a test oracle.
 
-def bubble_coefficients(mesh, f, ncomp=1):
-    """Per-cell bubble coefficients (f, phi_K)_K / ||grad phi_K||_K^2 of a
-    load: (nc,) or (nc, ncomp).  The physical weights n! |K| w_q are applied
-    after the sum over the points, so that besides the load sample only the
-    (nc, Q) bubble values are formed."""
+def _bubble_moments(mesh, rule):
+    """The ``assembly.reduce_load`` reduction sum_q w_q phi_K(x_q) f(x_q)
+    of a block of cells: (b,) or (b, ncomp).  Only the (b, Q) bubble values
+    are formed besides the load sample."""
+    return lambda values, cells: np.einsum(
+        "cq,q,cq...->c...", elements.bubble_values(mesh, rule.points, cells), rule.weights, values)
+
+
+def _bubbles_of(mesh, moments):
+    """Bubble coefficients from the moments of ``_bubble_moments``: the
+    physical weights n! |K| w_q are applied after the sum over the points,
+    and the bubble energy is divided out."""
     n = mesh.dim
-    rule = rule_for_degree(n, assembly.DEFAULT_LOAD_DEGREE)
-    fv = assembly.load_values(mesh, f, rule, ncomp)
-    moments = np.einsum("cq,q,cq...->c...", elements.bubble_values(mesh, rule.points),
-                        rule.weights, fv)
     scale = (math.factorial(n) * mesh.cell_measures
              / elements.bubble_energy(n, mesh.cell_measures, mesh.cell_H))
-    return moments * (scale if ncomp == 1 else scale[:, None])
+    return moments * (scale if moments.ndim == 1 else scale[:, None])
+
+
+def bubble_coefficients(mesh, f, ncomp=1):
+    """Per-cell bubble coefficients (f, phi_K)_K / ||grad phi_K||_K^2 of a
+    load: (nc,) or (nc, ncomp), reduced one block of cells at a time."""
+    rule = rule_for_degree(mesh.dim, assembly.DEFAULT_LOAD_DEGREE)
+    return _bubbles_of(mesh, assembly.reduce_load(mesh, f, rule, ncomp,
+                                                  _bubble_moments(mesh, rule))[0])
 
 
 def _cr_system(mesh, f, family, assemble, ncomp=1):
     """``assemble(load)`` of the CR system and, for ECR, the bubble
-    coefficients (None for CR), both from one sample of f.  The sample dies
-    here, so that it is not held across the caller's factorisation."""
+    coefficients (None for CR).  For ECR one pass over blocks of cells
+    samples f once and reduces each block to its integrals, CR moments and
+    bubble moments; ``assemble`` gets the first two as an
+    ``assembly.CellLoad``.  No sample of f outlives its block."""
     if family == "CR":
         return assemble(f), None
     if family != "ECR":
         raise ValueError(f"primal problems support families CR and ECR, not {family!r}")
     rule = rule_for_degree(mesh.dim, assembly.DEFAULT_LOAD_DEGREE)
-    fv = assembly.load_values(mesh, f, rule, ncomp)
-    return assemble(fv), bubble_coefficients(mesh, fv, ncomp)
+    integrals, moments, bubbles = assembly.reduce_load(
+        mesh, f, rule, ncomp,
+        lambda values, cells: integrate_cellwise(mesh, values, rule, cells),
+        lambda values, cells: assembly.load_moments(mesh, "CR", rule, values, cells),
+        _bubble_moments(mesh, rule))
+    return assemble(assembly.CellLoad(integrals, moments)), _bubbles_of(mesh, bubbles)
 
 
 def bubble_split(dm):
@@ -772,14 +815,37 @@ def _ecr_inverse(mesh, dm, operator):
     return inverse
 
 
-def _on_cells(mesh, solve, sides):
+def _hybrid_inverse(mesh, operator):
+    """The P0 part of the Dirichlet hybrid solve (``_solve_rt0_hybrid``)
+    with the load g = -y, as a bare linear map of y (nc[, r]):
+    u = d g - R S^-1 L g, with d_K = inverse_K[n+1, n+1], L (interior
+    facets x cells) the multiplier load from D_K inverse_K[:p, n+1], R
+    (cells x interior facets) the recovery from D_K inverse_K[n+1, :p],
+    and S^-1 the LU solve of ``operator``'s factor.  Like the CR factor's
+    ``lu.solve`` it takes no refinement step and no gate: ARPACK applies it,
+    and each eigenpair is gated on the unhybridised pencil."""
+    inv, coupling, dofs = operator.inverse, operator.coupling, operator.dofs
+    p, nc = dofs.shape[1], mesh.n_cells
+    cells, size = np.arange(nc)[:, None], (operator.system.n_primal, nc)
+    L = assembly.scatter_matrix(dofs, cells, (coupling * inv[:, :p, p])[:, :, None], size)
+    R = assembly.scatter_matrix(cells, dofs, (inv[:, p, :p] * coupling)[:, None, :], size[::-1])
+    d, lu = inv[:, p, p], operator.factor.lu
+
+    def inverse(y):
+        g = -y
+        return d.reshape(d.shape + (1,) * (g.ndim - 1)) * g - R @ lu.solve(L @ g)
+    return inverse
+
+
+def _on_cells(mesh, inverse, solve, sides):
     """``eig_smallest``'s (inverse, M, pencil) of a pencil A z = lam N z
     whose mass N is diag(|K|) on one unknown u per cell and zero on the
     others, w, and the map from a pair's u to its whole vector: the problem
     is solved on the cells alone, where the Schur complement of A has the
     same finite eigenpairs and the inverse is the u part of A^-1 (0, y).
-    ``solve(y)`` returns (w, u) = A^-1 (0, y), for y (nc[, r]).  A pair's
-    vector is the purified z = A^-1 N (0, u), scaled to ||u||_|K| = 1: its
+    ``inverse(y)`` applies that inverse, for y (nc[, r]); ``solve(y)``
+    returns the whole (w, u) = A^-1 (0, y).  A pair's vector is the
+    purified z = A^-1 N (0, u) from ``solve``, scaled to ||u||_|K| = 1: its
     w rows then hold to rounding, where w recovered beside the Ritz u left
     the residual at 1.1-3.0e-12 on the RT-equiv pencil at 2D L5
     (Nour-Omid, Parlett, Ericsson & Jensen, Math. Comp. 48, 1987).  Each
@@ -792,7 +858,7 @@ def _on_cells(mesh, solve, sides):
         scale = 1.0 / np.sqrt(np.einsum("c,c...,c...->...", measures, u, u))
         return w * scale, u * scale
 
-    return ((lambda y: solve(y)[1]), sp.diags(measures),
+    return (inverse, sp.diags(measures),
             (lambda lam, u: sides(lam, *whole(u))), whole)
 
 
@@ -807,9 +873,11 @@ def _eigen_problem(mesh, family):
             return (-np.concatenate(product),
                     lam * np.concatenate([np.zeros(mesh.n_facets), mesh.cell_measures * u]))
 
-        # -K (sigma, u) = (0, y): the hybrid solve with the load -y
+        # -K (sigma, u) = (0, y): the hybrid solve with the load -y, gated
+        # for the pairs, a bare map for ARPACK
         *problem, whole = _on_cells(
-            mesh, lambda y: _solve_rt0_hybrid(mesh, -y, operator=operator), sides)
+            mesh, _hybrid_inverse(mesh, operator),
+            lambda y: _solve_rt0_hybrid(mesh, -y, operator=operator), sides)
         rt, p0 = assembly.DofMap.build(mesh, "RT0"), assembly.DofMap.build(mesh, "P0")
 
         def pairs(lams, U):
@@ -838,7 +906,7 @@ def _eigen_problem(mesh, family):
         x = np.concatenate([facets, u])
         return A @ x, lam * (M @ x)
 
-    *problem, whole = _on_cells(mesh, solve, sides)
+    *problem, whole = _on_cells(mesh, lambda y: solve(y)[1], solve, sides)
 
     def pairs(lams, U):
         W, U = whole(U)
@@ -865,11 +933,13 @@ def solve_eigen(mesh, family="ECR", k=1, config=None):
     RT-mixed maps u to the P0 part of the hybrid solve (``hybrid_operator``)
     with the load -|K| u, which is self-adjoint in diag(|K|) with
     eigenvalues 1/lam, and RT-equiv maps it to the cell part of
-    A_ECR^-1 (0, |K| u).  The rest of each pair, sigma or the facet
-    coefficients, is recovered by one more solve.  Each pair is gated on
+    A_ECR^-1 (0, |K| u).  ARPACK applies the RT-mixed map bare, like the CR
+    factor's LU solve: u = d g - R S^-1 L g with g = -|K| u, from the local
+    inverses and the LU of S alone (``_hybrid_inverse``).  The rest of each
+    pair, sigma or the facet coefficients, is recovered by one more solve,
+    for RT-mixed the gated ``_solve_rt0_hybrid``.  Each pair is gated on
     the residual of its family's whole pencil, for RT-mixed the
-    unhybridised one, applied from the local blocks, and every hybrid
-    solve is gated as in ``_solve_rt0_hybrid``.  ``config`` (a
+    unhybridised one, applied from the local blocks.  ``config`` (a
     ``linsolve.SolverConfig``) seeds ARPACK's start vector;
     ``linsolve.eig_smallest`` picks the dense or the ARPACK path.
     """

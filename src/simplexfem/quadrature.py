@@ -6,6 +6,14 @@ construction.  Points are stored as barycentric coordinates with respect to
 the cell vertex order; weights sum to the reference-simplex volume 1/n!.  A
 facet of an n-simplex takes the (n-1)-dimensional rule, in the facet's own
 vertex order.
+
+Whole-mesh samples are taken a block of cells at a time: ``cell_blocks``
+cuts the cells into consecutive slices, each small enough that one
+(cells, width) float array of the block stays within ``BLOCK_BYTES``.  The
+point maps and the weights take such a slice (all cells by default), and
+each caller reduces a block to per-cell results before the next block is
+sampled.  A per-cell result does not depend on the block it was computed
+in, so blocking leaves every result bitwise as it is.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 MAX_DEGREE = 30
+BLOCK_BYTES = 2 ** 21      # bytes of one (cells, width) float temporary of a cell block
 
 
 class QuadratureError(ValueError):
@@ -87,30 +96,37 @@ def _rule(dim, degree):
     return QuadratureRule(dim, degree, bary, w)
 
 
-def physical_points(mesh, bary):
-    """Map barycentric points (Q, n+1) to physical points on every cell,
-    returning (nc, Q, n)."""
-    return np.asarray(bary) @ mesh.vertices[mesh.cells]
+def cell_blocks(n_cells, width):
+    """Consecutive slices covering range(n_cells), each of as many cells as
+    keep a (cells, width) float array within ``BLOCK_BYTES``, and at least
+    one cell."""
+    size = max(1, BLOCK_BYTES // (8 * width))
+    for start in range(0, n_cells, size):
+        yield slice(start, min(start + size, n_cells))
 
 
-def centred_points(mesh, bary):
-    """x - mid K at barycentric points (Q, n+1) on every cell: (nc, Q, n),
-    as sum_k lam_k (a_k - mid K) over the vertices a_k of K.  At the
-    vertices (``bary`` the identity) these are the vertex offsets."""
-    return np.asarray(bary) @ (mesh.vertices[mesh.cells] - mesh.cell_centroids[:, None])
+def physical_points(mesh, bary, cells=slice(None)):
+    """Map barycentric points (Q, n+1) to physical points on the cells
+    ``cells`` (a slice, all by default), returning (nc, Q, n)."""
+    return np.asarray(bary) @ mesh.vertices[mesh.cells[cells]]
 
 
-def cell_weights(mesh, rule):
-    """Physical quadrature weights (nc, Q): n! * |K| * w_q."""
-    return math.factorial(mesh.dim) * np.multiply.outer(mesh.cell_measures, rule.weights)
+def centred_points(mesh, bary, cells=slice(None)):
+    """x - mid K at barycentric points (Q, n+1) on the cells ``cells``:
+    (nc, Q, n), as sum_k lam_k (a_k - mid K) over the vertices a_k of K.  At
+    the vertices (``bary`` the identity) these are the vertex offsets."""
+    return np.asarray(bary) @ (mesh.vertices[mesh.cells[cells]]
+                               - mesh.cell_centroids[cells, None])
 
 
-def integrate_cellwise(mesh, values, rule):
-    """Integral over each cell of sampled values (nc, Q, ...) -> (nc, ...)."""
-    w = cell_weights(mesh, rule)
+def cell_weights(mesh, rule, cells=slice(None)):
+    """Physical quadrature weights (nc, Q) on the cells ``cells``:
+    n! * |K| * w_q."""
+    return math.factorial(mesh.dim) * np.multiply.outer(mesh.cell_measures[cells], rule.weights)
+
+
+def integrate_cellwise(mesh, values, rule, cells=slice(None)):
+    """Integral over each cell of ``cells`` of sampled values (nc, Q, ...)
+    -> (nc, ...)."""
+    w = cell_weights(mesh, rule, cells)
     return np.einsum("cq,cq...->c...", w, values)
-
-
-def integrate(mesh, values, rule):
-    """Integral over the whole mesh of sampled values (nc, Q, ...)."""
-    return integrate_cellwise(mesh, values, rule).sum(axis=0)

@@ -479,3 +479,22 @@ def test_rt_eigen_dense_and_sparse_paths_agree(family, monkeypatch):
     field = (lambda p: p.u.coeffs) if family == "RT-mixed" else (lambda p: p.primal.coeffs)
     a, b = field(dense[0]), field(sparse[0])
     assert np.abs(_sign_to(b, a) * b - a).max() <= 1e-10 * np.abs(a).max()
+
+
+def test_rt_mixed_arpack_applies_the_bare_hybrid_map(monkeypatch):
+    # ARPACK applies the hybrid solve as a bare linear map; the gated solve
+    # runs once per pair for its gate and once for all k pairs' vectors
+    mesh = mesh_hierarchy(build_box_mesh(2, 1), 3)[-1]
+    monkeypatch.setattr(linsolve, "DENSE_CUTOFF", 1)
+    calls = []
+    gated = problems._solve_rt0_hybrid
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return gated(*args, **kwargs)
+
+    monkeypatch.setattr(problems, "_solve_rt0_hybrid", counting)
+    k = 3
+    pairs = solve_eigen(mesh, "RT-mixed", k)
+    assert len(pairs) == k
+    assert len(calls) == k + 1
