@@ -20,7 +20,11 @@ one mesh.  The drivers keep the operators of the last mesh they solved
 (see ``problems``), so ``check_poisson_identity`` and
 ``check_marini_identity`` factorise each mesh's CR stiffness and RT0
 multiplier matrix once, however many loads they certify on it; the checks
-themselves hold no operator.
+themselves hold no operator.  The Stokes checks (``check_stokes_identity``,
+``check_cgs_identity``) share the same two factors: each Stokes side is
+solved on its Schur complement with one of them applied component by
+component, so a mesh's Poisson and Stokes certificates together factorise
+two SPD matrices.
 """
 
 from __future__ import annotations

@@ -2,13 +2,14 @@
 
 Every linear system is an ``assembly.SaddleSystem`` and goes through
 ``solve``: a sparse LU factorization with one step of iterative refinement
-and a verified relative residual.  Every solve, and every eigenpair, is
-gated at ``RESIDUAL_TOL``.  The factorization is a ``Factor``: the block
-matrix, its kept DOFs and their SuperLU factor, which depend on the matrix
-and the gauge's null vector only.  ``solve(system)`` builds one and uses
-it once; ``solve(system, factor)`` reuses one for another right-hand side
-of the same matrix, with the same refinement, re-gauge and gate on every
-solve.  A caller that solves many loads of one matrix factorises it once.
+and a verified relative residual; or, a saddle system whose primal block
+the caller can already invert, through ``solve_schur`` (below).  Every
+solve, and every eigenpair, is gated at ``RESIDUAL_TOL``.  The
+factorization is a ``Factor``: the block matrix, its kept DOFs and their
+SuperLU factor, which depend on the matrix and the gauge's null vector
+only.  ``solve(system)`` builds one and uses it once;
+``solve(system, factor)`` reuses one for another right-hand side of the
+same matrix, with the same refinement, re-gauge and gate on every solve.  A caller that solves many loads of one matrix factorises it once.
 A Factor may factorise a copy of A without its rounding-level entries
 (``Factor(system, factorised=...)``); the refinement and the gate are
 still taken against the system's own matrix.
@@ -42,6 +43,27 @@ fill 213.  On 3D box(3) refined once (1,296 tets, 1 BLAS thread), COLAMD
 with partial pivoting took CR-Stokes (8,423 unknowns) to fill 90 in 0.68 s,
 against 32 in 0.10 s in the constrained order, found in 0.02 s.  The order
 of A alone beats that of |A| + |B|^T|B| there (fill 32 against 51).
+No solve of the package factorises a saddle matrix: the constrained order
+(``_saddle_order``, ``_SADDLE_ORDER``, a ``Factor`` with a dual block)
+serves the tests, which solve the assembled oracles with it.
+
+Both Stokes solves go through ``solve_schur`` instead.  Their primal block
+A is n copies of one SPD matrix of a row per interior facet (the CR
+stiffness, or the hybrid RT0 multiplier matrix S to rounding), which the
+caller has factorised already, so ``solve_schur`` takes A^-1 as a bare map
+and runs CG on the dual Schur complement B A^-1 B^T.  CR-P0 is inf-sup
+stable, so that complement is spectrally equivalent to the P0 mass with
+h-independent bounds (Verfuerth, IMA J. Numer. Anal. 4, 1984; Benzi, Golub
+& Liesen, Acta Numerica 14, 2005, sec. 5), and CG preconditioned by
+diag(B diag(A)^-1 B^T)^-1 takes an almost constant number of steps: 35,
+46 and 49 at 2D L3, L5 and L6, 43, 51 and 57 at 3D L2, box(3) refined
+once and L3.  It stops when its recursive residual reaches eps times the
+right-hand side's norm, a few steps past 1e-14 relative; a stop at 1e-14
+raised the weak-L residual of the 3D L3 Stokes certificate from 3.9e-14
+to 5.5e-14 and from 3.4e-14 to 8.7e-14 (two loads).  The gauge's
+multiplier is taken first, as in ``solve``, each iterate is re-gauged
+along k, the primal part is recovered with one refinement step against A,
+and ``gate_saddle`` gates the result.
 
 A system carries at most one gauge: a null vector k of the block matrix K
 and a row c that fixes it, c . z = rhs.  It is solved by pinning, never by
@@ -337,6 +359,64 @@ def solve(system, factor=None):
             z -= k * ((_dot(c, z) - rhs_c) / _dot(c, k))
     np_ = system.n_primal
     return z[:np_], z[np_:], gate_saddle(system, z[:np_], z[np_:])
+
+
+_SCHUR_TOL = np.finfo(float).eps   # CG stop: ||r|| <= this times ||rhs||
+_SCHUR_MAXITER = 500               # CG iteration cap, beyond it SolverError (3D L4 takes 68)
+
+
+def solve_schur(system, inverse):
+    """Solve a saddle SaddleSystem on its dual Schur complement to a gated
+    residual: (primal, dual, multiplier), like ``solve``.
+
+    ``inverse`` applies to a vector the inverse of A, or of a matrix within
+    rounding of A (see the module doc); nothing is factorised here.  The gauge, if any,
+    must act on the dual unknowns only.  Its multiplier is taken first,
+    mu = k . F / k . c, then CG preconditioned by diag(B diag(A)^-1 B^T)^-1
+    solves B A^-1 B^T y = B A^-1 f - (g - c_y mu), each iterate re-gauged
+    along k_y onto c_y . y = rhs, until the recursive residual reaches
+    ``_SCHUR_TOL`` relative; after ``_SCHUR_MAXITER`` iterations it raises
+    SolverError.  Then x = A^-1 (f - B^T y), refined once against A, and
+    (x, y) is gated by ``gate_saddle``."""
+    n_primal, gauge = system.n_primal, system.gauge
+    A, B = system.A, system.B
+    if gauge is not None and (gauge.c[:n_primal].any() or gauge.k[:n_primal].any()):
+        raise ValueError("the Schur-complement solve needs a gauge on the dual unknowns only")
+    mu = _multiplier(gauge, _rhs(system))
+    y = np.zeros(system.n_dual)
+    g = system.g
+    if gauge is not None:
+        c, k = gauge.c[n_primal:], gauge.k[n_primal:]
+        g = g - c * mu
+        y += k * (gauge.rhs / _dot(c, k))
+
+    def schur(v):
+        return B @ inverse(B.T @ v)
+
+    diagonal = B.multiply(B) @ (1.0 / A.diagonal())
+    rhs = B @ inverse(system.f) - g
+    r = rhs - schur(y) if y.any() else rhs
+    z = r / diagonal
+    p, rz = z, _dot(r, z)
+    stop, steps = _SCHUR_TOL * _norm(rhs), 0
+    while _norm(r) > stop:
+        if steps == _SCHUR_MAXITER:
+            raise SolverError(f"Schur-complement CG: residual {_norm(r) / _norm(rhs):.3e} "
+                              f"after {steps} iterations", _norm(r) / _norm(rhs))
+        steps += 1
+        q = schur(p)
+        alpha = rz / _dot(p, q)
+        y += alpha * p
+        if gauge is not None:
+            y -= k * ((_dot(c, y) - gauge.rhs) / _dot(c, k))
+        r = r - alpha * q
+        z = r / diagonal
+        rz, rz_old = _dot(r, z), rz
+        p = z + (rz / rz_old) * p
+    f = system.f - B.T @ y
+    x = inverse(f)
+    x += inverse(f - A @ x)                      # one step of refinement against A
+    return x, y, gate_saddle(system, x, y)
 
 
 _EXTRA_PAIRS = 3                # pairs ARPACK computes beyond the k returned

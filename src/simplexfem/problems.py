@@ -16,19 +16,26 @@ the factorised CR stiffness, and ``hybrid_operator``, the local elimination
 of the hybridised RT0 solve with its multiplier matrix S, factorised
 without its rounding-level entries (``_solve_rt0_hybrid``).
 ``solve_poisson`` (CR and ECR alike, since ECR is the CR solve plus
-bubbles), ``solve_poisson_mixed`` and ``solve_eigen`` keep these operators
-of the last mesh they solved in one memo, each built on first use, so that
-further loads on that mesh, the ECR and CR solves of one load included,
-factorise nothing, and a mesh's four eigen families factorise the same
-two matrices.  The memo holds that mesh by weak reference: it drops its
-operators when the mesh is freed, and when a solve on another mesh starts,
-before that mesh's load is sampled, so a sweep over levels holds one
-mesh's factors at a time.  The RT0 operator is built from the RT0 mass and
+bubbles), ``solve_poisson_mixed``, ``solve_stokes``, ``solve_stokes_mixed``
+and ``solve_eigen`` keep these operators of the last mesh they solved in
+one memo, each built on first use, so that further loads on that mesh, the
+ECR and CR solves of one load included, factorise nothing, and every solve
+on a mesh, Poisson, Stokes and eigen alike, factorises at most the same two
+matrices of one row per interior facet.  The memo holds that mesh by weak
+reference: it drops its operators when the mesh is freed, and when a solve
+on another mesh starts, before that mesh's load is sampled, so a sweep
+over levels holds one mesh's factors at a time.  The RT0 operator is built from the RT0 mass and
 the facet signs alone; the CR factor is never used for it, although S
 equals the CR stiffness.
-The pseudostress Stokes solve is hybridised too, with the same local
-elimination, rounding drop and recovery: ``pseudostress_operator`` is its
-mesh-only half, which ``solve_stokes_mixed`` builds for each load.
+Both Stokes solves are saddle systems whose primal block is n copies of
+one of these two matrices, and each is solved on its pressure Schur
+complement (``linsolve.solve_schur``) with that matrix's factor applied
+component by component: ``solve_stokes`` with the CR factor,
+``solve_stokes_mixed`` with the factor of S.  The pseudostress Stokes
+solve is hybridised, with the same local elimination and recovery as the
+RT0 one: ``pseudostress_operator`` is its mesh-only half, which
+``solve_stokes_mixed`` builds for each load; its multiplier block is n
+copies of S to rounding.
 Both hybrid solves are gated on the residual of the unhybridised system,
 applied from the local blocks, so that no global RT0 matrix is
 assembled."""
@@ -410,44 +417,51 @@ _S_ROUNDING = 16.0 * np.finfo(float).eps
 class HybridOperator:
     """The mesh-only half of a hybridised mixed solve, ``_solve_rt0_hybrid``
     (``hybrid_operator``) or ``solve_stokes_mixed``
-    (``pseudostress_operator``): the local elimination and the factorised
-    multiplier system.  Built from RT0 data alone (``elements.rt0_mass``,
-    ``rt0_outer``, ``rt0_moment``, the facet signs, normals and measures);
-    it holds no reference to the mesh.  Each cell has p flux unknowns,
+    (``pseudostress_operator``): the local elimination and the multiplier
+    system, factorised for ``hybrid_operator`` only.  Built from RT0 data
+    alone (``elements.rt0_mass``, ``rt0_outer``, ``rt0_moment``, the facet
+    signs, normals and measures); it holds no reference to the mesh.  Each cell has p flux unknowns,
     eliminated with its other unknowns by one (m, m) inverse."""
 
     mass: np.ndarray                   # (nc, p, p) flux blocks A_K of the unhybridised system
     inverse: np.ndarray                # (nc, m, m) inverses of the bordered local blocks
     coupling: np.ndarray               # (nc, p) D_K: the signs, 0 on boundary facets
     dofs: np.ndarray                   # (nc, p) multiplier numbers, -1 on the boundary
-    system: assembly.SaddleSystem      # the multiplier system with a zero load: S (csc), E, gauge
-    factor: linsolve.Factor            # of it; its LU leaves out S's rounding-level entries
+    system: assembly.SaddleSystem      # the multiplier system with a zero load: S, E, gauge
+    factor: Optional[linsolve.Factor] = None   # of it, for hybrid_operator: its LU leaves
+                                               # out S's rounding-level entries
 
 
-def _multiplier_matrices(inv, coupling, dofs, size, augment=None):
-    """S = sum_K (D_K inverse_K[:p, :p] D_K + augment_K), symmetrised, and
-    the copy of S that is factorised: without the entries of these cell
-    blocks at most ``_S_ROUNDING`` times the cell's largest (see
-    ``_solve_rt0_hybrid``)."""
+def _multiplier_blocks(inv, coupling, augment=None):
+    """The cell blocks S_K = D_K inverse_K[:p, :p] D_K + augment_K of the
+    multiplier matrix, symmetrised: (nc, p, p)."""
     p = coupling.shape[1]
     S_local = coupling[:, :, None] * (inv[:, :p, :p] * coupling[:, None, :])
     if augment is not None:
         S_local += augment
-    S_local = 0.5 * (S_local + np.swapaxes(S_local, 1, 2))
+    return 0.5 * (S_local + np.swapaxes(S_local, 1, 2))
+
+
+def _multiplier_matrices(inv, coupling, dofs, size):
+    """S = sum_K S_K (``_multiplier_blocks``) and the copy of S that is
+    factorised: without the entries of these cell blocks at most
+    ``_S_ROUNDING`` times the cell's largest (see ``_solve_rt0_hybrid``)."""
+    S_local = _multiplier_blocks(inv, coupling)
     S = assembly.scatter_matrix(dofs, dofs, S_local, (size, size))
     scale = np.abs(S_local).max(axis=(1, 2), keepdims=True)
     S_local[np.abs(S_local) <= _S_ROUNDING * scale] = 0.0
     return S.tocsc(), assembly.scatter_matrix(dofs, dofs, S_local, (size, size))
 
 
-def _multiplier_solve(operator, z0, gauge_rhs=0.0):
+def _multiplier_solve(operator, z0, solve, gauge_rhs=0.0):
     """The multiplier solve and recovery of a hybridised system, from the
     local solutions z0_K = inverse_K r_K (nc, m): the multiplier load
-    sum_K D_K (z0_K)[:p], the gated solve of ``operator.system`` with it
-    (its gauge, if any, set to ``gauge_rhs``), and
-    z_K = z0_K - inverse_K[:, :p] D_K lam_K.  Returns z (nc, m) and the
-    dual part of the multiplier solution.  Without dual block and gauge,
-    z0 may carry a trailing axis of right-hand sides, (nc, m, r)."""
+    sum_K D_K (z0_K)[:p], ``solve`` (a gated ``linsolve`` solve of a
+    SaddleSystem) of ``operator.system`` with it (its gauge, if any, set to
+    ``gauge_rhs``), and z_K = z0_K - inverse_K[:, :p] D_K lam_K.  Returns z
+    (nc, m) and the dual part of the multiplier solution.  Without dual
+    block and gauge, z0 may carry a trailing axis of right-hand sides,
+    (nc, m, r)."""
     inv, dofs = operator.inverse, operator.dofs
     p = dofs.shape[1]
     columns = z0.shape[2:]                     # () for one right-hand side
@@ -458,8 +472,7 @@ def _multiplier_solve(operator, z0, gauge_rhs=0.0):
     b = np.stack([np.bincount(dofs[inner], w, minlength=system.n_primal)
                   for w in local.reshape(len(local), -1).T], axis=-1)
     gauge = None if system.gauge is None else system.gauge._replace(rhs=gauge_rhs)
-    lam, dual, _ = linsolve.solve(
-        replace(system, f=b.reshape((system.n_primal,) + columns), gauge=gauge), operator.factor)
+    lam, dual, _ = solve(replace(system, f=b.reshape((system.n_primal,) + columns), gauge=gauge))
     lam = np.concatenate([lam, np.zeros((1,) + columns)])[dofs]           # 0 on the boundary
     return z0 - np.einsum("cab,cb...->ca...", inv[:, :, :p], coupling * lam), dual
 
@@ -572,7 +585,8 @@ def _solve_rt0_hybrid(mesh, g, sigma_bc=None, operator=None):
         z0 = np.einsum("cab,cb->ca", inv, rhs)
     gauge_rhs = (0.0 if operator.system.gauge is None
                  else np.einsum("c,c->", mesh.cell_measures, z0[:, n + 1]))
-    z, _ = _multiplier_solve(operator, z0, gauge_rhs)
+    z, _ = _multiplier_solve(operator, z0, lambda system: linsolve.solve(system, operator.factor),
+                             gauge_rhs)
     sigma, u = _mean_fluxes(mesh, z[:, :n + 1]), z[:, n + 1]
     for column in np.ndindex(np.shape(g)[1:]):     # one pass for a single g
         at = (slice(None),) + column
@@ -633,13 +647,29 @@ def solve_poisson_mixed(mesh, f):
             BrokenField(assembly.DofMap.build(mesh, "P0"), y))
 
 
+def _componentwise(lu, n):
+    """A^-1 of blockdiag(K, ..., K), n copies numbered component-major, from
+    the SuperLU factor ``lu`` of K: one column-block solve of the (rows, n)
+    block of a vector's components."""
+    return lambda r: lu.solve(r.reshape(n, -1).T).T.ravel()
+
+
 def solve_stokes(mesh, f, family="ECR"):
     """Stokes by the (CR/ECR)^n x P0 pair: (velocity, zero-mean pressure).
     ECR is the CR solve plus closed-form bubbles in each velocity component,
-    with the CR pressure."""
+    with the CR pressure.
+
+    The CR-Stokes velocity block A is n copies of the CR stiffness, so the
+    system is solved on its pressure Schur complement
+    (``linsolve.solve_schur``) with A^-1 applied component by component
+    by the memo's ``poisson_operator(mesh)``: no saddle matrix is
+    factorised, and the Poisson and Stokes solves of a mesh share one
+    factor.  The load is sampled before that operator is built."""
+    _remember(mesh)
     (system, vel, prs), bubbles = _cr_system(
         mesh, f, family, lambda load: assembly.assemble_stokes(mesh, load, "CR"), mesh.dim)
-    x, y, _ = linsolve.solve(system)
+    inverse = _componentwise(_operator(mesh, "CR").lu, mesh.dim)
+    x, y, _ = linsolve.solve_schur(system, inverse)
     return _with_bubbles(BrokenField(vel, x), bubbles), BrokenField(prs, y)
 
 
@@ -670,8 +700,10 @@ def _check_identity_kernel(mass, identity):
 
 def pseudostress_operator(mesh):
     """The mesh-only half of the hybridised pseudostress solve
-    (``solve_stokes_mixed``): the local elimination and the factorised
-    multiplier system [[S, E^T], [E, 0]] with its gauge."""
+    (``solve_stokes_mixed``): the local elimination and the multiplier
+    system [[S, E^T], [E, 0]] with its gauge.  Nothing is factorised: its
+    solve applies the factor of ``hybrid_operator``'s S to each component
+    of S, which is n copies of that S to rounding."""
     n, nc = mesh.dim, mesh.n_cells
     p = n * (n + 1)
     number, ni = _interior_numbers(mesh)
@@ -691,12 +723,13 @@ def pseudostress_operator(mesh):
     coupling = np.where(dofs >= 0, signs, 0.0)                          # D_K
     e = coupling * identity                                             # e_K = D_K I_K
     augment = e[:, :, None] * e[:, None, :] / (n * mesh.cell_measures)[:, None, None]
-    S, factorised = _multiplier_matrices(inv, coupling, dofs, n * ni, augment)
+    S = assembly.scatter_matrix(dofs, dofs, _multiplier_blocks(inv, coupling, augment),
+                                (n * ni, n * ni))
     del augment
     E = assembly.scatter_matrix(np.arange(nc)[:, None], dofs, e[:, None, :], (nc, n * ni))
     system = assembly.SaddleSystem(S, np.zeros(n * ni), E, np.zeros(nc),
                                    assembly.zero_mean_dual(mesh, n * ni))
-    return HybridOperator(mass, inv, coupling, dofs, system, linsolve.Factor(system, factorised))
+    return HybridOperator(mass, inv, coupling, dofs, system)
 
 
 def _gate_pseudostress(mesh, mass, g, sigma, u):
@@ -735,24 +768,29 @@ def solve_stokes_mixed(mesh, f):
     divergence B, and S is built from S_K + e_K e_K^T / (n |K|), which
     leaves the solution unchanged because E lam = 0; that block equals the
     CR vector stiffness of K, so the term coupling the components cancels
-    and the multiplier system has the size and, once the S_K entries at
-    most 16 eps of the cell's largest are left out of its factorised copy,
-    the pattern of CR-Stokes (``_multiplier_matrices``).  On 3D box(3)
-    refined once it factorises 8,423 unknowns to an L+U of 1.33M entries,
-    against 12,311 and 5.39M unhybridised.  Numbered facet-major, the same
-    matrix's factor stores as many entries under ``linsolve``'s constrained
-    order (2D L5 and L6, 3D box(3) and box(4) refined once, 4D box(3)).
+    and the multiplier system has the size of CR-Stokes, its S being n
+    copies of the Poisson multiplier matrix of ``hybrid_operator`` to
+    rounding.  It is solved on its Schur complement in beta
+    (``linsolve.solve_schur``), S^-1 applied component by component by the
+    memo's factor of the Poisson S, and refined and gated against its own
+    S.  On 3D box(3) refined once that factor has 2,376 rows and an L+U of
+    70k entries; the multiplier saddle matrix, 8,423 rows, factorises to
+    an L+U of 1.33M in ``linsolve``'s constrained order, and the
+    unhybridised one, 12,311 rows, to 5.39M.
 
     The two copies of an interior flux are averaged.  The load is sampled
-    before the operator (``pseudostress_operator``) is built, and the
-    operator is used for this load alone."""
+    before the memo's operator and ``pseudostress_operator`` are built, and
+    the latter is used for this load alone."""
     n, nc = mesh.dim, mesh.n_cells
     p = n * (n + 1)
+    _remember(mesh)
     g = -assembly.load_integrals(mesh, f, n)                            # (nc, n)
+    inverse = _componentwise(_operator(mesh, "RT0").factor.lu, n)
     operator = pseudostress_operator(mesh)
     rhs = np.zeros((nc, p + n + 1))
     rhs[:, p:p + n] = g
-    z, beta = _multiplier_solve(operator, np.einsum("cab,cb->ca", operator.inverse, rhs))
+    z, beta = _multiplier_solve(operator, np.einsum("cab,cb->ca", operator.inverse, rhs),
+                                lambda system: linsolve.solve_schur(system, inverse))
     sigma = z[:, :p] - beta[:, None] * _identity_fluxes(mesh)
     sigma = _mean_fluxes(mesh, sigma.reshape(nc, n + 1, n)).T.ravel()
     u = z[:, p:p + n].T.ravel()

@@ -31,13 +31,15 @@ def test_equiv_random_loads(tmp_path):
     assert len(reports) == 4
 
 
-@pytest.mark.parametrize("problem", ["poisson", "marini"])
+@pytest.mark.parametrize("problem", ["poisson", "marini", "stokes", "cgs"])
 def test_equiv_factorises_two_matrices_per_level(tmp_path, factorised, problem):
-    # three random loads per level share the CR stiffness and S of their mesh
+    # three random loads per level share the CR stiffness and S of their
+    # mesh, the Stokes certificates as the Poisson ones: two SPD factors
     assert run(["equiv", "--problem", problem, "--levels", "2", "--rhs", "random",
                 "--out-dir", str(tmp_path)]) == 0
     reports = json.loads((tmp_path / f"equiv_{problem}_reports.json").read_text())
     assert len(reports) == 6 and len(factorised) == 4
+    assert [order for _, order in factorised] == ["MMD_AT_PLUS_A"] * 4
 
 
 def test_equiv_stokes_and_pointwise(tmp_path):

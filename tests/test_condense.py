@@ -182,13 +182,18 @@ def test_ecr_solves_factorise_only_cr_sized_matrices(factorised):
     assert factorised == [(n_interior, "MMD_AT_PLUS_A")]
     factorised.clear()
     solve_stokes(mesh, np.ones(3), "ECR")
-    # velocity facet DOFs of three components plus the pressures, one pinned
-    assert factorised == [(3 * n_interior + mesh.n_cells - 1, "NATURAL")]
+    # the velocity block is three copies of the CR stiffness: the Schur
+    # complement solve applies the Poisson factor, nothing new is factorised
+    assert factorised == []
     factorised.clear()
     fix = problems.quadratic_neumann_solution(3)
     solve_neumann(mesh, fix.f, problems.outward_flux_averages(mesh, fix.grad), form="ecr")
     # the CR facet DOFs less the one pinned by the constant null vector: SPD
     assert factorised == [(mesh.n_facets - 1, "MMD_AT_PLUS_A")]
+    factorised.clear()
+    solve_stokes(level(3, 1), np.ones(3), "ECR")
+    # Stokes first on a mesh: the CR stiffness, as solve_poisson factorises it
+    assert factorised == [(n_interior, "MMD_AT_PLUS_A")]
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -204,9 +209,14 @@ def test_mixed_solves_factorise_only_multiplier_sized_matrices(factorised, dim):
     assert factorised == [(n_interior - 1, "MMD_AT_PLUS_A")]
     factorised.clear()
     problems.solve_stokes_mixed(mesh, np.ones(dim))
-    # hybridised: a vector multiplier per interior facet and one identity
-    # amplitude per cell, the amplitude gauged by the trace mean pinned
-    assert factorised == [(dim * n_interior + mesh.n_cells - 1, "NATURAL")]
+    # hybridised, its multiplier block dim copies of the Poisson S to
+    # rounding: the Schur complement solve applies S's factor, nothing new
+    # is factorised
+    assert factorised == []
+    problems.solve_stokes_mixed(level(dim, 1), np.ones(dim))
+    # the pseudostress solve first on a mesh: S, as solve_poisson_mixed
+    # factorises it
+    assert factorised == [(n_interior, "MMD_AT_PLUS_A")]
 
 
 @pytest.mark.parametrize("cutoff", [1, linsolve.DENSE_CUTOFF], ids=["arpack", "dense"])
