@@ -17,6 +17,13 @@ vector, reads it.
 Zero policy: ``scatter_matrix``, the one sparse scatter, stores no exact
 zero; it drops them once duplicates are summed.  A stored zero would still
 enter the factorisation's ordering and fill.
+
+Loads are sampled and reduced one block of cells at a time
+(``reduce_load``) on the rule ``load_rule`` picks.  A per-cell-constant
+load meets at most the quadratic ECR bubble, so its integrals, CR and ECR
+moments and bubble moments are exact on the degree-2 rule (4 points in 2D,
+8 in 3D).  A callable, or values already sampled on a rule's points, is
+reduced on the degree-``DEFAULT_LOAD_DEGREE`` rule (25 and 125 points).
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from .quadrature import (cell_blocks, cell_weights, integrate_cellwise, physical
                          rule_for_degree)
 
 DEFAULT_LOAD_DEGREE = 8
+CONSTANT_LOAD_DEGREE = 2        # a per-cell-constant load against the quadratic ECR bubble
 MATRIX_DEGREE = 4
 
 
@@ -213,8 +221,8 @@ def stiffness_local(mesh, family):
 
 
 class CellLoad(NamedTuple):
-    """A load already reduced on each cell on the degree-DEFAULT_LOAD_DEGREE
-    rule: its integrals (nc[, ncomp]) and its moments against the CR basis
+    """A load already reduced on each cell on the rule ``load_rule`` picks
+    for it: its integrals (nc[, ncomp]) and its moments against the CR basis
     (nc, n+1, ncomp), as ``load_integrals`` and ``load_moments`` give them.
     ``load_integrals`` and the CR ``load_vector`` take it in place of a
     load: an ECR solve in ``problems`` reduces its load to it in the same
@@ -278,12 +286,24 @@ def load_values(mesh, f, rule, ncomp=1):
     return reduce_load(mesh, f, rule, ncomp, lambda values, cells: values)[0]
 
 
+def load_rule(mesh, f, ncomp=1):
+    """The rule a load is reduced on.  A per-cell-constant load (a scalar,
+    or an (nc,) array; for ncomp > 1 an (ncomp,) or (nc, ncomp) array)
+    meets at most the quadratic ECR bubble, so the degree-2 rule (4 points
+    in 2D, 8 in 3D) integrates all its reductions exactly.  A callable, or
+    values already sampled on the points of a rule (nc, Q[, ncomp]), takes
+    the degree-``DEFAULT_LOAD_DEGREE`` rule."""
+    constant = [(), (mesh.n_cells,)] if ncomp == 1 else [(ncomp,), (mesh.n_cells, ncomp)]
+    sampled = callable(f) or np.shape(f) not in constant
+    return rule_for_degree(mesh.dim, DEFAULT_LOAD_DEGREE if sampled else CONSTANT_LOAD_DEGREE)
+
+
 def load_integrals(mesh, f, ncomp=1):
-    """Per-cell integrals of a load on the degree-DEFAULT_LOAD_DEGREE rule:
-    (nc,) or (nc, ncomp), reduced one block of cells at a time."""
+    """Per-cell integrals of a load on its ``load_rule``: (nc,) or
+    (nc, ncomp), reduced one block of cells at a time."""
     if isinstance(f, CellLoad):
         return f.integrals
-    rule = rule_for_degree(mesh.dim, DEFAULT_LOAD_DEGREE)
+    rule = load_rule(mesh, f, ncomp)
     return reduce_load(mesh, f, rule, ncomp,
                        lambda values, cells: integrate_cellwise(mesh, values, rule, cells))[0]
 
@@ -310,12 +330,12 @@ def load_moments(mesh, family, rule, values, cells):
 
 
 def load_vector(mesh, dofmap, f):
-    """The CR or ECR load vector (f, phi_a) over ``dofmap``, on the
-    degree-DEFAULT_LOAD_DEGREE rule, reduced one block of cells at a time;
-    a CR map also takes a ``CellLoad``."""
+    """The CR or ECR load vector (f, phi_a) over ``dofmap``, on the load's
+    ``load_rule``, reduced one block of cells at a time; a CR map also takes
+    a ``CellLoad``."""
     if isinstance(f, CellLoad):
         return scatter_vector(dofmap, f.cr_moments)
-    rule = rule_for_degree(mesh.dim, DEFAULT_LOAD_DEGREE)
+    rule = load_rule(mesh, f, dofmap.ncomp)
     moments, = reduce_load(mesh, f, rule, dofmap.ncomp, lambda values, cells: load_moments(
         mesh, dofmap.family, rule, values, cells))
     return scatter_vector(dofmap, moments)
@@ -388,19 +408,27 @@ def assemble_stokes(mesh, f, family="ECR"):
     """Nonconforming Stokes: velocity in n components of CR/ECR, piecewise
     constant pressure with zero mean, gauging the constant pressure.  As
     for Poisson, the ECR system is a test oracle only."""
-    n = mesh.dim
-    vel = DofMap.build(mesh, family, dirichlet=True, ncomp=n)
-    prs = DofMap.build(mesh, "P0")
-    A = scatter_symmetric(vel, stiffness_local(mesh, family))
+    vel = DofMap.build(mesh, family, dirichlet=True, ncomp=mesh.dim)
+    system, prs = stokes_system(vel, scatter_symmetric(vel, stiffness_local(mesh, family)),
+                                load_vector(mesh, vel, f))
+    return system, vel, prs
 
+
+def stokes_system(vel, A, b):
+    """The Stokes system of ``assemble_stokes`` on the velocity map ``vel``
+    with its velocity block A and load vector b given: the divergence block
+    and the zero-mean pressure gauge are added.  Returns (system, pressure
+    map).  ``problems.solve_stokes`` passes as A n copies of the factorised
+    scalar CR stiffness."""
+    mesh = vel.mesh
+    prs = DofMap.build(mesh, "P0")
     # the ECR bubble's gradient integrates to zero: only the facet columns
-    cols = vel.global_dofs[:, : n + 1].reshape(mesh.n_cells, -1)
+    cols = vel.global_dofs[:, : mesh.dim + 1].reshape(mesh.n_cells, -1)
     d = elements.gradient_integrals(mesh).reshape(mesh.n_cells, 1, -1)
     B = scatter_matrix(prs.cell_dofs, cols, d, (prs.n_total, vel.n_total))
-    b = load_vector(mesh, vel, f)
     system = SaddleSystem(A=A, f=b, B=B, g=np.zeros(prs.n_total),
                           gauge=zero_mean_dual(mesh, vel.n_total))
-    return system, vel, prs
+    return system, prs
 
 
 def assemble_pseudostress(mesh, f):

@@ -17,8 +17,9 @@ still taken against the system's own matrix.
 (n, m)) for a system without dual block or gauge, and gates each column.
 ``SolverConfig`` carries only the seed of ARPACK's start vector; the
 dense/ARPACK switch is the constant ``DENSE_CUTOFF``.
-``_splu`` is the one factorisation entry, and every caller passes it its
-order: ``_SPD_ORDER`` or ``_SADDLE_ORDER``.
+``_splu`` is the one factorisation entry (no relaxed supernodes, panels of
+4 columns), and every caller passes it its order: ``_SPD_ORDER`` or
+``_SADDLE_ORDER``.
 
 In ``solve`` the order follows from the system and every pivot is diagonal.
 Without a dual block the matrix is SPD, or SPD once its gauge DOF is pinned:
@@ -162,7 +163,7 @@ _SADDLE_ORDER = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0,
 def _splu(K, *, permc_spec, diag_pivot_thresh, options):
     """The one factorisation entry: SuperLU of K in the order its caller
     gives (``_SPD_ORDER`` or ``_SADDLE_ORDER``), without relaxed
-    supernodes.
+    supernodes, on panels of 4 columns.
 
     SuperLU's default relaxation (``relax`` = 10 in scipy's build) merges
     every elimination subtree of up to that many columns into one dense
@@ -170,9 +171,36 @@ def _splu(K, *, permc_spec, diag_pivot_thresh, options):
     the factor stores its L and U and nothing else: on the 3D L4 CR
     stiffness 6.46M entries in 0.78 s, against 22.2M in 9.3 s relaxed
     (1 BLAS thread).  Other ``relax`` values are not a tuning knob here:
-    ``relax=4`` stored 8.6M entries for the 0.92M of the 2D L7 CR factor."""
+    ``relax=4`` stored 8.6M entries for the 0.92M of the 2D L7 CR factor.
+
+    SuperLU factorises a panel of ``panel_size`` consecutive columns at a
+    time (Demmel, Eisenstat, Gilbert, Li & Liu, SIMAX 20, 1999), with work
+    arrays of n x panel doubles and about (2 panel + 6) n ints; scipy's
+    default panel is 20.  Without relaxed supernodes few supernodes are that
+    wide, so the wide panel mostly costs memory and page faults.  A sweep of
+    the CR stiffness, each factorisation the first call of a fresh process
+    (2 BLAS threads, 2 vCPUs), gave its time (median of 3 runs, of 6-8 at
+    2D L7 and 3D L4) and the rise of the peak RSS from a heap released by
+    ``malloc_trim`` and padded up to the peak so far (so that every page
+    the call touches counts; L+U in MB at 12 bytes an entry):
+
+        mesh    rows     L+U entries (MB)   panel 20         panel 4          panel 8
+        2D L5    3,008     36,108  (0.4)     3 ms  +1.8 MB    2 ms  +1.0 MB    4 ms  +1.1 MB
+        2D L6   12,160    182,384  (2.1)    20 ms  +6.9 MB    9 ms  +3.9 MB   11 ms  +4.9 MB
+        2D L7   48,896    920,050 (10.5)    75 ms +29.3 MB   49 ms +17.3 MB   51 ms +20.2 MB
+        3D L2      672     11,580  (0.1)     1 ms  +0.4 MB    1 ms  +0.1 MB    1 ms  +0.2 MB
+        3D L3    5,760    268,450  (3.1)    15 ms  +5.1 MB   14 ms  +3.6 MB   17 ms  +3.9 MB
+        3D L4   47,616  6,455,612 (73.9)   625 ms +82.2 MB  627 ms +70.2 MB  616 ms +75.0 MB
+
+    The hybrid RT0 multiplier matrix S, which has the same pattern, read
+    the same to within 0.5 MB and the runs' spread in time (3D L4: 610,
+    624 and 617 ms).  The L+U does not depend on the panel.  A panel of 1
+    took 3D L4 to 849 ms.  A panel of 4 leaves 3D L4 within the spread of
+    the default (623-667 ms over 8 runs, against 612-667 ms), and it holds
+    the peak of every factorisation above 2D L5 to less than twice its
+    L+U; 8 left the 2D L7 peak 3 MB higher."""
     try:
-        return sla.splu(K.tocsc(), relax=1, permc_spec=permc_spec,
+        return sla.splu(K.tocsc(), relax=1, panel_size=4, permc_spec=permc_spec,
                         diag_pivot_thresh=diag_pivot_thresh, options=options)
     except RuntimeError as exc:
         raise SolverError(f"factorization breakdown: {exc}") from exc
@@ -379,7 +407,7 @@ def solve_schur(system, inverse):
     SolverError.  Then x = A^-1 (f - B^T y), refined once against A, and
     (x, y) is gated by ``gate_saddle``."""
     n_primal, gauge = system.n_primal, system.gauge
-    A, B = system.A, system.B
+    A, B, B_t = system.A, system.B, system.B.T        # B^T formed once per solve
     if gauge is not None and (gauge.c[:n_primal].any() or gauge.k[:n_primal].any()):
         raise ValueError("the Schur-complement solve needs a gauge on the dual unknowns only")
     mu = _multiplier(gauge, _rhs(system))
@@ -391,7 +419,7 @@ def solve_schur(system, inverse):
         y += k * (gauge.rhs / _dot(c, k))
 
     def schur(v):
-        return B @ inverse(B.T @ v)
+        return B @ inverse(B_t @ v)
 
     diagonal = B.multiply(B) @ (1.0 / A.diagonal())
     rhs = B @ inverse(system.f) - g
@@ -413,7 +441,7 @@ def solve_schur(system, inverse):
         z = r / diagonal
         rz, rz_old = _dot(r, z), rz
         p = z + (rz / rz_old) * p
-    f = system.f - B.T @ y
+    f = system.f - B_t @ y
     x = inverse(f)
     x += inverse(f - A @ x)                      # one step of refinement against A
     return x, y, gate_saddle(system, x, y)

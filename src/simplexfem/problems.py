@@ -5,9 +5,10 @@ Field values and gradients are closed forms in each cell's affine parts;
 no basis function is evaluated for them.  Each field's samplers take a
 slice of cells and its parts once, so that ``analysis`` samples a field
 one block of cells at a time.  The drivers take a mesh and the problem
-data: loads are sampled on the rule of degree
-``assembly.DEFAULT_LOAD_DEGREE``, one block of cells at a time
-(``assembly.reduce_load``), and every solve is gated at
+data: loads are sampled one block of cells at a time
+(``assembly.reduce_load``) on the rule ``assembly.load_rule`` picks, the
+exact degree-2 rule for a per-cell-constant load and the degree
+``assembly.DEFAULT_LOAD_DEGREE`` one otherwise, and every solve is gated at
 ``linsolve.RESIDUAL_TOL``.  Only ``solve_eigen`` takes a
 ``linsolve.SolverConfig``, which seeds ARPACK's start vector.
 
@@ -33,9 +34,9 @@ complement (``linsolve.solve_schur``) with that matrix's factor applied
 component by component: ``solve_stokes`` with the CR factor,
 ``solve_stokes_mixed`` with the factor of S.  The pseudostress Stokes
 solve is hybridised, with the same local elimination and recovery as the
-RT0 one: ``pseudostress_operator`` is its mesh-only half, which
-``solve_stokes_mixed`` builds for each load; its multiplier block is n
-copies of S to rounding.
+RT0 one: ``pseudostress_operator`` is its mesh-only half, kept in the
+memo beside the two factors; its multiplier block is n copies of S to
+rounding.
 Both hybrid solves are gated on the residual of the unhybridised system,
 applied from the local blocks, so that no global RT0 matrix is
 assembled."""
@@ -52,7 +53,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import assembly, elements, linsolve
-from .quadrature import centred_points, integrate_cellwise, rule_for_degree
+from .quadrature import centred_points, integrate_cellwise
 
 
 # -- discrete fields ---------------------------------------------------------
@@ -302,7 +303,7 @@ def _bubbles_of(mesh, moments):
 def bubble_coefficients(mesh, f, ncomp=1):
     """Per-cell bubble coefficients (f, phi_K)_K / ||grad phi_K||_K^2 of a
     load: (nc,) or (nc, ncomp), reduced one block of cells at a time."""
-    rule = rule_for_degree(mesh.dim, assembly.DEFAULT_LOAD_DEGREE)
+    rule = assembly.load_rule(mesh, f, ncomp)
     return _bubbles_of(mesh, assembly.reduce_load(mesh, f, rule, ncomp,
                                                   _bubble_moments(mesh, rule))[0])
 
@@ -317,7 +318,7 @@ def _cr_system(mesh, f, family, assemble, ncomp=1):
         return assemble(f), None
     if family != "ECR":
         raise ValueError(f"primal problems support families CR and ECR, not {family!r}")
-    rule = rule_for_degree(mesh.dim, assembly.DEFAULT_LOAD_DEGREE)
+    rule = assembly.load_rule(mesh, f, ncomp)
     integrals, moments, bubbles = assembly.reduce_load(
         mesh, f, rule, ncomp,
         lambda values, cells: integrate_cellwise(mesh, values, rule, cells),
@@ -370,7 +371,8 @@ def poisson_operator(mesh):
 # -- the Poisson operators of the last mesh solved (see the module doc) ------
 
 _last_mesh = None                  # weak reference to the last mesh solved
-_operators = {}                    # its operators: "CR" poisson_operator, "RT0" hybrid_operator
+_operators = {}                    # its operators: "CR" poisson_operator, "RT0"
+                                   # hybrid_operator, "pseudostress" pseudostress_operator
 
 
 def _forget(ref):
@@ -392,7 +394,9 @@ def _operator(mesh, family):
     """The memo's ``family`` operator of ``mesh``, built on first use."""
     _remember(mesh)
     if family not in _operators:
-        _operators[family] = poisson_operator(mesh) if family == "CR" else hybrid_operator(mesh)
+        build = {"CR": poisson_operator, "RT0": hybrid_operator,
+                 "pseudostress": pseudostress_operator}[family]
+        _operators[family] = build(mesh)
     return _operators[family]
 
 
@@ -664,12 +668,16 @@ def solve_stokes(mesh, f, family="ECR"):
     (``linsolve.solve_schur``) with A^-1 applied component by component
     by the memo's ``poisson_operator(mesh)``: no saddle matrix is
     factorised, and the Poisson and Stokes solves of a mesh share one
-    factor.  The load is sampled before that operator is built."""
+    factor.  A itself is n copies of that operator's stiffness, so the CR
+    stiffness is assembled once per mesh.  The load is sampled before that
+    operator is built."""
     _remember(mesh)
-    (system, vel, prs), bubbles = _cr_system(
-        mesh, f, family, lambda load: assembly.assemble_stokes(mesh, load, "CR"), mesh.dim)
-    inverse = _componentwise(_operator(mesh, "CR").lu, mesh.dim)
-    x, y, _ = linsolve.solve_schur(system, inverse)
+    n = mesh.dim
+    vel = assembly.DofMap.build(mesh, "CR", dirichlet=True, ncomp=n)
+    b, bubbles = _cr_system(mesh, f, family, lambda load: assembly.load_vector(mesh, vel, load), n)
+    operator = _operator(mesh, "CR")
+    system, prs = assembly.stokes_system(vel, sp.block_diag([operator.K] * n, format="csr"), b)
+    x, y, _ = linsolve.solve_schur(system, _componentwise(operator.lu, n))
     return _with_bubbles(BrokenField(vel, x), bubbles), BrokenField(prs, y)
 
 
@@ -779,14 +787,14 @@ def solve_stokes_mixed(mesh, f):
     unhybridised one, 12,311 rows, to 5.39M.
 
     The two copies of an interior flux are averaged.  The load is sampled
-    before the memo's operator and ``pseudostress_operator`` are built, and
-    the latter is used for this load alone."""
+    before the memo's operators, the RT0 one and ``pseudostress_operator``,
+    are built; both serve every further load on the mesh."""
     n, nc = mesh.dim, mesh.n_cells
     p = n * (n + 1)
     _remember(mesh)
     g = -assembly.load_integrals(mesh, f, n)                            # (nc, n)
     inverse = _componentwise(_operator(mesh, "RT0").factor.lu, n)
-    operator = pseudostress_operator(mesh)
+    operator = _operator(mesh, "pseudostress")
     rhs = np.zeros((nc, p + n + 1))
     rhs[:, p:p + n] = g
     z, beta = _multiplier_solve(operator, np.einsum("cab,cb->ca", operator.inverse, rhs),

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from simplexfem import assembly, elements
+from simplexfem import assembly, elements, problems
 from simplexfem.assembly import DataError, DofMap
-from simplexfem.mesh import build_box_mesh, refine_uniform
+from simplexfem.mesh import SimplexMesh, build_box_mesh, refine_uniform
 from simplexfem.problems import (BrokenField, outward_flux_averages,
                                  quadratic_neumann_solution)
 from simplexfem.quadrature import rule_for_degree
@@ -309,3 +309,78 @@ def test_vector_scatter_is_the_block_diagonal_of_the_scalar_one(family, dim):
     assert np.array_equal(vector.indptr, expected.indptr)
     assert np.array_equal(vector.indices, expected.indices)
     assert vector.data.tobytes() == expected.data.tobytes()
+
+
+def _jiggled(dim):
+    """``build_box_mesh(dim, 1)`` refined twice, every vertex moved a little."""
+    mesh = refine_uniform(refine_uniform(build_box_mesh(dim, 1)))
+    rng = np.random.default_rng(dim)
+    return SimplexMesh(dim, mesh.vertices + rng.uniform(-0.03, 0.03, mesh.vertices.shape),
+                       mesh.cells)
+
+
+def _load_reductions(mesh, f, ncomp):
+    """Every reduction of a load: integrals, CR and ECR load vectors, the
+    ECR pass's ``CellLoad`` and bubbles, and ``bubble_coefficients``."""
+    cell_load, bubbles = problems._cr_system(mesh, f, "ECR", lambda load: load, ncomp)
+    return {"load_integrals": assembly.load_integrals(mesh, f, ncomp),
+            "CR load_vector": assembly.load_vector(
+                mesh, DofMap.build(mesh, "CR", dirichlet=True, ncomp=ncomp), f),
+            "ECR load_vector": assembly.load_vector(
+                mesh, DofMap.build(mesh, "ECR", dirichlet=True, ncomp=ncomp), f),
+            "CellLoad integrals": cell_load.integrals,
+            "CellLoad CR moments": cell_load.cr_moments,
+            "ECR pass bubbles": bubbles,
+            "bubble_coefficients": problems.bubble_coefficients(mesh, f, ncomp)}
+
+
+@pytest.fixture
+def rules_used(monkeypatch):
+    """The number of points of the rule of every ``assembly.reduce_load``."""
+    used = []
+    original = assembly.reduce_load
+
+    def recording(mesh, f, rule, *args):
+        used.append(rule.n_points)
+        return original(mesh, f, rule, *args)
+    monkeypatch.setattr(assembly, "reduce_load", recording)
+    return used
+
+
+@pytest.mark.parametrize("dim,points", [(2, 4), (3, 8)])
+@pytest.mark.parametrize("form", ["scalar", "(nc,)", "(n,)", "(nc, n)"])
+def test_a_per_cell_constant_load_is_reduced_on_the_exact_degree_2_rule(rules_used, dim,
+                                                                          points, form):
+    # the load meets at most the quadratic bubble; the degree-8 reference is
+    # the same load sampled on that rule, which keeps it
+    mesh = _jiggled(dim)
+    rng = np.random.default_rng(7)
+    ncomp, f = {"scalar": (1, -2.5),
+                "(nc,)": (1, rng.uniform(-1.0, 1.0, mesh.n_cells)),
+                "(n,)": (dim, rng.uniform(-1.0, 1.0, dim)),
+                "(nc, n)": (dim, rng.uniform(-1.0, 1.0, (mesh.n_cells, dim)))}[form]
+    degree_8 = rule_for_degree(dim, assembly.DEFAULT_LOAD_DEGREE)
+    sampled = assembly.load_values(mesh, f, degree_8, ncomp)
+    assert assembly.load_rule(mesh, f, ncomp).n_points == points
+    del rules_used[:]
+    exact = _load_reductions(mesh, f, ncomp)
+    assert rules_used == [points] * 5
+    del rules_used[:]
+    reference = _load_reductions(mesh, sampled, ncomp)
+    assert rules_used == [degree_8.n_points] * 5
+    for name, value in reference.items():
+        assert exact[name].shape == value.shape, name
+        assert np.abs(exact[name] - value).max() <= 1e-14 * np.abs(value).max(), name
+
+
+@pytest.mark.parametrize("dim,points", [(2, 25), (3, 125)])
+def test_a_callable_load_keeps_the_degree_8_rule(rules_used, dim, points):
+    mesh = _jiggled(dim)
+    seen = []
+
+    def f(x):
+        seen.append(x.shape[1])
+        return np.cos(x.sum(axis=-1))
+    assert assembly.load_rule(mesh, f).n_points == points
+    _load_reductions(mesh, f, 1)
+    assert rules_used == [points] * 5 and set(seen) == {points}

@@ -152,6 +152,49 @@ def test_stokes_matches_monolithic_ecr(dim, lvl):
     assert relative_gap(prs.coeffs, y) <= 1e-12
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stokes_solves_on_copies_of_the_memo_cr_stiffness(monkeypatch, dim):
+    # the CR-Stokes system solve_stokes builds equals the assembled oracle's
+    mesh = level(dim, 2)
+    f = np.random.default_rng(20 + dim).uniform(-1, 1, (mesh.n_cells, dim))
+    systems = []
+    schur = linsolve.solve_schur
+
+    def recording(system, inverse):
+        systems.append(system)
+        return schur(system, inverse)
+    monkeypatch.setattr(linsolve, "solve_schur", recording)
+    solve_stokes(mesh, f, "CR")
+    oracle, _, _ = assembly.assemble_stokes(mesh, f, "CR")
+    system, = systems
+    for name in ("A", "B"):
+        ours, theirs = getattr(system, name).tocsr(), getattr(oracle, name)
+        assert np.array_equal(ours.indptr, theirs.indptr), name
+        assert np.array_equal(ours.indices, theirs.indices), name
+        assert ours.data.tobytes() == theirs.data.tobytes(), name
+    assert system.f.tobytes() == oracle.f.tobytes()
+
+
+def test_the_cr_stiffness_is_built_once_per_mesh(monkeypatch):
+    built = []
+    cr_stiffness = elements.cr_stiffness
+
+    def recording(mesh):
+        built.append(mesh.n_cells)
+        return cr_stiffness(mesh)
+    monkeypatch.setattr(elements, "cr_stiffness", recording)
+    for dim in (2, 3):
+        mesh = level(dim, 1)
+        solve_poisson(mesh, 1.0, "ECR")
+        solve_stokes(mesh, np.ones(dim), "ECR")
+        solve_stokes(mesh, np.ones(dim), "CR")
+        solve_poisson(mesh, 1.0, "CR")
+    mesh = level(3, 1)
+    solve_stokes(mesh, np.ones(3), "ECR")
+    solve_poisson(mesh, 1.0, "ECR")
+    assert built == [level(2, 1).n_cells] + [mesh.n_cells] * 2
+
+
 @pytest.mark.parametrize("dim,lvl", ORACLE_MESHES)
 def test_neumann_matches_monolithic_ecr(dim, lvl):
     mesh = level(dim, lvl)

@@ -422,12 +422,22 @@ def test_identity_residuals_relabeling_invariant():
                                            (check_poisson_identity, 3, 2),
                                            (check_marini_identity, 2, 4),
                                            (check_stokes_identity, 3, 2)])
-def test_loads_on_one_mesh_share_its_factors_and_their_reports(factorised, check, dim, lvl):
+def test_loads_on_one_mesh_share_its_factors_and_their_reports(factorised, monkeypatch,
+                                                               check, dim, lvl):
+    built = []
+    pseudostress_operator = problems.pseudostress_operator
+
+    def recording(mesh):
+        built.append(mesh)
+        return pseudostress_operator(mesh)
+    monkeypatch.setattr(problems, "pseudostress_operator", recording)
     mesh = level(dim, lvl)
     shape = (mesh.n_cells, dim) if check is check_stokes_identity else (mesh.n_cells,)
     loads = [np.random.default_rng(seed).uniform(-1, 1, shape) for seed in range(3)]
     reports = [check(mesh, f).to_dict() for f in loads]
     assert len(factorised) == 2                    # the CR stiffness and S, once each
+    # and the pseudostress elimination, which factorises nothing, once
+    assert len(built) == (check is check_stokes_identity)
     for f, report in zip(loads, reports):
         assert check(level(dim, lvl), f).to_dict() == report
 

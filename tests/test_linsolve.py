@@ -1,4 +1,9 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,6 +360,54 @@ def test_a_factor_stores_its_l_and_u_and_nothing_else(problem, factorised):
     [entry] = factorised
     assert entry[1] == ("MMD_AT_PLUS_A" if problem == "poisson" else "NATURAL")
     assert entry.stored <= 1.001 * entry.lu_nnz, (entry.stored, entry.lu_nnz)
+
+
+FACTOR_PEAK_SCRIPT = """
+import ctypes, json, resource
+import numpy as np
+from simplexfem import assembly, linsolve
+from simplexfem.mesh import build_box_mesh, mesh_hierarchy
+
+
+def peak_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def rss_mb():
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * resource.getpagesize() / 2.0 ** 20
+
+
+def stiffness(level):
+    mesh = mesh_hierarchy(build_box_mesh(2, 1), level)[-1]
+    return assembly.poisson_stiffness(mesh, "CR")[0].tocsc()
+
+
+linsolve._splu(stiffness(2), **linsolve._SPD_ORDER)      # imports and set-up, on a small matrix
+K = stiffness(7)
+# return the free heap to the system, then fill the RSS up to the peak so
+# far: every page the factorisation touches then raises the peak
+ctypes.CDLL(None).malloc_trim(0)
+filler = np.ones(max(0, int((peak_mb() - rss_mb()) * 2 ** 17)))
+before = peak_mb()
+lu = linsolve._splu(K, **linsolve._SPD_ORDER)
+print(json.dumps({"raised_mb": peak_mb() - before, "entries": lu.L.nnz + lu.U.nnz}))
+"""
+
+
+def test_factorising_the_2d_level_7_cr_stiffness_peaks_below_twice_its_factor(tmp_path):
+    # 48,896 rows, an L+U of 920,050 entries, 10.5 MB at 12 bytes an entry
+    # (value and row index).  It raised the peak by 17.3 MB; SuperLU's
+    # default panel of 20 columns, whose work arrays grow with it, by 29.3 MB
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", FACTOR_PEAK_SCRIPT], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    measured = json.loads(proc.stdout.splitlines()[-1])
+    assert measured["raised_mb"] <= 2 * 12 * measured["entries"] / 2.0 ** 20, measured
 
 
 def test_a_column_block_solves_like_its_columns_and_gates_each():

@@ -1,11 +1,16 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from simplexfem.mesh import SimplexMesh, build_box_mesh, refine_uniform
-from simplexfem.quadrature import (QuadratureError, cell_weights, centred_points,
+from simplexfem.quadrature import (QuadratureError, _gauss_jacobi, cell_weights, centred_points,
                                    integrate_cellwise, physical_points, rule_for_degree)
 
 from percell import reference_monomial_integral
@@ -128,3 +133,45 @@ def test_high_degree_available():
     for dim in (2, 3, 4):
         rule = rule_for_degree(dim, 8)
         assert rule.exact_degree >= 8
+
+
+ALPHAS = [0, 0.5, 1, 2, 2.5, 3]
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_gauss_jacobi_matches_roots_jacobi(alpha):
+    # roots_jacobi's own weights are off by up to 380 ulps of the largest
+    # weight at k = 15 against a 60-digit evaluation, these by at most 12;
+    # the moment test below holds these to a few ulps
+    eps = np.finfo(float).eps
+    for k in range(1, 17):
+        t, w = _gauss_jacobi(k, float(alpha))
+        t_ref, w_ref = roots_jacobi(k, alpha, 0.0)
+        assert np.abs(t - t_ref).max() <= 2 * eps, k
+        assert np.abs(w - w_ref).max() <= 512 * np.spacing(w_ref.max()), k
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 2, 3])
+def test_gauss_jacobi_integrates_its_moments_exactly(alpha):
+    # int_0^1 (1-u)^alpha u^j du = j! alpha! / (j + alpha + 1)!, j < 2k
+    eps = np.finfo(float).eps
+    for k in range(1, 17):
+        t, w = _gauss_jacobi(k, float(alpha))
+        u, v = (t + 1.0) / 2.0, w / 2.0 ** (alpha + 1)
+        for j in range(2 * k):
+            exact = math.factorial(j) * math.factorial(alpha) / math.factorial(j + alpha + 1)
+            assert abs(np.sum(v * u ** j) - exact) <= 16 * eps * exact, (k, j)
+
+
+def test_importing_the_package_leaves_scipy_special_out():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    script = ("import sys, simplexfem\n"
+              "simplexfem.rule_for_degree(3, 8)\n"
+              "print('scipy.special' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["False"]
