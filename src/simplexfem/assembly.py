@@ -460,15 +460,26 @@ def facet_averages_of(mesh, g):
     """Facet averages of a callable on the degree-MATRIX_DEGREE facet rule
     (or pass-through of a per-facet array)."""
     if callable(g):
-        rule = rule_for_degree(mesh.dim - 1, MATRIX_DEGREE)
-        pts = np.einsum("qk,fki->fqi", rule.points, mesh.vertices[mesh.facets])
-        vals = np.asarray(g(pts), dtype=float)
-        fac = math.factorial(mesh.dim - 1)
-        return fac * np.einsum("fq,q->f", vals, rule.weights)
+        return sampled_facet_averages(mesh, lambda points, facets: g(points))
     arr = np.asarray(g, dtype=float)
     if arr.shape != (mesh.n_facets,):
         raise DataError("per-facet flux data must have one value per facet")
     return arr
+
+
+def sampled_facet_averages(mesh, sample):
+    """Facet averages on the degree-MATRIX_DEGREE facet rule of
+    ``sample(points, facets)``, the values (b, Q) at the rule's points
+    (b, Q, n) on the facets ``facets`` (a slice).  Sampled one block of
+    facets at a time (``cell_blocks``), so that no sample spans the mesh."""
+    rule = rule_for_degree(mesh.dim - 1, MATRIX_DEGREE)
+    fac = math.factorial(mesh.dim - 1)
+    averages = np.empty(mesh.n_facets)
+    for block in cell_blocks(mesh.n_facets, rule.n_points * mesh.dim):
+        pts = np.einsum("qk,fki->fqi", rule.points, mesh.vertices[mesh.facets[block]])
+        vals = np.asarray(sample(pts, block), dtype=float)
+        averages[block] = fac * np.einsum("fq,q->f", vals, rule.weights)
+    return averages
 
 
 def check_neumann_compatibility(mesh, f, g_avg):

@@ -8,6 +8,17 @@ its facets, a sign telling whether the canonical normal points out of the
 cell.  Every formula is the same in each dimension n >= 2; the box generator
 works in any dimension and uniform refinement in 2D and 3D.  Meshes are
 immutable after construction.
+
+A mesh is built in four stages.  The facets are sorted out of the cells as
+given, since a cell's facets do not depend on its orientation.  Then one
+pass over blocks of cells checks, orients and measures each cell once and
+writes every per-cell array.  Then the facet geometry is formed one block
+of facets at a time, and the facet signs one block of cells at a time.
+Every block comes from ``quadrature.cell_blocks``, so that no temporary
+(cells, width) float array exceeds ``quadrature.BLOCK_BYTES``.  No float
+temporary spans the mesh; the integer temporaries of the facet sort are
+freed before the cell geometry is allocated.  Each array is bitwise the
+same whatever the block size.
 """
 
 from __future__ import annotations
@@ -16,6 +27,8 @@ import itertools
 import math
 
 import numpy as np
+
+from . import quadrature
 
 DEGENERACY_RTOL = 1e-14
 
@@ -40,6 +53,14 @@ def _unique_rows(rows):
     inverse = np.empty(len(rows), dtype=np.int64)
     inverse[order] = np.cumsum(new) - 1
     return ordered[new], inverse
+
+
+def _edges_det_sq(x):
+    """Edges x_i - x_0, their determinant and the squared pairwise vertex
+    distances of stacked cells x (b, n+1, n)."""
+    edges = x[:, 1:, :] - x[:, :1, :]
+    diff = x[:, :, None, :] - x[:, None, :, :]               # (b, n+1, n+1, n)
+    return edges, np.linalg.det(edges), (diff ** 2).sum(-1)
 
 
 def _cross(rows):
@@ -77,9 +98,24 @@ class SimplexMesh:
         orientation that fixes the global unit normal).
     cell_facets : (nc, n+1) int array
         Facet index opposite local vertex ``i``.
-    cell_facet_signs : (nc, n+1) int array
-        +1 where the canonical facet normal points out of the cell.
+    cell_facet_signs : (nc, n+1) int64 array
+        +1 where the canonical facet normal points out of the cell, else -1.
     is_boundary_facet : (nf,) bool array
+    cell_measures, cell_H, cell_diameters : (nc,) float arrays
+        |K|, the sum of the squared edge lengths, and the longest edge.
+    cell_centroids : (nc, n) float array
+    barycentric_gradients : (nc, n+1, n) float array
+        grad(lambda_i) of local vertex ``i``.
+    cell_second_moments : (nc, n, n) float array
+        int_K (x - mid K)(x - mid K)^T.
+    facet_centroids, facet_normals : (nf, n) float arrays
+    facet_measures : (nf,) float array
+
+    The constructor raises MeshError, in this order, for a cell with a
+    repeated vertex index (the first such cell), for degenerate cells (all
+    their indices), for a facet of more than two cells and for interior
+    facet signs that do not cancel.  It orients a cell of negative volume by
+    swapping its last two vertices.
     """
 
     def __init__(self, dim, vertices, cells):
@@ -99,88 +135,118 @@ class SimplexMesh:
 
         self.dim = dim
         self.vertices = _lock(vertices)
-        self.cells = _lock(self._orient_and_check(vertices, cells))
-        self._build_facets()
-        self._build_geometry()
+        counts = self._build_facets(cells)
+        self._build_cells(cells)
+        if counts.max() > 2:
+            raise MeshError("facet shared by more than two cells")
+        self.is_boundary_facet = _lock(counts == 1)
+        self._build_facet_geometry()
+        self._build_signs()
 
     # -- construction ------------------------------------------------------
 
-    @staticmethod
-    def _orient_and_check(vertices, cells):
-        n = vertices.shape[1]
-        ordered = np.sort(cells, axis=1)
-        repeated = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
-        if len(repeated):
-            raise MeshError("degenerate cell (repeated vertex index): "
-                            f"{cells[repeated[0]].tolist()}")
-        x = vertices[cells]                       # (nc, n+1, n)
-        edges = x[:, 1:, :] - x[:, :1, :]         # (nc, n, n)
-        vol = np.linalg.det(edges) / math.factorial(n)
-        diff = x[:, :, None, :] - x[:, None, :, :]
-        max_edge = np.sqrt((diff ** 2).sum(-1)).max(axis=(1, 2))
-        bad = np.abs(vol) < DEGENERACY_RTOL * max_edge ** n
-        if bad.any():
-            raise MeshError(f"degenerate cell(s) at indices {np.flatnonzero(bad).tolist()}")
-        cells = cells.copy()
-        flip = vol < 0
-        cells[flip, -2], cells[flip, -1] = cells[flip, -1], cells[flip, -2].copy()
-        return cells
-
-    def _build_facets(self):
-        n, cells = self.dim, self.cells
+    def _build_facets(self, cells):
+        """Facets and ``cell_facets`` of the cells as given, and the number
+        of cells of each facet.  A cell's facets do not depend on its
+        orientation: ``_build_cells`` swaps the two columns of a cell it
+        flips."""
+        n = self.dim
         nc = len(cells)
         # local facet i = cell vertices with local vertex i removed
         keep = np.array([[j for j in range(n + 1) if j != i] for i in range(n + 1)])
         local = cells[:, keep]                    # (nc, n+1, n)
-        local = np.sort(local, axis=2).reshape(nc * (n + 1), n)
-        facets, inverse = _unique_rows(local)
+        local.sort(axis=2)
+        facets, inverse = _unique_rows(local.reshape(nc * (n + 1), n))
+        del local
         self.facets = _lock(facets)
-        self.cell_facets = _lock(inverse.reshape(nc, n + 1).astype(np.int64))
+        self.cell_facets = inverse.reshape(nc, n + 1)
+        return np.bincount(inverse, minlength=len(facets))
 
-        counts = np.bincount(self.cell_facets.ravel(), minlength=len(facets))
-        if counts.max() > 2:
-            raise MeshError("facet shared by more than two cells")
-        self.is_boundary_facet = _lock(counts == 1)
-
-    def _build_geometry(self):
-        n = self.dim
-        x = self.vertices[self.cells]                      # (nc, n+1, n)
-        edges = x[:, 1:, :] - x[:, :1, :]
-        self.cell_measures = _lock(np.linalg.det(edges) / math.factorial(n))
-        self.cell_centroids = _lock(x.mean(axis=1))
-        diff = x[:, :, None, :] - x[:, None, :, :]
-        sq = (diff ** 2).sum(-1)
-        self.cell_H = _lock(sq.sum(axis=(1, 2)) / 2.0)     # each pair counted twice
-        self.cell_diameters = _lock(np.sqrt(sq.max(axis=(1, 2))))
-
-        inv = np.linalg.inv(edges)                         # rows of inv^T are grad(lambda_1..n)
-        grads = np.empty((len(self.cells), n + 1, n))
-        grads[:, 1:, :] = np.swapaxes(inv, 1, 2)
-        grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
+    def _build_cells(self, cells):
+        """Check, orient and measure the cells, one block at a time.  A cell
+        of negative volume has its last two vertices swapped, and its
+        determinant and pairwise lengths are formed again in that order, so
+        that every array is the one of the oriented cell."""
+        n, nc = self.dim, len(cells)
+        fact = math.factorial(n)
+        oriented = cells.copy()
+        measures, h, diameters = np.empty(nc), np.empty(nc), np.empty(nc)
+        centroids = np.empty((nc, n))
+        grads = np.empty((nc, n + 1, n))
+        moments = np.empty((nc, n, n))
+        repeated, degenerate = [], []
+        for block in quadrature.cell_blocks(nc, (n + 1) ** 2 * n):
+            ordered = np.sort(cells[block], axis=1)
+            repeated.extend(block.start + np.flatnonzero(
+                (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)))
+            x = self.vertices[cells[block]]                    # (b, n+1, n)
+            edges, det, sq = _edges_det_sq(x)
+            diam = np.sqrt(sq.max(axis=(1, 2)))
+            bad = np.abs(det / fact) < DEGENERACY_RTOL * diam ** n
+            degenerate.extend(block.start + np.flatnonzero(bad))
+            if repeated or degenerate:
+                continue
+            flip = np.flatnonzero(det < 0)
+            if len(flip):
+                for a in (oriented[block], self.cell_facets[block]):
+                    a[flip, -2], a[flip, -1] = a[flip, -1], a[flip, -2].copy()
+                x[flip] = self.vertices[oriented[block][flip]]
+                edges[flip], det[flip], sq[flip] = _edges_det_sq(x[flip])
+            measures[block] = det / fact
+            centroids[block] = x.mean(axis=1)
+            h[block] = sq.sum(axis=(1, 2)) / 2.0               # each pair counted twice
+            diameters[block] = diam
+            g = grads[block]                                   # rows of inv^T are grad(lambda_1..n)
+            g[:, 1:, :] = np.swapaxes(np.linalg.inv(edges), 1, 2)
+            g[:, 0, :] = -g[:, 1:, :].sum(axis=1)
+            centered = x - centroids[block][:, None, :]
+            outer = np.einsum("cki,ckj->cij", centered, centered)
+            scale = measures[block] / ((n + 1) * (n + 2))
+            moments[block] = outer * scale[:, None, None]
+        if repeated:
+            raise MeshError("degenerate cell (repeated vertex index): "
+                            f"{cells[repeated[0]].tolist()}")
+        if degenerate:
+            raise MeshError(f"degenerate cell(s) at indices {[int(i) for i in degenerate]}")
+        self.cells = _lock(oriented)
+        self.cell_facets = _lock(self.cell_facets)
+        self.cell_measures = _lock(measures)
+        self.cell_centroids = _lock(centroids)
+        self.cell_H = _lock(h)
+        self.cell_diameters = _lock(diameters)
         self.barycentric_gradients = _lock(grads)
+        self.cell_second_moments = _lock(moments)
 
-        centered = x - self.cell_centroids[:, None, :]     # (nc, n+1, n)
-        outer = np.einsum("cki,ckj->cij", centered, centered)
-        scale = self.cell_measures / ((n + 1) * (n + 2))
-        self.cell_second_moments = _lock(outer * scale[:, None, None])
+    def _build_facet_geometry(self):
+        """|F| and the canonical normal from the generalised cross product
+        of the facet edges, which gives det[nu; p_1 - p_0; ...] = |c| > 0,
+        one block of facets at a time."""
+        n, nf = self.dim, self.n_facets
+        centroids, measures, normals = np.empty((nf, n)), np.empty(nf), np.empty((nf, n))
+        for block in quadrature.cell_blocks(nf, n * n):
+            p = self.vertices[self.facets[block]]              # (b, n, n)
+            centroids[block] = p.mean(axis=1)
+            c = _cross(p[:, 1:, :] - p[:, :1, :])
+            area = np.linalg.norm(c, axis=1)                   # (n-1)! |F|
+            measures[block] = area / math.factorial(n - 1)
+            normals[block] = c / area[:, None]
+        self.facet_centroids = _lock(centroids)
+        self.facet_measures = _lock(measures)
+        self.facet_normals = _lock(normals)
 
-        # |F| and the canonical normal from the generalised cross product of
-        # the facet edges, which gives det[nu; p_1 - p_0; ...] = |c| > 0
-        p = self.vertices[self.facets]                     # (nf, n, n)
-        self.facet_centroids = _lock(p.mean(axis=1))
-        c = _cross(p[:, 1:, :] - p[:, :1, :])
-        del p                            # freed before the long-lived arrays: lower peak RSS
-        area = np.linalg.norm(c, axis=1)                   # (n-1)! |F|
-        self.facet_measures = _lock(area / math.factorial(n - 1))
-        c /= area[:, None]
-        self.facet_normals = _lock(c)
-
-        # sign: +1 iff the canonical normal points out of the cell, against
-        # the inward grad(lambda_i)
-        dots = np.einsum("cki,cki->ck", self.facet_normals[self.cell_facets], grads)
-        self.cell_facet_signs = _lock(np.where(dots < 0, 1, -1).astype(np.int64))
-
-        if np.any(self.facet_sums(self.cell_facet_signs)[~self.is_boundary_facet] != 0):
+    def _build_signs(self):
+        """+1 iff the canonical normal points out of the cell, against the
+        inward grad(lambda_i); interior facets must get one of each."""
+        n, nc = self.dim, self.n_cells
+        signs = np.empty((nc, n + 1), dtype=np.int64)
+        for block in quadrature.cell_blocks(nc, (n + 1) * n):
+            dots = np.einsum("cki,cki->ck", self.facet_normals[self.cell_facets[block]],
+                             self.barycentric_gradients[block])
+            signs[block] = np.where(dots < 0, 1, -1)
+        self.cell_facet_signs = _lock(signs)
+        # an interior facet has two cells: its signs sum to 0 iff one is +1
+        outward = np.bincount(self.cell_facets[signs > 0], minlength=self.n_facets)
+        if np.any(outward[~self.is_boundary_facet] != 1):
             raise MeshError("interior facet signs are not antisymmetric")
 
     # -- simple queries ----------------------------------------------------
@@ -307,6 +373,12 @@ def refine_uniform(mesh):
     shape-regular across levels.  The children of cell c are rows
     2^n c .. 2^n (c + 1) - 1.  Raises MeshError for dim > 3.
     """
+    return SimplexMesh(mesh.dim, *_refined(mesh))
+
+
+def _refined(mesh):
+    """Vertices and cells of ``refine_uniform(mesh)``, so that the
+    temporaries that give them are freed before the refined mesh is built."""
     n = mesh.dim
     if n > 3:
         raise MeshError(f"uniform refinement supports dim 2 or 3, got {n}")
@@ -321,7 +393,7 @@ def refine_uniform(mesh):
     local = np.hstack([cells, mid_ids])
 
     if n == 2:
-        return SimplexMesh(2, verts, local[:, _CHILDREN_2D].reshape(-1, 3))
+        return verts, local[:, _CHILDREN_2D].reshape(-1, 3)
     ends = local[:, _DIAGONALS_3D]                           # (nc, 3, 2)
     d = verts[ends[:, :, 0]] - verts[ends[:, :, 1]]
     # |d| as np.linalg.norm forms it for one vector, sqrt(d.dot(d)); a
@@ -332,7 +404,7 @@ def refine_uniform(mesh):
     best = np.lexsort((ends.max(axis=2), ends.min(axis=2), length))[:, 0]
     octahedron = local[np.arange(nc)[:, None, None], _OCTAHEDRA_3D[best]]
     children = np.concatenate([local[:, _CORNERS_3D], octahedron], axis=1)
-    return SimplexMesh(3, verts, children.reshape(-1, 4))
+    return verts, children.reshape(-1, 4)
 
 
 def mesh_hierarchy(coarse, levels):

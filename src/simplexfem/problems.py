@@ -262,8 +262,8 @@ def quadratic_neumann_solution(dim):
 def outward_flux_averages(mesh, grad_u):
     """Facet averages of grad_u . nu_out on boundary facets, zero elsewhere;
     signs follow the canonical facet orientation bookkeeping."""
-    avg = assembly.facet_averages_of(mesh, lambda x: np.einsum(
-        "fqi,fi->fq", np.asarray(grad_u(x), dtype=float), mesh.facet_normals))
+    avg = assembly.sampled_facet_averages(mesh, lambda x, facets: np.einsum(
+        "fqi,fi->fq", np.asarray(grad_u(x), dtype=float), mesh.facet_normals[facets]))
     bnd = mesh.boundary_facet_indices()
     out = np.zeros(mesh.n_facets)
     out[bnd] = mesh.boundary_facet_signs() * avg[bnd]

@@ -15,7 +15,9 @@ cuts the cells into consecutive slices, each small enough that one
 point maps and the weights take such a slice (all cells by default), and
 each caller reduces a block to per-cell results before the next block is
 sampled.  A per-cell result does not depend on the block it was computed
-in, so blocking leaves every result bitwise as it is.
+in, so blocking leaves every result bitwise as it is.  ``cell_blocks`` also
+bounds the mesh build (``mesh.SimplexMesh``) and the facet averages of
+``assembly.sampled_facet_averages``, in blocks of cells or of facets.
 """
 
 from __future__ import annotations

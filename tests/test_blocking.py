@@ -3,31 +3,37 @@ cells at a time (``quadrature.cell_blocks``).  Every result is bitwise the
 same whatever the block size, and sampling a 3D L4 mesh raises the peak RSS
 by about a block's temporaries, not by whole-mesh arrays."""
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
+import peakrss
 from simplexfem import analysis, assembly, problems, quadrature
-from simplexfem.mesh import SimplexMesh, build_box_mesh, refine_uniform
+from simplexfem.mesh import MeshError, SimplexMesh, build_box_mesh, refine_uniform
 from simplexfem.problems import sine_solution, solve_poisson, solve_poisson_mixed
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def jiggled(dim, levels, seed=0):
     """``build_box_mesh(dim, 1)`` refined ``levels`` times, every vertex
-    moved a little, so that cells differ in shape and measure."""
+    moved a little, so that cells differ in shape and measure, and every
+    third cell given in negative orientation."""
     mesh = build_box_mesh(dim, 1)
     for _ in range(levels):
         mesh = refine_uniform(mesh)
     rng = np.random.default_rng(seed)
-    return SimplexMesh(dim, mesh.vertices + rng.uniform(-0.02, 0.02, mesh.vertices.shape),
-                       mesh.cells)
+    cells = mesh.cells.copy()
+    cells[::3, :2] = cells[::3, 1::-1]
+    mesh = SimplexMesh(dim, mesh.vertices + rng.uniform(-0.02, 0.02, mesh.vertices.shape),
+                       cells)
+    flipped = cells[::3].copy()
+    flipped[:, -2:] = flipped[:, :-3:-1]
+    assert np.array_equal(mesh.cells[::3], flipped)      # stored with the last two swapped
+    return mesh
+
+
+def mesh_arrays(mesh):
+    """Every array of a mesh, by attribute name."""
+    return {name: value for name, value in vars(mesh).items()
+            if isinstance(value, np.ndarray)}
 
 
 def sampled_outputs(mesh):
@@ -48,6 +54,8 @@ def sampled_outputs(mesh):
     out["l2_error RT"] = analysis.l2_error(sigma, fix.grad)
     out["l2_error P0"] = analysis.l2_error(u, fix.u)
     out["osc"] = analysis.osc(fix.f, mesh)
+    out["facet_averages_of"] = assembly.facet_averages_of(mesh, fix.u)
+    out["outward_flux_averages"] = problems.outward_flux_averages(mesh, fix.grad)
     return {name: np.asarray(value, dtype=float) for name, value in out.items()}
 
 
@@ -63,9 +71,34 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, dim, levels, cells
     blocks = list(quadrature.cell_blocks(mesh.n_cells, width))
     assert blocks[0] == slice(0, cells)
     assert cells == 1 or mesh.n_cells % cells != 0     # a last block shorter than the others
+    # the mesh build, whose widest temporary takes (n+1)^2 n values a cell,
+    # now runs in five blocks or more
+    assert 5 * quadrature.BLOCK_BYTES <= 8 * (dim + 1) ** 2 * dim * mesh.n_cells
+    rebuilt = mesh_arrays(jiggled(dim, levels))
+    arrays = mesh_arrays(mesh)
+    assert len(arrays) == 15 and rebuilt.keys() == arrays.keys()
+    for name, value in arrays.items():
+        assert rebuilt[name].dtype == value.dtype, name
+        assert rebuilt[name].tobytes() == value.tobytes(), name
     blocked = sampled_outputs(mesh)
     for name, value in default.items():
         assert blocked[name].tobytes() == value.tobytes(), name
+
+
+@pytest.mark.parametrize("block_bytes", [None, 8 * 18 * 4])
+def test_degenerate_cells_in_different_blocks_are_all_reported(monkeypatch, block_bytes):
+    # 2D: blocks of 4 cells, (n+1)^2 n = 18 values a cell
+    if block_bytes:
+        monkeypatch.setattr(quadrature, "BLOCK_BYTES", block_bytes)
+    mesh = build_box_mesh(2, 3)
+    cells = mesh.cells.tolist()
+    for index in (2, 9, 17):
+        cells.insert(index, [0, 1, 2])               # collinear: (0, 0), (0, 1/3), (0, 2/3)
+    with pytest.raises(MeshError, match=r"indices \[2, 9, 17\]$"):
+        SimplexMesh(2, mesh.vertices, cells)
+    cells[20] = [5, 6, 5]                          # a repeated vertex is reported first
+    with pytest.raises(MeshError, match=r"repeated vertex index\): \[5, 6, 5\]"):
+        SimplexMesh(2, mesh.vertices, cells)
 
 
 def test_cell_blocks_cover_the_cells_in_order(monkeypatch):
@@ -76,8 +109,6 @@ def test_cell_blocks_cover_the_cells_in_order(monkeypatch):
 
 
 PEAK_SCRIPT = """
-import json, resource
-import numpy as np
 from simplexfem import analysis, assembly, problems
 from simplexfem.mesh import build_box_mesh, mesh_hierarchy
 
@@ -105,22 +136,12 @@ def entry_points(mesh):
     }
 
 
-def peak_mb():
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
-def rss_mb():
-    with open("/proc/self/statm") as statm:
-        return int(statm.read().split()[1]) * resource.getpagesize() / 2.0 ** 20
-
-
 for call in entry_points(mesh_hierarchy(build_box_mesh(3, 1), 1)[-1]).values():
     call()                                   # imports and rules, on a small mesh
 hierarchy = mesh_hierarchy(build_box_mesh(3, 1), 4)
 raised = {}
 for name, call in entry_points(hierarchy[-1]).items():
-    # fill the RSS up to the peak so far, so that the call's own peak shows
-    filler = np.ones(max(0, int((peak_mb() - rss_mb()) * 2 ** 17)))
+    filler = padded()
     before = peak_mb()
     call()
     raised[name] = peak_mb() - before
@@ -131,11 +152,29 @@ print(json.dumps(raised))
 
 def test_sampling_3d_level_4_raises_the_peak_rss_by_a_few_blocks(tmp_path):
     # 3D L4: 24,576 cells, 125 points; one (nc, Q, n) array would be 74 MB
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", PEAK_SCRIPT], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    raised = json.loads(proc.stdout.splitlines()[-1])
+    raised = peakrss.run(PEAK_SCRIPT, tmp_path)
     assert raised and max(raised.values()) <= 16.0, raised
+
+
+MESH_PEAK_SCRIPT = """
+from simplexfem.mesh import build_box_mesh, mesh_hierarchy, refine_uniform
+
+refine_uniform(build_box_mesh(3, 2))           # imports, on a small mesh
+coarse = mesh_hierarchy(build_box_mesh(3, 1), 4)[-1]
+filler = padded()
+before = peak_mb()
+fine = refine_uniform(coarse)
+raised = peak_mb() - before
+arrays = [a for a in vars(fine).values() if isinstance(a, np.ndarray)]
+print(json.dumps({"raised_mb": raised, "cells": fine.n_cells,
+                  "arrays_mb": sum(a.nbytes for a in arrays) / 2.0 ** 20}))
+"""
+
+
+def test_refining_3d_level_4_raises_the_peak_rss_by_little_more_than_the_new_mesh(tmp_path):
+    # 3D L5: 196,608 cells and 90.2 MB of arrays.  Built one block of cells
+    # and facets at a time, it raised the peak by 1.21 times that; built on
+    # whole-mesh temporaries, by 4.1 times
+    measured = peakrss.run(MESH_PEAK_SCRIPT, tmp_path)
+    assert measured["cells"] == 196608
+    assert measured["raised_mb"] <= 1.5 * measured["arrays_mb"], measured

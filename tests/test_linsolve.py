@@ -1,15 +1,11 @@
 import dataclasses
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as sla
 
+import peakrss
 from simplexfem import assembly, linsolve, problems
 from simplexfem.linsolve import SolverConfig, SolverError, eig_smallest, gate_saddle, solve
 from simplexfem.mesh import SimplexMesh, build_box_mesh, mesh_hierarchy, refine_uniform
@@ -363,19 +359,8 @@ def test_a_factor_stores_its_l_and_u_and_nothing_else(problem, factorised):
 
 
 FACTOR_PEAK_SCRIPT = """
-import ctypes, json, resource
-import numpy as np
 from simplexfem import assembly, linsolve
 from simplexfem.mesh import build_box_mesh, mesh_hierarchy
-
-
-def peak_mb():
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
-def rss_mb():
-    with open("/proc/self/statm") as statm:
-        return int(statm.read().split()[1]) * resource.getpagesize() / 2.0 ** 20
 
 
 def stiffness(level):
@@ -385,10 +370,7 @@ def stiffness(level):
 
 linsolve._splu(stiffness(2), **linsolve._SPD_ORDER)      # imports and set-up, on a small matrix
 K = stiffness(7)
-# return the free heap to the system, then fill the RSS up to the peak so
-# far: every page the factorisation touches then raises the peak
-ctypes.CDLL(None).malloc_trim(0)
-filler = np.ones(max(0, int((peak_mb() - rss_mb()) * 2 ** 17)))
+filler = padded()
 before = peak_mb()
 lu = linsolve._splu(K, **linsolve._SPD_ORDER)
 print(json.dumps({"raised_mb": peak_mb() - before, "entries": lu.L.nnz + lu.U.nnz}))
@@ -399,14 +381,7 @@ def test_factorising_the_2d_level_7_cr_stiffness_peaks_below_twice_its_factor(tm
     # 48,896 rows, an L+U of 920,050 entries, 10.5 MB at 12 bytes an entry
     # (value and row index).  It raised the peak by 17.3 MB; SuperLU's
     # default panel of 20 columns, whose work arrays grow with it, by 29.3 MB
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", FACTOR_PEAK_SCRIPT], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    measured = json.loads(proc.stdout.splitlines()[-1])
+    measured = peakrss.run(FACTOR_PEAK_SCRIPT, tmp_path)
     assert measured["raised_mb"] <= 2 * 12 * measured["entries"] / 2.0 ** 20, measured
 
 

@@ -266,10 +266,12 @@ def test_mixed_solves_assemble_no_global_rt0_system(monkeypatch):
 @pytest.mark.parametrize("dim,lvl", [(2, 6), (3, 3)])
 def test_bubble_moments_hold_at_most_four_load_samples(dim, lvl):
     # no (nc, Q, n) point, offset or gradient array: the peak stays within
-    # four (nc, Q) arrays of float64, the load sample included
+    # four (nc, Q) arrays of float64, the load sample included.  A callable
+    # load is sampled on the degree-8 rule, 25 points in 2D and 125 in 3D
     mesh = mesh_hierarchy(build_box_mesh(dim, 1), lvl)[-1]
-    f = np.random.default_rng(lvl).uniform(-1.0, 1.0, mesh.n_cells)
+    f = sine_solution(dim).f
     n_points = rule_for_degree(dim, assembly.DEFAULT_LOAD_DEGREE).n_points
+    assert assembly.load_rule(mesh, f).n_points == n_points
     tracemalloc.start()
     try:
         problems.bubble_coefficients(mesh, f)
