@@ -157,7 +157,6 @@ class SimplexMesh:
         local = cells[:, keep]                    # (nc, n+1, n)
         local.sort(axis=2)
         facets, inverse = _unique_rows(local.reshape(nc * (n + 1), n))
-        del local
         self.facets = _lock(facets)
         self.cell_facets = inverse.reshape(nc, n + 1)
         return np.bincount(inverse, minlength=len(facets))
