@@ -18,12 +18,13 @@ Zero policy: ``scatter_matrix``, the one sparse scatter, stores no exact
 zero; it drops them once duplicates are summed.  A stored zero would still
 enter the factorisation's ordering and fill.
 
-Loads are sampled and reduced one block of cells at a time
-(``reduce_load``) on the rule ``load_rule`` picks.  A per-cell-constant
-load meets at most the quadratic ECR bubble, so its integrals, CR and ECR
-moments and bubble moments are exact on the degree-2 rule (4 points in 2D,
-8 in 3D).  A callable, or values already sampled on a rule's points, is
-reduced on the degree-``DEFAULT_LOAD_DEGREE`` rule (25 and 125 points).
+A per-cell-constant load f_K is reduced in closed form, with no sample
+(``reduce_constant_load``): its integrals are |K| f_K, its CR moments
+|K| f_K / (n+1), its ECR moments 0 on the facet functions and |K| f_K on
+the bubble.  A callable, or values already sampled on a rule's points, is
+sampled and reduced one block of cells at a time (``reduce_load``) on the
+degree-``DEFAULT_LOAD_DEGREE`` rule ``load_rule`` (25 points in 2D, 125
+in 3D).
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .quadrature import (cell_blocks, cell_weights, integrate_cellwise, physical
                          rule_for_degree)
 
 DEFAULT_LOAD_DEGREE = 8
-CONSTANT_LOAD_DEGREE = 2        # a per-cell-constant load against the quadratic ECR bubble
 MATRIX_DEGREE = 4
 
 
@@ -70,16 +70,19 @@ class DofMap:
     def global_dofs(self):
         """Global index of every (cell, local dof, component), (nc, nldof,
         ncomp): ``r * n_scalar + a`` for component r of scalar DOF a, -1 where
-        the DOF is eliminated."""
+        the DOF is eliminated.  For one component that is ``cell_dofs``
+        itself, returned as a view."""
         dofs = self.cell_dofs[:, :, None]
+        if self.ncomp == 1:
+            return dofs
         return np.where(dofs >= 0, dofs + self.n_scalar * np.arange(self.ncomp), -1)
 
     def gather(self, coeffs):
         """Per-cell local coefficients (nc, nldof, ncomp); eliminated DOFs
-        contribute zero."""
-        dofs = self.global_dofs
+        contribute zero: their index -1 reads a zero appended to the
+        coefficients."""
         coeffs = np.asarray(coeffs, dtype=float).reshape(self.n_total)
-        return np.where(dofs >= 0, coeffs[dofs], 0.0)
+        return np.append(coeffs, 0.0)[self.global_dofs]
 
     def coefficients(self, local):
         """The coefficient vector whose ``gather`` is ``local`` (nc, nldof[,
@@ -221,12 +224,12 @@ def stiffness_local(mesh, family):
 
 
 class CellLoad(NamedTuple):
-    """A load already reduced on each cell on the rule ``load_rule`` picks
-    for it: its integrals (nc[, ncomp]) and its moments against the CR basis
-    (nc, n+1, ncomp), as ``load_integrals`` and ``load_moments`` give them.
-    ``load_integrals`` and the CR ``load_vector`` take it in place of a
-    load: an ECR solve in ``problems`` reduces its load to it in the same
-    pass over the cells as its bubble moments, so the load is sampled once."""
+    """A load already reduced on each cell: its integrals (nc[, ncomp]) and
+    its moments against the CR basis (nc, n+1, ncomp), as
+    ``load_integrals`` and the CR ``load_vector`` reduce them.  Both take it
+    in place of a load: an ECR solve in ``problems`` reduces its load to it
+    together with its bubble moments, so that a sampled load is sampled
+    once."""
 
     integrals: np.ndarray
     cr_moments: np.ndarray
@@ -242,21 +245,13 @@ def _sample(mesh, f, rule, ncomp, cells):
         if vals.shape != shape:
             raise DataError(f"load callable returned shape {vals.shape}, expected {shape}")
         return vals
+    constant = reduce_constant_load(mesh, f, ncomp, "values")
+    if constant is not None:
+        return np.repeat(constant[0][cells, None], q, axis=1)
     arr = np.asarray(f, dtype=float)
-    nc = mesh.n_cells
-    if arr.shape == (nc,) + shape[1:]:
-        return arr[cells]
-    if arr.ndim == 0:
-        if ncomp != 1:
-            raise DataError("vector load needs ncomp values")
-        return np.full(shape, float(arr))
-    if ncomp == 1 and arr.shape == (nc,):
-        return np.broadcast_to(arr[cells, None], shape).copy()
-    if ncomp > 1 and arr.shape == (ncomp,):
-        return np.broadcast_to(arr[None, None, :], shape).copy()
-    if ncomp > 1 and arr.shape == (nc, ncomp):
-        return np.broadcast_to(arr[cells, None, :], shape).copy()
-    raise DataError(f"cannot interpret load of shape {arr.shape}")
+    if arr.shape != (mesh.n_cells,) + shape[1:]:
+        raise DataError(f"cannot interpret load of shape {arr.shape}")
+    return arr[cells]
 
 
 def reduce_load(mesh, f, rule, ncomp, *reductions):
@@ -286,26 +281,52 @@ def load_values(mesh, f, rule, ncomp=1):
     return reduce_load(mesh, f, rule, ncomp, lambda values, cells: values)[0]
 
 
-def load_rule(mesh, f, ncomp=1):
-    """The rule a load is reduced on.  A per-cell-constant load (a scalar,
-    or an (nc,) array; for ncomp > 1 an (ncomp,) or (nc, ncomp) array)
-    meets at most the quadratic ECR bubble, so the degree-2 rule (4 points
-    in 2D, 8 in 3D) integrates all its reductions exactly.  A callable, or
-    values already sampled on the points of a rule (nc, Q[, ncomp]), takes
-    the degree-``DEFAULT_LOAD_DEGREE`` rule."""
-    constant = [(), (mesh.n_cells,)] if ncomp == 1 else [(ncomp,), (mesh.n_cells, ncomp)]
-    sampled = callable(f) or np.shape(f) not in constant
-    return rule_for_degree(mesh.dim, DEFAULT_LOAD_DEGREE if sampled else CONSTANT_LOAD_DEGREE)
+def load_rule(mesh):
+    """The rule a load that is not per-cell constant (a callable, or values
+    already sampled on the points of a rule, (nc, Q[, ncomp])) is reduced
+    on: degree ``DEFAULT_LOAD_DEGREE``."""
+    return rule_for_degree(mesh.dim, DEFAULT_LOAD_DEGREE)
+
+
+def reduce_constant_load(mesh, f, ncomp, *reductions):
+    """The named reductions, in closed form, of a per-cell-constant load f_K
+    (a scalar or an (nc,) array; for ncomp > 1 an (ncomp,) or (nc, ncomp)
+    array): a list, or None for any other load.  ``"values"`` f_K (a
+    read-only view), ``"integrals"`` |K| f_K and ``"bubbles"`` the bubble
+    coefficients |K| f_K / ||grad phi_K||^2 are (nc[, ncomp]); ``"CR"`` and
+    ``"ECR"`` are the moments (f, phi_a)_K (nc, nldof, ncomp), |K| f_K
+    times the average of phi_a over K: 1/(n+1) for a CR function, 0 for an
+    ECR facet function and 1 for the bubble (Marini, SINUM 22, 1985)."""
+    nc, n = mesh.n_cells, mesh.dim
+    shapes = [(), (nc,)] if ncomp == 1 else [(ncomp,), (nc, ncomp)]
+    if callable(f) or np.shape(f) not in shapes:
+        return None
+    values = np.broadcast_to(np.reshape(np.asarray(f, dtype=float), (-1, ncomp)), (nc, ncomp))
+
+    def reduce(name):
+        out = values if name == "values" else mesh.cell_measures[:, None] * values
+        if name == "CR":
+            return np.repeat(out[:, None] / (n + 1), n + 1, axis=1)
+        if name == "ECR":
+            return np.concatenate([np.zeros((nc, n + 1, ncomp)), out[:, None]], axis=1)
+        if name == "bubbles":
+            out /= elements.bubble_energy(n, mesh.cell_measures, mesh.cell_H)[:, None]
+        elif name not in ("values", "integrals"):
+            raise ValueError(f"unknown load reduction {name!r}")
+        return out[:, 0] if ncomp == 1 else out
+    return [reduce(name) for name in reductions]
 
 
 def load_integrals(mesh, f, ncomp=1):
-    """Per-cell integrals of a load on its ``load_rule``: (nc,) or
-    (nc, ncomp), reduced one block of cells at a time."""
+    """Per-cell integrals of a load: (nc,) or (nc, ncomp), in closed form
+    for a per-cell-constant load, otherwise on its ``load_rule``, reduced
+    one block of cells at a time."""
     if isinstance(f, CellLoad):
         return f.integrals
-    rule = load_rule(mesh, f, ncomp)
-    return reduce_load(mesh, f, rule, ncomp,
-                       lambda values, cells: integrate_cellwise(mesh, values, rule, cells))[0]
+    rule = load_rule(mesh)
+    return (reduce_constant_load(mesh, f, ncomp, "integrals") or reduce_load(
+        mesh, f, rule, ncomp,
+        lambda values, cells: integrate_cellwise(mesh, values, rule, cells)))[0]
 
 
 def piecewise_constant_load(mesh, f, ncomp=1):
@@ -330,14 +351,16 @@ def load_moments(mesh, family, rule, values, cells):
 
 
 def load_vector(mesh, dofmap, f):
-    """The CR or ECR load vector (f, phi_a) over ``dofmap``, on the load's
-    ``load_rule``, reduced one block of cells at a time; a CR map also takes
-    a ``CellLoad``."""
+    """The CR or ECR load vector (f, phi_a) over ``dofmap``: in closed form
+    for a per-cell-constant load, otherwise on the load's ``load_rule``,
+    reduced one block of cells at a time; a CR map also takes a
+    ``CellLoad``."""
     if isinstance(f, CellLoad):
         return scatter_vector(dofmap, f.cr_moments)
-    rule = load_rule(mesh, f, dofmap.ncomp)
-    moments, = reduce_load(mesh, f, rule, dofmap.ncomp, lambda values, cells: load_moments(
-        mesh, dofmap.family, rule, values, cells))
+    rule = load_rule(mesh)
+    moments, = (reduce_constant_load(mesh, f, dofmap.ncomp, dofmap.family) or reduce_load(
+        mesh, f, rule, dofmap.ncomp,
+        lambda values, cells: load_moments(mesh, dofmap.family, rule, values, cells)))
     return scatter_vector(dofmap, moments)
 
 

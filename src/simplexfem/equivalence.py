@@ -12,7 +12,9 @@ each cell: ``BrokenField.gradient_parts`` and ``RTField.affine_parts`` give
 (c, r) in closed form, each side from its own element.  So no check needs
 quadrature: L2 norms are exact closed forms (``_affine_l2``) and the
 ``pointwise`` residuals and jump-gate scales are exact sups, taken at the
-vertices (``_vertex_sup``).
+vertices (``_vertex_sup``).  The mesh-only arrays these read, each cell's
+facet normals and vertex offsets and the RT0 moments, are formed once per
+mesh (``SimplexMesh.cached``).
 
 Both Poisson operators depend on the mesh alone, and the identity is a claim
 about every piecewise-constant load, so a caller certifies many loads on
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analysis, assembly, elements, problems, quadrature
+from . import analysis, assembly, elements, problems
 from .assembly import DataError
 
 IDENTITY_TOL = 1e-9
@@ -96,14 +98,14 @@ class IdentityReport:
 
 def require_piecewise_constant(mesh, f, ncomp=1):
     """Normalize a piecewise-constant load to a per-cell array, (nc,) or
-    (nc, ncomp); callables are rejected (the equivalence identities assume
+    (nc, ncomp), by ``assembly.reduce_constant_load``; callables and
+    sampled loads are rejected (the equivalence identities assume
     cellwise-constant data)."""
-    if callable(f):
+    values = assembly.reduce_constant_load(mesh, f, ncomp, "values")
+    if values is None:
         raise DataError("equivalence checks need piecewise-constant loads; "
                         "project callables with project_p0 first")
-    # the one-point rule only fixes the sample count: nothing is evaluated
-    centroid = quadrature.rule_for_degree(mesh.dim, 0)
-    return assembly.load_values(mesh, f, centroid, ncomp)[:, 0]
+    return values[0]
 
 
 def project_p0(source, mesh):
@@ -121,16 +123,28 @@ def project_p0(source, mesh):
     return problems.BrokenField(p0, p0.coefficients(avg))
 
 
+def _facet_frames(mesh):
+    """The canonical normal of each facet of each cell, (nc, n+1, n), and
+    (mid F - mid K) . nu_F, (nc, n+1): mesh-only, kept by ``mesh.cached``."""
+    normals = mesh.facet_normals[mesh.cell_facets]
+    centers = mesh.facet_centroids[mesh.cell_facets]
+    return normals, np.einsum("ckn,ckn->ck", centers - mesh.cell_centroids[:, None, :], normals)
+
+
+def _vertex_offsets(mesh):
+    """a_k - mid K of each vertex of each cell, (nc, n+1, n): mesh-only,
+    kept by ``mesh.cached``."""
+    return mesh.vertices[mesh.cells] - mesh.cell_centroids[:, None]
+
+
 def _normal_traces(mesh, g, r):
     """Canonical-normal traces of g_K + r_K (x - mid K) on each facet of each
     cell (constant per facet): (nc, n+1) for g (nc, n), r (nc,), and
     (nc, n+1, ncomp) for g (nc, ncomp, n), r (nc, ncomp)."""
-    normals = mesh.facet_normals[mesh.cell_facets]        # (nc, n+1, n)
-    centers = mesh.facet_centroids[mesh.cell_facets]
-    radial = np.einsum("ckn,ckn->ck", centers - mesh.cell_centroids[:, None, :],
-                       normals)
-    return (np.einsum("c...n,ckn->ck...", g, normals)
-            + np.einsum("ck,c...->ck...", radial, r))
+    normals, radial = mesh.cached(_facet_frames)
+    traces = np.einsum("c...n,ckn->ck...", g, normals)
+    traces += np.einsum("ck,c...->ck...", radial, r)
+    return traces
 
 
 def _max_interior_jump(mesh, traces):
@@ -159,8 +173,9 @@ def _vertex_sup(mesh, c, r):
     """Exact largest |entry| of the cellwise affine field c_K + r_K (x - mid K)
     (shapes as in ``_affine_l2``): every entry is affine on K, so its sup
     over K is taken at a vertex."""
-    dx = mesh.vertices[mesh.cells] - mesh.cell_centroids[:, None]   # (nc, n+1, n)
-    return float(np.abs(c[:, None] + np.einsum("c...,ckn->ck...n", r, dx)).max())
+    values = np.einsum("c...,ckn->ck...n", r, mesh.cached(_vertex_offsets))
+    values += c[:, None]
+    return float(np.abs(values, out=values).max())
 
 
 def _compare(mesh, a, b, norm):
@@ -169,12 +184,16 @@ def _compare(mesh, a, b, norm):
     return norm(mesh, a[0] - b[0], a[1] - b[1]), norm(mesh, *a), norm(mesh, *b)
 
 
+def _normal_jump(mesh, g, r):
+    """Max interior jump of the normal traces of the cellwise affine field
+    g_K + r_K (x - mid K), and its exact sup norm for scaling."""
+    return _max_interior_jump(mesh, _normal_traces(mesh, g, r)), _vertex_sup(mesh, g, r)
+
+
 def normal_jump_of_gradient(u):
     """Max interior jump of the (constant-per-facet) normal trace of the
     broken gradient, plus the exact sup norm of the gradient for scaling."""
-    mesh = u.mesh
-    g, r = u.gradient_parts()
-    return _max_interior_jump(mesh, _normal_traces(mesh, g, r)), _vertex_sup(mesh, g, r)
+    return _normal_jump(u.mesh, *u.gradient_parts())
 
 
 def ecr_gradient_as_rt(u):
@@ -218,9 +237,7 @@ def _trace_mean_gauge(mesh, parts):
 def stokes_tensor_normal_jump(vel, pressure):
     """Max interior jump of the row-wise normal traces of
     grad_NC u + p id (constant per facet), plus the exact tensor sup norm."""
-    mesh = vel.mesh
-    g, r = _pseudostress(*vel.gradient_parts(), pressure)
-    return _max_interior_jump(mesh, _normal_traces(mesh, g, r)), _vertex_sup(mesh, g, r)
+    return _normal_jump(vel.mesh, *_pseudostress(*vel.gradient_parts(), pressure))
 
 
 def _constant(values):
@@ -248,7 +265,7 @@ def check_poisson_identity(mesh, f_pc, level=-1, tol=IDENTITY_TOL):
     report.record("u_vs_projection", d, na, nb)
     report.extra["u_rt_norm"] = na
 
-    max_jump, sup = normal_jump_of_gradient(u)
+    max_jump, sup = _normal_jump(mesh, *grad)
     report.max_normal_jump = max_jump
     report.extra["grad_sup_norm"] = sup
     report.extra["jump_pass"] = bool(max_jump <= JUMP_TOL * max(sup, 1e-300))
@@ -286,7 +303,7 @@ def check_stokes_identity(mesh, f_pc, level=-1, tol=STOKES_TOL):
     # int_K div_NC u psi_i = delta int_K psi_i + s_i S_K rho / (n|K|).
     delta = np.einsum("crr->c", g)
     radial = mesh.cell_facet_signs / (n * mesh.cell_measures[:, None])
-    contrib = (delta[:, None, None] * elements.rt0_moment(mesh)
+    contrib = (delta[:, None, None] * mesh.cached(elements.rt0_moment)
                + np.einsum("ci,cmk,ck->cim", radial, mesh.cell_second_moments, rad)) / n
     lhs_cell = u_rt.cell_averages() - vel.cell_averages()
     t_weak = mesh.facet_sums(contrib)

@@ -135,6 +135,7 @@ class SimplexMesh:
 
         self.dim = dim
         self.vertices = _lock(vertices)
+        self._cached = {}                  # see ``cached``
         counts = self._build_facets(cells)
         self._build_cells(cells)
         if counts.max() > 2:
@@ -286,6 +287,16 @@ class SimplexMesh:
     @property
     def h_max(self):
         return float(self.cell_diameters.max())
+
+    def cached(self, build):
+        """``build(mesh)``, an array or a tuple of arrays of the mesh alone,
+        formed on the first call and kept, read-only: per-load code takes
+        its mesh-only arrays from here instead of forming them every call."""
+        if build not in self._cached:
+            made = build(self)
+            self._cached[build] = (tuple(map(_lock, made)) if isinstance(made, tuple)
+                                   else _lock(made))
+        return self._cached[build]
 
     def find_cell(self, point):
         """Index of a cell containing ``point`` (barycentric test)."""

@@ -5,10 +5,10 @@ Field values and gradients are closed forms in each cell's affine parts;
 no basis function is evaluated for them.  Each field's samplers take a
 slice of cells and its parts once, so that ``analysis`` samples a field
 one block of cells at a time.  The drivers take a mesh and the problem
-data: loads are sampled one block of cells at a time
-(``assembly.reduce_load``) on the rule ``assembly.load_rule`` picks, the
-exact degree-2 rule for a per-cell-constant load and the degree
-``assembly.DEFAULT_LOAD_DEGREE`` one otherwise, and every solve is gated at
+data: a per-cell-constant load is reduced in closed form
+(``assembly.reduce_constant_load``), any other load is sampled one block
+of cells at a time (``assembly.reduce_load``) on the degree
+``assembly.DEFAULT_LOAD_DEGREE`` rule, and every solve is gated at
 ``linsolve.RESIDUAL_TOL``.  Only ``solve_eigen`` takes a
 ``linsolve.SolverConfig``, which seeds ARPACK's start vector.
 
@@ -181,9 +181,11 @@ class RTField:
         parts once."""
         return partial(_affine_values, self.mesh, *self.affine_parts())
 
-    def cell_divergence(self):
-        """Exact cellwise-constant divergence: (nc,) or (nc, ncomp)."""
-        local = self.dofmap.gather(self.coeffs)
+    def cell_divergence(self, local=None):
+        """Exact cellwise-constant divergence: (nc,) or (nc, ncomp), from
+        the ``gather`` of the coefficients, ``local``, if given."""
+        if local is None:
+            local = self.dofmap.gather(self.coeffs)
         signs = self.mesh.cell_facet_signs
         out = np.einsum("ci,cir->cr", signs, local) / self.mesh.cell_measures[:, None]
         return out[:, 0] if self.ncomp == 1 else out
@@ -192,11 +194,13 @@ class RTField:
         """Cellwise representation field|_K = c_K + r_K (x - mid K) from RT0
         geometry only: c_K = sum_i x_i int_K psi_i / |K| and r_K = div / n.
         (c (nc, n), r (nc,)) for a vector field, (c (nc, ncomp, n),
-        r (nc, ncomp)) rows for a tensor field."""
+        r (nc, ncomp)) rows for a tensor field.  The moments int_K psi_i are
+        the mesh's ``cached`` ``elements.rt0_moment``."""
+        mesh = self.mesh
         local = self.dofmap.gather(self.coeffs)        # (nc, n+1, ncomp)
-        c = (np.einsum("cir,cin->crn", local, elements.rt0_moment(self.mesh))
-             / self.mesh.cell_measures[:, None, None])
-        r = self.cell_divergence() / self.mesh.dim
+        c = (np.einsum("cir,cin->crn", local, mesh.cached(elements.rt0_moment))
+             / mesh.cell_measures[:, None, None])
+        r = self.cell_divergence(local) / mesh.dim
         return (c[:, 0], r) if self.ncomp == 1 else (c, r)
 
 
@@ -282,49 +286,53 @@ def outward_flux_averages(mesh, grad_u):
 # the assembled ECR stiffness only gates their residuals, and is otherwise
 # a test oracle.
 
-def _bubble_moments(mesh, rule):
-    """The ``assembly.reduce_load`` reduction sum_q w_q phi_K(x_q) f(x_q)
-    of a block of cells: (b,) or (b, ncomp).  Only the (b, Q) bubble values
-    are formed besides the load sample."""
-    return lambda values, cells: np.einsum(
-        "cq,q,cq...->c...", elements.bubble_values(mesh, rule.points, cells), rule.weights, values)
-
-
-def _bubbles_of(mesh, moments):
-    """Bubble coefficients from the moments of ``_bubble_moments``: the
-    physical weights n! |K| w_q are applied after the sum over the points,
-    and the bubble energy is divided out."""
+def _bubble_reduction(mesh, rule):
+    """The ``assembly.reduce_load`` reduction of a block of cells to its
+    bubble coefficients: (b,) or (b, ncomp).  The sum over the points,
+    sum_q w_q phi_K(x_q) f(x_q), forms only the (b, Q) bubble values
+    besides the load sample; the physical weights n! |K| are applied after
+    it, and the bubble energy is divided out."""
     n = mesh.dim
     scale = (math.factorial(n) * mesh.cell_measures
              / elements.bubble_energy(n, mesh.cell_measures, mesh.cell_H))
-    return moments * (scale if moments.ndim == 1 else scale[:, None])
+
+    def reduce(values, cells):
+        moments = np.einsum("cq,q,cq...->c...", elements.bubble_values(mesh, rule.points, cells),
+                            rule.weights, values)
+        return moments * (scale[cells] if moments.ndim == 1 else scale[cells, None])
+    return reduce
 
 
 def bubble_coefficients(mesh, f, ncomp=1):
     """Per-cell bubble coefficients (f, phi_K)_K / ||grad phi_K||_K^2 of a
-    load: (nc,) or (nc, ncomp), reduced one block of cells at a time."""
-    rule = assembly.load_rule(mesh, f, ncomp)
-    return _bubbles_of(mesh, assembly.reduce_load(mesh, f, rule, ncomp,
-                                                  _bubble_moments(mesh, rule))[0])
+    load: (nc,) or (nc, ncomp), in closed form for a per-cell-constant load
+    (``assembly.reduce_constant_load``), otherwise reduced one block of
+    cells at a time."""
+    rule = assembly.load_rule(mesh)
+    return (assembly.reduce_constant_load(mesh, f, ncomp, "bubbles")
+            or assembly.reduce_load(mesh, f, rule, ncomp, _bubble_reduction(mesh, rule)))[0]
 
 
 def _cr_system(mesh, f, family, assemble, ncomp=1):
     """``assemble(load)`` of the CR system and, for ECR, the bubble
-    coefficients (None for CR).  For ECR one pass over blocks of cells
-    samples f once and reduces each block to its integrals, CR moments and
-    bubble moments; ``assemble`` gets the first two as an
+    coefficients (None for CR).  For ECR the load is reduced to its
+    integrals, CR moments and bubble coefficients, in closed form for a
+    per-cell-constant load and otherwise in one pass over blocks of cells
+    that samples f once; ``assemble`` gets the first two as an
     ``assembly.CellLoad``.  No sample of f outlives its block."""
     if family == "CR":
         return assemble(f), None
     if family != "ECR":
         raise ValueError(f"primal problems support families CR and ECR, not {family!r}")
-    rule = assembly.load_rule(mesh, f, ncomp)
-    integrals, moments, bubbles = assembly.reduce_load(
-        mesh, f, rule, ncomp,
-        lambda values, cells: integrate_cellwise(mesh, values, rule, cells),
-        lambda values, cells: assembly.load_moments(mesh, "CR", rule, values, cells),
-        _bubble_moments(mesh, rule))
-    return assemble(assembly.CellLoad(integrals, moments)), _bubbles_of(mesh, bubbles)
+    rule = assembly.load_rule(mesh)
+    integrals, moments, bubbles = (
+        assembly.reduce_constant_load(mesh, f, ncomp, "integrals", "CR", "bubbles")
+        or assembly.reduce_load(
+            mesh, f, rule, ncomp,
+            lambda values, cells: integrate_cellwise(mesh, values, rule, cells),
+            lambda values, cells: assembly.load_moments(mesh, "CR", rule, values, cells),
+            _bubble_reduction(mesh, rule)))
+    return assemble(assembly.CellLoad(integrals, moments)), bubbles
 
 
 def bubble_split(dm):
@@ -348,14 +356,16 @@ def _with_bubbles(cr, bubbles):
     """The ECR field CR + bubbles, per component: its facet averages are the
     CR coefficients, its cell averages the bubble coefficient plus the mean
     of the cell's CR facet coefficients: ``bubble_split`` applied without
-    building it, as every ECR solve needs it once.  The CR field itself for
+    building it, as every ECR solve needs it once.  Each component's ECR
+    numbering is its CR one followed by the cells.  The CR field itself for
     CR (``bubbles`` None)."""
     if bubbles is None:
         return cr
     local = cr.dofmap.gather(cr.coeffs)                     # (nc, n+1, ncomp)
-    cells = bubbles.reshape(local[:, :1].shape) + local.mean(axis=1, keepdims=True)
+    cells = bubbles.reshape(local[:, 0].shape) + local.mean(axis=1)
     dm = assembly.DofMap.build(cr.mesh, "ECR", cr.dofmap.dirichlet, cr.ncomp)
-    return BrokenField(dm, dm.coefficients(np.concatenate([local, cells], axis=1)))
+    coeffs = np.concatenate([cr.coeffs.reshape(cr.ncomp, -1), cells.T], axis=1)
+    return BrokenField(dm, coeffs.ravel())
 
 
 def poisson_operator(mesh):
@@ -449,12 +459,20 @@ def _multiplier_blocks(inv, coupling, augment=None):
 def _multiplier_matrices(inv, coupling, dofs, size):
     """S = sum_K S_K (``_multiplier_blocks``) and the copy of S that is
     factorised: without the entries of these cell blocks at most
-    ``_S_ROUNDING`` times the cell's largest (see ``_solve_rt0_hybrid``)."""
+    ``_S_ROUNDING`` times the cell's largest (see ``_solve_rt0_hybrid``),
+    formed as S minus a scatter of those entries alone.  Two facets share
+    at most one cell, so a dropped entry leaves an exact zero in its slot,
+    which is not stored, and the copy is bitwise the blocks' scatter
+    without them."""
     S_local = _multiplier_blocks(inv, coupling)
     S = assembly.scatter_matrix(dofs, dofs, S_local, (size, size))
     scale = np.abs(S_local).max(axis=(1, 2), keepdims=True)
-    S_local[np.abs(S_local) <= _S_ROUNDING * scale] = 0.0
-    return S.tocsc(), assembly.scatter_matrix(dofs, dofs, S_local, (size, size))
+    cell, a, b = np.nonzero(np.abs(S_local) <= _S_ROUNDING * scale)
+    rows, cols = dofs[cell, a], dofs[cell, b]
+    kept = (rows >= 0) & (cols >= 0)
+    dropped = sp.csr_matrix((S_local[cell, a, b][kept], (rows[kept], cols[kept])),
+                            shape=(size, size))
+    return S.tocsc(), S - dropped
 
 
 def _multiplier_solve(operator, z0, solve, gauge_rhs=0.0):
@@ -748,7 +766,7 @@ def _gate_pseudostress(mesh, mass, g, sigma, u):
     local deviatoric masses ``mass``."""
     n = mesh.dim
     zero = np.zeros(n * mesh.n_cells)
-    trace = mesh.facet_sums(elements.rt0_moment(mesh)).T.ravel()
+    trace = mesh.facet_sums(mesh.cached(elements.rt0_moment)).T.ravel()
     identity = (mesh.facet_normals * mesh.facet_measures[:, None]).T.ravel()
     gauge = assembly.Constraint(np.concatenate([trace, zero]), np.concatenate([identity, zero]))
     return linsolve.gate_residual(np.concatenate([np.zeros(n * mesh.n_facets), g]),

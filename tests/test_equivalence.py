@@ -466,6 +466,27 @@ def test_constant_load_at_2d_level_7_passes_the_gates(check):
     assert check(mesh, np.ones(mesh.n_cells)).passed
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_certificates_of_per_cell_constant_loads_sample_no_load(dim, monkeypatch):
+    # every reduction of such a load is a closed form
+    calls = []
+    original = assembly.reduce_load
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(assembly, "reduce_load", recording)
+    mesh = jiggled(dim, seed=4)
+    rng = np.random.default_rng(dim)
+    for f in (-2.5, rng.uniform(-1.0, 1.0, mesh.n_cells)):
+        assert check_poisson_identity(mesh, f).passed
+        if dim == 2:
+            assert check_marini_identity(mesh, f).passed
+    for f in (rng.uniform(-1.0, 1.0, dim), rng.uniform(-1.0, 1.0, (mesh.n_cells, dim))):
+        assert check_stokes_identity(mesh, f).passed
+    assert calls == []
+
+
 @pytest.fixture(scope="module")
 def mesh_2d_l7():
     return mesh_hierarchy(build_box_mesh(2, 1), 7)[-1]

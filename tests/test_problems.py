@@ -252,6 +252,38 @@ def test_local_block_gate_passes_a_zero_load(dim, lvl, kind):
     gate_mixed(mesh, f, g, sigma.coeffs, u.coeffs)
 
 
+@pytest.mark.parametrize("dim,lvl,jiggle", [(2, 5, False), (3, 2, True)],
+                         ids=["2D L5", "jiggled 3D L2"])
+def test_the_factorised_copy_of_s_is_s_without_its_rounding_level_entries(dim, lvl, jiggle):
+    # the copy is formed as S minus the dropped entries: it must equal its
+    # definition, the cell blocks with those entries zeroed, scattered
+    operator = problems.hybrid_operator(mixed_mesh(dim, lvl, jiggle))
+    shape = operator.system.A.shape
+    S, factorised = problems._multiplier_matrices(operator.inverse, operator.coupling,
+                                                  operator.dofs, shape[0])
+    local = problems._multiplier_blocks(operator.inverse, operator.coupling)
+    scale = np.abs(local).max(axis=(1, 2), keepdims=True)
+    local[np.abs(local) <= problems._S_ROUNDING * scale] = 0.0
+    expected = assembly.scatter_matrix(operator.dofs, operator.dofs, local, shape)
+    factorised = factorised.tocsr()
+    for a, b in ((factorised.indptr, expected.indptr), (factorised.indices, expected.indices),
+                 (factorised.data, expected.data)):
+        assert a.tobytes() == b.tobytes()
+    assert (S != operator.system.A).nnz == 0
+
+
+@pytest.mark.parametrize("dim,lvl,lu_nnz", [(2, 5, 36108), (3, 3, 268448)])
+def test_on_kuhn_meshes_the_s_factor_is_the_size_of_the_cr_factor(dim, lvl, lu_nnz):
+    # S equals the CR stiffness, whose right-angle slots are exact zeros;
+    # without its rounding-level entries it has that pattern, so both
+    # factors store as many entries
+    mesh = mesh_hierarchy(build_box_mesh(dim, 1), lvl)[-1]
+    s_lu = problems.hybrid_operator(mesh).factor.lu
+    cr_lu = problems.poisson_operator(mesh).lu
+    assert s_lu.nnz == cr_lu.nnz
+    assert s_lu.L.nnz + s_lu.U.nnz == lu_nnz
+
+
 def test_mixed_solves_assemble_no_global_rt0_system(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a mixed solve assembled a global RT0 matrix")
@@ -271,7 +303,7 @@ def test_bubble_moments_hold_at_most_four_load_samples(dim, lvl):
     mesh = mesh_hierarchy(build_box_mesh(dim, 1), lvl)[-1]
     f = sine_solution(dim).f
     n_points = rule_for_degree(dim, assembly.DEFAULT_LOAD_DEGREE).n_points
-    assert assembly.load_rule(mesh, f).n_points == n_points
+    assert assembly.load_rule(mesh).n_points == n_points
     tracemalloc.start()
     try:
         problems.bubble_coefficients(mesh, f)
