@@ -9,10 +9,8 @@ if "FEM_THREADS" in _os.environ:
         _os.environ.setdefault(_var, _os.environ["FEM_THREADS"])
 
 from .analysis import ConvergenceTable, broken_h1_error, fit_rate, l2_error, osc
-from .assembly import (Constraint, DataError, DofMap, SaddleSystem,
-                       assemble_eigen, assemble_mixed_poisson,
-                       assemble_neumann_mixed, assemble_neumann_primal,
-                       assemble_poisson, assemble_pseudostress, assemble_stokes)
+from .assembly import (Constraint, DataError, DofMap, SaddleSystem, assemble_eigen,
+                       assemble_neumann_primal, assemble_poisson)
 from .equivalence import (IdentityReport, check_cgs_identity,
                           check_eigen_equivalence, check_marini_identity,
                           check_poisson_identity, check_stokes_identity,

@@ -403,23 +403,6 @@ def split_basis_stiffness(mesh):
     return scatter_symmetric(dm, local), dm
 
 
-def _rt0_divergence(p0, rt):
-    """(RT0)^ncomp x (P0)^ncomp divergence block, each component's cells x
-    facets: int_K div(psi_i) = s_i."""
-    signs = rt.mesh.cell_facet_signs[:, None, :].astype(float)
-    return scatter_blocks(p0, rt, signs)
-
-
-def assemble_mixed_poisson(mesh, f):
-    """RT0 x P0 mixed Poisson; natural u = 0, no essential conditions."""
-    rt = DofMap.build(mesh, "RT0")
-    p0 = DofMap.build(mesh, "P0")
-    A = scatter_symmetric(rt, elements.rt0_mass(mesh))
-    B = _rt0_divergence(p0, rt)
-    system = SaddleSystem(A=A, f=np.zeros(rt.n_total), B=B, g=-load_integrals(mesh, f))
-    return system, rt, p0
-
-
 def zero_mean_dual(mesh, n_primal):
     """The gauge sum_K |K| y_K = 0 of a cellwise dual y, fixing y = 1."""
     zero = np.zeros(n_primal)
@@ -427,22 +410,15 @@ def zero_mean_dual(mesh, n_primal):
                       np.concatenate([zero, np.ones(mesh.n_cells)]))
 
 
-def assemble_stokes(mesh, f, family="ECR"):
-    """Nonconforming Stokes: velocity in n components of CR/ECR, piecewise
-    constant pressure with zero mean, gauging the constant pressure.  As
-    for Poisson, the ECR system is a test oracle only."""
-    vel = DofMap.build(mesh, family, dirichlet=True, ncomp=mesh.dim)
-    system, prs = stokes_system(vel, scatter_symmetric(vel, stiffness_local(mesh, family)),
-                                load_vector(mesh, vel, f))
-    return system, vel, prs
-
-
 def stokes_system(vel, A, b):
-    """The Stokes system of ``assemble_stokes`` on the velocity map ``vel``
-    with its velocity block A and load vector b given: the divergence block
-    and the zero-mean pressure gauge are added.  Returns (system, pressure
-    map).  ``problems.solve_stokes`` passes as A n copies of the factorised
-    scalar CR stiffness."""
+    """The nonconforming Stokes system on the velocity map ``vel`` (n
+    components of CR or ECR, Dirichlet) with its velocity block A and load
+    vector b given: the divergence block, piecewise constant pressures and
+    the zero-mean pressure gauge, which fixes the constant pressure, are
+    added.  Returns (system, pressure map).  ``problems.solve_stokes``
+    passes as A n copies of the factorised scalar CR stiffness, and the
+    tests' oracle ``assemble_stokes`` (``tests/oracles.py``) the assembled
+    vector stiffness."""
     mesh = vel.mesh
     prs = DofMap.build(mesh, "P0")
     # the ECR bubble's gradient integrates to zero: only the facet columns
@@ -452,31 +428,6 @@ def stokes_system(vel, A, b):
     system = SaddleSystem(A=A, f=b, B=B, g=np.zeros(prs.n_total),
                           gauge=zero_mean_dual(mesh, vel.n_total))
     return system, prs
-
-
-def assemble_pseudostress(mesh, f):
-    """Pseudostress Stokes: tensor RT0 rows against (P0)^n, deviatoric form,
-    with the global trace-mean constraint gauging the constant tensor I."""
-    n = mesh.dim
-    sig = DofMap.build(mesh, "RT0", ncomp=n)     # component r = tensor row r
-    upo = DofMap.build(mesh, "P0", ncomp=n)
-    tensor_dofs = sig.global_dofs.reshape(mesh.n_cells, -1)
-    A = scatter_matrix(tensor_dofs, tensor_dofs, elements.rt0_deviatoric_mass(mesh),
-                       (sig.n_total, sig.n_total))
-
-    B = _rt0_divergence(upo, sig)
-    trace = scatter_vector(sig, elements.rt0_moment(mesh))
-
-    g = upo.coefficients(-load_integrals(mesh, f, n))
-
-    # the constant tensor I: tensor row r has flux nu_F[r] |F| through facet F
-    identity = sig.coefficients((mesh.facet_normals
-                                 * mesh.facet_measures[:, None])[mesh.cell_facets])
-    zero = np.zeros(upo.n_total)
-    system = SaddleSystem(A=A, f=np.zeros(sig.n_total), B=B, g=g,
-                          gauge=Constraint(np.concatenate([trace, zero]),
-                                           np.concatenate([identity, zero])))
-    return system, sig, upo
 
 
 def facet_averages_of(mesh, g):
@@ -520,22 +471,35 @@ def assemble_neumann_primal(mesh, f, g, family="ECR"):
     """Pure-Neumann primal problem on the zero-mean subspace (gauging the
     constant); the flux enters through facet averages, exactly for piecewise
     constant g.  As for Poisson, the ECR system is a test oracle only."""
-    g_avg = facet_averages_of(mesh, g)
-    check_neumann_compatibility(mesh, f, g_avg)
+    A, dm, gauge = neumann_stiffness(mesh, family)
+    return SaddleSystem(A=A, f=neumann_load(mesh, dm, f, g), gauge=gauge), dm
+
+
+def neumann_stiffness(mesh, family):
+    """The load-free half of ``assemble_neumann_primal``: the stiffness
+    without boundary conditions, its DOF map and the zero-mean gauge."""
     dm = DofMap.build(mesh, family, dirichlet=False)
     A = scatter_symmetric(dm, stiffness_local(mesh, family))
+    avg_row = elements.cell_average_row(family, mesh.dim)
+    mean = scatter_vector(dm, np.outer(mesh.cell_measures, avg_row))
+    return A, dm, Constraint(mean, np.ones(dm.n_total))
+
+
+def neumann_load(mesh, dm, f, g):
+    """The load half of ``assemble_neumann_primal`` over ``dm``: the load
+    vector of f plus the flux of g's facet averages through each boundary
+    facet, once the data are checked for compatibility."""
+    g_avg = facet_averages_of(mesh, g)
+    check_neumann_compatibility(mesh, f, g_avg)
     b = load_vector(mesh, dm, f)
     bnd = mesh.boundary_facet_indices()
     b[dm.facet_dofs[bnd]] += g_avg[bnd] * mesh.facet_measures[bnd]
-
-    avg_row = elements.cell_average_row(family, mesh.dim)
-    mean = scatter_vector(dm, np.outer(mesh.cell_measures, avg_row))
-    system = SaddleSystem(A=A, f=b, gauge=Constraint(mean, np.ones(dm.n_total)))
-    return system, dm
+    return b
 
 
 def boundary_fluxes(mesh, f, g):
-    """The essential boundary fluxes of the mixed Neumann problem, checked
+    """The essential boundary fluxes of the mixed Neumann problem (boundary
+    fluxes essential, the test space without them, u of zero mean), checked
     for compatibility with the load: the canonical flux of the facet
     average of g on each boundary facet, zero on the interior facets (nf,)."""
     g_avg = facet_averages_of(mesh, g)
@@ -544,32 +508,6 @@ def boundary_fluxes(mesh, f, g):
     sigma_bc = np.zeros(mesh.n_facets)
     sigma_bc[bnd] = mesh.boundary_facet_signs() * g_avg[bnd] * mesh.facet_measures[bnd]
     return sigma_bc
-
-
-def assemble_neumann_mixed(mesh, f, g):
-    """Mixed Neumann problem: boundary fluxes are essential (facet averages
-    of g), the test space drops them, and u has zero mean, gauging u = 1.
-    The `problems` solver gates its hybridised solve on this system, applied
-    from the local blocks; the assembled system is its test oracle.
-
-    Returns (system, rt map, p0 map, interior facet ids, boundary flux
-    coefficient vector over all facets)."""
-    sigma_bc = boundary_fluxes(mesh, f, g)
-    system_full, rt, p0 = assemble_mixed_poisson(mesh, f)
-    A, B, g_vec = system_full.A, system_full.B, system_full.g
-
-    bnd = mesh.boundary_facet_indices()
-    interior = mesh.interior_facet_indices()
-
-    A_ii = A[interior][:, interior].tocsr()
-    A_ib = A[interior][:, bnd].tocsr()
-    B_i = B[:, interior].tocsr()
-    B_b = B[:, bnd].tocsr()
-    f_red = -A_ib @ sigma_bc[bnd]
-    g_red = g_vec - B_b @ sigma_bc[bnd]
-    system = SaddleSystem(A=A_ii, f=f_red, B=B_i, g=g_red,
-                          gauge=zero_mean_dual(mesh, len(interior)))
-    return system, rt, p0, interior, sigma_bc
 
 
 def assemble_eigen(mesh, family="ECR", mass="full"):

@@ -467,7 +467,9 @@ def neumann_counterexample_report(meshes):
     """The pure-Neumann witness that CR and RT are not equivalent: RT (and
     ECR) reproduce u = x1^2 + x2^2 exactly while the CR error is bounded
     below by beta*h; reports per-level exactness residuals and the fitted
-    beta = e_h / h."""
+    beta = e_h / h.  Each level factorises the memo's two pure-Neumann
+    operators (``problems.solve_neumann``), the ECR and CR solves sharing
+    one."""
     dim = meshes[0].dim
     fixture = problems.quadratic_neumann_solution(dim)
     table = analysis.ConvergenceTable(meta={"fixture": fixture.label})

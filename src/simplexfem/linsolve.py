@@ -1,15 +1,17 @@
 """Direct sparse solvers and generalized symmetric eigensolvers at desk scale.
 
-Every linear system is an ``assembly.SaddleSystem`` and goes through
-``solve``: a sparse LU factorization with one step of iterative refinement
-and a verified relative residual; or, a saddle system whose primal block
-the caller can already invert, through ``solve_schur`` (below).  Every
-solve, and every eigenpair, is gated at ``RESIDUAL_TOL``.  The
-factorization is a ``Factor``: the block matrix, its kept DOFs and their
-SuperLU factor, which depend on the matrix and the gauge's null vector
-only.  ``solve(system)`` builds one and uses it once;
-``solve(system, factor)`` reuses one for another right-hand side of the
-same matrix, with the same refinement, re-gauge and gate on every solve.  A caller that solves many loads of one matrix factorises it once.
+Every linear system is an ``assembly.SaddleSystem``.  One without a dual
+block goes through ``solve``: a sparse LU factorization with one step of
+iterative refinement and a verified relative residual.  A saddle system,
+whose primal block the caller can already invert, goes through
+``solve_schur`` (below); none is factorised.  Every solve, and every
+eigenpair, is gated at ``RESIDUAL_TOL``.  The factorization is a
+``Factor``: the matrix, its kept DOFs and their SuperLU factor, which
+depend on the matrix and the gauge's null vector only.  ``solve(system)``
+builds one and uses it once; ``solve(system, factor)`` reuses one for
+another right-hand side of the same matrix, with the same refinement,
+re-gauge and gate on every solve.  A caller that solves many loads of one
+matrix factorises it once.
 A Factor may factorise a copy of A without its rounding-level entries
 (``Factor(system, factorised=...)``); the refinement and the gate are
 still taken against the system's own matrix.
@@ -18,37 +20,16 @@ still taken against the system's own matrix.
 ``SolverConfig`` carries only the seed of ARPACK's start vector; the
 dense/ARPACK switch is the constant ``DENSE_CUTOFF``.
 ``_splu`` is the one factorisation entry (no relaxed supernodes, panels of
-4 columns), and every caller passes it its order: ``_SPD_ORDER`` or
-``_SADDLE_ORDER``.
+4 columns), reached through ``_factorise`` with its caller's order.
 
-In ``solve`` the order follows from the system and every pivot is diagonal.
-Without a dual block the matrix is SPD, or SPD once its gauge DOF is pinned:
-it is factorised in the minimum-degree order of A^T + A, which keeps the
-factor of a 3D CR stiffness at a third of the fill COLAMD gives (3D L4,
-47,616 unknowns: fill 30 against 91, fill being the entries of L + U over
-those of the matrix).  A saddle matrix [[A, B^T], [B, 0]] is factorised in
-a constrained symmetric order (``_saddle_order``): the primal DOFs in the
-minimum-degree order of A, each dual DOF directly after the last primal DOF
-it couples to.  With A SPD and B of full row rank on the kept rows, every
-leading block is then itself a nonsingular saddle matrix, so the diagonal
-pivots exist (Tuma, SIMAX 23, 2002; Benzi, Golub & Liesen,
-Acta Numerica 14, 2005, sec. 6).  The pinned systems are of this kind: the
-CR-Stokes A is the Dirichlet vector Laplacian and B has lost one pressure
-row, and so is the hybridised pseudostress multiplier system, whose blocks
-are those of CR-Stokes; the unhybridised pseudostress A, the deviatoric
-mass, is SPD once one DOF of the tensor I is removed, and its divergence
-stays onto.  Minimum degree on the whole matrix would eliminate the
-low-degree zero-diagonal dual rows first: with threshold pivoting it took
-52 s on the pinned unhybridised pseudostress matrix of 12,311 unknowns, at
-fill 213.  On 3D box(3) refined once (1,296 tets, 1 BLAS thread), COLAMD
-with partial pivoting took CR-Stokes (8,423 unknowns) to fill 90 in 0.68 s,
-against 32 in 0.10 s in the constrained order, found in 0.02 s.  The order
-of A alone beats that of |A| + |B|^T|B| there (fill 32 against 51).
-No solve of the package factorises a saddle matrix: the constrained order
-(``_saddle_order``, ``_SADDLE_ORDER``, a ``Factor`` with a dual block)
-serves the tests, which solve the assembled oracles with it.
+A factorised matrix is SPD, or SPD once its gauge DOF is pinned, and every
+pivot is diagonal: ``_SPD_ORDER``, the minimum-degree order of A^T + A,
+keeps the factor of a 3D CR stiffness at a third of the fill COLAMD gives
+(3D L4, 47,616 unknowns: fill 30 against 91, fill being the entries of
+L + U over those of the matrix).  The tests' saddle oracle
+(``tests/oracles.py``) factorises its matrices in its own order.
 
-Both Stokes solves go through ``solve_schur`` instead.  Their primal block
+Both Stokes solves go through ``solve_schur``.  Their primal block
 A is n copies of one SPD matrix of a row per interior facet (the CR
 stiffness, or the hybrid RT0 multiplier matrix S to rounding), which the
 caller has factorised already, so ``solve_schur`` takes A^-1 as a bare map
@@ -116,7 +97,7 @@ column block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as dla
@@ -155,15 +136,12 @@ def _gate(residual, what):
 # SuperLU options of the SPD factorisation: symmetric order, diagonal pivots
 _SPD_ORDER = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
               "options": {"SymmetricMode": True}}
-# ... and of the saddle factorisation, whose order ``_saddle_order`` supplies
-_SADDLE_ORDER = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0,
-                 "options": {"SymmetricMode": True}}
 
 
 def _splu(K, *, permc_spec, diag_pivot_thresh, options):
     """The one factorisation entry: SuperLU of K in the order its caller
-    gives (``_SPD_ORDER`` or ``_SADDLE_ORDER``), without relaxed
-    supernodes, on panels of 4 columns.
+    gives (``_SPD_ORDER`` in the package), without relaxed supernodes, on
+    panels of 4 columns.
 
     SuperLU's default relaxation (``relax`` = 10 in scipy's build) merges
     every elimination subtree of up to that many columns into one dense
@@ -204,13 +182,6 @@ def _splu(K, *, permc_spec, diag_pivot_thresh, options):
                         diag_pivot_thresh=diag_pivot_thresh, options=options)
     except RuntimeError as exc:
         raise SolverError(f"factorization breakdown: {exc}") from exc
-
-
-def _block_matrix(system):
-    """[[A, B^T], [B, 0]], or A alone when there is no dual block."""
-    if system.B is None:
-        return sp.csc_matrix(system.A)
-    return sp.bmat([[system.A, system.B.T], [system.B, None]], format="csc")
 
 
 def _block_apply(system, z):
@@ -274,34 +245,6 @@ def gate_saddle(system, primal, dual):
     return gate_residual(_rhs(system), z, _block_apply(system, z), system.gauge)
 
 
-def _saddle_order(system, pinned=None):
-    """The DOFs of a saddle system less ``pinned``, in the order they are
-    factorised in: the primal DOFs in SuperLU's minimum-degree order of the
-    pattern of A on the kept rows, each dual DOF directly after the last
-    primal DOF it couples to (see the module doc)."""
-    n_primal = system.n_primal
-    keep = np.arange(n_primal + system.n_dual)
-    if pinned is not None:
-        keep = np.delete(keep, pinned)
-    primal, dual = keep[keep < n_primal], keep[keep >= n_primal]
-    P = sp.csc_matrix(system.A)[primal][:, primal]
-    P.data[:] = 1.0
-    P += sp.identity(len(primal), format="csc") * (2.0 * len(primal))
-    # an ordering call: on a pattern with a dominant diagonal, SuperLU's
-    # incomplete factorisation, with as good as everything dropped, returns
-    # the postordered MMD_AT_PLUS_A order a full splu of P would use, in a
-    # fifth of the time (0.02 against 0.10 s on 3D box(3) refined)
-    position = sla.spilu(P, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                         drop_tol=0.5, fill_factor=1,
-                         options={"SymmetricMode": True}).perm_c
-    B = sp.csr_matrix(system.B)[dual - n_primal][:, primal]
-    last = np.full(len(dual), -1)              # a dual DOF without neighbours: first
-    coupled = np.diff(B.indptr) > 0
-    last[coupled] = np.maximum.reduceat(position[B.indices], B.indptr[:-1][coupled])
-    key = np.concatenate([2 * position, 2 * last + 1])
-    return np.concatenate([primal, dual])[np.argsort(key, kind="stable")]
-
-
 def _factorise(K, order):
     """``_splu`` of K, refused when kappa_1(K) provably exceeds 1/(n eps).
 
@@ -326,45 +269,42 @@ def _factorise(K, order):
 
 
 class Factor:
-    """The factorised block matrix of a SaddleSystem, for every right-hand
-    side of that matrix and gauge.
+    """The factorised matrix A of a SaddleSystem without dual block, for
+    every right-hand side of that matrix and gauge.
 
-    Holds K = [[A, B^T], [B, 0]] (A alone without a dual block), the kept
-    DOFs (the pin and the order in one index array) and the SuperLU factor
-    of K on them, refused by ``_factorise``'s kappa_1 bound.  It depends on
-    A, B and the gauge's null vector k only: ``solve(system, factor)``
-    takes f, g and the gauge row and value from the system, which must
-    carry the A, B and k the factor was built from.
+    Holds K = A, the kept DOFs (all, or all but the pinned one) and the
+    SuperLU factor of K on them in ``_SPD_ORDER``, refused by
+    ``_factorise``'s kappa_1 bound.  It depends on A and the gauge's null
+    vector k only: ``solve(system, factor)`` takes f and the gauge row and
+    value from the system.  A system with a dual block raises ValueError:
+    it is solved by ``solve_schur`` (the tests' oracle,
+    ``tests/oracles.py``, factorises it in its own order).
 
-    ``factorised``, if given, is ordered and factorised in A's place: a
-    matrix within rounding of A that stores fewer entries.  K stays the
-    system's own, so the refinement step and the gate of every solve are
-    taken against A, and they make up the difference."""
+    ``factorised``, if given, is factorised in A's place: a matrix within
+    rounding of A that stores fewer entries.  The refinement step and the
+    gate of every solve are still taken against A."""
 
     def __init__(self, system, factorised=None):
-        K = _block_matrix(system)
-        near = system if factorised is None else replace(system, A=factorised)
-        M = K if factorised is None else _block_matrix(near)
-        gauge = system.gauge
-        pinned = None if gauge is None else np.argmax(np.abs(gauge.k))
-        if system.B is not None:                   # one index array: pin and order
-            keep = _saddle_order(near, pinned)
-            lu = _factorise(M[keep][:, keep], _SADDLE_ORDER)
-        elif pinned is not None:
-            keep = np.delete(np.arange(K.shape[0]), pinned)
-            lu = _factorise(M[keep][:, keep], _SPD_ORDER)
-        else:
+        if system.B is not None:
+            raise ValueError("a system with a dual block is not factorised: "
+                             "solve it by linsolve.solve_schur")
+        K = sp.csc_matrix(system.A)
+        M = K if factorised is None else sp.csc_matrix(factorised)
+        if system.gauge is None:
             keep = slice(None)
-            lu = _factorise(M, _SPD_ORDER)
-        self.K, self.keep, self.lu = K, keep, lu
+        else:                                      # the pin at argmax |k|
+            keep = np.delete(np.arange(K.shape[0]), np.argmax(np.abs(system.gauge.k)))
+            M = M[keep][:, keep]
+        self.K, self.keep, self.lu = K, keep, _factorise(M, _SPD_ORDER)
 
 
 def solve(system, factor=None):
     """Solve a SaddleSystem to a gated residual: (primal, dual, multiplier),
     the multiplier None without a gauge.
 
-    ``factor`` is a ``Factor`` of the system's matrix and gauge; without
-    one, a Factor is built for this system and dropped.  A zero right-hand
+    ``factor`` is a ``Factor`` of the system's matrix and gauge, or any
+    object with its ``K``, ``keep`` and ``lu`` (the tests' saddle oracle);
+    without one, a Factor is built for this system and dropped.  A zero right-hand
     side is solved by zero, and then nothing is factorised.  Without dual
     block and gauge, f may be an (n, m) block of right-hand sides."""
     F, gauge = _rhs(system), system.gauge

@@ -15,19 +15,23 @@ of cells at a time (``assembly.reduce_load``) on the degree
 Each Dirichlet Poisson solve has a mesh-only half: ``poisson_operator``,
 the factorised CR stiffness, and ``hybrid_operator``, the local elimination
 of the hybridised RT0 solve with its multiplier matrix S, factorised
-without its rounding-level entries (``_solve_rt0_hybrid``).
-``solve_poisson`` (CR and ECR alike, since ECR is the CR solve plus
-bubbles), ``solve_poisson_mixed``, ``solve_stokes``, ``solve_stokes_mixed``
-and ``solve_eigen`` keep these operators of the last mesh they solved in
-one memo, each built on first use, so that further loads on that mesh, the
-ECR and CR solves of one load included, factorise nothing, and every solve
-on a mesh, Poisson, Stokes and eigen alike, factorises at most the same two
-matrices of one row per interior facet.  The memo holds that mesh by weak
-reference: it drops its operators when the mesh is freed, and when a solve
-on another mesh starts, before that mesh's load is sampled, so a sweep
-over levels holds one mesh's factors at a time.  The RT0 operator is built from the RT0 mass and
-the facet signs alone; the CR factor is never used for it, although S
-equals the CR stiffness.
+without its rounding-level entries (``_solve_rt0_hybrid``); so has each
+pure-Neumann one: ``neumann_operator``, the gauged CR stiffness, and
+``hybrid_operator(mesh, neumann=True)``.  ``solve_poisson`` (CR and ECR
+alike, since ECR is the CR solve plus bubbles), ``solve_poisson_mixed``,
+``solve_stokes``, ``solve_stokes_mixed``, ``solve_eigen`` and
+``solve_neumann`` keep these operators of the last mesh they solved in one
+memo (keys "CR", "RT0", "pseudostress", "neumann CR", "neumann RT0"), each
+built on first use, so that further loads on that mesh, the ECR and CR
+solves of one load included, factorise nothing.  These SPD matrices, each
+factorised once per mesh, are all the package factorises: every Poisson,
+Stokes and eigen solve of a mesh the same two of one row per interior
+facet.  The memo holds that mesh by weak reference: it drops its operators
+when the mesh is freed, and when a solve on another mesh starts, before
+that mesh's load is sampled, so a sweep over levels holds one mesh's
+factors at a time.  The RT0 operator is built from the RT0 mass and the
+facet signs alone; the CR factor is never used for it, although S equals
+the CR stiffness.
 Both Stokes solves are saddle systems whose primal block is n copies of
 one of these two matrices, and each is solved on its pressure Schur
 complement (``linsolve.solve_schur``) with that matrix's factor applied
@@ -381,8 +385,7 @@ def poisson_operator(mesh):
 # -- the Poisson operators of the last mesh solved (see the module doc) ------
 
 _last_mesh = None                  # weak reference to the last mesh solved
-_operators = {}                    # its operators: "CR" poisson_operator, "RT0"
-                                   # hybrid_operator, "pseudostress" pseudostress_operator
+_operators = {}                    # its operators, by the keys of ``_operator``
 
 
 def _forget(ref):
@@ -405,7 +408,8 @@ def _operator(mesh, family):
     _remember(mesh)
     if family not in _operators:
         build = {"CR": poisson_operator, "RT0": hybrid_operator,
-                 "pseudostress": pseudostress_operator}[family]
+                 "pseudostress": pseudostress_operator, "neumann CR": neumann_operator,
+                 "neumann RT0": partial(hybrid_operator, neumann=True)}[family]
         _operators[family] = build(mesh)
     return _operators[family]
 
@@ -551,7 +555,7 @@ def hybrid_operator(mesh, neumann=False):
     return HybridOperator(mass, inv, coupling, dofs, system, linsolve.Factor(system, factorised))
 
 
-def _solve_rt0_hybrid(mesh, g, sigma_bc=None, operator=None):
+def _solve_rt0_hybrid(mesh, g, operator, sigma_bc=None):
     """Hybridised RT0 x P0 solve (Arnold & Brezzi, M2AN 19, 1985; Cockburn
     & Gopalakrishnan, SINUM 42, 2004): (facet fluxes (nf,), u (nc,)).
 
@@ -565,11 +569,11 @@ def _solve_rt0_hybrid(mesh, g, sigma_bc=None, operator=None):
     The two copies of an interior flux agree to the accuracy of that
     solve; their mean is returned.
 
-    The mesh-only half, ``operator`` (``hybrid_operator``), holds the local
-    inverses, D_K and S = sum_K D_K [[M_K, s], [s^T, 0]]^-1_sigma,sigma D_K,
-    factorised; only the local right-hand sides, z0_K = inverse r_K, the
-    multiplier load and the recovery depend on g.  Without ``operator`` it
-    is built for this solve and dropped.  S_K equals the CR stiffness of K
+    The mesh-only half, ``operator`` (``hybrid_operator``, with ``neumann``
+    when ``sigma_bc`` is given), holds the local inverses, D_K and
+    S = sum_K D_K [[M_K, s], [s^T, 0]]^-1_sigma,sigma D_K, factorised; only
+    the local right-hand sides, z0_K = inverse r_K, the multiplier load and
+    the recovery depend on g.  S_K equals the CR stiffness of K
     (Marini, SINUM 22, 1985), whose right-angle facet pairs are exact
     zeros, but the local inverse leaves rounding there: at most 0.8, 0.3
     and 1.2 eps of the cell's largest entry on the Kuhn meshes 2D L7, 3D
@@ -591,8 +595,6 @@ def _solve_rt0_hybrid(mesh, g, sigma_bc=None, operator=None):
     gated column by column by ``_gate_mixed``, the residual of the
     unhybridised system.
     """
-    if operator is None:
-        operator = hybrid_operator(mesh, neumann=sigma_bc is not None)
     n, nc = mesh.dim, mesh.n_cells
     mass, inv, dofs = operator.mass, operator.inverse, operator.dofs
     if sigma_bc is None:                       # only the divergence row is loaded
@@ -637,11 +639,12 @@ def _gate_mixed(mesh, mass, g, sigma, u, sigma_bc=None):
     """Gate (fluxes sigma (nf,), u (nc,)) by ``linsolve.gate_residual`` on
     the unhybridised RT0 x P0 system, applied by ``_mixed_product``.
 
-    Without ``sigma_bc`` it is the system of
-    ``assembly.assemble_mixed_poisson``, [[A, B^T], [B, 0]] (sigma, u) =
-    (0, g).  With it, it is that of ``assembly.assemble_neumann_mixed``: the
-    unknowns are the interior fluxes and u, the boundary fluxes are fixed to
-    sigma_bc and moved to the right-hand side, and u has zero mean."""
+    Without ``sigma_bc`` it is [[A, B^T], [B, 0]] (sigma, u) = (0, g), the
+    system the tests assemble as their oracle (``assemble_mixed_poisson``
+    in ``tests/oracles.py``).  With it, it is the oracle
+    ``assemble_neumann_mixed``'s: the unknowns are the interior fluxes and
+    u, the boundary fluxes are fixed to sigma_bc and moved to the
+    right-hand side, and u has zero mean."""
     if sigma_bc is None:
         return linsolve.gate_residual(np.concatenate([np.zeros(mesh.n_facets), g]),
                                       np.concatenate([sigma, u]),
@@ -664,7 +667,7 @@ def solve_poisson_mixed(mesh, f):
     system."""
     _remember(mesh)
     g = -assembly.load_integrals(mesh, f)
-    x, y = _solve_rt0_hybrid(mesh, g, operator=_operator(mesh, "RT0"))
+    x, y = _solve_rt0_hybrid(mesh, g, _operator(mesh, "RT0"))
     return (RTField(assembly.DofMap.build(mesh, "RT0"), x),
             BrokenField(assembly.DofMap.build(mesh, "P0"), y))
 
@@ -760,10 +763,11 @@ def pseudostress_operator(mesh):
 
 def _gate_pseudostress(mesh, mass, g, sigma, u):
     """Gate (tensor fluxes sigma (n nf,), u (n nc,)) by
-    ``linsolve.gate_residual`` on the unhybridised pseudostress system of
-    ``assembly.assemble_pseudostress``, [[A, B^T], [B, 0]] (sigma, u) =
-    (0, g) with the trace-mean gauge, applied by ``_mixed_product`` with the
-    local deviatoric masses ``mass``."""
+    ``linsolve.gate_residual`` on the unhybridised pseudostress system,
+    [[A, B^T], [B, 0]] (sigma, u) = (0, g) with the trace-mean gauge, that
+    the tests assemble as their oracle (``assemble_pseudostress`` in
+    ``tests/oracles.py``), applied by ``_mixed_product`` with the local
+    deviatoric masses ``mass``."""
     n = mesh.dim
     zero = np.zeros(n * mesh.n_cells)
     trace = mesh.facet_sums(mesh.cached(elements.rt0_moment)).T.ravel()
@@ -801,8 +805,9 @@ def solve_stokes_mixed(mesh, f):
     memo's factor of the Poisson S, and refined and gated against its own
     S.  On 3D box(3) refined once that factor has 2,376 rows and an L+U of
     70k entries; the multiplier saddle matrix, 8,423 rows, factorises to
-    an L+U of 1.33M in ``linsolve``'s constrained order, and the
-    unhybridised one, 12,311 rows, to 5.39M.
+    an L+U of 1.33M in the constrained order of the tests' saddle oracle
+    (``tests/oracles.py``), and the unhybridised one, 12,311 rows, to
+    5.39M.
 
     The two copies of an interior flux are averaged.  The load is sampled
     before the memo's operators, the RT0 one and ``pseudostress_operator``,
@@ -825,19 +830,32 @@ def solve_stokes_mixed(mesh, f):
             BrokenField(assembly.DofMap.build(mesh, "P0", ncomp=n), u))
 
 
+def neumann_operator(mesh):
+    """The mesh-only half of the pure-Neumann CR solve: the gauged CR
+    stiffness without boundary conditions as a SaddleSystem with a zero
+    load, and its ``linsolve.Factor``.  It holds no reference to the mesh."""
+    A, dm, gauge = assembly.neumann_stiffness(mesh, "CR")
+    system = assembly.SaddleSystem(A, np.zeros(dm.n_total), gauge=gauge)
+    return system, linsolve.Factor(system)
+
+
 def solve_neumann(mesh, f, g, form="ecr"):
     """Pure-Neumann Poisson problem.
 
     ``form`` selects primal ECR/CR (returns the zero-mean BrokenField) or the
     mixed RT0 method (returns (flux field, zero-mean displacement)).  ECR is
     the zero-mean CR solve plus closed-form bubbles, shifted by a constant
-    back to zero mean.
+    back to zero mean; both solve with the memo's ``neumann_operator``, the
+    mixed form with its ``hybrid_operator(mesh, neumann=True)``, each built
+    after the load is sampled.
     """
+    _remember(mesh)
     if form in ("ecr", "cr"):
-        (system, dm), bubbles = _cr_system(
-            mesh, f, form.upper(),
-            lambda load: assembly.assemble_neumann_primal(mesh, load, g, "CR"))
-        x, _, _ = linsolve.solve(system)
+        dm = assembly.DofMap.build(mesh, "CR", dirichlet=False)
+        b, bubbles = _cr_system(mesh, f, form.upper(),
+                                lambda load: assembly.neumann_load(mesh, dm, load, g))
+        system, factor = _operator(mesh, "neumann CR")
+        x, _, _ = linsolve.solve(replace(system, f=b), factor)
         u = _with_bubbles(BrokenField(dm, x), bubbles)
         if bubbles is not None:
             mean = np.einsum("c,c->", mesh.cell_measures, u.cell_averages())
@@ -845,7 +863,8 @@ def solve_neumann(mesh, f, g, form="ecr"):
         return u
     if form == "mixed":
         sigma_bc = assembly.boundary_fluxes(mesh, f, g)
-        sigma, y = _solve_rt0_hybrid(mesh, -assembly.load_integrals(mesh, f), sigma_bc)
+        sigma, y = _solve_rt0_hybrid(mesh, -assembly.load_integrals(mesh, f),
+                                     _operator(mesh, "neumann RT0"), sigma_bc)
         return (RTField(assembly.DofMap.build(mesh, "RT0"), sigma),
                 BrokenField(assembly.DofMap.build(mesh, "P0"), y))
     raise ValueError(f"unknown Neumann form {form!r}")
@@ -941,7 +960,7 @@ def _eigen_problem(mesh, family):
         # for the pairs, a bare map for ARPACK
         *problem, whole = _on_cells(
             mesh, _hybrid_inverse(mesh, operator),
-            lambda y: _solve_rt0_hybrid(mesh, -y, operator=operator), sides)
+            lambda y: _solve_rt0_hybrid(mesh, -y, operator), sides)
         rt, p0 = assembly.DofMap.build(mesh, "RT0"), assembly.DofMap.build(mesh, "P0")
 
         def pairs(lams, U):

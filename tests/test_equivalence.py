@@ -739,6 +739,26 @@ def test_neumann_witness_table():
     assert betas.max() / betas.min() < 1.2
 
 
+def test_the_neumann_report_factorises_two_operators_per_level(factorised, monkeypatch):
+    # per level the memo's pure-Neumann S (interior facets less the pinned
+    # DOF) and gauged CR stiffness (facets less the pinned DOF), the latter
+    # shared by the ECR and CR solves
+    meshes = mesh_hierarchy(build_box_mesh(2, 1), 3)[2:]
+    table = equivalence.neumann_counterexample_report(meshes).to_csv()
+    assert factorised == [(size, "MMD_AT_PLUS_A") for m in meshes
+                          for size in (len(m.interior_facet_indices()) - 1, m.n_facets - 1)]
+    # every solve on operators of its own gives the same bits
+    solve_neumann = problems.solve_neumann
+
+    def unshared(*args, **kwargs):
+        problems._operators.clear()
+        return solve_neumann(*args, **kwargs)
+    monkeypatch.setattr(problems, "solve_neumann", unshared)
+    factorised.clear()
+    assert equivalence.neumann_counterexample_report(meshes).to_csv() == table
+    assert len(factorised) == 3 * len(meshes)
+
+
 def test_report_serialization():
     rep = check_poisson_identity(level(2, 1), 1.0)
     d = rep.to_dict()

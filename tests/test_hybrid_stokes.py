@@ -1,11 +1,12 @@
 """The hybridised pseudostress Stokes solve (``problems.solve_stokes_mixed``):
 its multiplier system is the CR-Stokes matrix, its solution that of the
-unhybridised system of ``assembly.assemble_pseudostress``, the oracle, and
+unhybridised system of ``oracles.assemble_pseudostress``, the oracle, and
 its gate is that system's residual."""
 
 import numpy as np
 import pytest
 
+import oracles
 from simplexfem import assembly, elements, equivalence, linsolve, problems
 from simplexfem.linsolve import SolverError
 from simplexfem.mesh import build_box_mesh, refine_uniform
@@ -40,7 +41,7 @@ def test_multiplier_system_is_the_cr_stokes_matrix(name):
     mesh = mesh_of(name)
     n = mesh.dim
     operator = problems.pseudostress_operator(mesh)
-    system = assembly.assemble_stokes(mesh, np.zeros(n), "CR")[0]
+    system = oracles.assemble_stokes(mesh, np.zeros(n), "CR")[0]
     A, B = system.A, system.B
     S, E = operator.system.A, operator.system.B
     assert abs(S - A).max() <= 1e-14 * abs(A).max()
@@ -57,7 +58,7 @@ def test_hybrid_solve_matches_the_unhybridised_solve(name, load):
     mesh = mesh_of(name)
     f = random_load(mesh) if load == "random" else np.ones(mesh.dim)
     sigma, u = problems.solve_stokes_mixed(mesh, f)
-    x, y, _ = linsolve.solve(assembly.assemble_pseudostress(mesh, f)[0])
+    x, y, _ = oracles.solve(oracles.assemble_pseudostress(mesh, f)[0])
     assert relative_gap(sigma.coeffs, x) <= 1e-13
     assert relative_gap(u.coeffs, y) <= 1e-13
 
@@ -113,7 +114,7 @@ def test_local_block_gate_matches_the_assembled_gate(monkeypatch, name):
     monkeypatch.setattr(linsolve, "_gate", recorded)
     sigma, u = problems.solve_stokes_mixed(mesh, f)
     local = residuals[-1]                    # the last gate is the unhybridised one
-    linsolve.gate_saddle(assembly.assemble_pseudostress(mesh, f)[0], sigma.coeffs, u.coeffs)
+    linsolve.gate_saddle(oracles.assemble_pseudostress(mesh, f)[0], sigma.coeffs, u.coeffs)
     assert 0.0 < local <= linsolve.RESIDUAL_TOL
     assert abs(local - residuals[-1]) <= 1e-16
 
@@ -134,7 +135,7 @@ def test_hybrid_solve_assembles_no_global_pseudostress_system(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the pseudostress solve assembled a global RT0 matrix")
 
-    monkeypatch.setattr(assembly, "assemble_pseudostress", forbidden)
+    monkeypatch.setattr(oracles, "assemble_pseudostress", forbidden)
     monkeypatch.setattr(assembly, "scatter_blocks", forbidden)
     for name in ("2D L3", "3D box(2)r"):
         mesh = mesh_of(name)

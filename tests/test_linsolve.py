@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as sla
 
+import oracles
 import peakrss
 from simplexfem import assembly, linsolve, problems
 from simplexfem.linsolve import SolverConfig, SolverError, eig_smallest, gate_saddle, solve
@@ -47,7 +48,7 @@ def test_singular_matrix_detected():
 
 def test_saddle_zero_rhs(factorised):
     mesh = refine_uniform(build_box_mesh(2, 1))
-    system, rt, p0 = assembly.assemble_mixed_poisson(mesh, 0.0)
+    system, rt, p0 = oracles.assemble_mixed_poisson(mesh, 0.0)
     x, y, mult = solve(system)
     assert np.all(x == 0) and np.all(y == 0)
     A, b, _ = assembly.assemble_poisson(mesh, 0.0, "CR")
@@ -57,16 +58,16 @@ def test_saddle_zero_rhs(factorised):
 
 def test_saddle_mixed_divergence():
     mesh = build_box_mesh(2, 1)
-    system, rt, p0 = assembly.assemble_mixed_poisson(mesh, 1.0)
-    x, y, _ = solve(system)
+    system, rt, p0 = oracles.assemble_mixed_poisson(mesh, 1.0)
+    x, y, _ = oracles.solve(system)
     div = (system.B @ x) / mesh.cell_measures
     assert np.abs(div + 1.0).max() < 1e-12
 
 
 def test_saddle_constraint_row():
     mesh = refine_uniform(build_box_mesh(2, 1))
-    system, vel, prs = assembly.assemble_stokes(mesh, (1.0, 0.0))
-    x, y, mult = solve(system)
+    system, vel, prs = oracles.assemble_stokes(mesh, (1.0, 0.0))
+    x, y, mult = oracles.solve(system)
     assert abs((y * mesh.cell_measures).sum()) < 1e-12
 
 
@@ -79,13 +80,13 @@ def _gauged_system(name, dim):
     rng = np.random.default_rng(5)
     load = rng.uniform(-1.0, 1.0, (mesh.n_cells, dim))
     if problem == "stokes":
-        return assembly.assemble_stokes(mesh, load, family)[0]
+        return oracles.assemble_stokes(mesh, load, family)[0]
     if problem == "pseudostress":
-        return assembly.assemble_pseudostress(mesh, load)[0]
+        return oracles.assemble_pseudostress(mesh, load)[0]
     fix = quadratic_neumann_solution(dim)
     g = outward_flux_averages(mesh, fix.grad)
     if family == "mixed":
-        return assembly.assemble_neumann_mixed(mesh, fix.f, g)[0]
+        return oracles.assemble_neumann_mixed(mesh, fix.f, g)[0]
     return assembly.assemble_neumann_primal(mesh, fix.f, g, family)[0]
 
 
@@ -94,10 +95,22 @@ GAUGED = [(name, dim) for name in ("stokes-ECR", "stokes-CR", "pseudostress",
           for dim in (2, 3)]
 
 
+@pytest.mark.parametrize("name", ["stokes-CR", "pseudostress", "neumann-mixed"])
+def test_a_saddle_system_is_refused_not_factorised(name, factorised):
+    # the package factorises SPD matrices only: a system with a dual block
+    # is solved by solve_schur, or by the tests' oracle, never by a Factor
+    system = _gauged_system(name, 2)
+    with pytest.raises(ValueError, match="solve_schur"):
+        linsolve.Factor(system)
+    with pytest.raises(ValueError, match="solve_schur"):
+        solve(system)
+    assert factorised == []
+
+
 def _saddle_matrix(system):
     """The full bordered symmetric indefinite matrix of a SaddleSystem: the
     block matrix with a multiplier row and column for its gauge."""
-    K = linsolve._block_matrix(system)
+    K = oracles.block_matrix(system)
     if system.gauge is None:
         return K
     c = sp.csc_matrix(system.gauge.c[:, None])
@@ -132,7 +145,7 @@ def test_pinned_solve_matches_bordered_oracle(name, dim, perturb):
     system = _gauged_system(name, dim)
     if perturb:
         system = _perturbed(system)
-    got = solve(system)
+    got = oracles.solve(system)
     want = _bordered_oracle(system)
     F = np.concatenate([system.f] + ([system.g] if system.g is not None else []))
     mult_scale = np.linalg.norm(F) / np.linalg.norm(system.gauge.c)
@@ -225,9 +238,9 @@ def test_a_reused_factor_solves_bitwise_like_a_fresh_one(name, dim):
     # solve(system) is a Factor used once: a Factor that has already solved
     # another right-hand side of the same matrix and gauge gives the same bits
     system = _gauged_system(name, dim)
-    factor = linsolve.Factor(system)
+    factor = oracles.factorise(system)
     solve(_perturbed(system), factor)
-    for reused, fresh in zip(solve(system, factor), solve(system)):
+    for reused, fresh in zip(solve(system, factor), oracles.solve(system)):
         assert np.array_equal(reused, fresh)
 
 
@@ -270,7 +283,7 @@ def test_wrong_gauge_vector_fails(name, dim, where):
     k[0 if where == "primal" else system.n_primal] = 1.0
     system.gauge = system.gauge._replace(k=k)
     with pytest.raises(SolverError):
-        solve(system)
+        oracles.solve(system)
 
 
 @pytest.mark.parametrize("name", ["stokes-CR", "neumann-CR"])
@@ -282,7 +295,7 @@ def test_gauge_orthogonal_to_its_null_vector_fails(name):
     c[i], c[j] = k[j], -k[i]                   # k . c = 0 exactly
     system.gauge = assembly.Constraint(c, k)
     with pytest.raises(SolverError):
-        solve(system)
+        oracles.solve(system)
     with pytest.raises(SolverError):
         gate_saddle(system, np.zeros(system.n_primal), np.zeros(system.n_dual))
 
@@ -294,7 +307,7 @@ def test_undeclared_null_vector_raises(name, dim):
     system = _gauged_system(name, dim)
     system.gauge = None
     with pytest.raises(SolverError, match="singular"):
-        solve(system)
+        oracles.solve(system)
 
 
 def _order_test_mesh(dim):
@@ -308,11 +321,11 @@ def _order_test_mesh(dim):
 def test_saddle_order_puts_each_dual_dof_after_its_primal_neighbours(problem, dim):
     mesh = _order_test_mesh(dim)
     load = np.random.default_rng(dim).uniform(-1.0, 1.0, (mesh.n_cells, dim))
-    system = (assembly.assemble_stokes(mesh, load, "CR") if problem == "stokes"
-              else assembly.assemble_pseudostress(mesh, load))[0]
+    system = (oracles.assemble_stokes(mesh, load, "CR") if problem == "stokes"
+              else oracles.assemble_pseudostress(mesh, load))[0]
     n_primal, n = system.n_primal, system.n_primal + system.n_dual
     pinned = np.argmax(np.abs(system.gauge.k))
-    order = linsolve._saddle_order(system, pinned)
+    order = oracles._saddle_order(system, pinned)
     assert np.array_equal(np.sort(order), np.delete(np.arange(n), pinned))
     assert pinned not in order
     position = np.full(n, -1)
@@ -330,11 +343,11 @@ def test_pseudostress_factor_is_sparser_than_colamd(factorised):
     # matrix's factor in either order
     mesh = refine_uniform(build_box_mesh(3, 2))
     problems.solve_stokes_mixed(mesh, np.ones(3))
-    system = assembly.assemble_pseudostress(mesh, np.ones(3))[0]
-    linsolve.Factor(system)                        # unhybridised, constrained order
+    system = oracles.assemble_pseudostress(mesh, np.ones(3))[0]
+    oracles.factorise(system)                      # unhybridised, constrained order
     keep = np.delete(np.arange(system.n_primal + system.n_dual),
                      np.argmax(np.abs(system.gauge.k)))
-    K = linsolve._block_matrix(system)[keep][:, keep]
+    K = oracles.block_matrix(system)[keep][:, keep]
     linsolve._splu(K, permc_spec="COLAMD", diag_pivot_thresh=1.0,
                    options={})                    # the same pinned matrix, COLAMD
     hybrid, saddle, colamd = factorised
@@ -352,7 +365,7 @@ def test_a_factor_stores_its_l_and_u_and_nothing_else(problem, factorised):
     else:
         mesh = mesh_hierarchy(build_box_mesh(3, 1), 2)[-1]
         load = np.random.default_rng(3).uniform(-1.0, 1.0, (mesh.n_cells, 3))
-        linsolve.Factor(assembly.assemble_stokes(mesh, load, "CR")[0])
+        oracles.factorise(oracles.assemble_stokes(mesh, load, "CR")[0])
     [entry] = factorised
     assert entry[1] == ("MMD_AT_PLUS_A" if problem == "poisson" else "NATURAL")
     assert entry.stored <= 1.001 * entry.lu_nnz, (entry.stored, entry.lu_nnz)
@@ -547,7 +560,7 @@ def test_saddle_pencil_vectors_are_m_orthonormal_eigenvectors(cutoff, monkeypatc
     # RT-mixed solves on P0 and recovers sigma: the pairs (sigma, u) are
     # checked on the assembled saddle pencil -K z = lam diag(0, |K|) z
     mesh = mesh_hierarchy(build_box_mesh(2, 1), 2)[-1]
-    system, rt, _ = assembly.assemble_mixed_poisson(mesh, 0.0)
+    system, rt, _ = oracles.assemble_mixed_poisson(mesh, 0.0)
     K = _saddle_matrix(system)
     M = sp.diags(np.concatenate([np.zeros(rt.n_total), mesh.cell_measures]))
     monkeypatch.setattr(linsolve, "DENSE_CUTOFF", cutoff)
@@ -581,6 +594,7 @@ def test_no_factorisation_sees_a_stored_zero(factorised):
             problems.solve_neumann(mesh, fix.f, g, form)
     # per mesh: the CR stiffness and the hybrid RT0 S, which the Stokes
     # certificates and the eigen families share with the Poisson ones, and
-    # the three pure-Neumann solves' matrices
-    assert len(factorised) == 10
+    # the two pure-Neumann operators, the gauged CR stiffness, which the ECR
+    # and CR solves share, and the Neumann S
+    assert len(factorised) == 8
     assert [(f, f.zeros) for f in factorised if f.zeros] == []

@@ -13,6 +13,7 @@ from simplexfem.problems import (quadratic_neumann_solution, sine_solution,
                                  solve_poisson_mixed, solve_stokes)
 from simplexfem.quadrature import rule_for_degree
 
+import oracles
 from percell import facet_averages
 
 EXACT_LAMBDA_2D = 2 * np.pi ** 2
@@ -99,8 +100,8 @@ def test_hybrid_mixed_poisson_matches_saddle_oracle(dim, lvl, jiggle):
     pc = np.random.default_rng(lvl).uniform(-1.0, 1.0, mesh.n_cells)
     for load in (pc, sine_solution(dim).f):
         sigma, u = solve_poisson_mixed(mesh, load)
-        system, _, _ = assembly.assemble_mixed_poisson(mesh, load)
-        x, y, _ = linsolve.solve(system)
+        system, _, _ = oracles.assemble_mixed_poisson(mesh, load)
+        x, y, _ = oracles.solve(system)
         assert relative_gap(sigma.coeffs, x) <= 1e-12
         assert relative_gap(u.coeffs, y) <= 1e-12
 
@@ -112,8 +113,8 @@ def test_hybrid_mixed_neumann_matches_saddle_oracle(dim, lvl, jiggle):
     fix = quadratic_neumann_solution(dim)
     g = problems.outward_flux_averages(mesh, fix.grad)
     sigma, u = solve_neumann(mesh, fix.f, g, form="mixed")
-    system, _, _, interior, sigma_bc = assembly.assemble_neumann_mixed(mesh, fix.f, g)
-    x, y, _ = linsolve.solve(system)
+    system, _, _, interior, sigma_bc = oracles.assemble_neumann_mixed(mesh, fix.f, g)
+    x, y, _ = oracles.solve(system)
     oracle = sigma_bc.copy()
     oracle[interior] = x
     assert relative_gap(sigma.coeffs, oracle) <= 1e-12
@@ -222,10 +223,10 @@ def test_local_block_gate_matches_the_assembled_gate(monkeypatch, dim, lvl, kind
     sigma, u = solve_mixed(mesh, f, g)
     local = residuals[-1]                    # the last gate is the mixed one
     if g is None:
-        system, _, _ = assembly.assemble_mixed_poisson(mesh, f)
+        system, _, _ = oracles.assemble_mixed_poisson(mesh, f)
         linsolve.gate_saddle(system, sigma.coeffs, u.coeffs)
     else:
-        system, _, _, interior, _ = assembly.assemble_neumann_mixed(mesh, f, g)
+        system, _, _, interior, _ = oracles.assemble_neumann_mixed(mesh, f, g)
         linsolve.gate_saddle(system, sigma.coeffs[interior], u.coeffs)
     assert 0.0 < local <= linsolve.RESIDUAL_TOL
     assert abs(local - residuals[-1]) <= 1e-16
@@ -288,7 +289,7 @@ def test_mixed_solves_assemble_no_global_rt0_system(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a mixed solve assembled a global RT0 matrix")
 
-    monkeypatch.setattr(assembly, "assemble_mixed_poisson", forbidden)
+    monkeypatch.setattr(oracles, "assemble_mixed_poisson", forbidden)
     monkeypatch.setattr(assembly, "scatter_symmetric", forbidden)
     for dim in (2, 3):
         for kind in ("dirichlet", "neumann"):
@@ -443,7 +444,7 @@ def _schur_oracle(mesh, family):
     eigh.  Returns all eigenvalues and, per eigenvector, the cell block and
     the eliminated block (sigma, or the ECR facet coefficients)."""
     if family == "RT-mixed":
-        system, _, _ = assembly.assemble_mixed_poisson(mesh, 0.0)
+        system, _, _ = oracles.assemble_mixed_poisson(mesh, 0.0)
         X = sla.splu(system.A.tocsc()).solve(system.B.T.toarray())
         S = system.B @ X
     else:
