@@ -190,12 +190,6 @@ def _normal_jump(mesh, g, r):
     return _max_interior_jump(mesh, _normal_traces(mesh, g, r)), _vertex_sup(mesh, g, r)
 
 
-def normal_jump_of_gradient(u):
-    """Max interior jump of the (constant-per-facet) normal trace of the
-    broken gradient, plus the exact sup norm of the gradient for scaling."""
-    return _normal_jump(u.mesh, *u.gradient_parts())
-
-
 def ecr_gradient_as_rt(u):
     """Re-express the broken gradient of an equivalence-mode ECR solution as
     an RT0 field (exact: the gradient is cellwise constant + radial).

@@ -31,7 +31,7 @@ L + U over those of the matrix).  The tests' saddle oracle
 
 Both Stokes solves go through ``solve_schur``.  Their primal block
 A is n copies of one SPD matrix of a row per interior facet (the CR
-stiffness, or the hybrid RT0 multiplier matrix S to rounding), which the
+stiffness, or the hybrid RT0 multiplier matrix S), which the
 caller has factorised already, so ``solve_schur`` takes A^-1 as a bare map
 and runs CG on the dual Schur complement B A^-1 B^T.  CR-P0 is inf-sup
 stable, so that complement is spectrally equivalent to the P0 mass with

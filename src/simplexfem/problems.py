@@ -39,8 +39,9 @@ component by component: ``solve_stokes`` with the CR factor,
 ``solve_stokes_mixed`` with the factor of S.  The pseudostress Stokes
 solve is hybridised, with the same local elimination and recovery as the
 RT0 one: ``pseudostress_operator`` is its mesh-only half, kept in the
-memo beside the two factors; its multiplier block is n copies of S to
-rounding.
+memo beside the two factors.  Its multiplier block is n copies of the RT0
+operator's S itself, not assembled again: cell by cell, the eliminated
+block plus a term that vanishes on the solutions is n copies of S_K.
 Both hybrid solves are gated on the residual of the unhybridised system,
 applied from the local blocks, so that no global RT0 matrix is
 assembled."""
@@ -436,10 +437,12 @@ class HybridOperator:
     """The mesh-only half of a hybridised mixed solve, ``_solve_rt0_hybrid``
     (``hybrid_operator``) or ``solve_stokes_mixed``
     (``pseudostress_operator``): the local elimination and the multiplier
-    system, factorised for ``hybrid_operator`` only.  Built from RT0 data
-    alone (``elements.rt0_mass``, ``rt0_outer``, ``rt0_moment``, the facet
-    signs, normals and measures); it holds no reference to the mesh.  Each cell has p flux unknowns,
-    eliminated with its other unknowns by one (m, m) inverse."""
+    system, factorised for ``hybrid_operator`` only, whose S the
+    pseudostress system takes n copies of.  Built from RT0 data alone
+    (``elements.rt0_mass``, ``rt0_outer``, ``rt0_moment``, the facet signs,
+    normals and measures); it holds no reference to the mesh.  Each cell
+    has p flux unknowns, eliminated with its other unknowns by one (m, m)
+    inverse."""
 
     mass: np.ndarray                   # (nc, p, p) flux blocks A_K of the unhybridised system
     inverse: np.ndarray                # (nc, m, m) inverses of the bordered local blocks
@@ -450,13 +453,11 @@ class HybridOperator:
                                                # out S's rounding-level entries
 
 
-def _multiplier_blocks(inv, coupling, augment=None):
-    """The cell blocks S_K = D_K inverse_K[:p, :p] D_K + augment_K of the
-    multiplier matrix, symmetrised: (nc, p, p)."""
+def _multiplier_blocks(inv, coupling):
+    """The cell blocks S_K = D_K inverse_K[:p, :p] D_K of the multiplier
+    matrix, symmetrised: (nc, p, p)."""
     p = coupling.shape[1]
     S_local = coupling[:, :, None] * (inv[:, :p, :p] * coupling[:, None, :])
-    if augment is not None:
-        S_local += augment
     return 0.5 * (S_local + np.swapaxes(S_local, 1, 2))
 
 
@@ -730,9 +731,10 @@ def _check_identity_kernel(mass, identity):
 def pseudostress_operator(mesh):
     """The mesh-only half of the hybridised pseudostress solve
     (``solve_stokes_mixed``): the local elimination and the multiplier
-    system [[S, E^T], [E, 0]] with its gauge.  Nothing is factorised: its
-    solve applies the factor of ``hybrid_operator``'s S to each component
-    of S, which is n copies of that S to rounding."""
+    system [[S, E^T], [E, 0]] with its gauge.  S is n copies of the S of
+    the memo's RT0 operator (``hybrid_operator``), built first if need be;
+    only the rows of E are scattered, and nothing is factorised: the solve
+    applies that operator's factor to each component."""
     n, nc = mesh.dim, mesh.n_cells
     p = n * (n + 1)
     number, ni = _interior_numbers(mesh)
@@ -750,12 +752,9 @@ def pseudostress_operator(mesh):
     inv = np.linalg.inv(local)
     del local, divergence
     coupling = np.where(dofs >= 0, signs, 0.0)                          # D_K
-    e = coupling * identity                                             # e_K = D_K I_K
-    augment = e[:, :, None] * e[:, None, :] / (n * mesh.cell_measures)[:, None, None]
-    S = assembly.scatter_matrix(dofs, dofs, _multiplier_blocks(inv, coupling, augment),
-                                (n * ni, n * ni))
-    del augment
-    E = assembly.scatter_matrix(np.arange(nc)[:, None], dofs, e[:, None, :], (nc, n * ni))
+    E = assembly.scatter_matrix(np.arange(nc)[:, None], dofs, (coupling * identity)[:, None, :],
+                                (nc, n * ni))                           # rows e_K = D_K I_K
+    S = sp.block_diag([_operator(mesh, "RT0").system.A] * n, format="csr")
     system = assembly.SaddleSystem(S, np.zeros(n * ni), E, np.zeros(nc),
                                    assembly.zero_mean_dual(mesh, n * ni))
     return HybridOperator(mass, inv, coupling, dofs, system)
@@ -795,19 +794,15 @@ def solve_stokes_mixed(mesh, f):
     With e_K = D_K I_K the rows of E, what remains is
     [[S, E^T], [E, 0]] (lam, beta) = (sum_K D_K z0_K, 0), gauged by
     sum_K |K| beta_K = 0, the trace-mean condition.  E is the CR-Stokes
-    divergence B, and S is built from S_K + e_K e_K^T / (n |K|), which
-    leaves the solution unchanged because E lam = 0; that block equals the
-    CR vector stiffness of K, so the term coupling the components cancels
-    and the multiplier system has the size of CR-Stokes, its S being n
-    copies of the Poisson multiplier matrix of ``hybrid_operator`` to
-    rounding.  It is solved on its Schur complement in beta
-    (``linsolve.solve_schur``), S^-1 applied component by component by the
-    memo's factor of the Poisson S, and refined and gated against its own
-    S.  On 3D box(3) refined once that factor has 2,376 rows and an L+U of
-    70k entries; the multiplier saddle matrix, 8,423 rows, factorises to
-    an L+U of 1.33M in the constrained order of the tests' saddle oracle
-    (``tests/oracles.py``), and the unhybridised one, 12,311 rows, to
-    5.39M.
+    divergence B.  The eliminated cell blocks S_K plus e_K e_K^T / (n |K|),
+    a term that leaves the solution unchanged because E lam = 0, equal the
+    CR vector stiffness of K, which is n copies of the Poisson multiplier
+    block of K (Marini, SINUM 22, 1985).  So the multiplier system has the
+    size of CR-Stokes, and its S is n copies of the memo's RT0 S
+    (``pseudostress_operator``); the S_K themselves are never formed.  It
+    is solved on its Schur complement in beta (``linsolve.solve_schur``),
+    S^-1 applied component by component by the memo's factor of that S, and
+    refined and gated against S.
 
     The two copies of an interior flux are averaged.  The load is sampled
     before the memo's operators, the RT0 one and ``pseudostress_operator``,

@@ -1,4 +1,5 @@
-"""Padded peak-RSS measurement of a step, in a fresh Python process.
+"""Peak-memory measurements of a step: padded peak RSS in a fresh Python
+process, or traced bytes in this one.
 
 ``run(script, cwd)`` runs ``PRELUDE + script`` with the package's ``src/``
 on the path and returns the JSON object the script prints on its last line.
@@ -10,12 +11,18 @@ touches raises the peak, so ``peak_mb()`` after the step minus ``peak_mb()``
 before it is the step's own high-water mark.  Without the trim, pages freed
 earlier in the process but still held by the heap would absorb part of the
 step, by an amount that depends on the heap's history.
+
+``traced(call)`` measures in-process instead, in numpy and Python bytes as
+``tracemalloc`` counts them: what one call keeps and its peak, both above
+the bytes traced when it starts.  It does not depend on the state of the
+heap, which can make the same step's RSS peak read two different values.
 """
 
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,3 +55,18 @@ def run(script, cwd, timeout=300):
                           capture_output=True, text=True, timeout=timeout)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def traced(call):
+    """(kept, peak): the bytes ``call()`` allocates and its result still
+    holds when it returns, and the most it held at once, both counted by
+    ``tracemalloc`` from the start of the call."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return kept - start, peak - start

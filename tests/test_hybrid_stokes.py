@@ -5,14 +5,16 @@ its gate is that system's residual."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import oracles
+import peakrss
 from simplexfem import assembly, elements, equivalence, linsolve, problems
 from simplexfem.linsolve import SolverError
 from simplexfem.mesh import build_box_mesh, refine_uniform
 
 MESHES = {"2D L3": (2, 1, 3), "2D L5": (2, 1, 5), "3D box(2)r": (3, 2, 1),
-          "3D box(3)r": (3, 3, 1), "4D box(2)": (4, 2, 0)}
+          "3D box(3)r": (3, 3, 1), "3D L3": (3, 1, 3), "4D box(2)": (4, 2, 0)}
 ORACLE = ["2D L3", "3D box(2)r", "4D box(2)"]
 
 
@@ -50,6 +52,39 @@ def test_multiplier_system_is_the_cr_stokes_matrix(name):
                                                   operator.dofs, A.shape[0])
     schur = A - B.T @ (B / (n * mesh.cell_measures)[:, None])
     assert abs(eliminated - schur).max() <= 1e-14 * abs(A).max()
+
+
+@pytest.mark.parametrize("name", ["2D L5", "3D box(3)r", "4D box(2)"])
+def test_multiplier_block_is_n_copies_of_the_memo_rt0_s(monkeypatch, name):
+    # by the identity above, S is n copies of the Poisson multiplier matrix:
+    # it is taken from the memo's RT0 operator, and no (nc, p, p) block of it
+    # is scattered; the rows of E are the only scatter
+    mesh = mesh_of(name)
+    n = mesh.dim
+    poisson = problems._operator(mesh, "RT0").system.A
+    shapes = []
+    scatter = assembly.scatter_matrix
+
+    def recording(rows, cols, local, shape):
+        shapes.append(local.shape)
+        return scatter(rows, cols, local, shape)
+
+    monkeypatch.setattr(assembly, "scatter_matrix", recording)
+    S = problems.pseudostress_operator(mesh).system.A.tocsr()
+    assert shapes == [(mesh.n_cells, 1, n * (n + 1))]
+    expected = sp.block_diag([poisson] * n, format="csr")
+    for a, b in ((S.indptr, expected.indptr), (S.indices, expected.indices),
+                 (S.data, expected.data)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_operator_build_peaks_within_1_6_times_what_it_keeps():
+    # with the RT0 operator in the memo; the (nc, p, p) multiplier blocks
+    # and their scatter took the peak to 1.96 times what is kept
+    mesh = mesh_of("3D L3")
+    problems._operator(mesh, "RT0")
+    kept, peak = peakrss.traced(lambda: problems.pseudostress_operator(mesh))
+    assert peak <= 1.6 * kept, (kept, peak)
 
 
 @pytest.mark.parametrize("load", ["random", "constant"])
