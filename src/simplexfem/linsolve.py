@@ -31,9 +31,10 @@ L + U over those of the matrix).  The tests' saddle oracle
 
 Both Stokes solves go through ``solve_schur``.  Their primal block
 A is n copies of one SPD matrix of a row per interior facet (the CR
-stiffness, or the hybrid RT0 multiplier matrix S), which the
-caller has factorised already, so ``solve_schur`` takes A^-1 as a bare map
-and runs CG on the dual Schur complement B A^-1 B^T.  CR-P0 is inf-sup
+stiffness, or the hybrid RT0 multiplier matrix S), which the caller has
+factorised already, so ``solve_schur`` takes A^-1 as a bare map, that
+factor applied to each component (``componentwise``), and runs CG on the
+dual Schur complement B A^-1 B^T.  CR-P0 is inf-sup
 stable, so that complement is spectrally equivalent to the P0 mass with
 h-independent bounds (Verfuerth, IMA J. Numer. Anal. 4, 1984; Benzi, Golub
 & Liesen, Acta Numerica 14, 2005, sec. 5), and CG preconditioned by
@@ -327,6 +328,13 @@ def solve(system, factor=None):
             z -= k * ((_dot(c, z) - rhs_c) / _dot(c, k))
     np_ = system.n_primal
     return z[:np_], z[np_:], gate_saddle(system, z[:np_], z[np_:])
+
+
+def componentwise(lu, n):
+    """A^-1 of blockdiag(K, ..., K), n copies numbered component-major, from
+    the SuperLU factor ``lu`` of K: one solve of the (rows, n) block of a
+    vector's components."""
+    return lambda r: lu.solve(r.reshape(n, -1).T).T.ravel()
 
 
 _SCHUR_TOL = np.finfo(float).eps   # CG stop: ||r|| <= this times ||rhs||

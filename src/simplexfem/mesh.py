@@ -98,7 +98,7 @@ class SimplexMesh:
         orientation that fixes the global unit normal).
     cell_facets : (nc, n+1) int array
         Facet index opposite local vertex ``i``.
-    cell_facet_signs : (nc, n+1) int64 array
+    cell_facet_signs : (nc, n+1) int8 array
         +1 where the canonical facet normal points out of the cell, else -1.
     is_boundary_facet : (nf,) bool array
     cell_measures, cell_H, cell_diameters : (nc,) float arrays
@@ -238,7 +238,7 @@ class SimplexMesh:
         """+1 iff the canonical normal points out of the cell, against the
         inward grad(lambda_i); interior facets must get one of each."""
         n, nc = self.dim, self.n_cells
-        signs = np.empty((nc, n + 1), dtype=np.int64)
+        signs = np.empty((nc, n + 1), dtype=np.int8)
         for block in quadrature.cell_blocks(nc, (n + 1) * n):
             dots = np.einsum("cki,cki->ck", self.facet_normals[self.cell_facets[block]],
                              self.barycentric_gradients[block])

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from simplexfem import analysis, assembly, elements, equivalence, linsolve, problems
+from simplexfem import analysis, assembly, elements, equivalence, hybrid, linsolve, problems
 from simplexfem.assembly import DataError, DofMap
 from simplexfem.equivalence import (IDENTITY_TOL, STOKES_TOL, check_cgs_identity,
                                     check_eigen_equivalence, check_marini_identity,
@@ -425,12 +425,12 @@ def test_identity_residuals_relabeling_invariant():
 def test_loads_on_one_mesh_share_its_factors_and_their_reports(factorised, monkeypatch,
                                                                check, dim, lvl):
     built = []
-    pseudostress_operator = problems.pseudostress_operator
+    pseudostress_operator = hybrid.pseudostress_operator
 
-    def recording(mesh):
+    def recording(mesh, rt0):
         built.append(mesh)
-        return pseudostress_operator(mesh)
-    monkeypatch.setattr(problems, "pseudostress_operator", recording)
+        return pseudostress_operator(mesh, rt0)
+    monkeypatch.setattr(hybrid, "pseudostress_operator", recording)
     mesh = level(dim, lvl)
     shape = (mesh.n_cells, dim) if check is check_stokes_identity else (mesh.n_cells,)
     loads = [np.random.default_rng(seed).uniform(-1, 1, shape) for seed in range(3)]
@@ -757,6 +757,19 @@ def test_the_neumann_report_factorises_two_operators_per_level(factorised, monke
     factorised.clear()
     assert equivalence.neumann_counterexample_report(meshes).to_csv() == table
     assert len(factorised) == 3 * len(meshes)
+
+
+def test_the_memo_keeps_one_pure_neumann_operator():
+    # no solve needs both, so building one drops the other
+    mesh = mesh_hierarchy(build_box_mesh(2, 1), 2)[-1]
+    fix = problems.quadratic_neumann_solution(2)
+    g = problems.outward_flux_averages(mesh, fix.grad)
+    problems.solve_neumann(mesh, fix.f, g, form="mixed")
+    assert "neumann RT0" in problems._operators
+    problems.solve_neumann(mesh, fix.f, g, form="cr")
+    assert "neumann CR" in problems._operators and "neumann RT0" not in problems._operators
+    problems.solve_neumann(mesh, fix.f, g, form="mixed")
+    assert "neumann RT0" in problems._operators and "neumann CR" not in problems._operators
 
 
 def test_report_serialization():

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 import oracles
 import peakrss
-from simplexfem import assembly, elements, equivalence, linsolve, problems
+from simplexfem import assembly, elements, equivalence, hybrid, linsolve, problems
 from simplexfem.linsolve import SolverError
 from simplexfem.mesh import build_box_mesh, refine_uniform
 
@@ -42,14 +42,14 @@ def test_multiplier_system_is_the_cr_stokes_matrix(name):
     # sum_K S_K = A_CR - B^T D^-1 B / n with D = diag(|K|)
     mesh = mesh_of(name)
     n = mesh.dim
-    operator = problems.pseudostress_operator(mesh)
+    operator = hybrid.pseudostress_operator(mesh, problems._operator(mesh, "RT0"))
     system = oracles.assemble_stokes(mesh, np.zeros(n), "CR")[0]
     A, B = system.A, system.B
     S, E = operator.system.A, operator.system.B
     assert abs(S - A).max() <= 1e-14 * abs(A).max()
     assert abs(E - B).max() <= 1e-14 * abs(B).max()
-    eliminated, _ = problems._multiplier_matrices(operator.inverse, operator.coupling,
-                                                  operator.dofs, A.shape[0])
+    eliminated, _ = hybrid._multiplier_matrices(operator.inverse, operator.coupling,
+                                                operator.dofs, A.shape[0])
     schur = A - B.T @ (B / (n * mesh.cell_measures)[:, None])
     assert abs(eliminated - schur).max() <= 1e-14 * abs(A).max()
 
@@ -61,7 +61,8 @@ def test_multiplier_block_is_n_copies_of_the_memo_rt0_s(monkeypatch, name):
     # is scattered; the rows of E are the only scatter
     mesh = mesh_of(name)
     n = mesh.dim
-    poisson = problems._operator(mesh, "RT0").system.A
+    rt0 = problems._operator(mesh, "RT0")
+    poisson = rt0.system.A
     shapes = []
     scatter = assembly.scatter_matrix
 
@@ -70,7 +71,7 @@ def test_multiplier_block_is_n_copies_of_the_memo_rt0_s(monkeypatch, name):
         return scatter(rows, cols, local, shape)
 
     monkeypatch.setattr(assembly, "scatter_matrix", recording)
-    S = problems.pseudostress_operator(mesh).system.A.tocsr()
+    S = hybrid.pseudostress_operator(mesh, rt0).system.A.tocsr()
     assert shapes == [(mesh.n_cells, 1, n * (n + 1))]
     expected = sp.block_diag([poisson] * n, format="csr")
     for a, b in ((S.indptr, expected.indptr), (S.indices, expected.indices),
@@ -82,8 +83,8 @@ def test_operator_build_peaks_within_1_6_times_what_it_keeps():
     # with the RT0 operator in the memo; the (nc, p, p) multiplier blocks
     # and their scatter took the peak to 1.96 times what is kept
     mesh = mesh_of("3D L3")
-    problems._operator(mesh, "RT0")
-    kept, peak = peakrss.traced(lambda: problems.pseudostress_operator(mesh))
+    rt0 = problems._operator(mesh, "RT0")
+    kept, peak = peakrss.traced(lambda: hybrid.pseudostress_operator(mesh, rt0))
     assert peak <= 1.6 * kept, (kept, peak)
 
 
@@ -129,10 +130,11 @@ def test_moved_rt0_outer_entry_fails_the_certificate(monkeypatch, name):
 
 
 def gate_pseudostress(mesh, f, sigma, u):
-    """``problems._gate_pseudostress`` on (sigma, u) for the load f."""
+    """``hybrid._gate_mixed`` with the trace-mean gauge on (sigma, u) for
+    the load f."""
     g = -assembly.load_integrals(mesh, f, mesh.dim)
-    return problems._gate_pseudostress(mesh, elements.rt0_deviatoric_mass(mesh),
-                                       g.T.ravel(), sigma, u)
+    return hybrid._gate_mixed(mesh, elements.rt0_deviatoric_mass(mesh), g.T.ravel(), sigma, u,
+                              gauge=hybrid._trace_gauge(mesh))
 
 
 @pytest.mark.parametrize("name", ["2D L3", "3D box(2)r"])

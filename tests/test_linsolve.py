@@ -7,7 +7,7 @@ import scipy.sparse.linalg as sla
 
 import oracles
 import peakrss
-from simplexfem import assembly, linsolve, problems
+from simplexfem import assembly, hybrid, linsolve, problems
 from simplexfem.linsolve import SolverConfig, SolverError, eig_smallest, gate_saddle, solve
 from simplexfem.mesh import SimplexMesh, build_box_mesh, mesh_hierarchy, refine_uniform
 from simplexfem.problems import outward_flux_averages, quadratic_neumann_solution, solve_eigen
@@ -170,12 +170,13 @@ def _schur_problem(name, dim, scale=0.0):
         mesh = refine_uniform(build_box_mesh(dim, 1))
         if dim == 2:
             mesh = refine_uniform(mesh)
-        system = problems.pseudostress_operator(mesh).system
+        rt0 = hybrid.hybrid_operator(mesh)
+        system = hybrid.pseudostress_operator(mesh, rt0).system
         f = np.random.default_rng(6).uniform(-1.0, 1.0, system.n_primal)
         system = dataclasses.replace(system, f=f)
-        block = problems.hybrid_operator(mesh).system.A
+        block = rt0.system.A
     factor = linsolve.Factor(assembly.SaddleSystem(block * (1.0 + scale), np.zeros(block.shape[0])))
-    return system, problems._componentwise(factor.lu, dim)
+    return system, linsolve.componentwise(factor.lu, dim)
 
 
 SCHUR = [(name, dim) for name in ("stokes-CR", "pseudostress-multiplier") for dim in (2, 3)]

@@ -191,6 +191,7 @@ def test_facet_geometry_matches_an_independent_oracle(dim):
                      centroids[m.cell_facets] - m.vertices[m.cells])
     assert np.array_equal(m.cell_facet_signs, np.where(away > 0, 1, -1))
     assert set(m.cell_facet_signs.ravel().tolist()) == {-1, 1}
+    assert m.cell_facet_signs.dtype == np.int8
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as dla
 import scipy.sparse.linalg as sla
 
-from simplexfem import analysis, assembly, elements, linsolve, problems
+from simplexfem import analysis, assembly, elements, hybrid, linsolve, problems
 from simplexfem.linsolve import SolverError
 from simplexfem.mesh import SimplexMesh, build_box_mesh, mesh_hierarchy, refine_uniform
 from simplexfem.problems import (quadratic_neumann_solution, sine_solution,
@@ -199,10 +199,10 @@ def solve_mixed(mesh, f, g):
 
 
 def gate_mixed(mesh, f, g, sigma, u):
-    """``problems._gate_mixed`` on (sigma, u), with the data of ``mixed_case``."""
+    """``hybrid._gate_mixed`` on (sigma, u), with the data of ``mixed_case``."""
     sigma_bc = None if g is None else assembly.boundary_fluxes(mesh, f, g)
-    return problems._gate_mixed(mesh, elements.rt0_mass(mesh),
-                                -assembly.load_integrals(mesh, f), sigma, u, sigma_bc)
+    return hybrid._gate_mixed(mesh, elements.rt0_mass(mesh),
+                              -assembly.load_integrals(mesh, f), sigma, u, sigma_bc)
 
 
 GATE_CASES = [(2, 4, "dirichlet"), (2, 4, "neumann"), (3, 2, "dirichlet"),
@@ -258,13 +258,13 @@ def test_local_block_gate_passes_a_zero_load(dim, lvl, kind):
 def test_the_factorised_copy_of_s_is_s_without_its_rounding_level_entries(dim, lvl, jiggle):
     # the copy is formed as S minus the dropped entries: it must equal its
     # definition, the cell blocks with those entries zeroed, scattered
-    operator = problems.hybrid_operator(mixed_mesh(dim, lvl, jiggle))
+    operator = hybrid.hybrid_operator(mixed_mesh(dim, lvl, jiggle))
     shape = operator.system.A.shape
-    S, factorised = problems._multiplier_matrices(operator.inverse, operator.coupling,
-                                                  operator.dofs, shape[0])
-    local = problems._multiplier_blocks(operator.inverse, operator.coupling)
+    S, factorised = hybrid._multiplier_matrices(operator.inverse, operator.coupling,
+                                                operator.dofs, shape[0])
+    local = hybrid._multiplier_blocks(operator.inverse, operator.coupling)
     scale = np.abs(local).max(axis=(1, 2), keepdims=True)
-    local[np.abs(local) <= problems._S_ROUNDING * scale] = 0.0
+    local[np.abs(local) <= hybrid._S_ROUNDING * scale] = 0.0
     expected = assembly.scatter_matrix(operator.dofs, operator.dofs, local, shape)
     factorised = factorised.tocsr()
     for a, b in ((factorised.indptr, expected.indptr), (factorised.indices, expected.indices),
@@ -279,7 +279,7 @@ def test_on_kuhn_meshes_the_s_factor_is_the_size_of_the_cr_factor(dim, lvl, lu_n
     # without its rounding-level entries it has that pattern, so both
     # factors store as many entries
     mesh = mesh_hierarchy(build_box_mesh(dim, 1), lvl)[-1]
-    s_lu = problems.hybrid_operator(mesh).factor.lu
+    s_lu = hybrid.hybrid_operator(mesh).factor.lu
     cr_lu = problems.poisson_operator(mesh).lu
     assert s_lu.nnz == cr_lu.nnz
     assert s_lu.L.nnz + s_lu.U.nnz == lu_nnz
@@ -522,13 +522,13 @@ def test_rt_mixed_arpack_applies_the_bare_hybrid_map(monkeypatch):
     mesh = mesh_hierarchy(build_box_mesh(2, 1), 3)[-1]
     monkeypatch.setattr(linsolve, "DENSE_CUTOFF", 1)
     calls = []
-    gated = problems._solve_rt0_hybrid
+    gated = hybrid._solve_rt0_hybrid
 
     def counting(*args, **kwargs):
         calls.append(1)
         return gated(*args, **kwargs)
 
-    monkeypatch.setattr(problems, "_solve_rt0_hybrid", counting)
+    monkeypatch.setattr(hybrid, "_solve_rt0_hybrid", counting)
     k = 3
     pairs = solve_eigen(mesh, "RT-mixed", k)
     assert len(pairs) == k
