@@ -3,18 +3,20 @@ Dirichlet or with its boundary fluxes fixed (pure Neumann), and the
 hybridised pseudostress Stokes solve (Arnold & Brezzi, M2AN 19, 1985;
 Cockburn & Gopalakrishnan, SINUM 42, 2004 and 43, 2005).
 
-Each relaxes the normal continuity of its r flux rows (r = 1 for Poisson,
-n for the pseudostress), restores it by one multiplier per row and
-interior facet, and eliminates every cell by one inverse of its bordered
-block (``_eliminate``).  A ``HybridOperator`` is the mesh-only half of a
-solve; only the local right-hand sides, the multiplier load and the
-recovery depend on the load.  Every solve is gated on the residual of its
-unhybridised system, applied from the local blocks (``_gate_mixed``), so
-no global RT0 matrix is assembled.  The module reads RT0 data alone: the
-RT0 functions of ``elements`` and the facet signs, normals and measures.
-S equals the CR stiffness cell by cell (Marini, SINUM 22, 1985), but is
-never taken from it.  ``tests/test_oracles.py`` checks the module's
-imports and names."""
+Each relaxes the normal continuity of its r flux rows (r = 1 for Poisson, n
+for the pseudostress), restores it by one multiplier per row and interior
+facet, and eliminates every cell by one inverse of its bordered block
+(``_eliminate``).  A ``HybridOperator`` is the mesh-only half of a solve;
+only the local right-hand sides, the multiplier load and the recovery
+depend on the load.  Every solve is gated on the residual of its
+unhybridised system, applied from the local blocks (``_mixed_residual``),
+so no global RT0 matrix is assembled; a Poisson solve is refined on it.
+The one multiplier matrix S of an operator (``_multiplier_matrix``) is
+factorised, and every multiplier solve is refined and gated against it.
+The module reads RT0 data alone: the RT0 functions of ``elements`` and the
+facet signs, normals and measures.  S equals the CR stiffness cell by cell
+(Marini, SINUM 22, 1985), but is never taken from it.
+``tests/test_oracles.py`` checks the module's imports and names."""
 
 from __future__ import annotations
 
@@ -25,8 +27,8 @@ import scipy.sparse as sp
 
 from . import assembly, elements, linsolve
 
-# an S_K entry at most this times max |S_K| is rounding (see ``_solve_rt0_hybrid``)
-_S_ROUNDING = 16.0 * np.finfo(float).eps
+_S_ROUNDING = 16.0 * np.finfo(float).eps   # an S_K entry at most this times max |S_K| is rounding
+_RT0_STEPS = 2          # refinement steps of a hybrid RT0 solve at most (``_solve_rt0_hybrid``)
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,7 @@ class HybridOperator:
     coupling: np.ndarray               # (nc, p) D_K: the signs, 0 on boundary facets
     dofs: np.ndarray                   # (nc, p) multiplier numbers, -1 on the boundary
     system: assembly.SaddleSystem      # the multiplier system with a zero load: S, E, gauge
-    factor: linsolve.Factor            # of the Poisson S less its rounding-level entries
+    factor: linsolve.Factor            # of the Poisson S, the Poisson system.A uncopied
 
 
 def _eliminate(mesh, mass, border=None, neumann=False):
@@ -86,23 +88,20 @@ def _multiplier_blocks(inv, coupling):
     return 0.5 * (S_local + np.swapaxes(S_local, 1, 2))
 
 
-def _multiplier_matrices(inv, coupling, dofs, size):
-    """S = sum_K S_K (``_multiplier_blocks``) and the copy of S that is
-    factorised: without the entries of these cell blocks at most
-    ``_S_ROUNDING`` times the cell's largest (see ``_solve_rt0_hybrid``),
-    formed as S minus a scatter of those entries alone.  Two facets share
-    at most one cell, so a dropped entry leaves an exact zero in its slot,
-    which is not stored, and the copy is bitwise the blocks' scatter
-    without them."""
+def _multiplier_matrix(inv, coupling, dofs, size):
+    """S = sum_K S_K (``_multiplier_blocks``) without the entries of each
+    S_K at most ``_S_ROUNDING`` times its largest, in CSC, which
+    ``linsolve.Factor`` keeps uncopied.  The Poisson S_K is the CR
+    stiffness of K, whose right-angle facet pairs are exact zeros; the local
+    inverse leaves at most 0.8, 0.3 and 1.2 eps of the cell's largest entry
+    there on the Kuhn meshes 2D L7, 3D L3 and 4D box(3), and every other
+    entry is at least a third of it.  Without them S has the CR pattern (2D
+    L7: L+U of 920,050 entries, against 1,796,422).  Two facets share at
+    most one cell, so a dropped entry leaves an exact zero, not stored."""
     S_local = _multiplier_blocks(inv, coupling)
-    S = assembly.scatter_matrix(dofs, dofs, S_local, (size, size))
     scale = np.abs(S_local).max(axis=(1, 2), keepdims=True)
-    cell, a, b = np.nonzero(np.abs(S_local) <= _S_ROUNDING * scale)
-    rows, cols = dofs[cell, a], dofs[cell, b]
-    kept = (rows >= 0) & (cols >= 0)
-    dropped = sp.csr_matrix((S_local[cell, a, b][kept], (rows[kept], cols[kept])),
-                            shape=(size, size))
-    return S.tocsc(), S - dropped
+    S_local[np.abs(S_local) <= _S_ROUNDING * scale] = 0.0
+    return assembly.scatter_matrix(dofs, dofs, S_local, (size, size)).tocsc()
 
 
 def _multiplier_solve(operator, z0, solve, gauge_rhs=0.0):
@@ -153,9 +152,9 @@ def hybrid_operator(mesh, neumann=False):
                           (mesh.cell_measures[:, None] * (inv[:, n + 1, :n + 1] * coupling))[inner],
                           minlength=ni)
         gauge = assembly.Constraint(row, np.ones(ni))
-    S, factorised = _multiplier_matrices(inv, coupling, dofs, ni)
-    system = assembly.SaddleSystem(S, np.zeros(ni), gauge=gauge)
-    return HybridOperator(mass, inv, coupling, dofs, system, linsolve.Factor(system, factorised))
+    system = assembly.SaddleSystem(_multiplier_matrix(inv, coupling, dofs, ni), np.zeros(ni),
+                                   gauge=gauge)
+    return HybridOperator(mass, inv, coupling, dofs, system, linsolve.Factor(system))
 
 
 def _solve_rt0_hybrid(mesh, g, operator, sigma_bc=None):
@@ -170,21 +169,9 @@ def _solve_rt0_hybrid(mesh, g, operator, sigma_bc=None):
     the accuracy of that solve; their mean is returned.
 
     The mesh-only half, ``operator`` (``hybrid_operator``, with ``neumann``
-    when ``sigma_bc`` is given), holds the local inverses, D_K and
-    S = sum_K D_K [[M_K, s], [s^T, 0]]^-1_sigma,sigma D_K, factorised; only
-    the local right-hand sides, z0_K = inverse r_K, the multiplier load and
-    the recovery depend on g.  S_K equals the CR stiffness of K
-    (Marini, SINUM 22, 1985), whose right-angle facet pairs are exact
-    zeros, but the local inverse leaves rounding there: at most 0.8, 0.3
-    and 1.2 eps of the cell's largest entry on the Kuhn meshes 2D L7, 3D
-    L3 and 4D box(3), where every other entry is at least a third of it.
-    Entries of S_K at most 16 eps times its largest are therefore dropped
-    from the copy of S that is factorised, which has the pattern of the CR
-    stiffness (at 2D L7 its L+U holds 920,050 entries, against 1,796,422
-    with them).  The refinement step and the gate of the multiplier solve
-    are taken against S itself: with the entries dropped from S as well,
-    the unhybridised residual of a constant load at 2D L7 read 1.3e-12,
-    above the gate, against 9.4e-13 this way.
+    when ``sigma_bc`` is given), holds the local inverses, D_K and the
+    factorised S (``_multiplier_matrix``); only the local right-hand sides,
+    z0_K = inverse r_K, the multiplier load and the recovery depend on g.
 
     ``g`` is the right-hand side -int_K f of the divergence rows, (nc,), or
     without ``sigma_bc`` a block (nc, r) of r of them, solved together.
@@ -192,8 +179,13 @@ def _solve_rt0_hybrid(mesh, g, operator, sigma_bc=None):
     fluxes are fixed to it and moved to the right-hand side: the multiplier
     system then has the constant in its kernel, which shifts u, and is
     gauged so that u has zero mean.  The result, (nf[, r]) and (nc[, r]), is
-    gated column by column by ``_gate_mixed``, the residual of the
-    unhybridised system.
+    gated column by column on the residual of the unhybridised system
+    (``_mixed_residual``), formed once per pass.  While it exceeds the gate,
+    at most ``_RT0_STEPS`` times, the same elimination and multiplier solve
+    of that residual, each flux row's split evenly over its facet's cells,
+    with zero boundary data and the same gauge, gives a correction (Skeel,
+    Math. Comp. 35, 1980).  Constant loads at 2D L7 read 9.45e-13 and
+    1.01e-12 (f = 1, -2.5) unrefined, 2.2e-13 after one step.
     """
     n, nc = mesh.dim, mesh.n_cells
     mass, inv, dofs = operator.mass, operator.inverse, operator.dofs
@@ -202,20 +194,35 @@ def _solve_rt0_hybrid(mesh, g, operator, sigma_bc=None):
     else:
         rhs = np.zeros((nc, n + 2))
         rhs[:, n + 1] = g
-        fixed = dofs < 0
-        known = np.where(fixed, sigma_bc[mesh.cell_facets], 0.0)
-        rhs[:, :n + 1] = np.where(fixed, known, -np.einsum("cij,cj->ci", mass, known))
+        known = np.where(dofs < 0, sigma_bc[mesh.cell_facets], 0.0)
+        rhs[:, :n + 1] = np.where(dofs < 0, known, -np.einsum("cij,cj->ci", mass, known))
         rhs[:, n + 1] -= np.einsum("ci,ci->c", mesh.cell_facet_signs, known)
         z0 = np.einsum("cab,cb->ca", inv, rhs)
-    gauge_rhs = (0.0 if operator.system.gauge is None
-                 else np.einsum("c,c->", mesh.cell_measures, z0[:, n + 1]))
-    z, _ = _multiplier_solve(operator, z0, lambda system: linsolve.solve(system, operator.factor),
-                             gauge_rhs)
-    sigma, u = _mean_fluxes(mesh, z[:, :n + 1]), z[:, n + 1]
-    for column in np.ndindex(np.shape(g)[1:]):     # one pass for a single g
-        at = (slice(None),) + column
-        _gate_mixed(mesh, mass, g[at], sigma[at], u[at], sigma_bc)
-    return sigma, u
+    sigma = u = None
+    for step in range(_RT0_STEPS + 1):
+        gauge_rhs = (0.0 if operator.system.gauge is None
+                     else np.einsum("c,c->", mesh.cell_measures, z0[:, n + 1]))
+        z, _ = _multiplier_solve(operator, z0,
+                                 lambda system: linsolve.solve(system, operator.factor), gauge_rhs)
+        d_sigma, d_u = _mean_fluxes(mesh, z[:, :n + 1]), z[:, n + 1]
+        sigma, u = (d_sigma, d_u) if sigma is None else (sigma + d_sigma, u + d_u)
+        load = None                            # the residuals of the columns to refine
+        for column in np.ndindex(np.shape(g)[1:]):     # one pass for a single g
+            at = (...,) + column
+            F, x, Kx, gauge = _mixed_residual(mesh, mass, g[at], sigma[at], u[at], sigma_bc)
+            try:
+                linsolve.gate_residual(F, x, Kx, gauge)
+            except linsolve.SolverError:
+                if step == _RT0_STEPS:
+                    raise
+                rows = slice(None) if sigma_bc is None else mesh.interior_facet_indices()
+                r, flux = F - Kx, np.zeros(mesh.n_facets)
+                flux[rows] = r[:-nc] / np.bincount(mesh.cell_facets.ravel())[rows]   # per cell
+                load = np.zeros(z0.shape) if load is None else load
+                load[at] = np.column_stack([flux[mesh.cell_facets], r[-nc:]])
+        if load is None:
+            return sigma, u
+        z0 = np.einsum("cab,cb...->ca...", inv, load)
 
 
 def _mixed_product(mesh, mass, sigma, u):
@@ -235,10 +242,10 @@ def _mixed_product(mesh, mass, sigma, u):
     return mesh.facet_sums(flux).T.ravel(), np.einsum("ci,cir->rc", signs, local).ravel()
 
 
-def _gate_mixed(mesh, mass, g, sigma, u, sigma_bc=None, gauge=None):
-    """Gate (fluxes sigma (r nf,), u (r nc,)) by ``linsolve.gate_residual``
-    on the unhybridised system of r flux rows, applied by
-    ``_mixed_product`` with the local blocks ``mass``.
+def _mixed_residual(mesh, mass, g, sigma, u, sigma_bc=None, gauge=None):
+    """(F, z, K z, gauge) for ``linsolve.gate_residual``: the unhybridised
+    system of r flux rows at (fluxes sigma (r nf,), u (r nc,)), flux rows
+    first, applied by ``_mixed_product`` with the local blocks ``mass``.
 
     Without ``sigma_bc`` it is [[A, B^T], [B, 0]] (sigma, u) = (0, g), with
     ``gauge`` if given: the system the tests assemble as their oracle
@@ -249,18 +256,16 @@ def _gate_mixed(mesh, mass, g, sigma, u, sigma_bc=None, gauge=None):
     u, the boundary fluxes are fixed to sigma_bc and moved to the
     right-hand side, and u has zero mean."""
     if sigma_bc is None:
-        return linsolve.gate_residual(np.concatenate([np.zeros(len(sigma)), g]),
-                                      np.concatenate([sigma, u]),
-                                      np.concatenate(_mixed_product(mesh, mass, sigma, u)), gauge)
+        return (np.concatenate([np.zeros(len(sigma)), g]), np.concatenate([sigma, u]),
+                np.concatenate(_mixed_product(mesh, mass, sigma, u)), gauge)
     interior = mesh.interior_facet_indices()
     inner = np.zeros(mesh.n_facets)
     inner[interior] = sigma[interior]
     flux_bc, div_bc = _mixed_product(mesh, mass, sigma_bc, np.zeros(mesh.n_cells))
     flux, div = _mixed_product(mesh, mass, inner, u)
-    return linsolve.gate_residual(np.concatenate([-flux_bc[interior], g - div_bc]),
-                                  np.concatenate([sigma[interior], u]),
-                                  np.concatenate([flux[interior], div]),
-                                  assembly.zero_mean_dual(mesh, len(interior)))
+    return (np.concatenate([-flux_bc[interior], g - div_bc]),
+            np.concatenate([sigma[interior], u]), np.concatenate([flux[interior], div]),
+            assembly.zero_mean_dual(mesh, len(interior)))
 
 
 def _identity_fluxes(mesh):
@@ -337,7 +342,7 @@ def _solve_pseudostress(mesh, g, operator):
     is solved on its Schur complement in beta (``linsolve.solve_schur``)
     with the factor of the Poisson S applied to each component, and
     refined and gated against S.  The two copies of an interior flux are
-    averaged, and the result is gated by ``_gate_mixed``."""
+    averaged, and the result is gated on ``_mixed_residual``."""
     n, nc = mesh.dim, mesh.n_cells
     p = n * (n + 1)
     rhs = np.zeros((nc, p + n + 1))
@@ -348,7 +353,8 @@ def _solve_pseudostress(mesh, g, operator):
     sigma = z[:, :p] - beta[:, None] * _identity_fluxes(mesh)
     sigma = _mean_fluxes(mesh, sigma.reshape(nc, n + 1, n)).T.ravel()
     u = z[:, p:p + n].T.ravel()
-    _gate_mixed(mesh, operator.mass, g.T.ravel(), sigma, u, gauge=_trace_gauge(mesh))
+    linsolve.gate_residual(*_mixed_residual(mesh, operator.mass, g.T.ravel(), sigma, u,
+                                            gauge=_trace_gauge(mesh)))
     return sigma, u
 
 

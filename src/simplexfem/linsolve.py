@@ -12,9 +12,6 @@ builds one and uses it once; ``solve(system, factor)`` reuses one for
 another right-hand side of the same matrix, with the same refinement,
 re-gauge and gate on every solve.  A caller that solves many loads of one
 matrix factorises it once.
-A Factor may factorise a copy of A without its rounding-level entries
-(``Factor(system, factorised=...)``); the refinement and the gate are
-still taken against the system's own matrix.
 ``solve`` also takes a column block of right-hand sides (f of shape
 (n, m)) for a system without dual block or gauge, and gates each column.
 ``SolverConfig`` carries only the seed of ARPACK's start vector; the
@@ -279,23 +276,19 @@ class Factor:
     vector k only: ``solve(system, factor)`` takes f and the gauge row and
     value from the system.  A system with a dual block raises ValueError:
     it is solved by ``solve_schur`` (the tests' oracle,
-    ``tests/oracles.py``, factorises it in its own order).
+    ``tests/oracles.py``, factorises it in its own order).  K shares the
+    arrays of a CSC A."""
 
-    ``factorised``, if given, is factorised in A's place: a matrix within
-    rounding of A that stores fewer entries.  The refinement step and the
-    gate of every solve are still taken against A."""
-
-    def __init__(self, system, factorised=None):
+    def __init__(self, system):
         if system.B is not None:
             raise ValueError("a system with a dual block is not factorised: "
                              "solve it by linsolve.solve_schur")
         K = sp.csc_matrix(system.A)
-        M = K if factorised is None else sp.csc_matrix(factorised)
         if system.gauge is None:
-            keep = slice(None)
+            keep, M = slice(None), K
         else:                                      # the pin at argmax |k|
             keep = np.delete(np.arange(K.shape[0]), np.argmax(np.abs(system.gauge.k)))
-            M = M[keep][:, keep]
+            M = K[keep][:, keep]
         self.K, self.keep, self.lu = K, keep, _factorise(M, _SPD_ORDER)
 
 
@@ -346,8 +339,8 @@ def solve_schur(system, inverse):
     residual: (primal, dual, multiplier), like ``solve``.
 
     ``inverse`` applies to a vector the inverse of A, or of a matrix within
-    rounding of A (see the module doc); nothing is factorised here.  The gauge, if any,
-    must act on the dual unknowns only.  Its multiplier is taken first,
+    rounding of A; nothing is factorised here.  The gauge, if any, must act
+    on the dual unknowns only.  Its multiplier is taken first,
     mu = k . F / k . c, then CG preconditioned by diag(B diag(A)^-1 B^T)^-1
     solves B A^-1 B^T y = B A^-1 f - (g - c_y mu), each iterate re-gauged
     along k_y onto c_y . y = rhs, until the recursive residual reaches

@@ -17,6 +17,7 @@ from simplexfem.mesh import SimplexMesh, build_box_mesh, mesh_hierarchy, refine_
 from simplexfem.problems import BrokenField, RTField, sine_solution, solve_poisson
 from simplexfem.quadrature import integrate_cellwise, physical_points, rule_for_degree
 
+from meshes import delaunay_box
 from percell import rt0_eval_mesh, translated
 
 
@@ -459,9 +460,8 @@ def test_stokes_certificate_at_3d_level_4_runs_on_the_two_poisson_factors(factor
 
 @pytest.mark.parametrize("check", [check_poisson_identity, check_marini_identity])
 def test_constant_load_at_2d_level_7_passes_the_gates(check):
-    # every solve of this load sits just under the 1e-12 gate (the mixed
-    # residual reads 9.4e-13); S without its rounding-level entries as the
-    # refined and gated matrix, not only the factorised one, read 1.3e-12
+    # unrefined, the hybrid solve's unhybridised residual read 9.45e-13, just
+    # under the 1e-12 gate
     mesh = mesh_hierarchy(build_box_mesh(2, 1), 7)[-1]
     assert check(mesh, np.ones(mesh.n_cells)).passed
 
@@ -492,12 +492,43 @@ def mesh_2d_l7():
     return mesh_hierarchy(build_box_mesh(2, 1), 7)[-1]
 
 
-@pytest.mark.xfail(strict=True, raises=linsolve.SolverError,
-                   reason="relative residual 1.011e-12 against the 1e-12 gate, which grows "
-                          "like eps cond(A) (ROADMAP item 1)")
 @pytest.mark.parametrize("check", [check_poisson_identity, check_marini_identity])
 def test_constant_load_minus_2_5_at_2d_level_7_passes_the_gates(mesh_2d_l7, check):
+    # unrefined, the hybrid solve's unhybridised residual read 1.011e-12
     assert check(mesh_2d_l7, np.full(mesh_2d_l7.n_cells, -2.5)).passed
+
+
+def test_hybrid_solves_refine_only_above_the_gate(mesh_2d_l7, monkeypatch):
+    # one multiplier solve per pass: a random per-cell load passes the gate
+    # unrefined, the constant load above after one refinement step
+    passes = []
+    multiplier_solve = hybrid._multiplier_solve
+
+    def counted(*args):
+        passes.append(args[1].shape)             # the local loads z0
+        return multiplier_solve(*args)
+    monkeypatch.setattr(hybrid, "_multiplier_solve", counted)
+    for f, count in ((np.random.default_rng(7).uniform(-1.0, 1.0, mesh_2d_l7.n_cells), 1),
+                     (-2.5, 2)):
+        passes.clear()
+        problems.solve_poisson_mixed(mesh_2d_l7, f)
+        assert len(passes) == count
+
+
+@pytest.mark.parametrize("dim,points,seed", [
+    (2, 200, 0), (2, 200, 1), (2, 200, 2), (3, 250, 0), (3, 250, 1),
+    pytest.param(3, 250, 2, marks=pytest.mark.xfail(
+        strict=True, raises=linsolve.SolverError,
+        reason="the CR solve and the hybrid multiplier solve read 1.2e-12 and 1.3e-12 against "
+               "the 1e-12 gate, which grows like eps cond(A) (ROADMAP item 1)"))])
+def test_poisson_certificates_pass_on_delaunay_meshes(dim, points, seed):
+    # 402 cells in 2D, about 1.6k in 3D, slivers kept; unrefined, the hybrid
+    # solve's unhybridised residual read 1.1e-9 to 4.8e-12 on the first five
+    mesh = delaunay_box(dim, points, seed)
+    f = np.random.default_rng(seed).uniform(-1.0, 1.0, mesh.n_cells)
+    assert check_poisson_identity(mesh, f).passed
+    if dim == 2:
+        assert check_marini_identity(mesh, f).passed
 
 
 @pytest.fixture

@@ -48,8 +48,8 @@ def test_multiplier_system_is_the_cr_stokes_matrix(name):
     S, E = operator.system.A, operator.system.B
     assert abs(S - A).max() <= 1e-14 * abs(A).max()
     assert abs(E - B).max() <= 1e-14 * abs(B).max()
-    eliminated, _ = hybrid._multiplier_matrices(operator.inverse, operator.coupling,
-                                                operator.dofs, A.shape[0])
+    eliminated = hybrid._multiplier_matrix(operator.inverse, operator.coupling, operator.dofs,
+                                           A.shape[0])
     schur = A - B.T @ (B / (n * mesh.cell_measures)[:, None])
     assert abs(eliminated - schur).max() <= 1e-14 * abs(A).max()
 
@@ -130,11 +130,12 @@ def test_moved_rt0_outer_entry_fails_the_certificate(monkeypatch, name):
 
 
 def gate_pseudostress(mesh, f, sigma, u):
-    """``hybrid._gate_mixed`` with the trace-mean gauge on (sigma, u) for
-    the load f."""
+    """The gate of ``hybrid._mixed_residual`` with the trace-mean gauge on
+    (sigma, u) for the load f."""
     g = -assembly.load_integrals(mesh, f, mesh.dim)
-    return hybrid._gate_mixed(mesh, elements.rt0_deviatoric_mass(mesh), g.T.ravel(), sigma, u,
-                              gauge=hybrid._trace_gauge(mesh))
+    return linsolve.gate_residual(*hybrid._mixed_residual(
+        mesh, elements.rt0_deviatoric_mass(mesh), g.T.ravel(), sigma, u,
+        gauge=hybrid._trace_gauge(mesh)))
 
 
 @pytest.mark.parametrize("name", ["2D L3", "3D box(2)r"])

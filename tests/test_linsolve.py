@@ -1,4 +1,5 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -252,7 +253,8 @@ def test_a_factor_of_a_nearby_matrix_is_refined_and_gated_against_the_system(sca
     mesh = mesh_hierarchy(build_box_mesh(2, 1), 3)[-1]
     A, b, _ = assembly.assemble_poisson(mesh, 1.0, "CR")
     system = assembly.SaddleSystem(A, b)
-    factor = linsolve.Factor(system, factorised=A * (1.0 + scale))
+    factor = types.SimpleNamespace(K=A, keep=slice(None),
+                                   lu=linsolve._factorise(A * (1.0 + scale), linsolve._SPD_ORDER))
     assert (factor.K != A).nnz == 0
     if passes:
         x, _, _ = solve(system, factor)

@@ -76,10 +76,10 @@ CR_ECR = ("cr_eval_mesh", "ecr_eval_mesh", "bubble_eval_mesh", "bubble_values", 
           "bubble_strength", "cr_stiffness", "ecr_stiffness", "cr_mass", "ecr_mass",
           "gradient_integrals", "_cr", "_bubble_value", "_bubble_gradient", "_ecr_values",
           "_ecr_gradients")
-MOVED_TO_HYBRID = ("HybridOperator", "_S_ROUNDING", "_multiplier_blocks", "_multiplier_matrices",
+MOVED_TO_HYBRID = ("HybridOperator", "_S_ROUNDING", "_multiplier_blocks", "_multiplier_matrix",
                    "_multiplier_solve", "_mean_fluxes", "_interior_numbers", "_mixed_product",
                    "hybrid_operator", "_solve_rt0_hybrid", "pseudostress_operator",
-                   "_identity_fluxes", "_check_identity_kernel", "_gate_mixed",
+                   "_identity_fluxes", "_check_identity_kernel", "_mixed_residual",
                    "_gate_pseudostress", "_hybrid_inverse", "_componentwise")
 
 
@@ -120,7 +120,7 @@ def test_the_hybrid_module_names_no_cr_ecr_or_bubble_function():
 
 def test_problems_defines_none_of_the_hybrid_code():
     assert sorted(set(_bound(_tree(PROBLEMS))) & set(MOVED_TO_HYBRID)) == []
-    # two were folded into ``_eliminate`` and ``_gate_mixed``, one moved to linsolve
+    # two were folded into ``_eliminate`` and ``_mixed_residual``, one moved to linsolve
     assert [name for name in MOVED_TO_HYBRID if not hasattr(hybrid, name)] == [
         "_interior_numbers", "_gate_pseudostress", "_componentwise"]
     assert callable(linsolve.componentwise)
